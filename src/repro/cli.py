@@ -51,19 +51,14 @@ import sys
 from typing import Callable
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
-from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments import paper
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import GridPolicy, compare_schemes_parallel
-from repro.experiments.runner import simulate, standard_schemes
+from repro.experiments.parallel import GridPolicy
+from repro.experiments.runner import compare_schemes, simulate, standard_schemes
 from repro.obs import GridCounters, format_grid_counters
 from repro.schedulers.base import Scheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.registry import SCHEMES, known_schemes, scheduler_from_config
 from repro.workload.archive import get_preset
 from repro.workload.estimates import AccurateEstimates, InaccurateEstimates
 from repro.workload.job import Job
@@ -86,41 +81,30 @@ EXPERIMENTS: dict[str, tuple[Callable[..., paper.ExperimentOutput], bool]] = {
 }
 
 
+#: CLI spellings of scheme ids
+SCHEDULER_ALIASES = {
+    "ns": "easy",
+    "cons": "conservative",
+    "spec": "speculative",
+    "tss-cons": "tss-conservative",
+}
+
+_SCHEDULER_HELP = (
+    f"scheme id ({' | '.join(known_schemes())}) "
+    f"or alias ({', '.join(f'{a}={s}' for a, s in SCHEDULER_ALIASES.items())})"
+)
+
+
 def _build_scheduler(args: argparse.Namespace) -> Scheduler:
+    """The ``--scheduler`` scheme; ``--sf`` sets its suspension factor."""
     kind = args.scheduler.lower()
-    if kind == "fcfs":
-        return FCFSScheduler()
-    if kind in ("easy", "ns"):
-        return EasyBackfillScheduler()
-    if kind in ("conservative", "cons"):
-        return ConservativeBackfillScheduler()
-    if kind == "gang":
-        from repro.schedulers.gang import GangScheduler
-
-        return GangScheduler()
-    if kind == "relaxed":
-        from repro.schedulers.relaxed import RelaxedBackfillScheduler
-
-        return RelaxedBackfillScheduler()
-    if kind in ("spec", "speculative"):
-        from repro.schedulers.speculative import SpeculativeBackfillScheduler
-
-        return SpeculativeBackfillScheduler()
-    if kind == "ss":
-        return SelectiveSuspensionScheduler(suspension_factor=args.sf)
-    if kind == "tss":
-        return TunableSelectiveSuspensionScheduler(suspension_factor=args.sf)
-    if kind == "ss-easy":
-        from repro.schedulers.hybrids import SuspensionWithHeadGuarantee
-
-        return SuspensionWithHeadGuarantee(suspension_factor=args.sf)
-    if kind in ("tss-cons", "tss-conservative"):
-        from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
-
-        return TunableSuspensionWithGuarantees(suspension_factor=args.sf)
-    if kind == "is":
-        return ImmediateServiceScheduler()
-    raise SystemExit(f"unknown scheduler {args.scheduler!r}")
+    scheme = SCHEDULER_ALIASES.get(kind, kind)
+    if scheme not in SCHEMES:
+        raise SystemExit(f"unknown scheduler {args.scheduler!r}")
+    config: dict[str, object] = {"scheme": scheme}
+    if "suspension_factor" in inspect.signature(SCHEMES[scheme]).parameters:
+        config["suspension_factor"] = args.sf
+    return scheduler_from_config(config)
 
 
 def _load_jobs(args: argparse.Namespace) -> tuple[list[Job], int]:
@@ -243,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--scheduler",
         default="ss",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
+        help=_SCHEDULER_HELP,
     )
     run.add_argument("--sf", type=float, default=2.0, help="suspension factor")
     run.add_argument(
@@ -297,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument(
         "--scheduler",
         default="ss",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
+        help=_SCHEDULER_HELP,
     )
     rec.add_argument("--sf", type=float, default=2.0, help="suspension factor")
     rec.add_argument("--out", required=True, metavar="FILE", help="JSONL output path")
@@ -405,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     rpl.add_argument(
         "--scheduler",
         default="easy",
-        help="fcfs | easy/ns | conservative | relaxed | speculative | gang | ss | tss | is | ss-easy | tss-conservative",
+        help=_SCHEDULER_HELP,
     )
     rpl.add_argument("--sf", type=float, default=2.0, help="suspension factor")
     rpl.add_argument(
@@ -489,7 +473,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         jobs, n_procs = _load_jobs(args)
         overhead = DiskSwapOverheadModel() if args.overhead else None
         counters = GridCounters()
-        results = compare_schemes_parallel(
+        results = compare_schemes(
             jobs,
             n_procs,
             standard_schemes(),

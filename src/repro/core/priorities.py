@@ -89,6 +89,11 @@ class PreemptionCriteria:
     width_rule: bool = True
 
     def __post_init__(self) -> None:
+        if self.width_rule not in (True, False):
+            raise ValueError(f"width_rule must be a bool, got {self.width_rule!r}")
+        # canonical types, so ``config()`` emits 2.0 / true for 2 / 1
+        object.__setattr__(self, "suspension_factor", float(self.suspension_factor))
+        object.__setattr__(self, "width_rule", bool(self.width_rule))
         if self.suspension_factor < 1.0:
             raise ValueError(
                 f"suspension factor must be >= 1, got {self.suspension_factor}"

@@ -85,19 +85,15 @@ class SelectiveSuspensionScheduler(PolicyKernel):
             preemption_interval=preemption_interval,
         )
         self._engine = engine
-        super().__init__(self._make_spec(suspension_factor, engine))
-
-    def _make_spec(
-        self, suspension_factor: float, engine: SweepPreemption
-    ) -> SchedulerSpec:
-        """The SS composition (TSS overrides the id/name, reuses the rest)."""
-        return SchedulerSpec(
-            scheme_id="ss",
-            display_name=f"SS(SF={suspension_factor:g})",
-            queue=SuspensionPriorityOrder(),
-            reservation=NoReservations(),
-            backfill=GreedyBackfill(),
-            preemption=engine,
+        super().__init__(
+            SchedulerSpec(
+                scheme_id="ss",
+                display_name=f"SS(SF={suspension_factor:g})",
+                queue=SuspensionPriorityOrder(),
+                reservation=NoReservations(),
+                backfill=GreedyBackfill(),
+                preemption=engine,
+            )
         )
 
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ on every reported metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.core.priorities import PreemptionCriteria
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
@@ -70,6 +71,11 @@ class CategoryLimits:
     _overall_sum: float = 0.0
     _overall_count: int = 0
 
+    def __post_init__(self) -> None:
+        # canonical types, so ``to_config()`` emits 2.0 for a margin of 2
+        self.margin = float(self.margin)
+        self.table = {cat: float(limit) for cat, limit in sorted(self.table.items())}
+
     def limit_for(self, job: Job) -> float:
         """The xfactor ceiling protecting *job* from preemption."""
         cat = classify_sixteen_way(job)
@@ -99,17 +105,32 @@ class CategoryLimits:
         }
 
     @classmethod
-    def from_config(cls, config: dict[str, object]) -> "CategoryLimits":
-        """Rebuild limits from :meth:`to_config` output."""
+    def from_config(cls, config: object) -> "CategoryLimits":
+        """Rebuild limits from :meth:`to_config` output.
+
+        Raises :class:`ValueError` on anything :meth:`to_config` cannot
+        emit: a non-mapping, an unknown mode or key, a malformed table.
+        """
+        if not isinstance(config, Mapping):
+            raise ValueError(f"expected a mapping, got {config!r}")
         mode = config.get("mode", "calibrated")
-        margin = float(config.get("margin", 1.5))  # type: ignore[arg-type]
+        if mode not in ("online", "calibrated"):
+            raise ValueError(f"unknown mode {mode!r}")
+        allowed = ("mode", "margin") if mode == "online" else ("mode", "margin", "table")
+        for key in config:
+            if key not in allowed:
+                raise ValueError(f"unknown key {key!r} for mode {mode!r}")
+        margin = float(config.get("margin", 1.5))
         if mode == "online":
             return cls(online=True, margin=margin)
         raw = config.get("table", {})
-        assert isinstance(raw, dict)
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"table must be a mapping, got {raw!r}")
         table: dict[SixteenWayCategory, float] = {}
         for key, limit in sorted(raw.items()):
-            run, _, width = key.partition("|")
+            run, sep, width = str(key).partition("|")
+            if not sep:
+                raise ValueError(f"table key {key!r} is not 'run|width'")
             table[(run, width)] = float(limit)
         return cls(table=table, margin=margin)
 

@@ -2,12 +2,13 @@
 
 * :mod:`repro.experiments.runner` -- :func:`simulate` (one policy, one
   trace) and :func:`compare_schemes` (the paper's standard scheme set
-  over one trace), both serial.
-* :mod:`repro.experiments.parallel` -- :func:`run_grid` and
-  :func:`compare_schemes_parallel`: the same cells fanned out over a
-  process pool with deterministic merging, incremental cache commits
-  and crash/hang/broken-pool recovery governed by :class:`GridPolicy`;
-  plus :func:`replay_sharded`, which cuts a long (possibly streaming)
+  over one trace, through :func:`run_grid`; serial unless given
+  workers).
+* :mod:`repro.experiments.parallel` -- :func:`run_grid`: grid cells run
+  in-process or fanned out over a process pool with deterministic
+  merging, incremental cache commits and crash/hang/broken-pool
+  recovery governed by :class:`GridPolicy`; plus
+  :func:`replay_sharded`, which cuts a long (possibly streaming)
   workload into time-windowed shards and replays them through the same
   executor (docs/WORKLOADS.md).
 * :mod:`repro.experiments.cache` -- :class:`ResultCache`, the
@@ -35,7 +36,6 @@ from repro.experiments.parallel import (
     GridPolicy,
     ShardedReplayOutcome,
     WorkloadShard,
-    compare_schemes_parallel,
     iter_time_shards,
     outcome_fingerprint,
     replay_sharded,
@@ -75,7 +75,6 @@ __all__ = [
     "WorkloadShard",
     "cell_fingerprint",
     "compare_schemes",
-    "compare_schemes_parallel",
     "decode_jobs",
     "encode_jobs",
     "fingerprint_jobs",

@@ -24,13 +24,9 @@ from repro.analysis.tables import category_grid_table, series_table
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.core.theory import two_task_timeline
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import (
-    GridCell,
-    GridPolicy,
-    compare_schemes_parallel,
-    run_grid,
-)
+from repro.experiments.parallel import GridCell, GridPolicy, run_grid
 from repro.experiments.runner import (
+    compare_schemes,
     hybrid_schemes,
     simulate,
     standard_schemes,
@@ -233,7 +229,7 @@ def ss_average_metrics(
     """
     preset = get_preset(trace)
     jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         jobs,
         preset.n_procs,
         standard_schemes(),
@@ -296,7 +292,7 @@ def hybrid_comparison(
     """
     preset = get_preset(trace)
     jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         jobs,
         preset.n_procs,
         hybrid_schemes(),
@@ -352,7 +348,7 @@ def ss_worst_case(
     """
     preset = get_preset(trace)
     jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         jobs,
         preset.n_procs,
         standard_schemes(suspension_factors=(2.0,)),
@@ -411,7 +407,7 @@ def tss_worst_case(
     specs[1:1] = [
         s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label
     ]
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         jobs, preset.n_procs, specs, workers=workers, cache=cache, policy=policy, shm=shm
     )
     data = {
@@ -470,7 +466,7 @@ def estimate_impact(
     jobs = _trace(
         trace, n_jobs, seed, estimates=InaccurateEstimates(badly_fraction=badly_fraction)
     )
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         jobs,
         preset.n_procs,
         tuned_schemes(),
@@ -529,10 +525,10 @@ def overhead_impact(
     jobs = _trace(trace, n_jobs, seed, estimates=InaccurateEstimates())
     overhead = DiskSwapOverheadModel()
     tuned = [s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label]
-    free = compare_schemes_parallel(
+    free = compare_schemes(
         jobs, preset.n_procs, tuned, workers=workers, cache=cache, policy=policy, shm=shm
     )
-    loaded = compare_schemes_parallel(
+    loaded = compare_schemes(
         jobs,
         preset.n_procs,
         [*tuned, *(s for s in standard_schemes(()) if s.label in ("No Suspension", "IS"))],
@@ -674,11 +670,7 @@ def load_variation(
         cells: list[GridCell] = []
         for load in loads:
             for spec in specs:
-                if spec.needs_baseline:
-                    assert spec.factory_with_baseline is not None
-                    scheduler = spec.factory_with_baseline(baselines[f"NS@{load:g}"])
-                else:
-                    scheduler = spec.factory()
+                scheduler = spec.build(baselines[f"NS@{load:g}"])
                 cells.append(_cell(f"{spec.label}@{load:g}", load, scheduler.config()))
         grid = run_grid(
             cells, workers=workers, cache=cache, policy=policy, shm=shm

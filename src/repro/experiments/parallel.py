@@ -1,11 +1,10 @@
 """Fault-tolerant process-pool experiment execution with deterministic merging.
 
 The paper's evaluation is an embarrassingly parallel grid -- scheme x
-trace x seed x load x overhead cells that share nothing at run time --
-yet :func:`~repro.experiments.runner.compare_schemes` walks it serially.
-This module fans cells out over ``multiprocessing`` workers, survives
-worker crashes / hangs / killed pools, and merges the results
-deterministically:
+trace x seed x load x overhead cells that share nothing at run time.
+:func:`run_grid` runs such cells in-process or fans them out over
+``multiprocessing`` workers, survives worker crashes / hangs / killed
+pools, and merges the results deterministically:
 
 * every cell is a :class:`GridCell` -- pristine jobs plus a
   **JSON-stable scheduler config** (:meth:`Scheduler.config`), because
@@ -28,10 +27,9 @@ deterministically:
   cells whose fingerprint was computed by any earlier run -- including a
   run that crashed partway through, because commits are incremental.
 
-:func:`compare_schemes_parallel` is a drop-in replacement for
-:func:`~repro.experiments.runner.compare_schemes` (same signature plus
-``workers`` / ``cache`` / ``policy``) whose output is verified
-byte-identical to the serial path by ``tests/test_parallel.py``; the
+:func:`~repro.experiments.runner.compare_schemes` runs the paper's
+scheme comparisons through :func:`run_grid`; a pooled run is verified
+byte-identical to the in-process one by ``tests/test_parallel.py``; the
 recovery paths are proven by ``tests/test_fault_tolerance.py`` against
 the deterministic fault-injection harness in ``tests/fault_injection.py``.
 """
@@ -50,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.experiments.cache import ResultCache, cell_fingerprint, fingerprint_jobs
-from repro.experiments.runner import SchemeSpec, simulate
+from repro.experiments.runner import simulate
 from repro.experiments.shm import (
     JobsRef,
     WorkloadPlane,
@@ -58,13 +56,9 @@ from repro.experiments.shm import (
     resolve_jobs,
 )
 from repro.obs.counters import GridCounters
-from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.registry import scheduler_from_config
 from repro.sim.driver import SimulationResult, SuspensionOverheadModel
 from repro.workload.job import Job
-
-#: key used for the shared NS baseline cell of calibrated-TSS specs
-BASELINE_KEY = "__ns_baseline__"
 
 
 @dataclass(frozen=True)
@@ -810,88 +804,6 @@ def trace_files_for_keys(
     return paths
 
 
-def compare_schemes_parallel(
-    jobs: list[Job],
-    n_procs: int,
-    schemes: list[SchemeSpec],
-    overhead_model: SuspensionOverheadModel | None = None,
-    *,
-    workers: int | None = None,
-    cache: ResultCache | None = None,
-    trace_dir: str | Path | None = None,
-    policy: GridPolicy | None = None,
-    counters: GridCounters | None = None,
-    shm: bool | None = None,
-) -> dict[str, SimulationResult]:
-    """Parallel, cache-aware, fault-tolerant drop-in for :func:`compare_schemes`.
-
-    Semantics match the serial function exactly: TSS specs flagged
-    ``needs_baseline`` receive limits calibrated from one shared NS
-    (EASY) run over the same trace.  The baseline runs first (it is a
-    dependency, and itself cacheable); the scheme cells then fan out
-    over *workers* processes under *policy*'s timeout/retry rules.
-
-    Output is keyed by scheme label in scheme order, byte-identical to
-    ``compare_schemes(jobs, n_procs, schemes, overhead_model)``.
-
-    With *trace_dir*, every scheme cell additionally streams its JSONL
-    decision trace to a per-label file under that directory (written by
-    the worker that simulates the cell); labels whose sanitised names
-    would collide are disambiguated with a key-hash suffix -- see
-    :func:`trace_files_for_keys`.  Tracing never changes schedules, so
-    the returned results are identical either way; traced cells do
-    bypass the result cache (a cache hit would leave no trace file).
-
-    *shm* is forwarded to the scheme grid (see :func:`run_grid`): by
-    default the shared workload is published to the shared-memory plane
-    whenever the schemes fan out over a pool, so the trace is pickled
-    zero times instead of once per scheme.  The baseline cell always
-    runs in-process and is never converted.
-    """
-    baseline: SimulationResult | None = None
-    if any(s.needs_baseline for s in schemes):
-        baseline_cell = GridCell(
-            key=BASELINE_KEY,
-            jobs=jobs,
-            n_procs=n_procs,
-            scheduler_config=EasyBackfillScheduler().config(),
-            overhead_model=overhead_model,
-        )
-        baseline = run_grid(
-            [baseline_cell],
-            workers=None,
-            cache=cache,
-            policy=policy,
-            counters=counters,
-        ).results[BASELINE_KEY]
-
-    trace_paths: dict[str, str] = (
-        trace_files_for_keys(trace_dir, [s.label for s in schemes])
-        if trace_dir is not None
-        else {}
-    )
-    cells: list[GridCell] = []
-    for spec in schemes:
-        if spec.needs_baseline:
-            assert baseline is not None and spec.factory_with_baseline is not None
-            scheduler = spec.factory_with_baseline(baseline)
-        else:
-            scheduler = spec.factory()
-        cells.append(
-            GridCell(
-                key=spec.label,
-                jobs=jobs,
-                n_procs=n_procs,
-                scheduler_config=scheduler.config(),
-                overhead_model=overhead_model,
-                trace_path=trace_paths.get(spec.label),
-            )
-        )
-    return run_grid(
-        cells, workers=workers, cache=cache, policy=policy, counters=counters, shm=shm
-    ).results
-
-
 # ----------------------------------------------------------------------
 # workload sharding: one long log -> time-windowed grid cells
 # ----------------------------------------------------------------------
@@ -1107,6 +1019,7 @@ def replay_sharded(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    scheduler_from_config(scheduler_config)  # a malformed config fails before any shard
     outcome = ShardedReplayOutcome(
         counters=counters if counters is not None else GridCounters()
     )

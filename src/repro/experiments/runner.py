@@ -4,12 +4,16 @@
 fresh job copies, one scheduler, one result.  :func:`compare_schemes`
 reproduces the paper's standard comparison -- NS (EASY backfilling), IS,
 and SS at several suspension factors, or TSS variants -- over a single
-trace, reusing a calibration run where TSS needs one.
+trace, reusing a calibration run where TSS needs one.  It runs through
+the grid executor (:func:`repro.experiments.parallel.run_grid`):
+serially in-process by default, or over a process pool, a result cache
+and per-scheme decision traces on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.machine import Cluster
@@ -29,6 +33,9 @@ from repro.sim.driver import (
 from repro.workload.job import Job, fresh_copies
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.parallel import GridPolicy
+    from repro.obs.counters import GridCounters
     from repro.obs.recorder import TraceRecorder
 
 __all__ = [
@@ -113,6 +120,15 @@ class SchemeSpec:
         default=None
     )
 
+    def build(self, baseline: SimulationResult | None = None) -> Scheduler:
+        """A fresh scheduler; calibrated specs draw their limits from
+        *baseline*, the NS (EASY) run over the same trace."""
+        if not self.needs_baseline:
+            return self.factory()
+        if baseline is None or self.factory_with_baseline is None:
+            raise ValueError(f"scheme {self.label!r} needs an NS baseline run")
+        return self.factory_with_baseline(baseline)
+
 
 def standard_schemes(suspension_factors: tuple[float, ...] = (1.5, 2.0, 5.0)) -> list[SchemeSpec]:
     """The paper's section IV comparison set: SS at each SF, NS, IS."""
@@ -181,30 +197,70 @@ def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
     ]
 
 
+#: grid key of the shared NS calibration run of calibrated-TSS specs
+BASELINE_KEY = "__ns_baseline__"
+
+
 def compare_schemes(
     jobs: list[Job],
     n_procs: int,
     schemes: list[SchemeSpec],
     overhead_model: SuspensionOverheadModel | None = None,
+    *,
+    workers: int | None = None,
+    cache: ResultCache | None = None,
+    trace_dir: str | Path | None = None,
+    policy: GridPolicy | None = None,
+    counters: GridCounters | None = None,
+    shm: bool | None = None,
 ) -> dict[str, SimulationResult]:
     """Run every scheme over (fresh copies of) the same workload.
 
-    TSS specs flagged ``needs_baseline`` receive calibrated limits from
-    an NS (EASY) run over the same trace, executed once and shared.
+    TSS specs flagged ``needs_baseline`` receive limits calibrated from
+    one shared NS (EASY) run over the same trace.  The baseline runs
+    first (it is a dependency, and itself cacheable); the scheme cells
+    then run through :func:`~repro.experiments.parallel.run_grid`.
+    Output is keyed by scheme label, in scheme order.
 
-    For multi-core fan-out and an on-disk result cache see
-    :func:`repro.experiments.parallel.compare_schemes_parallel`, a
-    drop-in replacement verified byte-identical to this path.
+    By default every cell runs serially in-process.  The keyword-only
+    arguments are the grid executor's (see ``run_grid``): *workers*
+    fans the scheme cells out over a process pool, *cache* serves and
+    stores results, *policy* sets timeouts and retries, *counters*
+    collects recovery tallies, and *shm* controls the shared-memory
+    workload plane.  None of them changes a result.
+
+    With *trace_dir*, every scheme cell also streams its JSONL decision
+    trace to a per-label file under that directory (see
+    :func:`~repro.experiments.parallel.trace_files_for_keys`).  Traced
+    cells bypass the result cache: a cache hit would leave no trace.
     """
+    # imported here: the grid executor imports this module for simulate()
+    from repro.experiments.parallel import GridCell, run_grid, trace_files_for_keys
+
+    def cell(key: str, scheduler: Scheduler, trace_path: str | None = None) -> GridCell:
+        return GridCell(
+            key=key,
+            jobs=jobs,
+            n_procs=n_procs,
+            scheduler_config=scheduler.config(),
+            overhead_model=overhead_model,
+            trace_path=trace_path,
+        )
+
     baseline: SimulationResult | None = None
     if any(s.needs_baseline for s in schemes):
-        baseline = simulate(jobs, EasyBackfillScheduler(), n_procs, overhead_model)
-    out: dict[str, SimulationResult] = {}
-    for spec in schemes:
-        if spec.needs_baseline:
-            assert baseline is not None and spec.factory_with_baseline is not None
-            scheduler = spec.factory_with_baseline(baseline)
-        else:
-            scheduler = spec.factory()
-        out[spec.label] = simulate(jobs, scheduler, n_procs, overhead_model)
-    return out
+        baseline = run_grid(
+            [cell(BASELINE_KEY, EasyBackfillScheduler())],
+            cache=cache,
+            policy=policy,
+            counters=counters,
+        ).results[BASELINE_KEY]
+    trace_paths = (
+        trace_files_for_keys(trace_dir, [s.label for s in schemes])
+        if trace_dir is not None
+        else {}
+    )
+    cells = [cell(s.label, s.build(baseline), trace_paths.get(s.label)) for s in schemes]
+    return run_grid(
+        cells, workers=workers, cache=cache, policy=policy, counters=counters, shm=shm
+    ).results

@@ -41,13 +41,12 @@ Architecture
 * :mod:`repro.lint.rules` -- the per-file checkers RPR001-003/005/006.
 * :mod:`repro.lint.project` -- RPR004, the cross-file conformance pass
   (event vocabulary vs. counter folds vs. replay coverage; scheduler
-  ``config()``/``describe()``/registry lockstep).
+  ``scheme_id``/``config()``/``describe()`` contract).
 * :mod:`repro.lint.callgraph` -- per-module effect summaries
   (:class:`~repro.lint.callgraph.ModuleSummary`) and the project
   :class:`~repro.lint.callgraph.CallGraph`: import-aware dotted-name
-  resolution, class-hierarchy method dispatch (nearest ancestor plus
-  every override), and registry-aware edges into ``@register(...)``
-  builders.
+  resolution and class-hierarchy method dispatch (nearest ancestor plus
+  every override).
 * :mod:`repro.lint.effects` -- the effect lattice (``rng``,
   ``wall-clock``, ``filesystem``, ``global-mutation``, ``hash-order``)
   with monotone fixpoint propagation over the call graph, plus the

@@ -18,10 +18,7 @@ effect analysis (:mod:`repro.lint.effects`) runs over:
   (lint roots are package-relative, imports are absolute), ``self.m()``
   dispatches through the class hierarchy to the nearest inherited
   definition *and* every subclass override (dynamic dispatch is an
-  over-approximation by design), and modules that register builders
-  with ``schedulers/registry.py``'s ``@register`` decorator get edges
-  from their dispatch functions to **all** builders, because the
-  ``_BUILDERS`` dict indirection defeats syntactic resolution.
+  over-approximation by design).
 
 Everything here is deliberately deterministic: every iteration order is
 source order or explicitly sorted, so analysis output is byte-identical
@@ -131,8 +128,7 @@ class CallSite:
     """One syntactic call, pre-resolved as far as one file allows."""
 
     #: "local" (module-level name), "dotted" (absolute import path),
-    #: "self" (method on the enclosing class), "registry" (synthetic
-    #: dispatch edge added by the linker)
+    #: "self" (method on the enclosing class)
     kind: str
     target: str
     line: int
@@ -203,8 +199,6 @@ class ModuleSummary:
     classes: dict[str, ClassNode]
     from_imports: dict[str, str]
     module_aliases: dict[str, str]
-    #: functions decorated ``@register("<scheme>")`` in this module
-    registered_builders: tuple[str, ...]
     #: suppression-directive lines consumed by seed exclusion (feeds the
     #: stale-directive audit: a directive silencing a seed is in use)
     used_directive_lines: tuple[int, ...]
@@ -232,21 +226,6 @@ def _attr_parts(node: ast.expr) -> list[str] | None:
         return None
     parts.append(cur.id)
     return list(reversed(parts))
-
-
-def _registered_scheme(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
-    """The scheme id of an ``@register("...")`` decorated builder."""
-    for dec in fn.decorator_list:
-        if (
-            isinstance(dec, ast.Call)
-            and isinstance(dec.func, ast.Name)
-            and dec.func.id == "register"
-            and dec.args
-            and isinstance(dec.args[0], ast.Constant)
-            and isinstance(dec.args[0].value, str)
-        ):
-            return dec.args[0].value
-    return None
 
 
 def _assigns_scheme_id(cls: ast.ClassDef) -> bool:
@@ -567,13 +546,10 @@ def build_module_summary(ctx: FileContext) -> ModuleSummary:
     extractor = _FunctionExtractor(ctx, suppressions, used_lines)
     functions: dict[str, FunctionNode] = {}
     classes: dict[str, ClassNode] = {}
-    builders: list[str] = []
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node = extractor.extract(stmt, cls=None)
             functions[node.qualname] = node
-            if _registered_scheme(stmt) is not None:
-                builders.append(stmt.name)
         elif isinstance(stmt, ast.ClassDef):
             methods: list[str] = []
             for sub in stmt.body:
@@ -602,7 +578,6 @@ def build_module_summary(ctx: FileContext) -> ModuleSummary:
         classes=classes,
         from_imports=dict(ctx.from_imports),
         module_aliases=dict(ctx.module_aliases),
-        registered_builders=tuple(builders),
         used_directive_lines=tuple(sorted(used_lines)),
     )
 
@@ -802,8 +777,6 @@ class CallGraph:
                 if nid is not None:
                     hits.add(nid)
             return tuple(sorted(hits))
-        if site.kind == "registry":
-            return (site.target,) if site.target in self.nodes else ()
         return ()
 
     def _link(self) -> None:
@@ -815,23 +788,6 @@ class CallGraph:
                 for callee in self.resolve_site(relpath, fnode, site):
                     edges.append((site, callee))
             self.resolved[nid] = edges
-        # registry indirection: dispatch functions reach *all* builders
-        for relpath, s in self.summaries.items():
-            if not s.registered_builders:
-                continue
-            builder_ids = [
-                f"{relpath}::{b}"
-                for b in sorted(s.registered_builders)
-                if f"{relpath}::{b}" in self.nodes
-            ]
-            for qual in sorted(s.functions):
-                fnode = s.functions[qual]
-                if fnode.name in s.registered_builders:
-                    continue
-                nid = f"{relpath}::{qual}"
-                for bid in builder_ids:
-                    edge = CallSite("registry", bid, fnode.line, fnode.col)
-                    self.resolved[nid].append((edge, bid))
 
 
 def build_call_graph(summaries: Iterable[ModuleSummary]) -> CallGraph:

@@ -12,8 +12,8 @@ workload happens to produce):
   ``describe(self)`` signatures, and -- if its ``__init__`` takes
   behavioural knobs -- overrides ``config()`` so those knobs reach the
   cache fingerprint and the worker-side rebuild (the silent-stale-cache
-  bug class).  Every concrete ``scheme_id`` must have a builder
-  registered in ``schedulers/registry.py``.
+  bug class).  That every scheme class sits in the scheme table of
+  ``schedulers/registry.py`` is a tier-1 test, not a lint check.
 * **Policy contract** -- every concrete policy-axis class
   (``QueuePolicy`` / ``ReservationPolicy`` / ``BackfillPolicy`` /
   ``PreemptionPolicy`` descendants) whose ``__init__`` takes knobs must
@@ -171,7 +171,6 @@ def _check_schedulers(
     contexts: dict[str, FileContext], classes: dict[str, _ClassInfo]
 ) -> list[Finding]:
     findings: list[Finding] = []
-    registered = _registered_schemes(contexts)
     for name in sorted(classes):
         info = classes[name]
         if name == "Scheduler" or not _descends_from(classes, name, "Scheduler"):
@@ -204,24 +203,6 @@ def _check_schedulers(
                     "registry and cache fingerprint cannot identify it",
                 )
             )
-        else:
-            scheme = _inherited_assign(classes, name, "scheme_id", root_cls="Scheduler")
-            if (
-                registered is not None
-                and isinstance(scheme, ast.Constant)
-                and isinstance(scheme.value, str)
-                and scheme.value not in registered
-            ):
-                findings.append(
-                    _finding(
-                        info.relpath,
-                        node,
-                        ctx,
-                        f"scheme_id {scheme.value!r} of {name} has no builder in "
-                        "schedulers/registry.py; parallel workers and the cache "
-                        "cannot rebuild it",
-                    )
-                )
         # behavioural knobs in __init__ demand a config() override
         init = info.methods.get("__init__")
         if init is not None:
@@ -308,27 +289,6 @@ def _inherited_assign_method(
         found = _inherited_assign_method(classes, b, meth, root_cls)
         if found is not None:
             return found
-    return None
-
-
-def _registered_schemes(contexts: dict[str, FileContext]) -> set[str] | None:
-    """scheme ids with ``@register("...")`` builders, or None if the
-    registry module is not part of the analysed set."""
-    for relpath, ctx in contexts.items():
-        if relpath.replace("\\", "/").endswith("schedulers/registry.py"):
-            out: set[str] = set()
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Call):
-                    fn = node.func
-                    if (
-                        isinstance(fn, ast.Name)
-                        and fn.id == "register"
-                        and node.args
-                        and isinstance(node.args[0], ast.Constant)
-                        and isinstance(node.args[0].value, str)
-                    ):
-                        out.add(node.args[0].value)
-            return out
     return None
 
 

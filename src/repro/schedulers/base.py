@@ -41,9 +41,9 @@ class Scheduler(ABC):
     #: Human-readable policy name for reports.
     name: str = "base"
 
-    #: Stable machine-readable scheme id; the key under which
-    #: :mod:`repro.schedulers.registry` can rebuild the policy from its
-    #: :meth:`config`.  Concrete schedulers must override it.
+    #: Stable machine-readable scheme id; the key of the scheme table in
+    #: :mod:`repro.schedulers.registry`, which rebuilds the policy from
+    #: its :meth:`config`.  Concrete schedulers must override it.
     scheme_id: str = "base"
 
     #: If not ``None``, the driver fires :meth:`on_timer` every this many
@@ -120,7 +120,9 @@ class Scheduler(ABC):
         produce identical schedules over any workload.  It always
         contains a ``"scheme"`` key (:attr:`scheme_id`) and only
         JSON-stable values (numbers, strings, bools, lists, dicts with
-        string keys).
+        string keys).  Every other key is a keyword argument of the
+        class's constructor, which is how one generic rebuild serves
+        every scheme.
 
         Two consumers rely on this:
 
@@ -128,8 +130,8 @@ class Scheduler(ABC):
           folds it into the cell fingerprint, so any behavioural knob a
           subclass adds **must** appear here or cached results go stale
           silently;
-        * the parallel executor (:mod:`repro.experiments.parallel`)
-          ships it to worker processes, where
+        * the grid executor (:mod:`repro.experiments.parallel`) ships
+          it to whichever process runs the cell, where
           :func:`repro.schedulers.registry.scheduler_from_config`
           rebuilds a fresh single-use instance (scheduler objects
           themselves are stateful and non-portable).

@@ -50,7 +50,3 @@ class EasyBackfillScheduler(PolicyKernel):
                 preemption=NoPreemption(),
             )
         )
-
-    def schedule_pass(self) -> None:
-        """One planning pass: greedy FIFO starts, then backfill."""
-        self.backfill_pass()

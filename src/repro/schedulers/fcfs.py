@@ -39,6 +39,3 @@ class FCFSScheduler(PolicyKernel):
                 preemption=NoPreemption(),
             )
         )
-
-    def _dispatch_in_order(self) -> None:
-        self.backfill_pass()

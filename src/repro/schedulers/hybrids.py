@@ -26,8 +26,8 @@ policy decomposition makes the cross products expressible:
   so the guarantees stay self-consistent -- they are forecasts, as in
   CONS, not contracts.
 
-Both are ordinary registry schemes: constructible from ``config()``
-mappings, cacheable, traceable, and grid-runnable.
+Both are ordinary entries of the scheme table: constructible from
+``config()`` mappings, cacheable, traceable, and grid-runnable.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ declarative :class:`SchedulerSpec`.  Every legacy scheme class
 (``SelectiveSuspensionScheduler``, ``EasyBackfillScheduler``, ...) is
 now a thin spec-building subclass, and the specs serialise through
 :meth:`SchedulerSpec.config` into exactly the ``config()`` mappings the
-registry, the result cache and the golden traces already pin --
+scheme table, the result cache and the golden traces already pin --
 the refactor is byte-identical on all eight committed golden traces
 (``tests/test_kernel_equivalence.py``).
 

@@ -1,179 +1,95 @@
-"""Rebuilding schedulers from their :meth:`Scheduler.config` mappings.
+"""The scheme table: every scheme id and the constructor that builds it.
 
 Scheduler objects are stateful and single-use, so they cannot travel to
 worker processes or live in a cache key.  Their :meth:`Scheduler.config`
-mapping can: it is JSON-stable, fully determines behaviour, and this
-module turns it back into a fresh instance.
+mapping can: it is JSON-stable, fully determines behaviour, and
+:func:`scheduler_from_config` turns it back into a fresh instance.
 
-The round-trip contract, checked by ``tests/test_parallel.py``::
+Each constructor in :data:`SCHEMES` takes exactly its scheme's
+``config()`` keys as keyword arguments, so one generic rebuild serves
+every scheme.  The round-trip contract, checked by
+``tests/test_policy_kernel.py``::
 
     scheduler_from_config(s.config()).config() == s.config()
 
-Registering a new scheme means adding a builder here and a
-``scheme_id`` + ``config()`` override on the scheduler class.
+Adding a scheme means adding its class to :data:`SCHEMES`; the class
+sets ``scheme_id`` and emits its constructor's keyword arguments from
+``config()``.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Mapping
 
+from repro.core.immediate_service import ImmediateServiceScheduler
+from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.core.tss import CategoryLimits, TunableSelectiveSuspensionScheduler
 from repro.schedulers.base import Scheduler
+from repro.schedulers.conservative import ConservativeBackfillScheduler
+from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.gang import GangScheduler
+from repro.schedulers.hybrids import (
+    SuspensionWithHeadGuarantee,
+    TunableSuspensionWithGuarantees,
+)
+from repro.schedulers.relaxed import RelaxedBackfillScheduler
+from repro.schedulers.speculative import SpeculativeBackfillScheduler
 
-#: scheme id -> builder(config) -> fresh scheduler instance
-_BUILDERS: dict[str, Callable[[Mapping[str, object]], Scheduler]] = {}
-
-
-def register(scheme_id: str) -> Callable[
-    [Callable[[Mapping[str, object]], Scheduler]],
-    Callable[[Mapping[str, object]], Scheduler],
-]:
-    """Decorator registering a builder for *scheme_id*."""
-
-    def deco(
-        fn: Callable[[Mapping[str, object]], Scheduler],
-    ) -> Callable[[Mapping[str, object]], Scheduler]:
-        _BUILDERS[scheme_id] = fn
-        return fn
-
-    return deco
+#: scheme id -> constructor; its keyword arguments are the config() keys
+SCHEMES: dict[str, Callable[..., Scheduler]] = {
+    "fcfs": FCFSScheduler,
+    "easy": EasyBackfillScheduler,
+    "conservative": ConservativeBackfillScheduler,
+    "relaxed": RelaxedBackfillScheduler,
+    "speculative": SpeculativeBackfillScheduler,
+    "gang": GangScheduler,
+    "is": ImmediateServiceScheduler,
+    "ss": SelectiveSuspensionScheduler,
+    "tss": TunableSelectiveSuspensionScheduler,
+    "ss-easy": SuspensionWithHeadGuarantee,
+    "tss-conservative": TunableSuspensionWithGuarantees,
+}
 
 
 def known_schemes() -> tuple[str, ...]:
-    """The registered scheme ids, sorted."""
-    return tuple(sorted(_BUILDERS))
+    """The scheme ids, sorted."""
+    return tuple(sorted(SCHEMES))
 
 
 def scheduler_from_config(config: Mapping[str, object]) -> Scheduler:
     """Build a fresh, unbound scheduler from a :meth:`Scheduler.config` dict.
+
+    Every key but ``"scheme"`` becomes a keyword argument of the
+    scheme's constructor; ``limits`` is decoded through
+    :meth:`CategoryLimits.from_config`.
 
     Raises
     ------
     KeyError
         If the config carries no ``"scheme"`` key.
     ValueError
-        If the scheme id is not registered.
+        If the scheme id is unknown, a key is not one of the scheme's
+        config keys, or ``limits`` is malformed.
     """
     scheme = config["scheme"]
-    builder = _BUILDERS.get(str(scheme))
-    if builder is None:
+    cls = SCHEMES.get(str(scheme))
+    if cls is None:
         raise ValueError(
             f"unknown scheme {scheme!r}; known: {', '.join(known_schemes())}"
         )
-    return builder(config)
-
-
-# ----------------------------------------------------------------------
-# builders
-# ----------------------------------------------------------------------
-@register("fcfs")
-def _build_fcfs(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.fcfs import FCFSScheduler
-
-    return FCFSScheduler()
-
-
-@register("easy")
-def _build_easy(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.easy import EasyBackfillScheduler
-
-    return EasyBackfillScheduler()
-
-
-@register("conservative")
-def _build_conservative(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.conservative import ConservativeBackfillScheduler
-
-    return ConservativeBackfillScheduler()
-
-
-@register("relaxed")
-def _build_relaxed(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.relaxed import RelaxedBackfillScheduler
-
-    return RelaxedBackfillScheduler(relaxation=float(config.get("relaxation", 0.5)))  # type: ignore[arg-type]
-
-
-@register("speculative")
-def _build_speculative(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.speculative import SpeculativeBackfillScheduler
-
-    return SpeculativeBackfillScheduler(
-        speculation_window=float(config.get("speculation_window", 900.0)),  # type: ignore[arg-type]
-        max_kills=int(config.get("max_kills", 2)),  # type: ignore[arg-type]
-    )
-
-
-@register("gang")
-def _build_gang(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.gang import GangScheduler
-
-    return GangScheduler(quantum=float(config.get("quantum", 600.0)))  # type: ignore[arg-type]
-
-
-@register("is")
-def _build_is(config: Mapping[str, object]) -> Scheduler:
-    from repro.core.immediate_service import DEFAULT_TIMESLICE, ImmediateServiceScheduler
-
-    return ImmediateServiceScheduler(
-        timeslice=float(config.get("timeslice", DEFAULT_TIMESLICE)),  # type: ignore[arg-type]
-        sweep_interval=float(config.get("sweep_interval", 60.0)),  # type: ignore[arg-type]
-    )
-
-
-@register("ss")
-def _build_ss(config: Mapping[str, object]) -> Scheduler:
-    from repro.core.selective_suspension import SelectiveSuspensionScheduler
-
-    return SelectiveSuspensionScheduler(
-        suspension_factor=float(config.get("suspension_factor", 2.0)),  # type: ignore[arg-type]
-        preemption_interval=float(config.get("preemption_interval", 60.0)),  # type: ignore[arg-type]
-        width_rule=bool(config.get("width_rule", True)),
-    )
-
-
-@register("tss")
-def _build_tss(config: Mapping[str, object]) -> Scheduler:
-    from repro.core.tss import CategoryLimits, TunableSelectiveSuspensionScheduler
-
-    raw_limits = config.get("limits")
-    limits = (
-        CategoryLimits.from_config(raw_limits)  # type: ignore[arg-type]
-        if isinstance(raw_limits, Mapping)
-        else None
-    )
-    return TunableSelectiveSuspensionScheduler(
-        suspension_factor=float(config.get("suspension_factor", 2.0)),  # type: ignore[arg-type]
-        limits=limits,
-        preemption_interval=float(config.get("preemption_interval", 60.0)),  # type: ignore[arg-type]
-        width_rule=bool(config.get("width_rule", True)),
-    )
-
-
-@register("ss-easy")
-def _build_ss_easy(config: Mapping[str, object]) -> Scheduler:
-    from repro.schedulers.hybrids import SuspensionWithHeadGuarantee
-
-    return SuspensionWithHeadGuarantee(
-        suspension_factor=float(config.get("suspension_factor", 2.0)),  # type: ignore[arg-type]
-        preemption_interval=float(config.get("preemption_interval", 60.0)),  # type: ignore[arg-type]
-        width_rule=bool(config.get("width_rule", True)),
-    )
-
-
-@register("tss-conservative")
-def _build_tss_conservative(config: Mapping[str, object]) -> Scheduler:
-    from repro.core.tss import CategoryLimits
-    from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
-
-    raw_limits = config.get("limits")
-    limits = (
-        CategoryLimits.from_config(raw_limits)  # type: ignore[arg-type]
-        if isinstance(raw_limits, Mapping)
-        else None
-    )
-    return TunableSuspensionWithGuarantees(
-        suspension_factor=float(config.get("suspension_factor", 2.0)),  # type: ignore[arg-type]
-        limits=limits,
-        preemption_interval=float(config.get("preemption_interval", 60.0)),  # type: ignore[arg-type]
-        width_rule=bool(config.get("width_rule", True)),
-    )
+    accepted = inspect.signature(cls).parameters
+    unknown = sorted(set(config) - set(accepted) - {"scheme"})
+    if unknown:
+        raise ValueError(
+            f"scheme {scheme!r}: unknown config key {unknown[0]!r}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
+        )
+    kwargs = {key: config[key] for key in accepted if key in config}
+    if "limits" in kwargs:
+        try:
+            kwargs["limits"] = CategoryLimits.from_config(kwargs["limits"])
+        except ValueError as err:
+            raise ValueError(f"scheme {scheme!r}: config key 'limits': {err}") from None
+    return cls(**kwargs)

@@ -66,8 +66,5 @@ class RelaxedBackfillScheduler(PolicyKernel):
         assert isinstance(backfill, RelaxedBackfill)
         return backfill.relaxation
 
-    def schedule_pass(self) -> None:
-        self.backfill_pass()
-
     def describe(self) -> str:
         return f"{self.name} (EASY at r=0)"

@@ -88,9 +88,6 @@ class SpeculativeBackfillScheduler(PolicyKernel):
     def max_kills(self) -> int:
         return self._speculative.max_kills
 
-    def schedule_pass(self) -> None:
-        self.backfill_pass()
-
     def describe(self) -> str:
         return (
             f"{self.name}, {self.speculation_window:g}s test runs, "

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import (
+    EXPERIMENTS,
+    SCHEDULER_ALIASES,
+    _build_scheduler,
+    build_parser,
+    main,
+)
+from repro.schedulers.registry import known_schemes
 
 
 def test_parser_builds():
@@ -103,8 +110,10 @@ def test_run_from_swf_file(tmp_path, capsys):
     assert "EASY" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["gang", "relaxed", "speculative", "fcfs", "tss"])
+@pytest.mark.parametrize("name", sorted({*known_schemes(), *SCHEDULER_ALIASES}))
 def test_run_all_scheduler_names(name, capsys):
+    args = build_parser().parse_args(["run", "--scheduler", name])
+    assert _build_scheduler(args).scheme_id == SCHEDULER_ALIASES.get(name, name)
     rc = main(["run", "--trace", "SDSC", "--jobs", "80", "--scheduler", name])
     assert rc == 0
     assert "mean slowdown by category" in capsys.readouterr().out

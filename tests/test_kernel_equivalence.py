@@ -24,7 +24,11 @@ queue/reservation/backfill/preemption policies composed by one
 hashes enforce.  The hybrid schemes it unlocked (``ss-easy``,
 ``tss-conservative``) have no seed-kernel ancestor; their traces are
 pinned in :data:`HYBRID_TRACE_SHA256` at the commit that introduced
-them, freezing the composed semantics the same way.
+them, freezing the composed semantics the same way.  The remaining
+schemes (FCFS, relaxed, speculative, IS, gang) are pinned in
+:data:`SCHEME_TRACE_SHA256`, captured before the scheme table replaced
+the hand-written registry builders, on inputs where each scheme's own
+code path runs.
 """
 
 from __future__ import annotations
@@ -35,19 +39,21 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
-from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.obs.recorder import JsonlRecorder
-from repro.schedulers.base import Scheduler
-from repro.schedulers.conservative import ConservativeBackfillScheduler
-from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.registry import SCHEMES
 from repro.sim.driver import SchedulingSimulation
+from repro.workload.estimates import InaccurateEstimates
+from repro.workload.load import scale_load
 from repro.workload.synthetic import generate_trace
 
-#: (trace preset, n_procs, n_jobs, seed)
+#: (trace preset, n_procs, n_jobs, seed, inaccurate estimates, load factor)
 _WORKLOADS = {
-    "CTC": ("CTC", 430, 60, 11),
-    "SDSC": ("SDSC", 128, 80, 7),
+    "CTC": ("CTC", 430, 60, 11, False, 1.0),
+    "SDSC": ("SDSC", 128, 80, 7, False, 1.0),
+    # speculative backfilling speculates once and kills once here
+    "SDSC-inaccurate": ("SDSC", 128, 80, 7, True, 1.0),
+    # relaxed backfilling starts 6 jobs at other times than EASY here
+    "CTC-load1.5": ("CTC", 430, 120, 11, False, 1.5),
 }
 
 #: SHA-256 of the seed kernel's JSONL decision trace per grid cell,
@@ -84,39 +90,48 @@ HYBRID_TRACE_SHA256 = {
     ),
 }
 
-
-def _make_scheduler(name: str) -> Scheduler:
-    if name == "ss":
-        return SelectiveSuspensionScheduler(suspension_factor=2.0)
-    if name == "tss":
-        return TunableSelectiveSuspensionScheduler(suspension_factor=2.0)
-    if name == "easy":
-        return EasyBackfillScheduler()
-    if name == "ss-easy":
-        from repro.schedulers.hybrids import SuspensionWithHeadGuarantee
-
-        return SuspensionWithHeadGuarantee(suspension_factor=2.0)
-    if name == "tss-conservative":
-        from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
-
-        return TunableSuspensionWithGuarantees(suspension_factor=2.0)
-    return ConservativeBackfillScheduler()
+#: SHA-256 of the traces of the schemes neither grid above covers, pinned
+#: before the scheme table replaced the hand-written registry builders.
+#: On CTC FCFS and EASY coincide; on SDSC FCFS starts 29 jobs later.
+SCHEME_TRACE_SHA256 = {
+    ("CTC", "fcfs"): "be60896f09527513520dbd52464d947068129e27c48be93f87d54818cdbc7cfb",
+    ("SDSC", "fcfs"): "b41d45882b4b13f11fbadb1c2ad9d4f4258634b36fe2289c07de34a5b2d9c5c2",
+    ("CTC", "is"): "07b13f467b80aff3e52d8e7f47c500f22756879e018bf1bf57920845bd49c6bc",
+    ("SDSC", "is"): "16af33ce1b792c2985551a23ece2b4af64f4a8754a2a9f2592a5c0ea5a91ea31",
+    ("CTC", "gang"): "afe464dfa412218c965b69c962ce19e37eb6d477a20ce53c1113c2353e2e355f",
+    ("SDSC", "gang"): "f9a06c5b86b0c0bd7f19e9f13d47ce0b1ecee089e1e8e0d9cd56bc76a61c8564",
+    ("SDSC-inaccurate", "speculative"): (
+        "436f76d0f21579f81cd70e733aa7206e5e752f97d22e86e2ccec94b5ebe94b4a"
+    ),
+    ("CTC-load1.5", "relaxed"): (
+        "7309d97337952b1bae461b6b61a79b1fa4fa78fa5838d1d29bada5805ef6e2af"
+    ),
+}
 
 
 @pytest.mark.parametrize(
     ("workload", "scheme"),
-    sorted(GOLDEN_TRACE_SHA256) + sorted(HYBRID_TRACE_SHA256),
+    sorted(GOLDEN_TRACE_SHA256) + sorted(HYBRID_TRACE_SHA256) + sorted(SCHEME_TRACE_SHA256),
     ids=lambda v: str(v),
 )
 def test_trace_matches_seed_kernel(workload: str, scheme: str, tmp_path: Path) -> None:
-    trace_name, n_procs, n_jobs, seed = _WORKLOADS[workload]
+    trace_name, n_procs, n_jobs, seed, inaccurate, load = _WORKLOADS[workload]
+    jobs = generate_trace(
+        trace_name,
+        n_jobs=n_jobs,
+        seed=seed,
+        estimate_model=InaccurateEstimates() if inaccurate else None,
+    )
+    if load != 1.0:
+        jobs = scale_load(jobs, load)
     path = tmp_path / f"{workload}-{scheme}.jsonl"
     rec = JsonlRecorder(str(path))
-    sim = SchedulingSimulation(Cluster(n_procs), _make_scheduler(scheme), recorder=rec)
-    sim.run(generate_trace(trace_name, n_jobs=n_jobs, seed=seed))
+    # constructor defaults: SF 2 for the SS family
+    sim = SchedulingSimulation(Cluster(n_procs), SCHEMES[scheme](), recorder=rec)
+    sim.run(jobs)
     rec.close()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    expected = {**GOLDEN_TRACE_SHA256, **HYBRID_TRACE_SHA256}
+    expected = {**GOLDEN_TRACE_SHA256, **HYBRID_TRACE_SHA256, **SCHEME_TRACE_SHA256}
     assert digest == expected[(workload, scheme)], (
         f"{workload}/{scheme}: decision trace diverged from the seed "
         "kernel -- a perf change altered the schedule (or an intentional "

@@ -143,37 +143,6 @@ class TestCallGraph:
         effects = propagate_effects(graph)
         assert "wall-clock" in effects["m.py::Base.run"]
 
-    def test_registry_indirection(self) -> None:
-        import ast
-
-        src = textwrap.dedent(
-            """
-            import time
-
-            _BUILDERS = {}
-
-            def register(scheme):
-                def deco(fn):
-                    _BUILDERS[scheme] = fn
-                    return fn
-                return deco
-
-            @register("clocky")
-            def _build_clocky(cfg):
-                return time.time()
-
-            def from_config(cfg):
-                return _BUILDERS[cfg["scheme"]](cfg)
-            """
-        )
-        s = build_module_summary(FileContext("registry.py", src, ast.parse(src)))
-        assert s.registered_builders == ("_build_clocky",)
-        graph = build_call_graph([s])
-        callees = {c for _, c in graph.resolved["registry.py::from_config"]}
-        assert "registry.py::_build_clocky" in callees
-        effects = propagate_effects(graph)
-        assert "wall-clock" in effects["registry.py::from_config"]
-
 
 # ----------------------------------------------------------------------
 # effect seeds

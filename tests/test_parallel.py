@@ -23,7 +23,6 @@ from repro.experiments import (
     ResultCache,
     cell_fingerprint,
     compare_schemes,
-    compare_schemes_parallel,
     fingerprint_jobs,
     run_grid,
     simulate,
@@ -108,7 +107,7 @@ def test_unknown_scheme_rejected():
 # ----------------------------------------------------------------------
 def test_parallel_identical_to_serial(trace):
     serial = compare_schemes(trace, N_PROCS, standard_schemes())
-    parallel = compare_schemes_parallel(
+    parallel = compare_schemes(
         trace, N_PROCS, standard_schemes(), workers=4
     )
     assert list(parallel) == list(serial)  # same keys, same order
@@ -122,7 +121,7 @@ def test_parallel_identical_to_serial_with_baseline_and_overhead(small_trace):
     overhead = DiskSwapOverheadModel()
     schemes = tuned_schemes(suspension_factors=(2.0,))
     serial = compare_schemes(small_trace, N_PROCS, schemes, overhead)
-    parallel = compare_schemes_parallel(
+    parallel = compare_schemes(
         small_trace, N_PROCS, schemes, overhead, workers=3
     )
     assert list(parallel) == list(serial)
@@ -173,7 +172,7 @@ def test_resolve_workers():
 def test_warm_cache_runs_zero_simulations(small_trace, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     schemes = standard_schemes(suspension_factors=(2.0,))
-    first = compare_schemes_parallel(
+    first = compare_schemes(
         small_trace, N_PROCS, schemes, workers=2, cache=cache
     )
     stored = len(cache)
@@ -417,8 +416,8 @@ def test_parallel_trace_dir_matches_untraced_run(small_trace, tmp_path):
     from repro.obs import read_trace, summarize_trace
 
     schemes = standard_schemes([1.5])
-    plain = compare_schemes_parallel(small_trace, N_PROCS, schemes, workers=2)
-    traced = compare_schemes_parallel(
+    plain = compare_schemes(small_trace, N_PROCS, schemes, workers=2)
+    traced = compare_schemes(
         small_trace, N_PROCS, schemes, workers=2, trace_dir=tmp_path / "traces"
     )
     assert list(plain) == list(traced)
@@ -440,7 +439,7 @@ def test_traced_worker_results_match_trace_contents(small_trace, tmp_path):
     from repro.obs import read_trace, summarize_trace
 
     schemes = standard_schemes([2.0])
-    results = compare_schemes_parallel(
+    results = compare_schemes(
         small_trace, N_PROCS, schemes, workers=2, trace_dir=tmp_path
     )
     for spec in schemes:

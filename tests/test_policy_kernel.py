@@ -9,24 +9,37 @@ rebuilt config differs -- even only in key order -- would silently miss
 its own cache entries and break trace provenance, so the contract here
 is *byte* equality of the sorted-less JSON dump, not just dict equality.
 
-Two layers:
+Layers:
 
-* every registered scheme id builds from a bare ``{"scheme": id}``
-  config (builder defaults) and round-trips;
+* every scheme class of the package is in the scheme table under its
+  ``scheme_id``, and its default instance round-trips;
+* every scheme id builds from a bare ``{"scheme": id}`` config
+  (constructor defaults) to pinned bytes, and round-trips;
+* integer arguments (``2`` for ``2.0``, ``1`` for ``True``) are
+  canonicalised where the policy records them, so they round-trip too;
+* malformed configs raise :class:`ValueError` naming scheme and key;
 * a Hypothesis sweep draws constructor parameters per scheme family and
   round-trips the parameterised configs, with an exhaustiveness guard
-  that fails when a new scheme registers without declaring strategies.
+  that fails when a new scheme joins the table without declaring
+  strategies.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.core.tss import CategoryLimits, TunableSelectiveSuspensionScheduler
+from repro.schedulers.base import Scheduler
 from repro.schedulers.policy import PolicyKernel
-from repro.schedulers.registry import known_schemes, scheduler_from_config
+from repro.schedulers.registry import SCHEMES, known_schemes, scheduler_from_config
 
 
 def _json(config: dict[str, object]) -> str:
@@ -34,14 +47,134 @@ def _json(config: dict[str, object]) -> str:
     return json.dumps(config)
 
 
+def _scheme_classes() -> list[type[Scheduler]]:
+    """Every concrete scheduler class defined anywhere in the package."""
+    for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not mod.name.endswith("__main__"):
+            importlib.import_module(mod.name)
+    found: set[type[Scheduler]] = set()
+    todo = [Scheduler]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
+                found.add(sub)
+    found.discard(PolicyKernel)  # the generic composition, not a scheme
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _scheme_classes(), ids=lambda cls: cls.__name__)
+def test_every_scheme_class_is_in_the_table(cls: type[Scheduler]) -> None:
+    assert SCHEMES.get(cls.scheme_id) is cls, (
+        f"{cls.__name__} (scheme_id {cls.scheme_id!r}) is missing from "
+        "SCHEMES; parallel workers and the cache cannot rebuild it"
+    )
+    config = cls().config()
+    rebuilt = scheduler_from_config(config)
+    assert type(rebuilt) is cls
+    assert _json(dict(rebuilt.config())) == _json(dict(config))
+
+
+#: ``json.dumps`` of each scheme's default ``config()``, pinned before the
+#: scheme table replaced the hand-written registry builders.  These bytes
+#: feed every cache fingerprint: while they hold, existing result caches
+#: stay warm.
+DEFAULT_CONFIG_JSON = {
+    "conservative": '{"scheme": "conservative"}',
+    "easy": '{"scheme": "easy"}',
+    "fcfs": '{"scheme": "fcfs"}',
+    "gang": '{"scheme": "gang", "quantum": 600.0}',
+    "is": '{"scheme": "is", "timeslice": 600.0, "sweep_interval": 60.0}',
+    "relaxed": '{"scheme": "relaxed", "relaxation": 0.5}',
+    "speculative": (
+        '{"scheme": "speculative", "speculation_window": 900.0, "max_kills": 2}'
+    ),
+    "ss": (
+        '{"scheme": "ss", "suspension_factor": 2.0, "preemption_interval": 60.0, '
+        '"width_rule": true}'
+    ),
+    "ss-easy": (
+        '{"scheme": "ss-easy", "suspension_factor": 2.0, '
+        '"preemption_interval": 60.0, "width_rule": true}'
+    ),
+    "tss": (
+        '{"scheme": "tss", "suspension_factor": 2.0, "preemption_interval": 60.0, '
+        '"width_rule": true, "limits": {"mode": "online", "margin": 1.5}}'
+    ),
+    "tss-conservative": (
+        '{"scheme": "tss-conservative", "suspension_factor": 2.0, '
+        '"preemption_interval": 60.0, "width_rule": true, '
+        '"limits": {"mode": "online", "margin": 1.5}}'
+    ),
+}
+
+
 @pytest.mark.parametrize("scheme", known_schemes())
 def test_default_config_round_trips(scheme: str) -> None:
     first = scheduler_from_config({"scheme": scheme})
     config = dict(first.config())
+    assert _json(config) == DEFAULT_CONFIG_JSON[scheme], (
+        f"{scheme}: default config bytes changed; cached results would miss"
+    )
     rebuilt = scheduler_from_config(config)
     assert _json(dict(rebuilt.config())) == _json(config), (
         f"{scheme}: rebuilt config differs from the original"
     )
+
+
+@pytest.mark.parametrize(
+    ("build", "canonical"),
+    [
+        (
+            lambda: SelectiveSuspensionScheduler(suspension_factor=2),
+            lambda: SelectiveSuspensionScheduler(suspension_factor=2.0),
+        ),
+        (
+            lambda: SelectiveSuspensionScheduler(width_rule=1),
+            lambda: SelectiveSuspensionScheduler(width_rule=True),
+        ),
+        (
+            lambda: TunableSelectiveSuspensionScheduler(
+                limits=CategoryLimits(online=True, margin=2)
+            ),
+            lambda: TunableSelectiveSuspensionScheduler(
+                limits=CategoryLimits(online=True, margin=2.0)
+            ),
+        ),
+        (
+            lambda: TunableSelectiveSuspensionScheduler(
+                limits=CategoryLimits(table={("Short", "Narrow"): 3}, margin=2)
+            ),
+            lambda: TunableSelectiveSuspensionScheduler(
+                limits=CategoryLimits(table={("Short", "Narrow"): 3.0}, margin=2.0)
+            ),
+        ),
+    ],
+    ids=["sf-int", "width-rule-int", "online-margin-int", "calibrated-ints"],
+)
+def test_int_arguments_round_trip_to_canonical_bytes(build, canonical) -> None:
+    config = dict(build().config())
+    assert _json(config) == _json(dict(canonical().config()))
+    rebuilt = scheduler_from_config(config)
+    assert _json(dict(rebuilt.config())) == _json(config)
+
+
+@pytest.mark.parametrize(
+    ("config", "key"),
+    [
+        ({"scheme": "ss", "suspension_factr": 5.0}, "suspension_factr"),
+        ({"scheme": "easy", "relaxation": 0.9}, "relaxation"),
+        ({"scheme": "tss", "limits": "online"}, "limits"),
+        ({"scheme": "tss-conservative", "limits": None}, "limits"),
+        ({"scheme": "tss", "limits": {"mode": "online", "table": {}}}, "limits"),
+    ],
+    ids=["misspelt-key", "foreign-key", "limits-string", "limits-null", "limits-bad-key"],
+)
+def test_malformed_config_fails_loudly(config: dict[str, object], key: str) -> None:
+    with pytest.raises(ValueError) as info:
+        scheduler_from_config(config)
+    assert repr(config["scheme"]) in str(info.value)
+    assert repr(key) in str(info.value)
 
 
 @pytest.mark.parametrize("scheme", known_schemes())
@@ -103,8 +236,8 @@ SCHEME_PARAMS: dict[str, dict[str, st.SearchStrategy]] = {
 
 def test_strategy_table_covers_every_registered_scheme() -> None:
     assert set(SCHEME_PARAMS) == set(known_schemes()), (
-        "a scheme registered without round-trip strategies (or one was "
-        "removed without pruning SCHEME_PARAMS)"
+        "a scheme joined the table without round-trip strategies (or one "
+        "was removed without pruning SCHEME_PARAMS)"
     )
 
 

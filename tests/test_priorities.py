@@ -56,6 +56,11 @@ def test_criteria_rejects_sf_below_one():
         PreemptionCriteria(suspension_factor=0.9)
 
 
+def test_criteria_rejects_non_bool_width_rule():
+    with pytest.raises(ValueError, match="width_rule"):
+        PreemptionCriteria(width_rule="false")  # type: ignore[arg-type]
+
+
 def test_priority_threshold():
     c = PreemptionCriteria(suspension_factor=2.0)
     assert c.priority_allows(2.0, 1.0)

@@ -11,9 +11,11 @@ from repro.experiments.runner import (
     standard_schemes,
     tuned_schemes,
 )
+from repro.experiments.parallel import outcome_fingerprint
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.job import JobState
+from repro.workload.synthetic import generate_trace
 from tests.conftest import make_job
 
 
@@ -66,6 +68,27 @@ def test_compare_schemes_with_baseline_calibration():
     results = compare_schemes(jobs, 4, tuned_schemes(suspension_factors=(2.0,)))
     assert "SF = 2 Tuned" in results
     assert len(results["SF = 2 Tuned"].jobs) == len(jobs)
+
+
+def test_compare_schemes_matches_direct_simulation():
+    """The grid path rebuilds each scheme from its config; the schedule
+    must equal simulating the spec's own scheduler instance."""
+    jobs = generate_trace("SDSC", n_jobs=120, seed=5)
+    specs = tuned_schemes(suspension_factors=(2.0,))
+    results = compare_schemes(jobs, 128, specs)
+    baseline = simulate(jobs, EasyBackfillScheduler(), 128)
+    assert list(results) == [s.label for s in specs]
+    for spec in specs:
+        direct = simulate(jobs, spec.build(baseline), 128)
+        assert outcome_fingerprint(results[spec.label].jobs) == outcome_fingerprint(
+            direct.jobs
+        ), spec.label
+
+
+def test_calibrated_spec_needs_a_baseline():
+    tuned = next(s for s in tuned_schemes(suspension_factors=(2.0,)) if s.needs_baseline)
+    with pytest.raises(ValueError, match="baseline"):
+        tuned.build()
 
 
 def test_compare_schemes_isolated_workload_copies():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.experiments import (
     GridCell,
     ResultCache,
-    compare_schemes_parallel,
+    compare_schemes,
     run_grid,
     tuned_schemes,
 )
@@ -221,11 +221,11 @@ def _signature(result):
 
 def test_ss_tss_grid_identical_inline_vs_ref_vs_serial(trace):
     schemes = tuned_schemes(suspension_factors=(2.0,))
-    serial = compare_schemes_parallel(trace, N_PROCS, schemes)
-    inline_pool = compare_schemes_parallel(
+    serial = compare_schemes(trace, N_PROCS, schemes)
+    inline_pool = compare_schemes(
         trace, N_PROCS, schemes, workers=2, shm=False
     )
-    ref_pool = compare_schemes_parallel(trace, N_PROCS, schemes, workers=2, shm=True)
+    ref_pool = compare_schemes(trace, N_PROCS, schemes, workers=2, shm=True)
     assert list(serial) == list(inline_pool) == list(ref_pool)
     for label in serial:
         assert _signature(serial[label]) == _signature(inline_pool[label]), label

@@ -90,6 +90,23 @@ def test_offline_observe_is_noop():
     assert limits.table == {("VS", "Seq"): 5.0}
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        5,
+        {"mode": "adaptive"},
+        {"mode": "online", "table": {}},
+        {"mode": "calibrated", "tabel": {}},
+        {"mode": "calibrated", "table": [1.0]},
+        {"mode": "calibrated", "table": {"Short Narrow": 1.0}},
+    ],
+    ids=["not-a-mapping", "unknown-mode", "online-table", "unknown-key", "table-list", "table-key"],
+)
+def test_limits_from_config_rejects_malformed(config):
+    with pytest.raises(ValueError):
+        CategoryLimits.from_config(config)
+
+
 def test_limits_from_result_margin():
     jobs = []
     for i in range(4):

@@ -97,6 +97,13 @@ def test_bad_parameters_raise():
         list(iter_time_shards([], window=10.0, min_jobs=0))
 
 
+def test_replay_rejects_malformed_config_before_any_shard(trace):
+    with pytest.raises(ValueError, match="'suspension_factr'"):
+        replay_sharded(
+            iter(trace), N_PROCS, {"scheme": "ss", "suspension_factr": 5.0}, window=WINDOW
+        )
+
+
 def test_shard_key_is_stable():
     shard = WorkloadShard(index=3, start=0.0, end=3600.0, jobs=())
     assert shard.key == "shard00003@[0,3600)"

@@ -38,7 +38,6 @@ from repro.schedulers.policy import (
     NoBackfill,
     NoReservations,
     PolicyKernel,
-    SchedulerSpec,
     TimeslicePreemption,
 )
 
@@ -46,41 +45,24 @@ from repro.schedulers.policy import (
 DEFAULT_TIMESLICE = 600.0
 
 
-class ImmediateServiceScheduler(PolicyKernel):
+def ImmediateServiceScheduler(
+    timeslice: float = DEFAULT_TIMESLICE,
+    sweep_interval: float = 60.0,
+) -> PolicyKernel:
     """IS: immediate 10-minute timeslices, lowest-instantaneous-xfactor victims.
 
-    Since the policy-kernel refactor the timeslice engine lives in
-    :class:`repro.schedulers.policy.TimeslicePreemption`; this class is
-    the composition (instantaneous-priority queue, no reservations, no
-    backfill -- service *is* the preemption engine) plus back-compat
-    accessors.
+    The timeslice engine lives in
+    :class:`repro.schedulers.policy.TimeslicePreemption`; this function
+    is the composition (instantaneous-priority queue, no reservations,
+    no backfill -- service *is* the preemption engine).
     """
-
-    scheme_id = "is"
-
-    def __init__(
-        self,
-        timeslice: float = DEFAULT_TIMESLICE,
-        sweep_interval: float = 60.0,
-    ) -> None:
-        engine = TimeslicePreemption(
+    return PolicyKernel(
+        scheme_id="is",
+        display_name="IS",
+        queue=InstantaneousPriorityOrder(),
+        reservation=NoReservations(),
+        backfill=NoBackfill(),
+        preemption=TimeslicePreemption(
             timeslice=timeslice, sweep_interval=sweep_interval
-        )
-        self._engine = engine
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="is",
-                display_name="IS",
-                queue=InstantaneousPriorityOrder(),
-                reservation=NoReservations(),
-                backfill=NoBackfill(),
-                preemption=engine,
-            )
-        )
-
-    @property
-    def timeslice(self) -> float:
-        return self._engine.timeslice
-
-    def describe(self) -> str:
-        return f"IS, timeslice {self.timeslice:g}s"
+        ),
+    )

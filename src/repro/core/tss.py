@@ -29,13 +29,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.priorities import PreemptionCriteria
-from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.metrics.slowdown import bounded_slowdown
 from repro.schedulers.policy import (
     GreedyBackfill,
     NoReservations,
     PolicyKernel,
-    SchedulerSpec,
     SuspensionPriorityOrder,
     SweepPreemption,
 )
@@ -57,6 +55,9 @@ class CategoryLimits:
     online:
         If true, the table is updated as jobs finish: the limit becomes
         ``margin x`` the category's running average bounded slowdown.
+        An online table starts empty (a given one is rejected, since
+        :meth:`to_config` cannot carry it) and :meth:`reset` empties it
+        again at every run start.
     margin:
         The paper's 1.5 multiplier.
     """
@@ -72,6 +73,8 @@ class CategoryLimits:
     _overall_count: int = 0
 
     def __post_init__(self) -> None:
+        if self.online and self.table:
+            raise ValueError("online limits learn their table; pass table or online, not both")
         # canonical types, so ``to_config()`` emits 2.0 for a margin of 2
         self.margin = float(self.margin)
         self.table = {cat: float(limit) for cat, limit in sorted(self.table.items())}
@@ -134,6 +137,16 @@ class CategoryLimits:
             table[(run, width)] = float(limit)
         return cls(table=table, margin=margin)
 
+    def reset(self) -> None:
+        """Forget the online averages learned so far (no-op otherwise)."""
+        if not self.online:
+            return
+        self.table.clear()
+        self._sums.clear()
+        self._counts.clear()
+        self._overall_sum = 0.0
+        self._overall_count = 0
+
     def observe(self, job: Job) -> None:
         """Fold a finished job into the online averages (no-op otherwise)."""
         if not self.online:
@@ -165,49 +178,33 @@ def limits_from_result(
     return CategoryLimits(table=table, margin=margin)
 
 
-class TunableSelectiveSuspensionScheduler(SelectiveSuspensionScheduler):
+def TunableSelectiveSuspensionScheduler(
+    suspension_factor: float = 2.0,
+    limits: CategoryLimits | None = None,
+    preemption_interval: float = 60.0,
+    width_rule: bool = True,
+) -> PolicyKernel:
     """TSS: SS plus per-category preemption limits (section IV-E).
 
     The same composition as SS, with the sweep engine's ``limits``
     parameter carrying the category table -- what used to be the
     ``victim_preemptable`` subclass override.  :class:`CategoryLimits`
     satisfies the :class:`repro.schedulers.policy.PreemptionLimits`
-    protocol structurally.
+    protocol structurally.  Without *limits*, the limits are online.
     """
-
-    scheme_id = "tss"
-
-    def __init__(
-        self,
-        suspension_factor: float = 2.0,
-        limits: CategoryLimits | None = None,
-        preemption_interval: float = 60.0,
-        width_rule: bool = True,
-    ) -> None:
-        limits = limits if limits is not None else CategoryLimits(online=True)
-        mode = "online" if limits.online else "calibrated"
-        engine = SweepPreemption(
+    limits = limits if limits is not None else CategoryLimits(online=True)
+    mode = "online" if limits.online else "calibrated"
+    return PolicyKernel(
+        scheme_id="tss",
+        display_name=f"TSS(SF={suspension_factor:g},{mode})",
+        queue=SuspensionPriorityOrder(),
+        reservation=NoReservations(),
+        backfill=GreedyBackfill(),
+        preemption=SweepPreemption(
             PreemptionCriteria(
                 suspension_factor=suspension_factor, width_rule=width_rule
             ),
             preemption_interval=preemption_interval,
             limits=limits,
-        )
-        self._engine = engine
-        PolicyKernel.__init__(
-            self,
-            SchedulerSpec(
-                scheme_id="tss",
-                display_name=f"TSS(SF={suspension_factor:g},{mode})",
-                queue=SuspensionPriorityOrder(),
-                reservation=NoReservations(),
-                backfill=GreedyBackfill(),
-                preemption=engine,
-            ),
-        )
-
-    @property
-    def limits(self) -> CategoryLimits:
-        limits = self._engine.limits
-        assert isinstance(limits, CategoryLimits)
-        return limits
+        ),
+    )

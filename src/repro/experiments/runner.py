@@ -12,7 +12,7 @@ and per-scheme decision traces on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -113,19 +113,20 @@ class SchemeSpec:
 
     label: str
     factory: Callable[[], Scheduler]
-    #: set true for TSS specs that want calibrated limits from the NS run
-    needs_baseline: bool = False
-    #: factory variant receiving the NS baseline result
-    factory_with_baseline: Callable[[SimulationResult], Scheduler] | None = field(
-        default=None
-    )
+    #: factory variant receiving the NS baseline result (calibrated TSS)
+    factory_with_baseline: Callable[[SimulationResult], Scheduler] | None = None
+
+    @property
+    def needs_baseline(self) -> bool:
+        """Whether :meth:`build` needs the NS baseline run."""
+        return self.factory_with_baseline is not None
 
     def build(self, baseline: SimulationResult | None = None) -> Scheduler:
         """A fresh scheduler; calibrated specs draw their limits from
         *baseline*, the NS (EASY) run over the same trace."""
-        if not self.needs_baseline:
+        if self.factory_with_baseline is None:
             return self.factory()
-        if baseline is None or self.factory_with_baseline is None:
+        if baseline is None:
             raise ValueError(f"scheme {self.label!r} needs an NS baseline run")
         return self.factory_with_baseline(baseline)
 
@@ -152,7 +153,6 @@ def tuned_schemes(
         SchemeSpec(
             label=f"SF = {sf:g} Tuned",
             factory=(lambda sf=sf: TunableSelectiveSuspensionScheduler(suspension_factor=sf)),
-            needs_baseline=True,
             factory_with_baseline=(
                 lambda baseline, sf=sf: TunableSelectiveSuspensionScheduler(
                     suspension_factor=sf, limits=limits_from_result(baseline)
@@ -216,11 +216,12 @@ def compare_schemes(
 ) -> dict[str, SimulationResult]:
     """Run every scheme over (fresh copies of) the same workload.
 
-    TSS specs flagged ``needs_baseline`` receive limits calibrated from
-    one shared NS (EASY) run over the same trace.  The baseline runs
-    first (it is a dependency, and itself cacheable); the scheme cells
-    then run through :func:`~repro.experiments.parallel.run_grid`.
-    Output is keyed by scheme label, in scheme order.
+    Specs that need a baseline (calibrated TSS) receive limits
+    calibrated from one shared NS (EASY) run over the same trace.  The
+    baseline runs first (it is a dependency, and itself cacheable); the
+    scheme cells then run through
+    :func:`~repro.experiments.parallel.run_grid`.  Output is keyed by
+    scheme label, in scheme order.
 
     By default every cell runs serially in-process.  The keyword-only
     arguments are the grid executor's (see ``run_grid``): *workers*

@@ -6,19 +6,20 @@ dynamically (and therefore only for the event sequences a given
 workload happens to produce):
 
 * **Scheduler contract** -- every concrete :class:`Scheduler` subclass
-  overrides ``scheme_id`` (in the class body, or -- for spec-driven
-  kernels like ``PolicyKernel`` -- by assigning ``self.scheme_id`` in
+  overrides ``scheme_id`` (in the class body, or -- for a composing
+  kernel like ``PolicyKernel`` -- by assigning ``self.scheme_id`` in
   ``__init__``), keeps registry-compatible ``config(self)`` /
   ``describe(self)`` signatures, and -- if its ``__init__`` takes
   behavioural knobs -- overrides ``config()`` so those knobs reach the
   cache fingerprint and the worker-side rebuild (the silent-stale-cache
-  bug class).  That every scheme class sits in the scheme table of
-  ``schedulers/registry.py`` is a tier-1 test, not a lint check.
+  bug class).  That every scheme constructor sits in the scheme table
+  of ``schedulers/registry.py`` and takes exactly its config keys is a
+  tier-1 test, not a lint check.
 * **Policy contract** -- every concrete policy-axis class
   (``QueuePolicy`` / ``ReservationPolicy`` / ``BackfillPolicy`` /
   ``PreemptionPolicy`` descendants) whose ``__init__`` takes knobs must
   override ``config_fragment()`` so the knobs reach
-  ``SchedulerSpec.config()`` -- the same stale-cache bug class, one
+  ``PolicyKernel.config()`` -- the same stale-cache bug class, one
   composition layer down -- and ``config_fragment`` must stay callable
   with no arguments.
 * **Event-vocabulary lockstep** -- the :class:`Tracer` must emit every
@@ -187,7 +188,7 @@ def _check_schedulers(
             None,
         )
         # scheme_id must be overridden somewhere below the abstract base
-        # (class body, or self.scheme_id assigned by a spec-driven
+        # (class body, or self.scheme_id assigned by a composing
         # __init__ as PolicyKernel does)
         if _inherited_assign(
             classes, name, "scheme_id", root_cls="Scheduler"
@@ -304,7 +305,7 @@ def _check_policies(
 ) -> list[Finding]:
     """Concrete policy classes must surface their knobs in config_fragment.
 
-    ``SchedulerSpec.config()`` is assembled purely from the axes'
+    ``PolicyKernel.config()`` is assembled purely from the axes'
     ``config_fragment()`` dicts, so a policy knob that never reaches a
     fragment is invisible to the result cache and the worker-side
     rebuild -- exactly the scheduler ``config()`` bug class, one
@@ -333,7 +334,7 @@ def _check_policies(
                         ctx,
                         f"policy {name}.__init__ takes knobs "
                         f"({', '.join(extra)}) but no config_fragment() "
-                        "override surfaces them -- SchedulerSpec.config() "
+                        "override surfaces them -- PolicyKernel.config() "
                         "and the cache fingerprint would miss them",
                     )
                 )
@@ -351,7 +352,7 @@ def _check_policies(
                         fn,
                         ctx,
                         f"policy {name}.config_fragment() takes required "
-                        "parameters; SchedulerSpec.config() calls it as "
+                        "parameters; PolicyKernel.config() calls it as "
                         "config_fragment(self) only",
                     )
                 )

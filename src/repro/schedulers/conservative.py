@@ -24,35 +24,22 @@ from repro.schedulers.policy import (
     NoPreemption,
     PerJobReservations,
     PolicyKernel,
-    SchedulerSpec,
 )
-from repro.workload.job import Job
 
 
-class ConservativeBackfillScheduler(PolicyKernel):
+def ConservativeBackfillScheduler() -> PolicyKernel:
     """Per-job reservations with compression on early completion.
 
     The composition: FIFO queue and :class:`PerJobReservations`, which
     serves arrivals and completions itself (anchoring and compression
-    *are* the scheme) -- the backfill pass never runs.
+    *are* the scheme) -- the backfill pass never runs.  The guarantees
+    are readable through ``reservation.guaranteed_start(job)``.
     """
-
-    scheme_id = "conservative"
-
-    def __init__(self) -> None:
-        reservations = PerJobReservations()
-        self._reservations = reservations
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="conservative",
-                display_name="CONS",
-                queue=FifoOrder(),
-                reservation=reservations,
-                backfill=NoBackfill(),
-                preemption=NoPreemption(),
-            )
-        )
-
-    def guaranteed_start(self, job: Job) -> float | None:
-        """The job's current start-time guarantee (None once running)."""
-        return self._reservations.guaranteed_start(job)
+    return PolicyKernel(
+        scheme_id="conservative",
+        display_name="CONS",
+        queue=FifoOrder(),
+        reservation=PerJobReservations(),
+        backfill=NoBackfill(),
+        preemption=NoPreemption(),
+    )

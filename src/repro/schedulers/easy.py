@@ -26,27 +26,20 @@ from repro.schedulers.policy import (
     NoPreemption,
     PolicyKernel,
     ProfileBackfill,
-    SchedulerSpec,
 )
 
 
-class EasyBackfillScheduler(PolicyKernel):
+def EasyBackfillScheduler() -> PolicyKernel:
     """EASY/aggressive backfilling over user estimates.
 
     The composition: FIFO queue, single head reservation (claimed and
     announced), profile-admission backfill, no preemption.
     """
-
-    scheme_id = "easy"
-
-    def __init__(self) -> None:
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="easy",
-                display_name="EASY",
-                queue=FifoOrder(),
-                reservation=HeadReservation(),
-                backfill=ProfileBackfill(),
-                preemption=NoPreemption(),
-            )
-        )
+    return PolicyKernel(
+        scheme_id="easy",
+        display_name="EASY",
+        queue=FifoOrder(),
+        reservation=HeadReservation(),
+        backfill=ProfileBackfill(),
+        preemption=NoPreemption(),
+    )

@@ -15,27 +15,20 @@ from repro.schedulers.policy import (
     NoPreemption,
     NoReservations,
     PolicyKernel,
-    SchedulerSpec,
 )
 
 
-class FCFSScheduler(PolicyKernel):
+def FCFSScheduler() -> PolicyKernel:
     """Strict arrival-order dispatch, no backfilling.
 
     The degenerate composition: FIFO queue and nothing else -- no
     reservation means the service pass stops at the first blocked head.
     """
-
-    scheme_id = "fcfs"
-
-    def __init__(self) -> None:
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="fcfs",
-                display_name="FCFS",
-                queue=FifoOrder(),
-                reservation=NoReservations(),
-                backfill=NoBackfill(),
-                preemption=NoPreemption(),
-            )
-        )
+    return PolicyKernel(
+        scheme_id="fcfs",
+        display_name="FCFS",
+        queue=FifoOrder(),
+        reservation=NoReservations(),
+        backfill=NoBackfill(),
+        preemption=NoPreemption(),
+    )

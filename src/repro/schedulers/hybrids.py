@@ -39,104 +39,52 @@ from repro.schedulers.policy import (
     HeadReservation,
     PerJobReservations,
     PolicyKernel,
-    SchedulerSpec,
     SuspensionPriorityOrder,
     SweepPreemption,
 )
-from repro.workload.job import Job
 
 
-class SuspensionWithHeadGuarantee(PolicyKernel):
+def SuspensionWithHeadGuarantee(
+    suspension_factor: float = 2.0,
+    preemption_interval: float = 60.0,
+    width_rule: bool = True,
+) -> PolicyKernel:
     """``ss-easy``: the SS sweep honoring an EASY head reservation."""
-
-    scheme_id = "ss-easy"
-
-    def __init__(
-        self,
-        suspension_factor: float = 2.0,
-        preemption_interval: float = 60.0,
-        width_rule: bool = True,
-    ) -> None:
-        engine = SweepPreemption(
+    return PolicyKernel(
+        scheme_id="ss-easy",
+        display_name=f"SS+EASY(SF={suspension_factor:g})",
+        queue=SuspensionPriorityOrder(),
+        reservation=HeadReservation(),
+        backfill=GreedyBackfill(),
+        preemption=SweepPreemption(
             PreemptionCriteria(
                 suspension_factor=suspension_factor, width_rule=width_rule
             ),
             preemption_interval=preemption_interval,
-        )
-        self._engine = engine
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="ss-easy",
-                display_name=f"SS+EASY(SF={suspension_factor:g})",
-                queue=SuspensionPriorityOrder(),
-                reservation=HeadReservation(),
-                backfill=GreedyBackfill(),
-                preemption=engine,
-            )
-        )
-
-    @property
-    def criteria(self) -> PreemptionCriteria:
-        return self._engine.criteria
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}, sweep every {self.timer_interval:g}s, "
-            f"head reservation guards preemption"
-        )
+        ),
+    )
 
 
-class TunableSuspensionWithGuarantees(PolicyKernel):
+def TunableSuspensionWithGuarantees(
+    suspension_factor: float = 2.0,
+    limits: CategoryLimits | None = None,
+    preemption_interval: float = 60.0,
+    width_rule: bool = True,
+) -> PolicyKernel:
     """``tss-conservative``: per-job guarantees + category-limited sweep."""
-
-    scheme_id = "tss-conservative"
-
-    def __init__(
-        self,
-        suspension_factor: float = 2.0,
-        limits: CategoryLimits | None = None,
-        preemption_interval: float = 60.0,
-        width_rule: bool = True,
-    ) -> None:
-        limits = limits if limits is not None else CategoryLimits(online=True)
-        mode = "online" if limits.online else "calibrated"
-        engine = SweepPreemption(
+    limits = limits if limits is not None else CategoryLimits(online=True)
+    mode = "online" if limits.online else "calibrated"
+    return PolicyKernel(
+        scheme_id="tss-conservative",
+        display_name=f"TSS+CONS(SF={suspension_factor:g},{mode})",
+        queue=SuspensionPriorityOrder(),
+        reservation=PerJobReservations(),
+        backfill=GreedyBackfill(),
+        preemption=SweepPreemption(
             PreemptionCriteria(
                 suspension_factor=suspension_factor, width_rule=width_rule
             ),
             preemption_interval=preemption_interval,
             limits=limits,
-        )
-        self._engine = engine
-        reservations = PerJobReservations()
-        self._reservations = reservations
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="tss-conservative",
-                display_name=f"TSS+CONS(SF={suspension_factor:g},{mode})",
-                queue=SuspensionPriorityOrder(),
-                reservation=reservations,
-                backfill=GreedyBackfill(),
-                preemption=engine,
-            )
-        )
-
-    @property
-    def criteria(self) -> PreemptionCriteria:
-        return self._engine.criteria
-
-    @property
-    def limits(self) -> CategoryLimits:
-        limits = self._engine.limits
-        assert isinstance(limits, CategoryLimits)
-        return limits
-
-    def guaranteed_start(self, job: Job) -> float | None:
-        """The job's current start-time guarantee (None once running)."""
-        return self._reservations.guaranteed_start(job)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}, sweep every {self.timer_interval:g}s, "
-            f"per-job guarantees with compression"
-        )
+        ),
+    )

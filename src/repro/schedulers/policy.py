@@ -18,26 +18,24 @@ them under one dispatch loop:
   or greedy free-processor starts inside the sweep).
 * :class:`PreemptionPolicy` -- whether and how running jobs are
   suspended (never / the SS sweep engine / IS timeslices).  The sweep
-  engine is the former ``SelectiveSuspensionScheduler`` body, lifted
-  here and *parameterised*: TSS's category limits and the hybrids'
+  engine is *parameterised*: TSS's category limits and the hybrids'
   reservation guard are constructor arguments, not subclass overrides.
 
 :class:`PolicyKernel` is the single :class:`Scheduler` that drives any
-composition from the :mod:`repro.sim.driver` hooks; a composition is a
-declarative :class:`SchedulerSpec`.  Every legacy scheme class
-(``SelectiveSuspensionScheduler``, ``EasyBackfillScheduler``, ...) is
-now a thin spec-building subclass, and the specs serialise through
-:meth:`SchedulerSpec.config` into exactly the ``config()`` mappings the
-scheme table, the result cache and the golden traces already pin --
-the refactor is byte-identical on all eight committed golden traces
-(``tests/test_kernel_equivalence.py``).
+composition from the :mod:`repro.sim.driver` hooks; it is built from a
+scheme id, a display name and one policy per axis.  Every scheme
+(``SelectiveSuspensionScheduler``, ``EasyBackfillScheduler``, ...) is a
+constructor function that makes exactly one such call, and
+:meth:`PolicyKernel.config` merges the policies' fragments into exactly
+the ``config()`` mappings the scheme table, the result cache and the
+golden traces pin (``tests/test_kernel_equivalence.py``).
 
-The decomposition also unlocks hybrids the sealed classes could not
-express (see :mod:`repro.schedulers.hybrids`): ``ss-easy`` gives the
-queue head an EASY-style reservation that the preemption sweep must
-honor, and ``tss-conservative`` combines per-job guarantees with
-category-limited preemption -- the paper's open question of selective
-preemption *under start-time guarantees*.
+The decomposition also unlocks hybrids (see
+:mod:`repro.schedulers.hybrids`): ``ss-easy`` gives the queue head an
+EASY-style reservation that the preemption sweep must honor, and
+``tss-conservative`` combines per-job guarantees with category-limited
+preemption -- the paper's open question of selective preemption *under
+start-time guarantees*.
 """
 
 from __future__ import annotations
@@ -95,7 +93,9 @@ class PreemptionLimits(Protocol):
 
     :class:`repro.core.tss.CategoryLimits` is the canonical
     implementation; the engine only depends on this structural shape so
-    the policy layer stays import-free of the TSS module.
+    the policy layer stays import-free of the TSS module.  ``reset``
+    forgets whatever the table learned from earlier completions (online
+    TSS limits); the engine calls it at every run start.
     """
 
     def limit_for(self, job: Job) -> float: ...
@@ -103,6 +103,8 @@ class PreemptionLimits(Protocol):
     def observe(self, job: Job) -> None: ...
 
     def to_config(self) -> dict[str, object]: ...
+
+    def reset(self) -> None: ...
 
 
 # ======================================================================
@@ -137,7 +139,7 @@ class Policy(ABC):
         """Reset run-scoped state; called once at simulation start."""
 
     def config_fragment(self) -> dict[str, object]:
-        """This policy's knobs, merged into :meth:`SchedulerSpec.config`.
+        """This policy's knobs, merged into :meth:`PolicyKernel.config`.
 
         Every behavioural constructor knob must surface here (or be
         fully determined by the composition's ``scheme_id``) so cache
@@ -721,6 +723,12 @@ class SweepPreemption(PreemptionPolicy):
             cfg["limits"] = self.limits.to_config()
         return cfg
 
+    def on_begin(self) -> None:
+        # online limits learn from this run's completions only; a table
+        # shared with an earlier run must not carry that run's averages
+        if self.limits is not None:
+            self.limits.reset()
+
     def observe_finish(self, job: Job) -> None:
         if self.limits is not None:
             self.limits.observe(job)
@@ -911,7 +919,7 @@ class SweepPreemption(PreemptionPolicy):
 
     def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
         """Choose processors for a fresh start (id-set facade over
-        :meth:`_place_mask`, kept for tests and scheme classes)."""
+        :meth:`_place_mask`)."""
         return frozenset(iter_bits(self._place_mask(job, mask_from_ids(preferred))))
 
     def _place_mask(self, job: Job, preferred_mask: int = 0) -> int:
@@ -1223,7 +1231,9 @@ class TimeslicePreemption(PreemptionPolicy):
     ) -> None:
         super().__init__()
         if timeslice <= 0:
-            raise ValueError("timeslice must be positive")
+            raise ValueError(f"'timeslice' must be positive, got {timeslice!r}")
+        if sweep_interval <= 0:
+            raise ValueError(f"'sweep_interval' must be positive, got {sweep_interval!r}")
         self.timeslice = float(timeslice)
         self.timer_interval = float(sweep_interval)
         #: job_id -> end of its current protection window
@@ -1492,34 +1502,14 @@ class TimeslicePreemption(PreemptionPolicy):
 # ======================================================================
 # composition
 # ======================================================================
-@dataclass(frozen=True)
-class SchedulerSpec:
-    """A scheme as a declarative composition of the four policy axes.
-
-    ``config()`` merges the axes' :meth:`Policy.config_fragment` dicts
-    in a fixed order (queue, reservation, backfill, preemption) after
-    the scheme id, so cache fingerprints compose automatically -- and,
-    for the eight ported schemes, reproduce the legacy key order
-    byte-for-byte (the golden traces embed these dicts in ``run_begin``
-    events).
-    """
-
-    scheme_id: str
-    display_name: str
-    queue: QueuePolicy
-    reservation: ReservationPolicy
-    backfill: BackfillPolicy
-    preemption: PreemptionPolicy
-
-    def config(self) -> dict[str, object]:
-        cfg: dict[str, object] = {"scheme": self.scheme_id}
-        for policy in (self.queue, self.reservation, self.backfill, self.preemption):
-            cfg.update(policy.config_fragment())
-        return cfg
-
-
 class PolicyKernel(Scheduler):
     """One dispatch loop composing the four policy axes.
+
+    A scheme is one constructor call naming its id, its display name and
+    one policy per axis; the scheme functions of :mod:`repro.core` and
+    :mod:`repro.schedulers` each make exactly that call.  Policies are
+    stateful and bind to the kernel built from them, so each kernel
+    needs fresh policy objects.
 
     Driver hooks route to the composition:
 
@@ -1539,30 +1529,47 @@ class PolicyKernel(Scheduler):
     policies override ``service_pass`` with their own engines.
 
     Scheme identity (``scheme_id``, ``name``, ``timer_interval``,
-    ``config()``) comes entirely from the :class:`SchedulerSpec`, so
-    concrete scheme classes are pure compositions plus back-compat
-    accessors.
+    ``config()``) comes entirely from the constructor arguments.
+    :meth:`config` merges the axes' :meth:`Policy.config_fragment` dicts
+    in a fixed order (queue, reservation, backfill, preemption) after
+    the scheme id, so cache fingerprints compose automatically and keep
+    the key order the golden traces embed in ``run_begin`` events.
     """
 
-    def __init__(self, spec: SchedulerSpec) -> None:
+    def __init__(
+        self,
+        *,
+        scheme_id: str,
+        display_name: str,
+        queue: QueuePolicy,
+        reservation: ReservationPolicy,
+        backfill: BackfillPolicy,
+        preemption: PreemptionPolicy,
+    ) -> None:
         super().__init__()
-        self.spec = spec
-        self.queue = spec.queue
-        self.reservation = spec.reservation
-        self.backfill = spec.backfill
-        self.preemption = spec.preemption
-        self.scheme_id = spec.scheme_id
-        self.name = spec.display_name
-        self.timer_interval = spec.preemption.timer_interval
-        for policy in (self.queue, self.reservation, self.backfill, self.preemption):
+        self.scheme_id = scheme_id
+        self.name = display_name
+        self.queue = queue
+        self.reservation = reservation
+        self.backfill = backfill
+        self.preemption = preemption
+        self.timer_interval = preemption.timer_interval
+        for policy in self._axes():
             policy.bind_kernel(self)
+
+    def _axes(self) -> tuple[Policy, ...]:
+        """The four policies in config merge order."""
+        return (self.queue, self.reservation, self.backfill, self.preemption)
 
     # ------------------------------------------------------------------
     def config(self) -> dict[str, object]:
-        return self.spec.config()
+        cfg: dict[str, object] = {"scheme": self.scheme_id}
+        for policy in self._axes():
+            cfg.update(policy.config_fragment())
+        return cfg
 
     def on_begin(self) -> None:
-        for policy in (self.queue, self.reservation, self.backfill, self.preemption):
+        for policy in self._axes():
             policy.on_begin()
 
     def on_arrival(self, job: Job) -> None:

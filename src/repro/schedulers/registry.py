@@ -12,8 +12,13 @@ every scheme.  The round-trip contract, checked by
 
     scheduler_from_config(s.config()).config() == s.config()
 
-Adding a scheme means adding its class to :data:`SCHEMES`; the class
-sets ``scheme_id`` and emits its constructor's keyword arguments from
+Adding a scheme means adding its constructor to :data:`SCHEMES`: a
+function returning a :class:`~repro.schedulers.policy.PolicyKernel`
+whose keyword arguments are exactly the config keys its policies emit
+(see :func:`~repro.core.selective_suspension.SelectiveSuspensionScheduler`),
+or, for a scheduler outside the kernel
+(:class:`~repro.schedulers.gang.GangScheduler`), a class that sets
+``scheme_id`` and emits its constructor's keyword arguments from
 ``config()``.
 """
 
@@ -71,15 +76,16 @@ def scheduler_from_config(config: Mapping[str, object]) -> Scheduler:
         If the config carries no ``"scheme"`` key.
     ValueError
         If the scheme id is unknown, a key is not one of the scheme's
-        config keys, or ``limits`` is malformed.
+        config keys, ``limits`` is malformed, or the constructor rejects
+        a value.
     """
     scheme = config["scheme"]
-    cls = SCHEMES.get(str(scheme))
-    if cls is None:
+    build = SCHEMES.get(str(scheme))
+    if build is None:
         raise ValueError(
             f"unknown scheme {scheme!r}; known: {', '.join(known_schemes())}"
         )
-    accepted = inspect.signature(cls).parameters
+    accepted = inspect.signature(build).parameters
     unknown = sorted(set(config) - set(accepted) - {"scheme"})
     if unknown:
         raise ValueError(
@@ -92,4 +98,7 @@ def scheduler_from_config(config: Mapping[str, object]) -> Scheduler:
             kwargs["limits"] = CategoryLimits.from_config(kwargs["limits"])
         except ValueError as err:
             raise ValueError(f"scheme {scheme!r}: config key 'limits': {err}") from None
-    return cls(**kwargs)
+    try:
+        return build(**kwargs)
+    except ValueError as err:
+        raise ValueError(f"scheme {scheme!r}: {err}") from None

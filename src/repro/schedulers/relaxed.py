@@ -27,11 +27,10 @@ from repro.schedulers.policy import (
     NoPreemption,
     PolicyKernel,
     RelaxedBackfill,
-    SchedulerSpec,
 )
 
 
-class RelaxedBackfillScheduler(PolicyKernel):
+def RelaxedBackfillScheduler(relaxation: float = 0.5) -> PolicyKernel:
     """Backfilling with a bounded head-delay allowance.
 
     The composition: FIFO queue, a head reservation that is *planned
@@ -45,26 +44,11 @@ class RelaxedBackfillScheduler(PolicyKernel):
         Fraction of the head job's estimate by which its reserved start
         may slip to admit a backfill.  0 reproduces EASY exactly.
     """
-
-    scheme_id = "relaxed"
-
-    def __init__(self, relaxation: float = 0.5) -> None:
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="relaxed",
-                display_name=f"RELAXED(r={relaxation:g})",
-                queue=FifoOrder(),
-                reservation=HeadReservation(claim_head=False, announce=False),
-                backfill=RelaxedBackfill(relaxation=relaxation),
-                preemption=NoPreemption(),
-            )
-        )
-
-    @property
-    def relaxation(self) -> float:
-        backfill = self.backfill
-        assert isinstance(backfill, RelaxedBackfill)
-        return backfill.relaxation
-
-    def describe(self) -> str:
-        return f"{self.name} (EASY at r=0)"
+    return PolicyKernel(
+        scheme_id="relaxed",
+        display_name=f"RELAXED(r={relaxation:g})",
+        queue=FifoOrder(),
+        reservation=HeadReservation(claim_head=False, announce=False),
+        backfill=RelaxedBackfill(relaxation=relaxation),
+        preemption=NoPreemption(),
+    )

@@ -35,12 +35,13 @@ from repro.schedulers.policy import (
     HeadReservation,
     NoPreemption,
     PolicyKernel,
-    SchedulerSpec,
     SpeculativeBackfill,
 )
 
 
-class SpeculativeBackfillScheduler(PolicyKernel):
+def SpeculativeBackfillScheduler(
+    speculation_window: float = 900.0, max_kills: int = 2
+) -> PolicyKernel:
     """EASY plus bounded test-run speculation into pre-reservation holes.
 
     The composition: EASY's queue and reservation, with the backfill
@@ -57,39 +58,13 @@ class SpeculativeBackfillScheduler(PolicyKernel):
         Maximum lost speculations per job before it must wait for
         conventional service.
     """
-
-    scheme_id = "speculative"
-
-    def __init__(self, speculation_window: float = 900.0, max_kills: int = 2) -> None:
-        super().__init__(
-            SchedulerSpec(
-                scheme_id="speculative",
-                display_name="SPEC-BF",
-                queue=FifoOrder(),
-                reservation=HeadReservation(),
-                backfill=SpeculativeBackfill(
-                    speculation_window=speculation_window, max_kills=max_kills
-                ),
-                preemption=NoPreemption(),
-            )
-        )
-
-    @property
-    def _speculative(self) -> SpeculativeBackfill:
-        backfill = self.backfill
-        assert isinstance(backfill, SpeculativeBackfill)
-        return backfill
-
-    @property
-    def speculation_window(self) -> float:
-        return self._speculative.speculation_window
-
-    @property
-    def max_kills(self) -> int:
-        return self._speculative.max_kills
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}, {self.speculation_window:g}s test runs, "
-            f"<= {self.max_kills} kills"
-        )
+    return PolicyKernel(
+        scheme_id="speculative",
+        display_name="SPEC-BF",
+        queue=FifoOrder(),
+        reservation=HeadReservation(),
+        backfill=SpeculativeBackfill(
+            speculation_window=speculation_window, max_kills=max_kills
+        ),
+        preemption=NoPreemption(),
+    )

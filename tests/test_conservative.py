@@ -85,7 +85,7 @@ def test_guaranteed_start_is_exposed_and_cleared():
     ]
     run_sim(jobs, sched, n_procs=8)
     # after the run everything started; no reservations remain
-    assert sched.guaranteed_start(jobs[1]) is None
+    assert sched.reservation.guaranteed_start(jobs[1]) is None
 
 
 def test_drains_mixed_workload(sdsc_trace_small):

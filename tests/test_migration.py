@@ -14,10 +14,6 @@ from repro.sim.driver import SchedulingSimulation
 
 def test_migratable_job_restarts_anywhere():
     """With migration, a suspended job resumes on whatever is free."""
-
-    class Script(SelectiveSuspensionScheduler):
-        pass
-
     victim = make_job(job_id=0, submit=0.0, run=500.0, procs=2)
     preemptor = make_job(job_id=1, submit=1.0, run=5000.0, procs=2)
     squatter = make_job(job_id=2, submit=2.0, run=60.0, procs=2)

@@ -78,9 +78,9 @@ def test_config_round_trip_preserves_parameters():
     )
     rebuilt = scheduler_from_config(s.config())
     assert rebuilt.config() == s.config()
-    assert rebuilt.criteria.suspension_factor == 5.0
+    assert rebuilt.preemption.criteria.suspension_factor == 5.0
     assert rebuilt.timer_interval == 30.0
-    assert rebuilt.criteria.width_rule is False
+    assert rebuilt.preemption.criteria.width_rule is False
 
 
 def test_config_round_trip_tss_calibrated_limits(small_trace):

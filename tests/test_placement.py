@@ -20,14 +20,14 @@ def bound_scheduler(n_procs=8):
 def test_place_prefers_preferred_set():
     sched, sim = bound_scheduler()
     job = make_job(job_id=1, procs=3)
-    chosen = sched._place(job, preferred=frozenset({5, 6, 7}))
+    chosen = sched.preemption._place(job, preferred=frozenset({5, 6, 7}))
     assert chosen == frozenset({5, 6, 7})
 
 
 def test_place_falls_back_beyond_preferred():
     sched, sim = bound_scheduler()
     job = make_job(job_id=1, procs=4)
-    chosen = sched._place(job, preferred=frozenset({6, 7}))
+    chosen = sched.preemption._place(job, preferred=frozenset({6, 7}))
     assert {6, 7} <= chosen
     assert len(chosen) == 4
 
@@ -42,7 +42,7 @@ def test_place_avoids_pinned_processors():
     sim.suspend_job(pinned_job)
 
     fresh = make_job(job_id=1, procs=3)
-    chosen = sched._place(fresh)
+    chosen = sched.preemption._place(fresh)
     assert not (chosen & {0, 1}), "fresh start must avoid the pinned set"
 
 
@@ -55,7 +55,7 @@ def test_place_uses_pinned_as_last_resort():
     sim.suspend_job(pinned_job)
 
     wide = make_job(job_id=1, procs=4)  # cannot avoid the pinned pair
-    chosen = sched._place(wide)
+    chosen = sched.preemption._place(wide)
     assert chosen == frozenset({0, 1, 2, 3})
 
 
@@ -67,7 +67,7 @@ def test_pinned_procs_union_of_suspended_sets():
         sim._queued[j.job_id] = j
         sim.start_job(j, procs=frozenset(procs))
         sim.suspend_job(j)
-    assert sched._pinned_procs() == {0, 1, 4, 5}
+    assert sched.preemption._pinned_procs() == {0, 1, 4, 5}
 
 
 def test_explicit_start_placement_via_driver():

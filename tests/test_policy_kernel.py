@@ -11,8 +11,10 @@ is *byte* equality of the sorted-less JSON dump, not just dict equality.
 
 Layers:
 
-* every scheme class of the package is in the scheme table under its
-  ``scheme_id``, and its default instance round-trips;
+* every scheme constructor of the package -- each public function
+  returning a :class:`PolicyKernel`, and each scheduler class outside
+  the kernel -- is in the scheme table under the id it builds, takes
+  exactly its config keys, and its default instance round-trips;
 * every scheme id builds from a bare ``{"scheme": id}`` config
   (constructor defaults) to pinned bytes, and round-trips;
 * integer arguments (``2`` for ``2.0``, ``1`` for ``True``) are
@@ -30,6 +32,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,12 +50,23 @@ def _json(config: dict[str, object]) -> str:
     return json.dumps(config)
 
 
-def _scheme_classes() -> list[type[Scheduler]]:
-    """Every concrete scheduler class defined anywhere in the package."""
-    for mod in pkgutil.walk_packages(repro.__path__, "repro."):
-        if not mod.name.endswith("__main__"):
-            importlib.import_module(mod.name)
-    found: set[type[Scheduler]] = set()
+def _scheme_constructors() -> list[Callable[..., Scheduler]]:
+    """Every scheme constructor defined anywhere in the package: the
+    public functions annotated to return a :class:`PolicyKernel`, and
+    the concrete scheduler classes other than the kernel itself."""
+    found: set[Callable[..., Scheduler]] = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (
+                inspect.isfunction(obj)
+                and not name.startswith("_")
+                and obj.__module__ == module.__name__
+                and obj.__annotations__.get("return") in ("PolicyKernel", PolicyKernel)
+            ):
+                found.add(obj)
     todo = [Scheduler]
     while todo:
         for sub in todo.pop().__subclasses__():
@@ -60,18 +74,25 @@ def _scheme_classes() -> list[type[Scheduler]]:
             if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
                 found.add(sub)
     found.discard(PolicyKernel)  # the generic composition, not a scheme
-    return sorted(found, key=lambda cls: cls.__name__)
+    return sorted(found, key=lambda build: build.__name__)
 
 
-@pytest.mark.parametrize("cls", _scheme_classes(), ids=lambda cls: cls.__name__)
-def test_every_scheme_class_is_in_the_table(cls: type[Scheduler]) -> None:
-    assert SCHEMES.get(cls.scheme_id) is cls, (
-        f"{cls.__name__} (scheme_id {cls.scheme_id!r}) is missing from "
+@pytest.mark.parametrize("build", _scheme_constructors(), ids=lambda build: build.__name__)
+def test_every_scheme_class_is_in_the_table(build: Callable[..., Scheduler]) -> None:
+    """Each scheme constructor, function or class, is the table entry
+    for the id it builds and takes exactly that scheme's config keys."""
+    scheduler = build()
+    assert SCHEMES.get(scheduler.scheme_id) is build, (
+        f"{build.__name__} (scheme id {scheduler.scheme_id!r}) is missing from "
         "SCHEMES; parallel workers and the cache cannot rebuild it"
     )
-    config = cls().config()
+    config = scheduler.config()
+    assert set(inspect.signature(build).parameters) == set(config) - {"scheme"}, (
+        f"{build.__name__}: keyword arguments and config keys differ; a knob "
+        "missing from config() would go stale in the result cache"
+    )
     rebuilt = scheduler_from_config(config)
-    assert type(rebuilt) is cls
+    assert type(rebuilt) is type(scheduler)
     assert _json(dict(rebuilt.config())) == _json(dict(config))
 
 
@@ -167,25 +188,24 @@ def test_int_arguments_round_trip_to_canonical_bytes(build, canonical) -> None:
         ({"scheme": "tss", "limits": "online"}, "limits"),
         ({"scheme": "tss-conservative", "limits": None}, "limits"),
         ({"scheme": "tss", "limits": {"mode": "online", "table": {}}}, "limits"),
+        ({"scheme": "is", "sweep_interval": 0}, "sweep_interval"),
+        ({"scheme": "is", "sweep_interval": -60.0}, "sweep_interval"),
     ],
-    ids=["misspelt-key", "foreign-key", "limits-string", "limits-null", "limits-bad-key"],
+    ids=[
+        "misspelt-key",
+        "foreign-key",
+        "limits-string",
+        "limits-null",
+        "limits-bad-key",
+        "is-zero-sweep-interval",
+        "is-negative-sweep-interval",
+    ],
 )
 def test_malformed_config_fails_loudly(config: dict[str, object], key: str) -> None:
     with pytest.raises(ValueError) as info:
         scheduler_from_config(config)
     assert repr(config["scheme"]) in str(info.value)
     assert repr(key) in str(info.value)
-
-
-@pytest.mark.parametrize("scheme", known_schemes())
-def test_kernel_schemes_compose_config_from_spec(scheme: str) -> None:
-    """PolicyKernel schemes must get their config from the spec -- the
-    one place that fixes fragment merge order."""
-    scheduler = scheduler_from_config({"scheme": scheme})
-    if not isinstance(scheduler, PolicyKernel):
-        pytest.skip(f"{scheme} is not kernel-composed (legacy scheduler)")
-    assert dict(scheduler.config()) == dict(scheduler.spec.config())
-    assert scheduler.scheme_id == scheme
 
 
 _SWEEP_PARAMS = {

@@ -91,6 +91,25 @@ def test_calibrated_spec_needs_a_baseline():
         tuned.build()
 
 
+def test_baseline_factory_makes_a_calibrated_spec():
+    """A spec with a ``factory_with_baseline`` is a calibrated spec: it
+    needs the NS baseline and builds from it, not from its plain
+    factory (which would give online TSS)."""
+    from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
+
+    spec = SchemeSpec(
+        "t",
+        TunableSelectiveSuspensionScheduler,
+        factory_with_baseline=lambda b: TunableSelectiveSuspensionScheduler(
+            limits=limits_from_result(b)
+        ),
+    )
+    assert spec.needs_baseline
+    baseline = simulate(small_jobs(), EasyBackfillScheduler(), 4)
+    assert spec.build(baseline).config()["limits"]["mode"] == "calibrated"
+    assert not SchemeSpec("ns", EasyBackfillScheduler).needs_baseline
+
+
 def test_compare_schemes_isolated_workload_copies():
     """Each scheme must see a pristine trace: results are comparable."""
     jobs = small_jobs()

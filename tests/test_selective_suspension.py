@@ -215,4 +215,3 @@ def test_scheduler_validates_arguments():
 def test_name_and_describe():
     sched = ss(sf=1.5)
     assert sched.name == "SS(SF=1.5)"
-    assert "60" in sched.describe()

@@ -107,6 +107,34 @@ def test_limits_from_config_rejects_malformed(config):
         CategoryLimits.from_config(config)
 
 
+def test_online_limits_reject_a_given_table():
+    # to_config() drops an online table, so a rebuilt scheduler would
+    # start from a different table than the original
+    with pytest.raises(ValueError, match="online"):
+        CategoryLimits(table={("VS", "Seq"): 5.0}, online=True)
+
+
+def test_shared_online_limits_restart_every_run():
+    """Two TSS schedulers sharing one online limits object have equal
+    configs, so they must make equal schedules: the second run may not
+    start from the averages the first run learned."""
+    from repro.experiments.parallel import outcome_fingerprint
+    from repro.experiments.runner import simulate
+    from repro.workload.load import scale_load
+    from repro.workload.synthetic import generate_trace
+
+    jobs = scale_load(generate_trace("SDSC", n_jobs=400, seed=7), 1.8)
+    shared = CategoryLimits(online=True)
+    first = TunableSelectiveSuspensionScheduler(limits=shared)
+    second = TunableSelectiveSuspensionScheduler(limits=shared)
+    assert first.config() == second.config()
+    a = simulate(jobs, first, 128)
+    b = simulate(jobs, second, 128)
+    assert a.total_suspensions > 0
+    assert b.total_suspensions == a.total_suspensions
+    assert outcome_fingerprint(b.jobs) == outcome_fingerprint(a.jobs)
+
+
 def test_limits_from_result_margin():
     jobs = []
     for i in range(4):

@@ -262,15 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     ins = sub.add_parser("inspect", help="characterise a workload (section III style)")
     _add_trace_args(ins)
 
-    lnt = sub.add_parser(
+    # listed for the command overview only: main() hands `lint ...` to
+    # repro.lint.cli before this parser runs (try `lint --help`)
+    sub.add_parser(
         "lint",
         help="repro-lint static analysis (determinism & protocol conformance)",
         add_help=False,
-    )
-    lnt.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro.lint.cli (try `lint --help`)",
     )
 
     trc = sub.add_parser("trace", help="record / replay decision traces")
@@ -457,11 +454,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
         )
         return 0
-
-    if args.command == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(args.lint_args)
 
     if args.command == "trace":
         return _dispatch_trace(args)

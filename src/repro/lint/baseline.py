@@ -9,9 +9,12 @@ debatable site is resolved, without ever letting the debt grow.
 
 Entries whose fingerprint no longer matches anything are *stale*:
 reported informationally (the code they excused is gone or changed) and
-dropped by ``--update-baseline``.  An entry without a justification is
-an RPR000 finding in its own right -- the baseline cannot be used to
-silence findings silently any more than inline suppressions can.
+dropped by ``--update-baseline``.  Only a run that covered an entry's
+rule *and* its file can call it stale, so a ``--select`` run or a
+single-file run never prunes the entries it did not look at.  An entry
+without a justification is an RPR000 finding in its own right -- the
+baseline cannot be used to silence findings silently any more than
+inline suppressions can.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Collection, Iterable
 
 from repro.lint.findings import FRAMEWORK_RULE, Finding
 
@@ -100,9 +103,18 @@ class Baseline:
         return out
 
     def split(
-        self, findings: list[Finding]
+        self,
+        findings: list[Finding],
+        *,
+        rules: Collection[str] | None = None,
+        paths: Collection[str] | None = None,
     ) -> tuple[list[Finding], list[Finding], list[str]]:
-        """Partition into (active, baselined) and list stale fingerprints."""
+        """Partition into (active, baselined) and list stale fingerprints.
+
+        An unmatched entry is stale only if the run checked its rule
+        (*rules*; ``None`` means every rule) over its file (*paths*;
+        ``None`` means every file).
+        """
         active: list[Finding] = []
         baselined: list[Finding] = []
         seen: set[str] = set()
@@ -113,7 +125,13 @@ class Baseline:
                 seen.add(fp)
             else:
                 active.append(f)
-        stale = sorted(set(self.entries) - seen)
+        stale = sorted(
+            fp
+            for fp, entry in self.entries.items()
+            if fp not in seen
+            and (rules is None or entry.get("rule") in rules)
+            and (paths is None or entry.get("path") in paths)
+        )
         return active, baselined, stale
 
     @staticmethod
@@ -129,25 +147,22 @@ class Baseline:
             "justification": justification,
         }
 
-    def absorb(self, findings: list[Finding], *, prune_stale: bool = True) -> int:
-        """``--update-baseline``: add new findings, drop stale entries.
+    def absorb(self, findings: list[Finding], stale: Iterable[str] = ()) -> int:
+        """``--update-baseline``: add new findings, drop the *stale* entries.
 
         New entries get an empty justification the author must fill in
         before the baseline passes (``unjustified`` reports them) --
         updating the baseline is deliberately not the end of the
-        review, just its paperwork.  Returns the number added.
+        review, just its paperwork.  *stale* is :meth:`split`'s list,
+        so entries outside the run's rules and files survive.  Returns
+        the number added.
         """
-        fresh: dict[str, dict[str, Any]] = {}
         added = 0
         for f in findings:
             fp = f.fingerprint()
-            if fp in self.entries:
-                fresh[fp] = self.entries[fp]
-            elif fp not in fresh:
-                fresh[fp] = self.entry_for(f, justification="")
+            if fp not in self.entries:
+                self.entries[fp] = self.entry_for(f, justification="")
                 added += 1
-        if prune_stale:
-            self.entries = fresh
-        else:
-            self.entries.update(fresh)
+        for fp in stale:
+            del self.entries[fp]
         return added

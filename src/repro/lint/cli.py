@@ -3,8 +3,7 @@
 Usage::
 
     repro-sched lint [paths ...] [--baseline FILE] [--format human|json|sarif]
-                     [--output FILE] [--jobs N] [--select RPR001,RPR004]
-                     [--summary-cache DIR] [--report-unused-suppressions]
+                     [--output FILE] [--select RPR001,RPR004]
                      [--no-baseline] [--update-baseline] [--list-rules]
                      [--verbose]
 
@@ -14,7 +13,8 @@ to the repository root (located by walking up from the first path to a
 ``pyproject.toml``); ``--no-baseline`` shows the raw picture.
 ``--output`` writes the formatted report to a file (the human summary
 still prints to stdout), which is how CI produces its SARIF artifact
-without losing the terminal report.
+without losing the terminal report.  A run without ``--select`` also
+reports every suppression directive that no longer suppresses anything.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-baseline",
         action="store_true",
         help="absorb current findings into the baseline (new entries need "
-        "justifications before the baseline passes) and prune stale ones",
+        "justifications before the baseline passes) and prune the stale "
+        "ones among the rules and files this run covered",
     )
     parser.add_argument(
         "--format",
@@ -103,30 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         "summary to stdout",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyse files over N processes (deterministic merge; default 1)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="RULES",
-        help="comma-separated rule subset (e.g. RPR001,RPR004)",
-    )
-    parser.add_argument(
-        "--summary-cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed per-file analysis cache; a warm run "
-        "re-analyses only changed files (bypassed under --select)",
-    )
-    parser.add_argument(
-        "--report-unused-suppressions",
-        action="store_true",
-        help="flag repro-lint disable directives that no longer suppress "
-        "anything (stale-directive audit; implies full rule set)",
+        help="comma-separated rule subset (e.g. RPR001,RPR004); skips the "
+        "stale-suppression audit",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
@@ -162,13 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     select = None
     if args.select:
         select = [r.strip() for r in args.select.split(",") if r.strip()]
-    if select is not None and args.report_unused_suppressions:
-        print(
-            "error: --report-unused-suppressions needs the full rule set "
-            "(drop --select)",
-            file=sys.stderr,
-        )
-        return 2
 
     baseline: Baseline | None = None
     if not args.no_baseline:
@@ -185,14 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
 
     try:
-        report = lint_paths(
-            args.paths,
-            baseline=baseline,
-            jobs=max(args.jobs, 1),
-            select=select,
-            summary_cache=args.summary_cache,
-            report_unused_suppressions=args.report_unused_suppressions,
-        )
+        report = lint_paths(args.paths, baseline=baseline, select=select)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -204,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         all_findings = sorted(
             report.active + report.baselined, key=lambda f: f.sort_key()
         )
-        added = baseline.absorb(all_findings)
+        added = baseline.absorb(all_findings, report.stale_baseline)
         baseline.save()
         print(
             f"baseline updated: {len(baseline.entries)} entr(y/ies), "

@@ -1,59 +1,49 @@
-"""Lint orchestration: discovery, cached parallel analysis, merging.
+"""Lint orchestration: discovery, per-file analysis, the cross-file pass.
 
-Per-file analysis is embarrassingly parallel, so -- exactly like the
-experiment grid in :mod:`repro.experiments.parallel` -- files fan out
-over a ``ProcessPoolExecutor`` and results merge in *input* order,
-never completion order; a parallel lint is byte-identical to a serial
-one.  Sources are read once in the main process: they key the optional
-content-addressed summary cache (:mod:`repro.lint.summaries`), travel
-to the workers, and feed the cross-file passes without re-reading.
-
-After the per-file phase, three whole-program passes run in-process
-over the merged data: RPR004 (protocol conformance, parsed contexts),
-the call-graph rules RPR007-009 (:mod:`repro.lint.callgraph` /
-:mod:`repro.lint.effects`), and -- when requested -- the stale-
-suppression audit, which reports every ``# repro-lint: disable``
-directive that suppressed nothing in any phase.  Suppressions and the
-baseline fold in last, and findings come back sorted by location.
+Files are analysed one after another in discovery order (a cold run of
+the whole tree takes a few seconds, so there is nothing for a worker
+pool or a result cache to win back).  Each file's parsed context is
+kept for the one cross-file pass, RPR004, which then runs over the
+whole set.  On a full-rule-set run the stale-suppression audit follows:
+every ``# repro-lint: disable`` directive that suppressed nothing in
+either phase becomes an RPR000 finding.  The baseline folds in last,
+and findings come back sorted by location.
 """
 
 from __future__ import annotations
 
 import ast
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.lint.baseline import Baseline
-from repro.lint.callgraph import ModuleSummary, build_call_graph, build_module_summary
 from repro.lint.checker import FileContext
 from repro.lint.findings import FRAMEWORK_RULE, Finding, assign_occurrences
+from repro.lint.project import RULE as PROJECT_RULE
+from repro.lint.project import run_project_checks
 from repro.lint.rules import PER_FILE_CHECKERS
-from repro.lint.summaries import SummaryCache
 from repro.lint.suppress import Suppressions, parse_suppressions
 
 #: directories never worth descending into
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
 
-#: the rules that need the linked call graph
-_INTERPROC_RULES = frozenset({"RPR007", "RPR008", "RPR009"})
-
 
 @dataclass
 class FileResult:
-    """Worker output for one file (picklable, summary-cacheable)."""
+    """The per-file analysis of one source blob."""
 
     relpath: str
+    source: str
+    #: the file's directives; ``used_lines`` marks the ones that fired
+    suppressions: Suppressions
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     #: suppression-system RPR000s (malformed / unjustified directives)
     errors: list[Finding] = field(default_factory=list)
-    #: interprocedural summary (None when the file failed to parse)
-    summary: ModuleSummary | None = None
-    #: directive lines that suppressed something during per-file
-    #: analysis (findings or effect seeds) -- stale-audit bookkeeping
-    used_lines: tuple[int, ...] = ()
+    used_lines: set[int] = field(default_factory=set)
+    #: the parsed file, for the cross-file pass (None on a syntax error)
+    context: FileContext | None = None
 
 
 @dataclass
@@ -65,11 +55,6 @@ class LintReport:
     suppressed: int = 0
     stale_baseline: list[str] = field(default_factory=list)
     files: int = 0
-    #: files analysed fresh this run (cache misses; == files when cold)
-    analyzed: int = 0
-    #: files served from the summary cache.  Counters stay off every
-    #: rendered report so warm and cold runs remain byte-identical.
-    summary_hits: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -78,23 +63,33 @@ class LintReport:
 
 def rule_catalogue() -> list[tuple[str, str]]:
     """(rule id, one-line title) pairs, in rule-id order."""
-    from repro.lint.project import RULE as PROJECT_RULE
-
     rows = [(c.rule, c.title) for c in PER_FILE_CHECKERS]
     rows.append((PROJECT_RULE, "cross-file protocol conformance"))
-    rows.append(("RPR007", "transitive nondeterminism taint in decision/trace paths"))
-    rows.append(("RPR008", "broad except handler can swallow faults untraced"))
-    rows.append(("RPR009", "effect drift in assumed-pure fingerprint inputs"))
-    rows.append(("RPR000", "framework diagnostics (parse/suppression/baseline)"))
+    rows.append((FRAMEWORK_RULE, "framework diagnostics (parse/suppression/baseline)"))
     return sorted(rows)
+
+
+def _package_relpath(path: Path) -> str:
+    """*path* relative to the top of the package that contains it.
+
+    Walks up while the parent directory is itself a package (has an
+    ``__init__.py``), so ``src/repro/core/tss.py`` becomes
+    ``core/tss.py`` -- the relpath a ``src/repro`` run gives the same
+    file, which path-scoped rules and baseline fingerprints key on.  A
+    file outside any package is its own root.
+    """
+    root = path.parent
+    while (root / "__init__.py").exists() and (root.parent / "__init__.py").exists():
+        root = root.parent
+    return path.relative_to(root).as_posix()
 
 
 def discover_files(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
     """(absolute path, root-relative posix path) for every ``.py`` file.
 
     A directory argument is a *root*: relpaths (and therefore baseline
-    fingerprints) are relative to it.  A file argument is its own root
-    of one.
+    fingerprints) are relative to it.  A file argument is placed by
+    :func:`_package_relpath`.
     """
     out: list[tuple[Path, str]] = []
     seen: set[Path] = set()
@@ -103,7 +98,7 @@ def discover_files(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
         if p.is_file():
             if p.suffix == ".py" and p not in seen:
                 seen.add(p)
-                out.append((p, p.name))
+                out.append((p, _package_relpath(p)))
             continue
         if not p.is_dir():
             raise FileNotFoundError(f"lint path does not exist: {raw}")
@@ -125,14 +120,13 @@ def analyze_source(
 ) -> FileResult:
     """Run every applicable per-file checker over one source blob.
 
-    Suppressions are applied here (the only place line text is still at
-    hand); the caller receives surviving findings, the count of
-    suppressed ones, the file's interprocedural summary and the
-    directive lines that earned their keep.  A syntax error becomes a
-    single RPR000 finding -- unparseable decision code is a finding,
-    not a crash.
+    Suppressions are applied here; the caller receives surviving
+    findings, the count of suppressed ones, and the directive lines
+    that earned their keep.  A syntax error becomes a single RPR000
+    finding -- unparseable decision code is a finding, not a crash.
     """
-    result = FileResult(relpath=relpath)
+    suppressions = parse_suppressions(source, relpath)
+    result = FileResult(relpath=relpath, source=source, suppressions=suppressions)
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
@@ -149,207 +143,95 @@ def analyze_source(
         return result
 
     ctx = FileContext(relpath, source, tree)
-    suppressions = parse_suppressions(source, relpath)
+    result.context = ctx
     raw: list[Finding] = []
     for checker_cls in PER_FILE_CHECKERS:
-        if not _select(select, checker_cls.rule):
-            continue
-        if not checker_cls.applies_to(relpath):
-            continue
-        raw.extend(checker_cls(ctx).run())
-
-    used: set[int] = set()
-    kept: list[Finding] = []
+        if _select(select, checker_cls.rule) and checker_cls.applies_to(relpath):
+            raw.extend(checker_cls(ctx).run())
     for f in sorted(raw, key=Finding.sort_key):
-        directive = suppressions.covering(f.rule, f.line)
-        if directive is not None:
-            result.suppressed += 1
-            used.add(directive.line)
-        else:
-            kept.append(f)
-    result.findings = kept
+        if not _suppress(result, f):
+            result.findings.append(f)
     if _select(select, FRAMEWORK_RULE):
         result.errors = list(suppressions.errors)
-    summary = build_module_summary(ctx)
-    used.update(summary.used_directive_lines)
-    result.summary = summary
-    result.used_lines = tuple(sorted(used))
     return result
 
 
-def _analyze_args(args: tuple[str, str, frozenset[str] | None]) -> FileResult:
-    """Pool entry point (module-level, picklable)."""
-    relpath, source, select = args
-    return analyze_source(relpath, source, select)
+def _suppress(result: FileResult, finding: Finding) -> bool:
+    """Count *finding* as suppressed if a directive in its file covers it."""
+    directive = result.suppressions.covering(finding.rule, finding.line)
+    if directive is None:
+        return False
+    result.suppressed += 1
+    result.used_lines.add(directive.line)
+    return True
+
+
+def _unused_directives(result: FileResult) -> Iterator[Finding]:
+    """RPR000 for every directive of *result* that suppressed nothing."""
+    lines = result.source.splitlines()
+    for d in result.suppressions.directives:
+        if d.line in result.used_lines:
+            continue
+        yield Finding(
+            rule=FRAMEWORK_RULE,
+            path=result.relpath,
+            line=d.line,
+            col=0,
+            message=(
+                f"unused suppression: no {','.join(sorted(d.rules))} finding "
+                "fires on the target line any more -- remove the stale directive"
+            ),
+            snippet=lines[d.line - 1].strip() if d.line <= len(lines) else "",
+        )
 
 
 def lint_paths(
     paths: Sequence[str | Path],
     *,
     baseline: Baseline | None = None,
-    jobs: int = 1,
     select: Iterable[str] | None = None,
-    summary_cache: SummaryCache | str | Path | None = None,
-    report_unused_suppressions: bool = False,
 ) -> LintReport:
     """Lint *paths* and return the merged, baseline-filtered report.
 
-    ``jobs`` > 1 fans per-file analysis over a process pool; output is
-    independent of the worker count.  ``select`` restricts to a rule
-    subset (tests use this to probe one rule at a time).
-    ``summary_cache`` names a directory (or passes a
-    :class:`SummaryCache`) from which unchanged files are served
-    without re-analysis; it is bypassed under ``select`` so probing
-    runs can never pollute or be served partial entries.
-    ``report_unused_suppressions`` adds an RPR000 finding for every
-    directive that suppressed nothing anywhere (skipped under
-    ``select`` -- an unselected rule cannot defend its directives).
+    ``select`` restricts to a rule subset (tests use this to probe one
+    rule at a time).  A full-rule-set run also audits suppressions: a
+    directive that suppressed nothing is an RPR000 finding.  Under
+    ``select`` the audit is skipped, since an unselected rule cannot
+    defend its directives.  Baseline entries are only judged stale for
+    the rules and files this run covered.
     """
     selected = frozenset(select) if select is not None else None
     files = discover_files(paths)
-    sources: dict[str, str] = {
-        relpath: abspath.read_text(encoding="utf-8") for abspath, relpath in files
-    }
-
-    cache: SummaryCache | None = None
-    if summary_cache is not None and selected is None:
-        cache = (
-            summary_cache
-            if isinstance(summary_cache, SummaryCache)
-            else SummaryCache(summary_cache)
-        )
-
-    results: dict[str, FileResult] = {}
-    pending: list[str] = []
-    for _, relpath in files:
-        cached = cache.get(relpath, sources[relpath]) if cache is not None else None
-        if isinstance(cached, FileResult):
-            results[relpath] = cached
-        else:
-            pending.append(relpath)
-
-    work = [(relpath, sources[relpath], selected) for relpath in pending]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = list(pool.map(_analyze_args, work, chunksize=4))
-    else:
-        fresh = [_analyze_args(w) for w in work]
-    for res in fresh:
-        results[res.relpath] = res
-        if cache is not None:
-            cache.put(res.relpath, sources[res.relpath], res)
-
-    ordered = [results[relpath] for _, relpath in files]
-    report = LintReport(
-        files=len(files),
-        analyzed=len(pending),
-        summary_hits=len(files) - len(pending),
-    )
+    results = [
+        analyze_source(relpath, abspath.read_text(encoding="utf-8"), selected)
+        for abspath, relpath in files
+    ]
+    report = LintReport(files=len(results))
     merged: list[Finding] = []
-    used: dict[str, set[int]] = {}
-    for res in ordered:
+    for res in results:
         merged.extend(res.findings)
         merged.extend(res.errors)
-        report.suppressed += res.suppressed
-        used[res.relpath] = set(res.used_lines)
 
-    #: main-process suppression lookups, parsed once per file
-    supp_cache: dict[str, Suppressions] = {}
-
-    def suppressions_for(relpath: str) -> Suppressions:
-        supp = supp_cache.get(relpath)
-        if supp is None:
-            supp = parse_suppressions(sources.get(relpath, ""), relpath)
-            supp_cache[relpath] = supp
-        return supp
-
-    line_cache: dict[str, list[str]] = {}
-
-    def snippet_of(relpath: str, lineno: int) -> str:
-        lines = line_cache.get(relpath)
-        if lines is None:
-            lines = sources.get(relpath, "").splitlines()
-            line_cache[relpath] = lines
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
-
-    def fold(findings: Iterable[Finding]) -> None:
-        """Merge cross-file findings, honouring inline suppressions."""
-        for f in findings:
-            directive = suppressions_for(f.path).covering(f.rule, f.line)
-            if directive is not None:
-                used.setdefault(f.path, set()).add(directive.line)
-                report.suppressed += 1
-            else:
+    if _select(selected, PROJECT_RULE):
+        by_path = {res.relpath: res for res in results}
+        contexts = {
+            res.relpath: res.context for res in results if res.context is not None
+        }
+        for f in run_project_checks(contexts):
+            if not _suppress(by_path[f.path], f):
                 merged.append(f)
 
-    # cross-file pass (RPR004) over the full parsed set
-    if _select(selected, "RPR004"):
-        from repro.lint.project import run_project_checks
-
-        contexts: dict[str, FileContext] = {}
-        for _, relpath in files:
-            try:
-                tree = ast.parse(sources[relpath], filename=relpath)
-            except SyntaxError:
-                continue  # already reported as RPR000 above
-            contexts[relpath] = FileContext(relpath, sources[relpath], tree)
-        fold(run_project_checks(contexts))
-
-    # interprocedural pass (RPR007-009) over the linked summaries
-    if selected is None or (selected & _INTERPROC_RULES):
-        from repro.lint.effects import (
-            check_contract_drift,
-            check_exception_flow,
-            check_transitive_taint,
-        )
-
-        graph = build_call_graph(
-            res.summary for res in ordered if res.summary is not None
-        )
-        effects = None
-        if _select(selected, "RPR007") or _select(selected, "RPR009"):
-            from repro.lint.effects import propagate_effects
-
-            effects = propagate_effects(graph)
-        if _select(selected, "RPR007"):
-            assert effects is not None
-            fold(check_transitive_taint(graph, effects, snippet_of))
-        if _select(selected, "RPR008"):
-            fold(check_exception_flow(graph, snippet_of))
-        if _select(selected, "RPR009"):
-            assert effects is not None
-            fold(check_contract_drift(graph, effects, snippet_of))
-
-    # stale-suppression audit: a directive nothing fired through is rot
-    if report_unused_suppressions and selected is None:
-        for _, relpath in files:
-            live = used.get(relpath, set())
-            for d in suppressions_for(relpath).directives:
-                if d.line in live:
-                    continue
-                rules = ",".join(sorted(d.rules))
-                merged.append(
-                    Finding(
-                        rule=FRAMEWORK_RULE,
-                        path=relpath,
-                        line=d.line,
-                        col=0,
-                        message=(
-                            f"unused suppression: no {rules} finding fires "
-                            "on the target line any more -- remove the stale "
-                            "directive"
-                        ),
-                        snippet=snippet_of(relpath, d.line),
-                    )
-                )
-
+    if selected is None:
+        for res in results:
+            merged.extend(_unused_directives(res))
+    report.suppressed = sum(res.suppressed for res in results)
     merged = assign_occurrences(sorted(merged, key=Finding.sort_key))
 
     if baseline is not None:
         merged.extend(baseline.unjustified())
-        active, baselined, stale = baseline.split(merged)
+        active, baselined, stale = baseline.split(
+            merged, rules=selected, paths={relpath for _, relpath in files}
+        )
         report.active = sorted(active, key=Finding.sort_key)
         report.baselined = baselined
         report.stale_baseline = stale

@@ -1,17 +1,109 @@
-"""Per-file checkers RPR001-RPR003, RPR005, RPR006.
+"""Per-file checkers RPR001-RPR003, RPR005, RPR006, RPR008.
 
 Each rule targets one bug *class* this repository has either shipped or
 structurally cannot afford (see ``docs/STATIC_ANALYSIS.md`` for the
 catalogue with worked examples; RPR004, the cross-file conformance
-pass, lives in :mod:`repro.lint.project`).
+pass, lives in :mod:`repro.lint.project`).  Two rules look past one
+function body: RPR005 follows a cache read method into the helpers it
+calls, and RPR008 follows a broad handler into the helpers *it* calls.
+Both use the same resolver, :func:`_same_file_closure`, which stays
+inside the file on purpose -- what a helper imported from elsewhere
+does is not visible here, so it never vouches for anything.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar
+from typing import ClassVar, Iterable, Iterator, Mapping, TypeVar
 
-from repro.lint.checker import Checker
+from repro.lint.checker import Checker, FileContext
+
+FuncDef = ast.FunctionDef | ast.AsyncFunctionDef
+_Root = TypeVar("_Root", bound=ast.AST)
+
+
+# ----------------------------------------------------------------------
+# the shared same-file call resolver (RPR005 read paths, RPR008 sanctions)
+# ----------------------------------------------------------------------
+
+
+def _defs_in(body: Iterable[ast.stmt]) -> dict[str, FuncDef]:
+    """The functions defined directly in *body* (a module or class), by name."""
+    return {
+        stmt.name: stmt
+        for stmt in body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _same_file_callee(
+    call: ast.Call,
+    methods: Mapping[str, FuncDef],
+    functions: Mapping[str, FuncDef],
+) -> FuncDef | None:
+    """The same-file definition *call* runs, if it can be named here.
+
+    ``self.m()`` resolves in *methods* (the enclosing class's own
+    methods -- no inheritance, no overrides) and a bare ``f()`` in
+    *functions* (the module's top-level functions).  Imports, other
+    classes and dynamic dispatch resolve to ``None``.
+    """
+    fn = call.func
+    if isinstance(fn, ast.Attribute):
+        if isinstance(fn.value, ast.Name) and fn.value.id == "self":
+            return methods.get(fn.attr)
+        return None
+    if isinstance(fn, ast.Name):
+        return functions.get(fn.id)
+    return None
+
+
+def _same_file_closure(
+    roots: Iterable[_Root],
+    methods: Mapping[str, FuncDef],
+    functions: Mapping[str, FuncDef],
+) -> Iterator[_Root | FuncDef]:
+    """*roots* plus every same-file function they call, transitively.
+
+    Each node is yielded once, so recursion terminates; resolution is
+    :func:`_same_file_callee`'s.
+    """
+    seen: set[ast.AST] = set()
+    work: list[_Root | FuncDef] = list(roots)
+    while work:
+        node = work.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        yield node
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                callee = _same_file_callee(sub, methods, functions)
+                if callee is not None:
+                    work.append(callee)
+
+
+def _attr_chain(node: ast.expr) -> list[str]:
+    """``a.b.c`` as ``["a", "b", "c"]`` (the root only when it is a Name)."""
+    parts: list[str] = []
+    cur = node
+    while isinstance(cur, ast.Attribute):
+        parts.append(cur.attr)
+        cur = cur.value
+    if isinstance(cur, ast.Name):
+        parts.append(cur.id)
+    return list(reversed(parts))
+
+
+def _names_corrupt(call: ast.Call) -> bool:
+    """Whether *call*'s subtree carries a ``".corrupt"`` string constant."""
+    return any(
+        isinstance(sub, ast.Constant)
+        and isinstance(sub.value, str)
+        and ".corrupt" in sub.value
+        for sub in ast.walk(call)
+    )
+
 
 # ----------------------------------------------------------------------
 # RPR001 -- unordered iteration in decision paths
@@ -465,53 +557,29 @@ class CachePurityChecker(Checker):
         self.generic_visit(node)
 
     def _check_cache_read_paths(self, cls: ast.ClassDef) -> None:
-        methods = {
-            stmt.name: stmt
-            for stmt in cls.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        seen: set[str] = set()
-        work = [name for name in self._READ_METHODS if name in methods]
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for sub in ast.walk(methods[name]):
+        methods = _defs_in(cls.body)
+        roots = [methods[name] for name in sorted(self._READ_METHODS) if name in methods]
+        # read-path helpers (self._helper()) are part of the read path;
+        # module-level functions are not followed
+        for method in _same_file_closure(roots, methods, {}):
+            for sub in ast.walk(method):
                 if not isinstance(sub, ast.Call):
                     continue
                 fn = sub.func
                 if not isinstance(fn, ast.Attribute):
                     continue
-                if (
-                    isinstance(fn.value, ast.Name)
-                    and fn.value.id == "self"
-                    and fn.attr in methods
-                ):
-                    work.append(fn.attr)  # follow read-path helpers
-                    continue
+                if _same_file_callee(sub, methods, {}) is not None:
+                    continue  # a helper: scanned in its own right
                 if fn.attr in self._FS_MUTATORS:
-                    if fn.attr in self._QUARANTINE_OK and self._is_quarantine(sub):
+                    if fn.attr in self._QUARANTINE_OK and _names_corrupt(sub):
                         continue
                     self.flag(
                         sub,
                         f".{fn.attr}() on the cache read path (via "
-                        f"{cls.name}.{name}); reads must not mutate the store "
+                        f"{cls.name}.{method.name}); reads must not mutate the store "
                         '-- quarantine unreadable entries (rename to ".corrupt") '
                         "instead of deleting or rewriting them",
                     )
-
-    @staticmethod
-    def _is_quarantine(call: ast.Call) -> bool:
-        """A rename/replace whose call subtree names ``.corrupt``."""
-        for sub in ast.walk(call):
-            if (
-                isinstance(sub, ast.Constant)
-                and isinstance(sub.value, str)
-                and ".corrupt" in sub.value
-            ):
-                return True
-        return False
 
     # -- config() returns ------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -577,24 +645,13 @@ class CachePurityChecker(Checker):
                         "sorted(...)",
                     )
             elif isinstance(sub, ast.Attribute):
-                chain = self._attr_chain(sub)
+                chain = _attr_chain(sub)
                 if "driver" in chain[1:]:
                     self.flag(
                         sub,
                         "config() reads self.driver.* -- process-local "
                         "simulation state must not reach the cache fingerprint",
                     )
-
-    @staticmethod
-    def _attr_chain(node: ast.expr) -> list[str]:
-        parts: list[str] = []
-        cur = node
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if isinstance(cur, ast.Name):
-            parts.append(cur.id)
-        return list(reversed(parts))
 
     # -- pool submissions -------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -729,6 +786,98 @@ class MutableSharedStateChecker(Checker):
         self.generic_visit(node)
 
 
+# ----------------------------------------------------------------------
+# RPR008 -- broad handlers that swallow faults untraced
+# ----------------------------------------------------------------------
+
+
+def _broad_kind(handler: ast.ExceptHandler) -> str | None:
+    """``"bare"``, ``"Exception"`` or ``"BaseException"``; None if narrow."""
+    t = handler.type
+    if t is None:
+        return "bare"
+    for e in t.elts if isinstance(t, ast.Tuple) else [t]:
+        name = e.id if isinstance(e, ast.Name) else (
+            e.attr if isinstance(e, ast.Attribute) else None
+        )
+        if name in ("Exception", "BaseException"):
+            return name
+    return None
+
+
+def _records_fault(node: ast.AST) -> bool:
+    """Whether *node* re-raises, bumps a ``*counter*`` attribute with
+    ``+=``, or quarantines (a ``*quarantine*`` call, or a rename/replace
+    to ``.corrupt``) anywhere in its subtree."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise):
+            return True
+        if (
+            isinstance(sub, ast.AugAssign)
+            and isinstance(sub.op, ast.Add)
+            and isinstance(sub.target, ast.Attribute)
+            and any("counter" in part for part in _attr_chain(sub.target))
+        ):
+            return True
+        if isinstance(sub, ast.Call):
+            fn = sub.func
+            name = fn.id if isinstance(fn, ast.Name) else (
+                fn.attr if isinstance(fn, ast.Attribute) else None
+            )
+            if name is not None and "quarantine" in name:
+                return True
+            if name in ("rename", "replace") and _names_corrupt(sub):
+                return True
+    return False
+
+
+class BroadExceptChecker(Checker):
+    """RPR008: a broad ``except`` that can swallow a fault untraced.
+
+    ``except Exception`` / ``except BaseException`` / bare ``except:``
+    must re-raise, increment a ``*counter*`` attribute, or quarantine
+    -- so a degraded run stays observable in ``GridCounters`` instead
+    of silently returning a different result.  The sanction may sit in
+    the handler body or in any same-file function or same-class method
+    the handler calls, followed transitively (the retry-loop shape
+    where ``_charge_failed_attempt`` raises on the last attempt).  A
+    helper imported from another module is not followed: the handler
+    is flagged, and narrowing it or moving the bookkeeping next to it
+    is the fix.
+    """
+
+    rule: ClassVar[str] = "RPR008"
+    title: ClassVar[str] = "broad except handler can swallow faults untraced"
+
+    def __init__(self, ctx: FileContext) -> None:
+        super().__init__(ctx)
+        self._functions = _defs_in(ctx.tree.body)
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        kind = _broad_kind(node)
+        if kind is not None and not self._handled(node):
+            what = "bare `except:`" if kind == "bare" else f"broad `except {kind}`"
+            self.flag(
+                node,
+                f"{what} swallows faults without re-raise, quarantine, or a "
+                "counters increment (directly or via a same-file function or "
+                "method it calls); narrow the exception or record the fault "
+                "so degraded runs stay observable",
+            )
+        self.generic_visit(node)
+
+    def _handled(self, handler: ast.ExceptHandler) -> bool:
+        cls = next(
+            (p for p in self.ctx.parent_chain(handler) if isinstance(p, ast.ClassDef)),
+            None,
+        )
+        methods = _defs_in(cls.body) if cls is not None else {}
+        return any(
+            _records_fault(node)
+            for node in _same_file_closure([handler], methods, self._functions)
+        )
+
+
 #: the per-file rule set, in rule-id order (RPR004 is project-level)
 PER_FILE_CHECKERS: tuple[type[Checker], ...] = (
     UnorderedIterationChecker,
@@ -736,4 +885,5 @@ PER_FILE_CHECKERS: tuple[type[Checker], ...] = (
     FloatTimeEqualityChecker,
     CachePurityChecker,
     MutableSharedStateChecker,
+    BroadExceptChecker,
 )

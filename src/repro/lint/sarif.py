@@ -9,9 +9,8 @@ the same line-drift-tolerant identity the baseline uses -- so upload
 consumers track findings across commits exactly as the baseline does.
 
 Output is rendered with sorted keys and no timestamps or absolute
-paths, so SARIF reports are byte-identical across hash seeds, worker
-counts and machines -- the acceptance criterion every repro-lint
-surface shares.
+paths, so SARIF reports are byte-identical across hash seeds and
+machines -- the acceptance criterion every repro-lint surface shares.
 """
 
 from __future__ import annotations

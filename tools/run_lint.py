@@ -9,8 +9,7 @@ hooks can invoke it as::
     python tools/run_lint.py --list-rules
     python tools/run_lint.py --no-baseline --format json
     python tools/run_lint.py --format sarif --output repro-lint.sarif
-    python tools/run_lint.py --summary-cache .repro-lint-cache
-    python tools/run_lint.py --report-unused-suppressions
+    python tools/run_lint.py src/repro/core/tss.py   # one file, as core/tss.py
 
 Exit status: 0 clean, 1 findings, 2 usage error (same as the CLI).
 """

@@ -43,6 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import insort
 from dataclasses import dataclass
+from math import inf, sqrt
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.cluster.bitset import iter_bits, mask_from_ids, take_lowest
@@ -149,11 +150,30 @@ class Policy(ABC):
 
 
 class QueuePolicy(Policy):
-    """Ordering of waiting jobs for one service pass."""
+    """Ordering of waiting jobs for one service pass.
+
+    Besides ordering, a queue policy that can forecast its priorities
+    answers :meth:`crossing_time`, which lets the preemption engines
+    skip timer passes that cannot act (see :meth:`PolicyKernel.on_timer`).
+    An ordering that overrides :meth:`priority` must override
+    :meth:`crossing_time` to match, or leave the base's "cannot tell".
+    """
 
     @abstractmethod
     def priority(self, job: Job, now: float) -> float:
         """The job's service priority at *now* (higher serves earlier)."""
+
+    def crossing_time(
+        self, waiter: Job, runner: Job, factor: float, now: float
+    ) -> float | None:
+        """When *waiter*'s priority first reaches ``factor x`` *runner*'s.
+
+        Assumes neither changes state after *now*: *waiter* stays queued
+        and *runner* keeps running.  Returns a time ``>= now`` (*now* when
+        already reached), ``inf`` when never, or ``None`` when this
+        ordering cannot tell -- the default, which keeps every timer pass.
+        """
+        return None
 
     def order(
         self,
@@ -245,6 +265,14 @@ class PreemptionPolicy(Policy):
     #: the kernel's periodic-tick interval (``None`` = no timer)
     timer_interval: float | None = None
 
+    def __init__(self) -> None:
+        super().__init__()
+        #: starts, resumes and suspensions of the current service pass;
+        #: engines reset it at pass entry and count their own actions
+        self._pass_actions = 0
+        #: (eligible-at, width) per running job, reused by _first_action_time
+        self._scratch_times: list[tuple[float, int]] = []
+
     def on_arrival(self, job: Job) -> None:
         """Arrival-time action before the service pass (IS grants the
         arriving job its immediate timeslice here)."""
@@ -257,6 +285,82 @@ class PreemptionPolicy(Policy):
         """Serve the queue once.  The default is the non-preemptive
         backfill pass; sweep engines override with their own walk."""
         self.kernel.backfill_pass()
+
+    # ------------------------------------------------------------------
+    # timer-pass skipping (see PolicyKernel.on_timer)
+    # ------------------------------------------------------------------
+    def quiet_until(self) -> float:
+        """Right after a suspension-allowed pass: a time before which no
+        later such pass can start, resume or suspend anything, if no
+        arrival, finish or kill comes first.
+
+        The default, ``-inf``, keeps every pass; the sweep engines
+        answer through :meth:`_first_action_time`.
+        """
+        return -inf
+
+    def _first_action_time(self) -> float:
+        """The earliest time any waiting job's own test could pass.
+
+        ``-inf`` when the pass just run acted or an eligibility time
+        cannot be told.  Skipping the passes before this time is exact:
+        between events nothing a pass tests changes except the clocks
+        :meth:`_eligible_at` forecasts.
+        """
+        if self._pass_actions:
+            return -inf
+        driver = self.driver
+        now = driver.now
+        cluster = driver.cluster
+        free = cluster.free_count
+        running = driver.running_jobs()
+        times = self._scratch_times
+        first = inf
+        for job in driver.queued_jobs():
+            if job.needs_specific_procs:
+                # a re-entry acts once every owner of its processors is
+                # eligible
+                at = now
+                for owner_id in cluster.owners_in_mask(job.suspended_mask):
+                    owner = driver.running_job(owner_id)
+                    if owner is None:  # pragma: no cover - busy bits are owned
+                        continue
+                    eligible = self._eligible_at(job, owner, True, now)
+                    if eligible is None:
+                        return -inf
+                    at = max(at, eligible)
+                    if at >= first:
+                        break  # cannot lower the bound
+                first = min(first, at)
+                continue
+            # a fresh start acts once free processors plus the victims
+            # eligible by then cover its request
+            times.clear()
+            for victim in running:
+                eligible = self._eligible_at(job, victim, False, now)
+                if eligible is None:
+                    return -inf
+                if eligible < first:  # none at or past the bound can lower it
+                    times.append((eligible, len(victim.allocated_procs)))
+            times.sort()
+            need = job.procs - free
+            at = now
+            for eligible, width in times:
+                if need <= 0:
+                    break
+                need -= width
+                at = eligible
+            if need <= 0:
+                first = at
+        return first
+
+    def _eligible_at(
+        self, waiter: Job, victim: Job, reentry: bool, now: float
+    ) -> float | None:
+        """When *victim* first passes *waiter*'s per-victim tests, with
+        nothing changing state after *now*: ``inf`` when not before the
+        next event, ``None`` when this policy cannot tell (the default)."""
+        return None
 
 
 # ======================================================================
@@ -283,12 +387,50 @@ class SuspensionPriorityOrder(QueuePolicy):
     def priority(self, job: Job, now: float) -> float:
         return suspension_priority(job, now)
 
+    def crossing_time(
+        self, waiter: Job, runner: Job, factor: float, now: float
+    ) -> float:
+        """Linear: a waiter's xfactor rises at ``1 / estimate`` per
+        second and a runner's is frozen."""
+        gap = factor * runner.xfactor(now) - waiter.xfactor(now)
+        return now + max(gap, 0.0) * waiter.estimate
+
 
 class InstantaneousPriorityOrder(QueuePolicy):
     """Descending instantaneous xfactor -- the IS victim/service order."""
 
     def priority(self, job: Job, now: float) -> float:
         return instantaneous_priority(job, now)
+
+    def crossing_time(
+        self, waiter: Job, runner: Job, factor: float, now: float
+    ) -> float:
+        """The positive root of a quadratic.
+
+        ``(w + a) / a`` with the waiter's wait ``w`` rising and its
+        service ``a`` fixed, against ``(W + A) / A`` with the runner's
+        service ``A`` rising and its wait ``W`` fixed.  At ``now + t``
+        the test ``waiter >= factor x runner`` reads, times
+        ``a (A + t) > 0``::
+
+            t^2 + (w + a + A - factor a) t + (w + a) A - factor a (W + A) >= 0
+
+        The waiter's priority rises and the runner's falls, so the sign
+        changes at most once: reached now if the constant term is
+        ``>= 0``, else at the one positive root.
+        """
+        a = waiter.accrued(now)
+        if a <= 0.0:
+            return now  # never run: infinite priority
+        w = waiter.waited(now)
+        big_a = runner.accrued(now)
+        b = w + a + big_a - factor * a
+        c = (w + a) * big_a - factor * a * (runner.waited(now) + big_a)
+        if c >= 0.0:
+            return now
+        root = sqrt(b * b - 4.0 * c)
+        # the cancellation-free form of (root - b) / 2 when b > 0
+        return now + ((root - b) / 2.0 if b <= 0.0 else -2.0 * c / (b + root))
 
 
 # ======================================================================
@@ -676,6 +818,15 @@ class SweepPreemption(PreemptionPolicy):
     list with its lazy dead set, the incrementally-updated pinned mask,
     and the empty-queue / no-free-processor early exits (the bench gate
     pins their effect; see ``benchmarks/bench_micro.py``).
+
+    After an untraced timer sweep that started, resumed and suspended
+    nothing, :meth:`quiet_until` tells the kernel when the next sweep
+    could act: a victim qualifies for a waiting job once the queue
+    policy's :meth:`~QueuePolicy.crossing_time` says the job's xfactor
+    reaches SF x the victim's; width-ruled and limit-protected victims
+    never qualify before the next event.  The kernel skips the ticks
+    before then.  Under the reservation guard (``ss-easy``) the engine
+    gives no bound and every sweep runs.
     """
 
     def __init__(
@@ -764,6 +915,36 @@ class SweepPreemption(PreemptionPolicy):
         return None if limit == float("inf") else limit
 
     # ------------------------------------------------------------------
+    # timer-pass skipping
+    # ------------------------------------------------------------------
+    def quiet_until(self) -> float:
+        if self.kernel.reservation.guards_preemption:
+            # the guard's anchor can move with `now` (remaining_estimate
+            # floors at 1 s once a job outlives its estimate): no bound
+            return -inf
+        return self._first_action_time()
+
+    def _eligible_at(
+        self, waiter: Job, victim: Job, reentry: bool, now: float
+    ) -> float | None:
+        """Width-ruled and limit-protected victims never qualify before
+        the next event; the rest once *waiter* clears the SF threshold."""
+        if not self.criteria.width_allows(
+            waiter.procs, len(victim.allocated_procs), reentry
+        ):
+            return inf
+        queue = self.kernel.queue
+        if self.limits is not None and not self.victim_preemptable(
+            victim, queue.priority(victim, now)
+        ):
+            # the limit holds while the victim's priority cannot fall:
+            # the suspension order freezes it while the victim runs
+            return inf if isinstance(queue, SuspensionPriorityOrder) else None
+        return queue.crossing_time(
+            waiter, victim, self.criteria.suspension_factor, now
+        )
+
+    # ------------------------------------------------------------------
     # the sweep
     # ------------------------------------------------------------------
     def sweep(self, allow_suspension: bool) -> None:
@@ -800,6 +981,7 @@ class SweepPreemption(PreemptionPolicy):
         whole queue.
         """
         driver = self.driver
+        self._pass_actions = 0
         if not allow_suspension and not driver.cluster.free_mask:
             # Decision-equivalent fast path: without suspension, every
             # start (can_allocate) and resume (can_allocate_mask on a
@@ -869,6 +1051,7 @@ class SweepPreemption(PreemptionPolicy):
         """A queued job entered running mid-sweep: it is now a potential
         victim for later idle jobs, exactly as the old per-call re-sort
         would have picked it up."""
+        self._pass_actions += 1
         if self._sweep_active and self._sweep_suspension:
             insort(self._sweep_victims, (priorities[job.job_id], job.job_id, job))
 
@@ -883,6 +1066,7 @@ class SweepPreemption(PreemptionPolicy):
     def _note_suspended(self, victim: Job, released_mask: int) -> None:
         """A running job was suspended mid-sweep: its processors pin and
         it leaves the victim list (lazily, via the dead set)."""
+        self._pass_actions += 1
         if self._sweep_active:
             self._sweep_pinned |= released_mask
             self._sweep_dead.add(victim.job_id)
@@ -1222,6 +1406,13 @@ class TimeslicePreemption(PreemptionPolicy):
     sweep re-serves waiting jobs against unprotected victims of
     *strictly lower* priority.  See :mod:`repro.core.immediate_service`
     for the policy rationale and the pinned-down unstated details.
+
+    After an untraced timer sweep that did nothing, :meth:`quiet_until`
+    bounds when the next one could act: a victim qualifies once its
+    protection window has ended and the waiting job's priority has
+    reached its own (:meth:`~QueuePolicy.crossing_time` with factor 1:
+    a quadratic, since a running job's instantaneous xfactor falls
+    while a waiter's rises).  The kernel skips the ticks before then.
     """
 
     def __init__(
@@ -1280,6 +1471,25 @@ class TimeslicePreemption(PreemptionPolicy):
         pending = job.pending_overhead
         driver.start_job(job)
         self._protected_until[job.job_id] = driver.now + pending + self.timeslice
+        self._pass_actions += 1
+
+    def _suspend(self, victim: Job, preemptor: Job) -> None:
+        self.driver.suspend_job(victim, preemptor=preemptor.job_id)
+        self._protected_until.pop(victim.job_id, None)
+        self._pass_actions += 1
+
+    def quiet_until(self) -> float:
+        return self._first_action_time()
+
+    def _eligible_at(
+        self, waiter: Job, victim: Job, reentry: bool, now: float
+    ) -> float | None:
+        """Once its protection window ends and *waiter*'s priority
+        reaches the victim's (the test itself is strict)."""
+        crossing = self.kernel.queue.crossing_time(waiter, victim, 1.0, now)
+        if crossing is None:
+            return None
+        return max(crossing, self._protected_until.get(victim.job_id, -inf))
 
     def _grant_immediate_service(self, job: Job) -> bool:
         """Arrival path: start *job* now, preempting if necessary."""
@@ -1300,8 +1510,7 @@ class TimeslicePreemption(PreemptionPolicy):
             return False
         self._record_grant(job, chosen, limit_priority=None, path="arrival")
         for victim in chosen:
-            driver.suspend_job(victim, preemptor=job.job_id)
-            self._protected_until.pop(victim.job_id, None)
+            self._suspend(victim, job)
         self._start(job)
         return True
 
@@ -1395,6 +1604,7 @@ class TimeslicePreemption(PreemptionPolicy):
         """Serve waiting jobs: free processors first, then preemption."""
         driver = self.driver
         now = driver.now
+        self._pass_actions = 0
         waiting = sorted(
             driver.queued_jobs(),
             key=lambda j: (-self._priority(j, now), j.submit_time, j.job_id),
@@ -1424,8 +1634,7 @@ class TimeslicePreemption(PreemptionPolicy):
             return False
         self._record_grant(job, chosen, limit_priority=my_priority, path="sweep")
         for victim in chosen:
-            driver.suspend_job(victim, preemptor=job.job_id)
-            self._protected_until.pop(victim.job_id, None)
+            self._suspend(victim, job)
         self._start(job)
         return True
 
@@ -1491,8 +1700,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 victims=verdicts,
             )
         for victim in sorted(owners, key=lambda o: o.job_id):
-            driver.suspend_job(victim, preemptor=job.job_id)
-            self._protected_until.pop(victim.job_id, None)
+            self._suspend(victim, job)
         if driver.cluster.can_allocate_specific(needed):
             self._start(job)
             return True
@@ -1519,7 +1727,8 @@ class PolicyKernel(Scheduler):
     * ``on_finish`` -- the preemption policy observes the completion
       (TSS calibration), then either the reservation policy recomputes
       guarantees or a no-suspension service pass fills the hole.
-    * ``on_timer`` -- the full (suspension-allowed) service pass.
+    * ``on_timer`` -- the full (suspension-allowed) service pass; in
+      untraced runs it is skipped on ticks that provably cannot act.
     * ``on_kill`` -- reschedules when the backfill policy asks for it
       (speculative test runs).
 
@@ -1554,6 +1763,8 @@ class PolicyKernel(Scheduler):
         self.backfill = backfill
         self.preemption = preemption
         self.timer_interval = preemption.timer_interval
+        #: timer passes before this time cannot act (see on_timer)
+        self._quiet_before = -inf
         for policy in self._axes():
             policy.bind_kernel(self)
 
@@ -1569,10 +1780,12 @@ class PolicyKernel(Scheduler):
         return cfg
 
     def on_begin(self) -> None:
+        self._quiet_before = -inf
         for policy in self._axes():
             policy.on_begin()
 
     def on_arrival(self, job: Job) -> None:
+        self._quiet_before = -inf
         self.preemption.on_arrival(job)
         if self.reservation.handles_arrival:
             self.reservation.on_arrival(job)
@@ -1580,6 +1793,7 @@ class PolicyKernel(Scheduler):
         self.preemption.service_pass(False)
 
     def on_finish(self, job: Job) -> None:
+        self._quiet_before = -inf
         self.preemption.observe_finish(job)
         if self.reservation.handles_finish:
             self.reservation.on_finish(job)
@@ -1587,9 +1801,24 @@ class PolicyKernel(Scheduler):
         self.preemption.service_pass(False)
 
     def on_timer(self) -> None:
+        """The suspension-allowed pass, skipped while it cannot act.
+
+        After an untraced pass the preemption policy bounds when the
+        next one could act (:meth:`PreemptionPolicy.quiet_until`); until
+        the last tick before that time, ticks return at once.  Running
+        that one early tick absorbs float error in the crossing times.
+        An arrival, finish or kill reopens every tick.  Traced runs keep
+        every pass, because each denied preemption is a decision record.
+        """
+        driver = self.driver
+        if driver.now < self._quiet_before:
+            return
         self.preemption.service_pass(True)
+        if driver.tracer is None and self.timer_interval:
+            self._quiet_before = self.preemption.quiet_until() - self.timer_interval
 
     def on_kill(self, job: Job) -> None:
+        self._quiet_before = -inf
         if self.backfill.resched_on_kill:
             self.preemption.service_pass(False)
 

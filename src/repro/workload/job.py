@@ -202,10 +202,16 @@ class Job:
     def remaining_estimate(self) -> float:
         """Scheduler-visible remaining occupancy, from the user estimate.
 
-        ``max(estimate - useful_done, 0) + pending_overhead`` -- what a
+        ``max(estimate - useful_done, 1) + pending_overhead`` -- what a
         backfilling profile should budget for this job if (re)started now.
-        A small floor keeps profiles sane when a job outlives its estimate
-        (possible with real, under-estimated traces).
+        The 1 s floor keeps profiles sane when a job outlives its
+        estimate (possible with real, under-estimated traces).  Such a
+        job is always planned to need one more second, and
+        ``AvailabilityProfile.claim_running`` floors a running one the
+        same way, so plans made at different times differ: an anchor
+        re-planned at every sweep -- the ``ss-easy`` sweep guard -- can
+        move between two events, which is why ``ss-easy`` never skips a
+        timer sweep.
         """
         rem = max(self.estimate - self.useful_done, 1.0)
         return rem + self.pending_overhead

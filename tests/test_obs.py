@@ -5,7 +5,9 @@ The contracts under test (docs/TRACING.md):
 * **zero-overhead-when-off** -- no recorder (or a disabled one) means
   ``driver.tracer is None`` and ``result.counters is None``;
 * **schedule identity** -- tracing changes no decisions: a traced run
-  is event-for-event identical to the untraced run of the same inputs;
+  is event-for-event identical to the untraced run of the same inputs,
+  although untraced SS, TSS and IS skip the timer passes that cannot
+  act and traced runs keep every pass;
 * **three-way consistency** -- for SS, TSS, IS and NS alike, the
   driver's totals, the counters maintained during emission, and an
   independent replay of the event stream all agree (per-job suspension
@@ -25,6 +27,7 @@ import pytest
 
 from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
+from repro.core.priorities import PreemptionCriteria
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
@@ -40,6 +43,21 @@ from repro.obs import (
 )
 from repro.obs.events import DECISION_ACTIONS
 from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.hybrids import (
+    SuspensionWithHeadGuarantee,
+    TunableSuspensionWithGuarantees,
+)
+from repro.schedulers.policy import (
+    FifoOrder,
+    GreedyBackfill,
+    NoBackfill,
+    NoReservations,
+    PolicyKernel,
+    PreemptionPolicy,
+    QueuePolicy,
+    SweepPreemption,
+    TimeslicePreemption,
+)
 from repro.sim.audit import audit_result
 from repro.workload.synthetic import generate_trace
 
@@ -99,11 +117,104 @@ def schedule_signature(result):
     )
 
 
-@pytest.mark.parametrize("scheme", sorted(SCHEDULER_FACTORIES))
-def test_traced_run_identical_to_untraced(trace_jobs, scheme):
-    plain = simulate(trace_jobs, SCHEDULER_FACTORIES[scheme](), N_PROCS)
-    traced, _ = traced_run(trace_jobs, scheme)
+#: case -> (scheduler factory, simulate options): every scheme above, both
+#: hybrids, and one run with suspension overhead on the migratable model.
+#: Untraced runs skip timer passes that cannot act; traced runs keep them.
+IDENTITY_CASES = {
+    **{scheme: (factory, {}) for scheme, factory in SCHEDULER_FACTORIES.items()},
+    "tss-conservative": (
+        lambda: TunableSuspensionWithGuarantees(suspension_factor=1.5),
+        {},
+    ),
+    "ss-easy": (lambda: SuspensionWithHeadGuarantee(suspension_factor=1.5), {}),
+    "ss-disk-migratable": (
+        SCHEDULER_FACTORIES["ss"],
+        {"overhead_model": DiskSwapOverheadModel(), "migratable": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+def test_traced_run_identical_to_untraced(trace_jobs, case):
+    factory, options = IDENTITY_CASES[case]
+    plain = simulate(trace_jobs, factory(), N_PROCS, **options)
+    traced = simulate(
+        trace_jobs, factory(), N_PROCS, recorder=InMemoryRecorder(), **options
+    )
     assert schedule_signature(plain) == schedule_signature(traced)
+
+
+def _fifo_sweep() -> PolicyKernel:
+    """The SS sweep over a FIFO queue, which cannot forecast priorities."""
+    return PolicyKernel(
+        scheme_id="fifo-sweep",
+        display_name="fifo-sweep",
+        queue=FifoOrder(),
+        reservation=NoReservations(),
+        backfill=GreedyBackfill(),
+        preemption=SweepPreemption(PreemptionCriteria(suspension_factor=1.5)),
+    )
+
+
+@pytest.mark.parametrize("case", ["ss", "tss", "is", "ss-easy", "fifo-sweep"])
+def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monkeypatch):
+    """Untraced SS, TSS and IS walk the queue fewer times than their
+    traced twins, which keep every pass; ``ss-easy`` and a queue policy
+    without crossing times never skip."""
+    walks = [0]
+
+    def counted(method):
+        def wrapper(self, *args, **kwargs):
+            walks[0] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    # the SS/TSS sweep orders the queue once per walk; IS walks in _sweep
+    monkeypatch.setattr(QueuePolicy, "order", counted(QueuePolicy.order))
+    monkeypatch.setattr(FifoOrder, "order", counted(FifoOrder.order))
+    monkeypatch.setattr(TimeslicePreemption, "_sweep", counted(TimeslicePreemption._sweep))
+    factory = _fifo_sweep if case == "fifo-sweep" else IDENTITY_CASES[case][0]
+    simulate(trace_jobs, factory(), N_PROCS)
+    untraced, walks[0] = walks[0], 0
+    simulate(trace_jobs, factory(), N_PROCS, recorder=InMemoryRecorder())
+    traced = walks[0]
+    assert traced > 0
+    if case in ("ss-easy", "fifo-sweep"):
+        assert untraced == traced
+    else:
+        assert untraced < traced
+
+
+def test_preemption_policy_without_a_bound_keeps_every_timer_pass(trace_jobs):
+    """A timer policy that does not answer ``quiet_until`` is never
+    skipped, even while nothing waits."""
+
+    class Ticker(PreemptionPolicy):
+        timer_interval = 60.0
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.passes = 0
+
+        def service_pass(self, allow_suspension: bool) -> None:
+            self.passes += allow_suspension
+            self.kernel.backfill_pass()
+
+    def run(recorder):
+        ticker = Ticker()
+        kernel = PolicyKernel(
+            scheme_id="ticker",
+            display_name="ticker",
+            queue=FifoOrder(),
+            reservation=NoReservations(),
+            backfill=NoBackfill(),
+            preemption=ticker,
+        )
+        simulate(trace_jobs[:40], kernel, N_PROCS, recorder=recorder)
+        return ticker.passes
+
+    assert run(None) == run(InMemoryRecorder()) > 0
 
 
 # ----------------------------------------------------------------------

@@ -367,3 +367,89 @@ def test_audit_accepts_every_generated_schedule(raw):
         jobs, TunableSelectiveSuspensionScheduler(suspension_factor=2.0), n_procs=N_PROCS
     )
     audit_result(result)
+
+
+# ----------------------------------------------------------------------
+# timer-pass skipping: an untraced run skips the timer passes that cannot
+# act, a traced run keeps every pass (each denial is a decision record),
+# so the traced twin is the every-pass reference
+# ----------------------------------------------------------------------
+def _sweep_scheme(scheme: str, sf: float, jobs: list[Job]):
+    from repro.core.immediate_service import ImmediateServiceScheduler
+    from repro.core.selective_suspension import SelectiveSuspensionScheduler
+    from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
+    from repro.schedulers.hybrids import (
+        SuspensionWithHeadGuarantee,
+        TunableSuspensionWithGuarantees,
+    )
+
+    if scheme == "ss":
+        return SelectiveSuspensionScheduler(suspension_factor=sf)
+    if scheme == "tss-online":
+        return TunableSelectiveSuspensionScheduler(suspension_factor=sf)
+    if scheme == "tss-calibrated":
+        baseline = run_sim(
+            [j.copy_static() for j in jobs], EasyBackfillScheduler(), n_procs=N_PROCS
+        )
+        return TunableSelectiveSuspensionScheduler(
+            suspension_factor=sf, limits=limits_from_result(baseline)
+        )
+    if scheme == "tss-conservative":
+        return TunableSuspensionWithGuarantees(suspension_factor=sf)
+    if scheme == "ss-easy":
+        return SuspensionWithHeadGuarantee(suspension_factor=sf)
+    assert scheme == "is"
+    return ImmediateServiceScheduler()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    job_lists,
+    st.sampled_from([1.0, 10.0, 100.0]),  # arrival compression
+    st.sampled_from(
+        ["ss", "tss-online", "tss-calibrated", "tss-conservative", "ss-easy", "is"]
+    ),
+    st.sampled_from([1.0, 1.5, 2.0, 5.0]),
+    st.sampled_from(["none", "fixed", "disk"]),
+    st.booleans(),
+)
+def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overhead, migratable):
+    """Skipping no-op timer passes changes no decision and no total."""
+    from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
+    from repro.experiments.parallel import outcome_fingerprint
+    from repro.experiments.runner import simulate
+    from repro.obs import InMemoryRecorder
+
+    jobs = build_jobs([(s / compress, r, p, e) for s, r, p, e in raw])
+    # overheads well under one sweep interval: at SF 1 two jobs can swap
+    # at every sweep, and a charge that fills the interval leaves neither
+    # any progress (the run would never end)
+    model = {
+        "none": None,
+        "fixed": FixedOverheadModel(seconds=5.0),
+        "disk": DiskSwapOverheadModel(default_memory_range_mb=(1.0, 10.0)),
+    }[overhead]
+
+    def run(recorder):
+        return simulate(
+            jobs,
+            _sweep_scheme(scheme, sf, jobs),
+            N_PROCS,
+            overhead_model=model,
+            migratable=migratable,
+            recorder=recorder,
+        )
+
+    plain, traced = run(None), run(InMemoryRecorder())
+    assert outcome_fingerprint(plain.jobs) == outcome_fingerprint(traced.jobs)
+    for total in (
+        "busy_proc_seconds",
+        "makespan",
+        "total_suspensions",
+        "total_kills",
+        "events_dispatched",
+        "last_arrival",
+        "busy_in_arrival_window",
+        "arrival_window_closed",
+    ):
+        assert getattr(plain, total) == getattr(traced, total), total

@@ -87,14 +87,6 @@ class LegacyCluster:
     def owner_of(self, proc: int) -> int | None:
         return self._owner.get(proc)
 
-    def owners_overlapping(self, procs: Iterable[int]) -> set[int]:
-        out: set[int] = set()
-        for p in procs:
-            owner = self._owner.get(p)
-            if owner is not None:
-                out.add(owner)
-        return out
-
     def can_allocate(self, count: int) -> bool:
         return count <= len(self._free)
 
@@ -377,7 +369,7 @@ class LegacySweepScheduler(Scheduler):
         if not allow_suspension:
             return False
         idle_priority = priorities[job.job_id]
-        owner_ids = driver.cluster.owners_overlapping(needed)
+        owner_ids = {driver.cluster.owner_of(p) for p in needed} - {None}
         owners = sorted(
             (r for r in driver.running_jobs() if r.job_id in owner_ids),
             key=lambda r: r.job_id,

@@ -13,8 +13,9 @@ in the paper's model; see :mod:`repro.cluster` for context.
 The free pool is kept as an integer bitmask (bit ``p`` set = processor
 ``p`` free), with a per-owner bitmask and a proc->owner array alongside.
 Set algebra on processor sets is then word-parallel big-int arithmetic:
-``can_allocate_specific`` is one AND, ``allocate``/``release`` are a
-handful of bitops, and ``owners_overlapping`` reads an array.  For the
+``can_allocate_mask`` is one AND, ``allocate``/``release`` are a
+handful of bitops, and ``owners_in_mask`` steps one owner (not one
+processor) per bitop.  For the
 machine sizes in the paper (100-430 processors) every mask fits in a few
 machine words, so these operations cost O(n_procs / 64) instead of
 per-processor set/dict churn.  :meth:`free_set` materialises a frozenset
@@ -104,16 +105,6 @@ class Cluster:
     def owner_mask(self, owner: int) -> int:
         """Bitmask of processors held by job *owner* (0 if none)."""
         return self._owner_masks.get(owner, 0)
-
-    def owners_overlapping(self, procs: Iterable[int]) -> set[int]:
-        """Distinct job ids holding any processor in *procs*."""
-        out: set[int] = set()
-        for p in procs:
-            if 0 <= p < self.n_procs:
-                owner = self._proc_owner[p]
-                if owner is not None:
-                    out.add(owner)
-        return out
 
     def owners_in_mask(self, mask: int) -> tuple[int, ...]:
         """Distinct job ids holding processors in *mask*.

@@ -13,6 +13,11 @@ Contract
   queue, :meth:`Scheduler.on_finish` after a job's processors were
   released, and :meth:`Scheduler.on_timer` on each periodic tick (only
   if :attr:`Scheduler.timer_interval` is not ``None``).
+* Ticks are skipped, not dispatched, when nothing is traced or probed
+  and they fall before both :meth:`Scheduler.quiet_until` (less one
+  interval) and the next arrival, finish or kill.  A scheduler whose
+  bound is valid therefore sees the same schedule either way; skipped
+  ticks still count in ``events_dispatched``.
 * Inside a hook the scheduler may call ``self.driver.start_job(job)``
   and ``self.driver.suspend_job(job)``; both take effect immediately
   (processors move synchronously), so the scheduler can chain decisions
@@ -27,6 +32,7 @@ Contract
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,6 +86,16 @@ class Scheduler(ABC):
 
     def on_timer(self) -> None:
         """Periodic tick; only fired when :attr:`timer_interval` is set."""
+
+    def quiet_until(self) -> float:
+        """Right after :meth:`on_timer`: a time before which no later tick
+        can change anything, if no other event comes first.
+
+        An untraced, unprobed driver does not schedule the ticks before
+        then, but keeps the last one as a float margin.  The default,
+        ``-inf``, keeps every tick.
+        """
+        return -inf
 
     def on_kill(self, job: "Job") -> None:
         """A speculative run of *job* hit its deadline and was requeued.

@@ -267,9 +267,6 @@ class PreemptionPolicy(Policy):
 
     def __init__(self) -> None:
         super().__init__()
-        #: starts, resumes and suspensions of the current service pass;
-        #: engines reset it at pass entry and count their own actions
-        self._pass_actions = 0
         #: (eligible-at, width) per running job, reused by _first_action_time
         self._scratch_times: list[tuple[float, int]] = []
 
@@ -287,7 +284,7 @@ class PreemptionPolicy(Policy):
         self.kernel.backfill_pass()
 
     # ------------------------------------------------------------------
-    # timer-pass skipping (see PolicyKernel.on_timer)
+    # timer-tick skipping (see Scheduler.quiet_until)
     # ------------------------------------------------------------------
     def quiet_until(self) -> float:
         """Right after a suspension-allowed pass: a time before which no
@@ -302,13 +299,12 @@ class PreemptionPolicy(Policy):
     def _first_action_time(self) -> float:
         """The earliest time any waiting job's own test could pass.
 
-        ``-inf`` when the pass just run acted or an eligibility time
-        cannot be told.  Skipping the passes before this time is exact:
-        between events nothing a pass tests changes except the clocks
-        :meth:`_eligible_at` forecasts.
+        ``-inf`` when an eligibility time cannot be told.  Skipping the
+        passes before this time is exact: between events nothing a pass
+        tests changes except the clocks :meth:`_eligible_at` forecasts.
+        The walk reads only the state the last pass left, so the bound
+        holds whether or not that pass acted.
         """
-        if self._pass_actions:
-            return -inf
         driver = self.driver
         now = driver.now
         cluster = driver.cluster
@@ -819,14 +815,14 @@ class SweepPreemption(PreemptionPolicy):
     and the empty-queue / no-free-processor early exits (the bench gate
     pins their effect; see ``benchmarks/bench_micro.py``).
 
-    After an untraced timer sweep that started, resumed and suspended
-    nothing, :meth:`quiet_until` tells the kernel when the next sweep
-    could act: a victim qualifies for a waiting job once the queue
-    policy's :meth:`~QueuePolicy.crossing_time` says the job's xfactor
-    reaches SF x the victim's; width-ruled and limit-protected victims
-    never qualify before the next event.  The kernel skips the ticks
-    before then.  Under the reservation guard (``ss-easy``) the engine
-    gives no bound and every sweep runs.
+    After a timer sweep, :meth:`quiet_until` tells the driver when the
+    next sweep could act: a victim qualifies for a waiting job once the
+    queue policy's :meth:`~QueuePolicy.crossing_time` says the job's
+    xfactor reaches SF x the victim's; width-ruled and limit-protected
+    victims never qualify before the next event.  An untraced,
+    unprobed driver does not schedule the ticks before then.  Under the
+    reservation guard (``ss-easy``) the engine gives no bound and every
+    sweep runs.
     """
 
     def __init__(
@@ -981,7 +977,6 @@ class SweepPreemption(PreemptionPolicy):
         whole queue.
         """
         driver = self.driver
-        self._pass_actions = 0
         if not allow_suspension and not driver.cluster.free_mask:
             # Decision-equivalent fast path: without suspension, every
             # start (can_allocate) and resume (can_allocate_mask on a
@@ -1051,7 +1046,6 @@ class SweepPreemption(PreemptionPolicy):
         """A queued job entered running mid-sweep: it is now a potential
         victim for later idle jobs, exactly as the old per-call re-sort
         would have picked it up."""
-        self._pass_actions += 1
         if self._sweep_active and self._sweep_suspension:
             insort(self._sweep_victims, (priorities[job.job_id], job.job_id, job))
 
@@ -1066,7 +1060,6 @@ class SweepPreemption(PreemptionPolicy):
     def _note_suspended(self, victim: Job, released_mask: int) -> None:
         """A running job was suspended mid-sweep: its processors pin and
         it leaves the victim list (lazily, via the dead set)."""
-        self._pass_actions += 1
         if self._sweep_active:
             self._sweep_pinned |= released_mask
             self._sweep_dead.add(victim.job_id)
@@ -1407,12 +1400,13 @@ class TimeslicePreemption(PreemptionPolicy):
     *strictly lower* priority.  See :mod:`repro.core.immediate_service`
     for the policy rationale and the pinned-down unstated details.
 
-    After an untraced timer sweep that did nothing, :meth:`quiet_until`
-    bounds when the next one could act: a victim qualifies once its
-    protection window has ended and the waiting job's priority has
-    reached its own (:meth:`~QueuePolicy.crossing_time` with factor 1:
-    a quadratic, since a running job's instantaneous xfactor falls
-    while a waiter's rises).  The kernel skips the ticks before then.
+    After a timer sweep, :meth:`quiet_until` bounds when the next one
+    could act: a victim qualifies once its protection window has ended
+    and the waiting job's priority has reached its own
+    (:meth:`~QueuePolicy.crossing_time` with factor 1: a quadratic,
+    since a running job's instantaneous xfactor falls while a waiter's
+    rises).  An untraced, unprobed driver does not schedule the ticks
+    before then.
     """
 
     def __init__(
@@ -1471,12 +1465,10 @@ class TimeslicePreemption(PreemptionPolicy):
         pending = job.pending_overhead
         driver.start_job(job)
         self._protected_until[job.job_id] = driver.now + pending + self.timeslice
-        self._pass_actions += 1
 
     def _suspend(self, victim: Job, preemptor: Job) -> None:
         self.driver.suspend_job(victim, preemptor=preemptor.job_id)
         self._protected_until.pop(victim.job_id, None)
-        self._pass_actions += 1
 
     def quiet_until(self) -> float:
         return self._first_action_time()
@@ -1604,7 +1596,6 @@ class TimeslicePreemption(PreemptionPolicy):
         """Serve waiting jobs: free processors first, then preemption."""
         driver = self.driver
         now = driver.now
-        self._pass_actions = 0
         waiting = sorted(
             driver.queued_jobs(),
             key=lambda j: (-self._priority(j, now), j.submit_time, j.job_id),
@@ -1640,21 +1631,26 @@ class TimeslicePreemption(PreemptionPolicy):
 
     def _serve_reentry(self, job: Job) -> bool:
         driver = self.driver
-        needed = job.suspended_procs
-        if driver.cluster.can_allocate_specific(needed):
+        needed_mask = job.suspended_mask  # cached at suspension time
+        if driver.cluster.can_allocate_mask(needed_mask):
             self._start(job)
             return True
         now = driver.now
         tracer = driver.tracer
         my_priority = self._priority(job, now)
-        owner_ids = driver.cluster.owners_overlapping(needed)
-        owners = [r for r in driver.running_jobs() if r.job_id in owner_ids]
+        # ascending job id, so verdicts and suspensions keep one order
+        owners: list[Job] = []
+        for owner_id in sorted(driver.cluster.owners_in_mask(needed_mask)):
+            owner = driver.running_job(owner_id)
+            if owner is None:  # pragma: no cover - busy bits are owned
+                return False
+            owners.append(owner)
         # One protected or higher-priority squatter blocks the resume.
         # When tracing, classify every owner so the decision record is
         # complete (the checks are pure; scheduling is unchanged).
         verdicts: list[dict[str, Any]] | None = [] if tracer is not None else None
         blocking: str | None = None
-        for victim in sorted(owners, key=lambda o: o.job_id):
+        for victim in owners:
             p = self._priority(victim, now)
             if self._is_protected(victim):
                 cause = "protected"
@@ -1696,12 +1692,12 @@ class TimeslicePreemption(PreemptionPolicy):
                 requested=job.procs,
                 path="reentry",
                 timeslice=self.timeslice,
-                suspended=sorted(o.job_id for o in owners),
+                suspended=[o.job_id for o in owners],
                 victims=verdicts,
             )
-        for victim in sorted(owners, key=lambda o: o.job_id):
+        for victim in owners:
             self._suspend(victim, job)
-        if driver.cluster.can_allocate_specific(needed):
+        if driver.cluster.can_allocate_mask(needed_mask):
             self._start(job)
             return True
         return False  # pragma: no cover - owners covered all of `needed`
@@ -1727,8 +1723,9 @@ class PolicyKernel(Scheduler):
     * ``on_finish`` -- the preemption policy observes the completion
       (TSS calibration), then either the reservation policy recomputes
       guarantees or a no-suspension service pass fills the hole.
-    * ``on_timer`` -- the full (suspension-allowed) service pass; in
-      untraced runs it is skipped on ticks that provably cannot act.
+    * ``on_timer`` -- the full (suspension-allowed) service pass;
+      :meth:`quiet_until` lets an untraced, unprobed driver skip the
+      ticks that provably cannot act.
     * ``on_kill`` -- reschedules when the backfill policy asks for it
       (speculative test runs).
 
@@ -1763,8 +1760,6 @@ class PolicyKernel(Scheduler):
         self.backfill = backfill
         self.preemption = preemption
         self.timer_interval = preemption.timer_interval
-        #: timer passes before this time cannot act (see on_timer)
-        self._quiet_before = -inf
         for policy in self._axes():
             policy.bind_kernel(self)
 
@@ -1780,12 +1775,10 @@ class PolicyKernel(Scheduler):
         return cfg
 
     def on_begin(self) -> None:
-        self._quiet_before = -inf
         for policy in self._axes():
             policy.on_begin()
 
     def on_arrival(self, job: Job) -> None:
-        self._quiet_before = -inf
         self.preemption.on_arrival(job)
         if self.reservation.handles_arrival:
             self.reservation.on_arrival(job)
@@ -1793,7 +1786,6 @@ class PolicyKernel(Scheduler):
         self.preemption.service_pass(False)
 
     def on_finish(self, job: Job) -> None:
-        self._quiet_before = -inf
         self.preemption.observe_finish(job)
         if self.reservation.handles_finish:
             self.reservation.on_finish(job)
@@ -1801,24 +1793,14 @@ class PolicyKernel(Scheduler):
         self.preemption.service_pass(False)
 
     def on_timer(self) -> None:
-        """The suspension-allowed pass, skipped while it cannot act.
-
-        After an untraced pass the preemption policy bounds when the
-        next one could act (:meth:`PreemptionPolicy.quiet_until`); until
-        the last tick before that time, ticks return at once.  Running
-        that one early tick absorbs float error in the crossing times.
-        An arrival, finish or kill reopens every tick.  Traced runs keep
-        every pass, because each denied preemption is a decision record.
-        """
-        driver = self.driver
-        if driver.now < self._quiet_before:
-            return
+        """The full, suspension-allowed service pass."""
         self.preemption.service_pass(True)
-        if driver.tracer is None and self.timer_interval:
-            self._quiet_before = self.preemption.quiet_until() - self.timer_interval
+
+    def quiet_until(self) -> float:
+        """The preemption policy's bound (:meth:`PreemptionPolicy.quiet_until`)."""
+        return self.preemption.quiet_until()
 
     def on_kill(self, job: Job) -> None:
-        self._quiet_before = -inf
         if self.backfill.resched_on_kill:
             self.preemption.service_pass(False)
 

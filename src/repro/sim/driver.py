@@ -90,7 +90,9 @@ class SimulationResult:
     makespan: float
     #: total suspension operations performed
     total_suspensions: int
-    #: events dispatched (diagnostics)
+    #: events dispatched (diagnostics), counting the timer ticks an
+    #: untraced run skipped as dispatched, so traced and untraced runs
+    #: report the same number
     events_dispatched: int = 0
     #: speculative runs killed at their deadline (speculative backfilling)
     total_kills: int = 0
@@ -170,8 +172,10 @@ class SchedulingSimulation:
         reduces to a single ``is not None`` check -- the
         zero-overhead-when-off contract pinned by
         ``benchmarks/bench_micro.py``.  Tracing never changes the
-        schedule; traced and untraced runs are event-for-event
-        identical.
+        schedule: traced and untraced runs start, suspend and finish
+        the same jobs at the same times.  Untraced runs without a
+        *probe* leave out the timer ticks that cannot act (DESIGN.md
+        section 6).
     """
 
     def __init__(
@@ -352,9 +356,7 @@ class SchedulingSimulation:
         self._account_busy()
         released = job.allocated_procs
         self.cluster.release(released, job.job_id)
-        job.mark_suspended(self.now)
-        if self.migratable:
-            job.suspended_procs = frozenset()  # may restart anywhere
+        job.mark_suspended(self.now, pinned=not self.migratable)
         del self._running[job.job_id]
         self._queued[job.job_id] = job
         self.total_suspensions += 1
@@ -447,8 +449,34 @@ class SchedulingSimulation:
             self.scheduler.on_timer()
             interval = self.scheduler.timer_interval
             if interval and self._work_remains():
-                self.loop.after(interval, EventKind.TIMER)
+                self.loop.at(self._next_tick(interval), EventKind.TIMER)
         self._after_event()
+
+    def _next_tick(self, interval: float) -> float:
+        """When the next timer tick enters the calendar.
+
+        Untraced, unprobed runs jump over the ticks that fall before
+        both ``scheduler.quiet_until() - interval`` and the next
+        calendar event: handlers run only at events, so each such tick
+        would be a pass the scheduler's bound proves idle.  The jumped
+        ticks are charged to :attr:`EventLoop.dispatched`.  Keeping the
+        last tick before the bound absorbs float error in it.  Tick
+        times advance by repeated addition, so every tick placed is the
+        float the every-tick chain would reach.
+        """
+        tick = self.now + interval
+        if self.tracer is not None or self.probe is not None:
+            return tick  # every pass is a trace record / probe sample
+        next_event = self.loop.queue.peek_time()
+        if next_event is None or tick >= next_event:
+            return tick  # nothing to jump: the bound need not be asked
+        horizon = min(self.scheduler.quiet_until() - interval, next_event)
+        skipped = 0
+        while tick < horizon:
+            tick += interval
+            skipped += 1
+        self.loop.charge(skipped)
+        return tick
 
     def _work_remains(self) -> bool:
         return bool(self._queued or self._running or self._arrivals_pending > 0)

@@ -38,8 +38,9 @@ class EventLoop:
     start_time:
         Initial simulation clock value (seconds).
     max_events:
-        Hard cap on dispatched events; exceeded means a logic error
-        (e.g. a timer storm) and raises :class:`SimulationError`.
+        Hard cap on dispatched (and :meth:`charge`-d) events; exceeded
+        means a logic error (e.g. a timer storm) and raises
+        :class:`SimulationError`.
     """
 
     def __init__(self, start_time: float = 0.0, max_events: int = 50_000_000) -> None:
@@ -60,8 +61,24 @@ class EventLoop:
 
     @property
     def dispatched(self) -> int:
-        """Number of events dispatched so far."""
+        """Number of events dispatched so far, :meth:`charge`-d ones included."""
         return self._dispatched
+
+    def charge(self, count: int) -> None:
+        """Count *count* events as dispatched, under the ``max_events`` budget.
+
+        :meth:`step` charges each event it pops.  A driver charges the
+        events it proved to be no-ops and therefore never scheduled
+        (skipped timer ticks, see :mod:`repro.sim.driver`), so
+        :attr:`dispatched` and the budget see them as if each had been
+        popped and handled.
+        """
+        self._dispatched += count
+        if self._dispatched > self._max_events:
+            raise SimulationError(
+                f"event budget exhausted ({self._max_events} events); "
+                "likely a timer storm or a livelocked scheduler"
+            )
 
     # ------------------------------------------------------------------
     # registration & scheduling
@@ -132,12 +149,7 @@ class EventLoop:
         handler = self._handlers.get(event.kind)
         if handler is None:
             raise SimulationError(f"no handler registered for {event.kind!r}")
-        self._dispatched += 1
-        if self._dispatched > self._max_events:
-            raise SimulationError(
-                f"event budget exhausted ({self._max_events} events); "
-                "likely a timer storm or a livelocked scheduler"
-            )
+        self.charge(1)
         handler(event)
         return event
 

@@ -246,13 +246,18 @@ class Job:
         if self.first_start_time is None:
             self.first_start_time = now
 
-    def mark_suspended(self, now: float) -> None:
-        """RUNNING -> QUEUED, remembering the processor set for resume."""
+    def mark_suspended(self, now: float, pinned: bool = True) -> None:
+        """RUNNING -> QUEUED, remembering the processor set for resume.
+
+        With ``pinned=False`` (a migratable machine) the job may restart
+        anywhere, so it keeps neither a processor set nor its mask.
+        """
         self._require_state(JobState.RUNNING, "suspend")
         self._advance_clocks(now)
         self.state = JobState.QUEUED
-        self.suspended_procs = self.allocated_procs
-        self.suspended_mask = mask_from_ids(self.suspended_procs)
+        if pinned:
+            self.suspended_procs = self.allocated_procs
+            self.suspended_mask = mask_from_ids(self.suspended_procs)
         self.allocated_procs = frozenset()
         self.suspension_count += 1
         self.epoch += 1

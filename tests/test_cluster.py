@@ -159,15 +159,6 @@ def test_can_allocate_specific():
     assert not c.can_allocate_specific({0, 1})
 
 
-def test_owners_overlapping():
-    c = Cluster(8)
-    c.allocate_specific({0, 1}, owner=10)
-    c.allocate_specific({2, 3}, owner=20)
-    assert c.owners_overlapping({1, 2}) == {10, 20}
-    assert c.owners_overlapping({4, 5}) == set()
-    assert c.owners_overlapping({0}) == {10}
-
-
 def test_interleaved_allocate_release_consistency():
     c = Cluster(10)
     a = c.allocate(4, owner=1)

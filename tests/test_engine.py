@@ -150,6 +150,28 @@ def test_dispatched_counter():
     assert loop.dispatched == 5
 
 
+def test_charged_events_count_as_dispatched():
+    loop, _ = collecting_loop()
+    loop.at(0.0, EventKind.GENERIC)
+    loop.run()
+    loop.charge(4)
+    assert loop.dispatched == 5
+
+
+def test_charge_past_budget_raises_like_dispatch():
+    dispatching = EventLoop(max_events=3)
+    dispatching.on(EventKind.GENERIC, lambda ev: None)
+    for t in range(4):
+        dispatching.at(float(t), EventKind.GENERIC)
+    with pytest.raises(SimulationError) as dispatched:
+        dispatching.run()
+    charging = EventLoop(max_events=3)
+    charging.charge(3)
+    with pytest.raises(SimulationError) as charged:
+        charging.charge(1)
+    assert str(charged.value) == str(dispatched.value)
+
+
 def test_cancel_through_loop():
     loop, seen = collecting_loop()
     ev = loop.at(1.0, EventKind.GENERIC, "dead")

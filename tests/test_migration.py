@@ -22,11 +22,21 @@ def test_migratable_job_restarts_anywhere():
         SelectiveSuspensionScheduler(suspension_factor=1.2, preemption_interval=10.0),
         migratable=True,
     )
+    # right after each suspension the job pins nothing: neither a
+    # processor set nor its bitmask twin (which the SS sweep ORs into
+    # the pinned mask that steers fresh starts)
+    pins = []
+    suspend = sim.suspend_job
+
+    def recording_suspend(job, preemptor=None):
+        suspend(job, preemptor)
+        pins.append((job.suspended_procs, job.suspended_mask))
+
+    sim.suspend_job = recording_suspend
     sim.run([victim, preemptor, squatter])
-    # at least one suspension happened and everything drained anyway
     assert victim.state.value == "finished"
-    if victim.suspension_count:
-        assert not victim.needs_specific_procs  # pins were cleared
+    assert victim.suspension_count
+    assert pins and all(procs == frozenset() and mask == 0 for procs, mask in pins)
 
 
 def test_migration_never_hurts_drain():

@@ -5,9 +5,10 @@ The contracts under test (docs/TRACING.md):
 * **zero-overhead-when-off** -- no recorder (or a disabled one) means
   ``driver.tracer is None`` and ``result.counters is None``;
 * **schedule identity** -- tracing changes no decisions: a traced run
-  is event-for-event identical to the untraced run of the same inputs,
-  although untraced SS, TSS and IS skip the timer passes that cannot
-  act and traced runs keep every pass;
+  matches the untraced run of the same inputs job for job and total
+  for total (``events_dispatched`` included), although untraced SS,
+  TSS and IS never schedule the timer ticks that cannot act and traced
+  runs keep every tick;
 * **three-way consistency** -- for SS, TSS, IS and NS alike, the
   driver's totals, the counters maintained during emission, and an
   independent replay of the event stream all agree (per-job suspension
@@ -25,12 +26,14 @@ import math
 
 import pytest
 
+from repro.cluster.machine import Cluster
 from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.core.priorities import PreemptionCriteria
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments.runner import simulate
+from repro.metrics.timeseries import StateProbe
 from repro.obs import (
     DENIAL_CAUSES,
     EVENT_TYPES,
@@ -59,6 +62,8 @@ from repro.schedulers.policy import (
     TimeslicePreemption,
 )
 from repro.sim.audit import audit_result
+from repro.sim.driver import SchedulingSimulation
+from repro.workload.job import fresh_copies
 from repro.workload.synthetic import generate_trace
 
 N_PROCS = 128
@@ -117,9 +122,22 @@ def schedule_signature(result):
     )
 
 
+def _fifo_sweep() -> PolicyKernel:
+    """The SS sweep over a FIFO queue, which cannot forecast priorities."""
+    return PolicyKernel(
+        scheme_id="fifo-sweep",
+        display_name="fifo-sweep",
+        queue=FifoOrder(),
+        reservation=NoReservations(),
+        backfill=GreedyBackfill(),
+        preemption=SweepPreemption(PreemptionCriteria(suspension_factor=1.5)),
+    )
+
+
 #: case -> (scheduler factory, simulate options): every scheme above, both
-#: hybrids, and one run with suspension overhead on the migratable model.
-#: Untraced runs skip timer passes that cannot act; traced runs keep them.
+#: hybrids, the SS sweep over a FIFO queue, and one run with suspension
+#: overhead on the migratable model.  Untraced runs skip the timer ticks
+#: that cannot act; traced runs keep them.
 IDENTITY_CASES = {
     **{scheme: (factory, {}) for scheme, factory in SCHEDULER_FACTORIES.items()},
     "tss-conservative": (
@@ -127,6 +145,7 @@ IDENTITY_CASES = {
         {},
     ),
     "ss-easy": (lambda: SuspensionWithHeadGuarantee(suspension_factor=1.5), {}),
+    "fifo-sweep": (_fifo_sweep, {}),
     "ss-disk-migratable": (
         SCHEDULER_FACTORIES["ss"],
         {"overhead_model": DiskSwapOverheadModel(), "migratable": True},
@@ -144,46 +163,75 @@ def test_traced_run_identical_to_untraced(trace_jobs, case):
     assert schedule_signature(plain) == schedule_signature(traced)
 
 
-def _fifo_sweep() -> PolicyKernel:
-    """The SS sweep over a FIFO queue, which cannot forecast priorities."""
-    return PolicyKernel(
-        scheme_id="fifo-sweep",
-        display_name="fifo-sweep",
-        queue=FifoOrder(),
-        reservation=NoReservations(),
-        backfill=GreedyBackfill(),
-        preemption=SweepPreemption(PreemptionCriteria(suspension_factor=1.5)),
-    )
-
-
-@pytest.mark.parametrize("case", ["ss", "tss", "is", "ss-easy", "fifo-sweep"])
-def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monkeypatch):
-    """Untraced SS, TSS and IS walk the queue fewer times than their
-    traced twins, which keep every pass; ``ss-easy`` and a queue policy
-    without crossing times never skip."""
-    walks = [0]
+def _counting(monkeypatch, *targets):
+    """Patch each ``(class, method)`` to count its calls into one tally."""
+    calls = [0]
 
     def counted(method):
         def wrapper(self, *args, **kwargs):
-            walks[0] += 1
+            calls[0] += 1
             return method(self, *args, **kwargs)
 
         return wrapper
 
+    for cls, name in targets:
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["ss", "tss", "is", "ss-easy", "fifo-sweep"])
+def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monkeypatch):
+    """Untraced SS, TSS and IS walk the queue, and see timer ticks, fewer
+    times than their traced twins, which keep every tick; the skipped
+    ticks still count in ``events_dispatched``.  ``ss-easy`` never
+    skips.  A queue policy without crossing times walks every time and
+    skips only the ticks while nothing waits."""
     # the SS/TSS sweep orders the queue once per walk; IS walks in _sweep
-    monkeypatch.setattr(QueuePolicy, "order", counted(QueuePolicy.order))
-    monkeypatch.setattr(FifoOrder, "order", counted(FifoOrder.order))
-    monkeypatch.setattr(TimeslicePreemption, "_sweep", counted(TimeslicePreemption._sweep))
-    factory = _fifo_sweep if case == "fifo-sweep" else IDENTITY_CASES[case][0]
-    simulate(trace_jobs, factory(), N_PROCS)
-    untraced, walks[0] = walks[0], 0
-    simulate(trace_jobs, factory(), N_PROCS, recorder=InMemoryRecorder())
-    traced = walks[0]
-    assert traced > 0
-    if case in ("ss-easy", "fifo-sweep"):
+    walks = _counting(
+        monkeypatch,
+        (QueuePolicy, "order"),
+        (FifoOrder, "order"),
+        (TimeslicePreemption, "_sweep"),
+    )
+    ticks = _counting(monkeypatch, (PolicyKernel, "on_timer"))
+    factory = IDENTITY_CASES[case][0]
+    plain = simulate(trace_jobs, factory(), N_PROCS)
+    untraced = walks[0], ticks[0]
+    walks[0] = ticks[0] = 0
+    traced_result = simulate(trace_jobs, factory(), N_PROCS, recorder=InMemoryRecorder())
+    traced = walks[0], ticks[0]
+    assert traced[0] > 0
+    assert plain.events_dispatched == traced_result.events_dispatched
+    if case == "ss-easy":
         assert untraced == traced
+    elif case == "fifo-sweep":
+        assert untraced[0] == traced[0]
+        assert untraced[1] < traced[1]
     else:
-        assert untraced < traced
+        assert untraced[0] < traced[0]
+        assert untraced[1] < traced[1]
+
+
+def test_probed_run_keeps_every_timer_tick(trace_jobs, monkeypatch):
+    """A run with a :class:`StateProbe` sees every tick, like its traced
+    twin, and the probe records the same samples either way."""
+    ticks = _counting(monkeypatch, (PolicyKernel, "on_timer"))
+
+    def run(recorder):
+        probe = StateProbe(interval=60.0)
+        sim = SchedulingSimulation(
+            Cluster(N_PROCS),
+            SCHEDULER_FACTORIES["ss"](),
+            probe=probe,
+            recorder=recorder,
+        )
+        sim.run(fresh_copies(trace_jobs))
+        return probe.samples
+
+    probed = run(None)
+    probed_ticks, ticks[0] = ticks[0], 0
+    assert run(InMemoryRecorder()) == probed
+    assert probed_ticks == ticks[0] > 0
 
 
 def test_preemption_policy_without_a_bound_keeps_every_timer_pass(trace_jobs):

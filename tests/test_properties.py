@@ -414,7 +414,7 @@ def _sweep_scheme(scheme: str, sf: float, jobs: list[Job]):
     st.booleans(),
 )
 def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overhead, migratable):
-    """Skipping no-op timer passes changes no decision and no total."""
+    """Jumping the timer ticks that cannot act changes no decision and no total."""
     from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
     from repro.experiments.parallel import outcome_fingerprint
     from repro.experiments.runner import simulate

@@ -27,10 +27,9 @@ not claimed.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import pytest
 
+from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
 from repro.cluster.machine import AllocationError, Cluster
 from repro.core.priorities import PreemptionCriteria, suspension_priority
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
@@ -57,9 +56,15 @@ JOBS_CONGESTED = scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
 class LegacyCluster:
     """The set/dict cluster the bitmask :class:`Cluster` replaced.
 
-    Free pool as ``set[int]``, ownership as ``dict[proc, owner]``; same
-    public API and error behaviour, so it drops into the driver for the
-    ``*_legacy`` benches and the equivalence assertions.
+    Free pool as ``set[int]``, ownership as ``dict[proc, owner]``: the
+    reference keeps its internals.  The methods the driver calls take
+    and return bitmasks, as :class:`Cluster`'s do, so it drops into the
+    driver for the ``*_legacy`` benches and the equivalence assertions.
+    Each distinct mask is turned into ids once (:meth:`ids`), so the
+    boundary costs one conversion per set handed out rather than one
+    per call, and the ``*_legacy`` benches keep measuring the set/dict
+    kernel; :meth:`ids` and :meth:`free_set` are the set reads
+    :class:`LegacySweepScheduler` uses.
     """
 
     def __init__(self, n_procs: int, policy=None) -> None:
@@ -68,6 +73,10 @@ class LegacyCluster:
         self.n_procs = int(n_procs)
         self._free: set[int] = set(range(self.n_procs))
         self._owner: dict[int, int] = {}
+        #: mask -> its ids, for every mask converted so far
+        self._ids: dict[int, frozenset[int]] = {}
+        #: processor id -> its one-bit mask
+        self._bit = [1 << p for p in range(self.n_procs)]
         self.policy = policy or LowestIdFirst()
 
     @property
@@ -78,8 +87,19 @@ class LegacyCluster:
     def busy_count(self) -> int:
         return self.n_procs - len(self._free)
 
+    @property
+    def free_mask(self) -> int:
+        return mask_from_ids(self._free)
+
     def free_set(self) -> frozenset[int]:
         return frozenset(self._free)
+
+    def ids(self, mask: int) -> frozenset[int]:
+        """The processor ids of *mask*, converted once per distinct mask."""
+        ids = self._ids.get(mask)
+        if ids is None:
+            ids = self._ids[mask] = frozenset(iter_bits(mask))
+        return ids
 
     def is_free(self, proc: int) -> bool:
         return proc in self._free
@@ -90,10 +110,10 @@ class LegacyCluster:
     def can_allocate(self, count: int) -> bool:
         return count <= len(self._free)
 
-    def can_allocate_specific(self, procs: Iterable[int]) -> bool:
-        return all(p in self._free for p in procs)
+    def can_allocate_mask(self, mask: int) -> bool:
+        return all(p in self._free for p in self.ids(mask))
 
-    def allocate(self, count: int, owner: int) -> frozenset[int]:
+    def allocate(self, count: int, owner: int) -> int:
         if count <= 0:
             raise AllocationError(f"job {owner}: nonpositive request {count}")
         if count > self.n_procs:
@@ -104,11 +124,10 @@ class LegacyCluster:
             raise AllocationError(
                 f"job {owner}: requests {count}, only {len(self._free)} free"
             )
-        chosen = self.policy.select(self._free, count)
-        return self._claim(chosen, owner)
+        return self._claim(self.policy.select(self._free, count), owner)
 
-    def allocate_specific(self, procs: Iterable[int], owner: int) -> frozenset[int]:
-        chosen = frozenset(procs)
+    def allocate_mask(self, mask: int, owner: int) -> int:
+        chosen = self.ids(mask)
         if not chosen:
             raise AllocationError(f"job {owner}: empty specific allocation")
         missing = [p for p in chosen if p not in self._free]
@@ -118,14 +137,18 @@ class LegacyCluster:
             )
         return self._claim(chosen, owner)
 
-    def _claim(self, chosen: frozenset[int], owner: int) -> frozenset[int]:
+    def _claim(self, chosen: frozenset[int], owner: int) -> int:
+        bit = self._bit
+        mask = 0
         for p in chosen:
             self._owner[p] = owner
+            mask |= bit[p]
         self._free -= chosen
-        return chosen
+        self._ids[mask] = chosen
+        return mask
 
-    def release(self, procs: Iterable[int], owner: int) -> None:
-        procs = frozenset(procs)
+    def release(self, mask: int, owner: int) -> None:
+        procs = self._ids.get(mask) or self.ids(mask)
         for p in procs:
             actual = self._owner.get(p)
             if actual != owner:
@@ -136,6 +159,17 @@ class LegacyCluster:
         for p in procs:
             del self._owner[p]
         self._free |= procs
+
+
+class _IdViewCluster(Cluster):
+    """The bitmask :class:`Cluster` with the two set reads of
+    :class:`LegacySweepScheduler`, converted on every call."""
+
+    def ids(self, mask: int) -> frozenset[int]:
+        return frozenset(iter_bits(mask))
+
+    def free_set(self) -> frozenset[int]:
+        return frozenset(iter_bits(self.free_mask))
 
 
 class LegacyAvailabilityProfile(AvailabilityProfile):
@@ -224,7 +258,9 @@ class LegacySweepScheduler(Scheduler):
     benchmarking the optimised path.  Everything here is the legacy
     implementation: priorities recomputed per access, ``running_jobs()``
     re-sorted inside every ``_try_start``, the pinned set rebuilt from
-    the queue on every ``_place``, and all placement done on id sets.
+    the queue on every ``_place``, and all placement done on id sets:
+    it reads them through the cluster's :meth:`~LegacyCluster.ids` and
+    :meth:`~LegacyCluster.free_set` and hands ``start_job`` a mask.
     Pins down what the sweep-scoped snapshot/victim-list/pinned-mask
     structures buy, and that they buy it without changing a single
     scheduling decision (``test_kernel_equivalence_identical`` asserts
@@ -290,10 +326,11 @@ class LegacySweepScheduler(Scheduler):
     def _pinned_procs(self) -> set[int]:
         driver = self.driver
         assert driver is not None
+        ids = driver.cluster.ids
         pinned: set[int] = set()
         for j in driver.queued_jobs():
             if j.needs_specific_procs:
-                pinned |= j.suspended_procs
+                pinned |= ids(j.suspended_mask)
         return pinned
 
     def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
@@ -316,7 +353,7 @@ class LegacySweepScheduler(Scheduler):
         driver = self.driver
         assert driver is not None
         if driver.cluster.can_allocate(job.procs):
-            driver.start_job(job, procs=self._place(job))
+            driver.start_job(job, procs=mask_from_ids(self._place(job)))
             return True
         if not allow_suspension:
             return False
@@ -330,7 +367,7 @@ class LegacySweepScheduler(Scheduler):
             if covered >= job.procs:
                 break
             victim_priority = priorities[victim.job_id]
-            width = len(victim.allocated_procs)
+            width = victim.procs
             if not self.victim_preemptable(victim, driver.now, victim_priority):
                 continue
             if not self.criteria.priority_allows(
@@ -345,31 +382,31 @@ class LegacySweepScheduler(Scheduler):
             return False
         chosen: list[Job] = []
         covered_free = free
-        for victim in sorted(
-            candidates, key=lambda c: (-len(c.allocated_procs), c.job_id)
-        ):
+        for victim in sorted(candidates, key=lambda c: (-c.procs, c.job_id)):
             if covered_free >= job.procs:
                 break
             chosen.append(victim)
-            covered_free += len(victim.allocated_procs)
+            covered_free += victim.procs
         freed: set[int] = set()
         for victim in chosen:
-            freed |= victim.allocated_procs
+            freed |= driver.cluster.ids(victim.allocated_mask)
             driver.suspend_job(victim, preemptor=job.job_id)
-        driver.start_job(job, procs=self._place(job, preferred=frozenset(freed)))
+        placed = self._place(job, preferred=frozenset(freed))
+        driver.start_job(job, procs=mask_from_ids(placed))
         return True
 
     def _try_resume(self, job: Job, allow_suspension: bool, priorities) -> bool:
         driver = self.driver
         assert driver is not None
-        needed = job.suspended_procs
-        if driver.cluster.can_allocate_specific(needed):
+        needed = job.suspended_mask
+        if driver.cluster.can_allocate_mask(needed):
             driver.start_job(job)
             return True
         if not allow_suspension:
             return False
         idle_priority = priorities[job.job_id]
-        owner_ids = {driver.cluster.owner_of(p) for p in needed} - {None}
+        procs = driver.cluster.ids(needed)
+        owner_ids = {driver.cluster.owner_of(p) for p in procs} - {None}
         owners = sorted(
             (r for r in driver.running_jobs() if r.job_id in owner_ids),
             key=lambda r: r.job_id,
@@ -384,7 +421,7 @@ class LegacySweepScheduler(Scheduler):
                 return False
         for victim in owners:
             driver.suspend_job(victim, preemptor=job.job_id)
-        if driver.cluster.can_allocate_specific(needed):
+        if driver.cluster.can_allocate_mask(needed):
             driver.start_job(job)
             return True
         return False  # pragma: no cover - owners covered all of `needed`
@@ -480,6 +517,41 @@ def test_cluster_allocate_release_legacy(benchmark):
     """The set/dict cluster, same allocate/release workload."""
     c = benchmark(_cluster_workload, LegacyCluster)
     assert c.free_count == 430
+
+
+def _cluster_churn(cluster_cls) -> list[tuple[int, ...]]:
+    """Allocate/release churn that leaves holes; every choice, as ids.
+
+    Widths cycle through 1..37 and holders leave from the middle of the
+    machine as well as the oldest end, so later requests span
+    fragments; the last holders are then restarted on their own
+    processors, as a local resume does.
+    """
+    c = cluster_cls(430)
+    held: dict[int, int] = {}
+    choices: list[tuple[int, ...]] = []
+    for i in range(600):
+        width = 1 + (i * 7) % 37
+        while not c.can_allocate(width):
+            oldest = min(held)
+            c.release(held.pop(oldest), oldest)
+        held[i] = c.allocate(width, owner=i)
+        choices.append(mask_to_ids(held[i]))
+        if i % 3 == 0:
+            middle = sorted(held)[len(held) // 2]
+            c.release(held.pop(middle), middle)
+    for owner in sorted(held)[-10:]:
+        c.release(held[owner], owner)
+        assert c.can_allocate_mask(held[owner])
+        choices.append(mask_to_ids(c.allocate_mask(held[owner], owner=owner)))
+    choices.append(mask_to_ids(c.free_mask))
+    return choices
+
+
+def test_cluster_churn_identical():
+    """The bitmask and set clusters choose the same processors, hole for
+    hole, under the same churn."""
+    assert _cluster_churn(Cluster) == _cluster_churn(LegacyCluster)
 
 
 # ----------------------------------------------------------------------
@@ -616,11 +688,10 @@ def test_sweep_priority_snapshot_identical():
         SelectiveSuspensionScheduler(suspension_factor=2.0),
         n_procs=128,
     )
-    slow = run_sim(
-        fresh_copies(JOBS_SDSC),
-        LegacySweepScheduler(suspension_factor=2.0),
-        n_procs=128,
-    )
+    slow = SchedulingSimulation(
+        cluster=_IdViewCluster(128),
+        scheduler=LegacySweepScheduler(suspension_factor=2.0),
+    ).run(fresh_copies(JOBS_SDSC))
     assert _schedule_signature(fast) == _schedule_signature(slow)
     assert fast.total_suspensions == slow.total_suspensions
     assert fast.makespan == slow.makespan

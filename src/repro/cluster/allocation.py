@@ -56,8 +56,9 @@ class LowestIdFirst(AllocationPolicy):
         return frozenset(sorted(free)[:count])
 
     def select_mask(self, free_mask: int, count: int) -> int:
-        # lowest-id-first == lowest set bits: O(count) bit extraction,
-        # no sort, identical choice to sorted(free)[:count]
+        # lowest-id-first == lowest set bits, taken one run of
+        # consecutive ones per step: no sort, identical choice to
+        # sorted(free)[:count]
         return lowest_bits(free_mask, count)
 
 

@@ -1,11 +1,14 @@
 """Integer-bitmask helpers for processor sets.
 
-The simulation kernel represents processor sets as Python big integers:
-bit ``p`` set means processor ``p`` is a member.  Set algebra becomes
-word-parallel machine arithmetic (``&``, ``|``, ``~`` masked to machine
-width), membership is a shift, and cardinality is
-:meth:`int.bit_count` -- all O(n_procs / 64) instead of per-processor
-dict/set churn.
+The simulator represents every processor set as a Python big integer,
+from allocation through the job record to release: bit ``p`` set means
+processor ``p`` is a member.  Set algebra becomes word-parallel machine
+arithmetic (``&``, ``|``, ``~`` masked to machine width), membership is
+a shift, and cardinality is :meth:`int.bit_count` -- all
+O(n_procs / 64) instead of per-processor dict/set churn.  Processor ids
+are materialised (:func:`mask_to_ids`) only where a trace record is
+written and in the ``select()`` adapter of allocation policies that
+have no ``select_mask`` of their own.
 
 Iteration order over a bitmask is *ascending processor id by
 construction*: :func:`iter_bits` repeatedly extracts the lowest set bit
@@ -49,15 +52,23 @@ def take_lowest(mask: int, count: int) -> int:
     """Submask of up to *count* lowest set bits of *mask*.
 
     Like :func:`lowest_bits` but tolerant of a short *mask* -- the
-    bitmask analogue of ``sorted(ids)[:count]``.
+    bitmask analogue of ``sorted(ids)[:count]``.  Each step takes one
+    whole run of consecutive ones (adding the lowest bit carries
+    through the run, so ``mask & ~(mask + low)`` is exactly that run),
+    cut to the bits still wanted, so a compact allocation costs a few
+    bitops rather than one per processor.
     """
     out = 0
-    remaining = count
-    while remaining and mask:
+    while count > 0 and mask:
         low = mask & -mask
-        out |= low
-        mask ^= low
-        remaining -= 1
+        run = mask & ~(mask + low)
+        width = run.bit_count()
+        if width > count:
+            run &= (low << count) - 1
+            width = count
+        out |= run
+        mask ^= run
+        count -= width
     return out
 
 
@@ -67,13 +78,6 @@ def lowest_bits(mask: int, count: int) -> int:
     Raises :class:`ValueError` if *mask* has fewer than *count* bits;
     callers are expected to have checked capacity already.
     """
-    out = 0
-    remaining = count
-    while remaining:
-        if not mask:
-            raise ValueError(f"mask has fewer than {count} set bits")
-        low = mask & -mask
-        out |= low
-        mask ^= low
-        remaining -= 1
-    return out
+    if mask.bit_count() < count:
+        raise ValueError(f"mask has fewer than {count} set bits")
+    return take_lowest(mask, count)

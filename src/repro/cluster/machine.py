@@ -10,24 +10,26 @@ machine model:
 Processor identity matters because restart is *local* (same-processors)
 in the paper's model; see :mod:`repro.cluster` for context.
 
-The free pool is kept as an integer bitmask (bit ``p`` set = processor
-``p`` free), with a per-owner bitmask and a proc->owner array alongside.
-Set algebra on processor sets is then word-parallel big-int arithmetic:
-``can_allocate_mask`` is one AND, ``allocate``/``release`` are a
-handful of bitops, and ``owners_in_mask`` steps one owner (not one
-processor) per bitop.  For the
+Every processor set is an integer bitmask (bit ``p`` set = processor
+``p`` in the set; helpers in :mod:`repro.cluster.bitset`): the free
+pool, one mask per owner, and the masks :meth:`Cluster.allocate` returns
+and :meth:`Cluster.release` takes back.  Set algebra is then
+word-parallel big-int arithmetic: ``can_allocate_mask`` is one AND,
+``allocate``/``release`` are a handful of bitops, and a release is
+checked against the owner's whole holding with one comparison.  There
+is no per-processor owner array: :meth:`Cluster.owners_in_mask` scans
+the owner masks, O(running jobs), and :meth:`Cluster.owner_of` is one
+such scan.  For the
 machine sizes in the paper (100-430 processors) every mask fits in a few
 machine words, so these operations cost O(n_procs / 64) instead of
-per-processor set/dict churn.  :meth:`free_set` materialises a frozenset
-lazily (and caches it until the next mutation) for legacy callers that
-still want one.
+per-processor set/dict churn.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
+from repro.cluster.bitset import mask_to_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cluster.allocation import AllocationPolicy
@@ -62,10 +64,6 @@ class Cluster:
         self._free_mask: int = self._full_mask
         #: owner job id -> mask of processors it holds (never zero)
         self._owner_masks: dict[int, int] = {}
-        #: proc id -> owning job id, or None when free
-        self._proc_owner: list[int | None] = [None] * self.n_procs
-        #: lazily materialised snapshot for free_set(); None = stale
-        self._free_cache: frozenset[int] | None = None
         self.policy: "AllocationPolicy" = policy or LowestIdFirst()
 
     # ------------------------------------------------------------------
@@ -86,21 +84,18 @@ class Cluster:
         """Bitmask of free processor ids (bit ``p`` set = proc ``p`` free)."""
         return self._free_mask
 
-    def free_set(self) -> frozenset[int]:
-        """Snapshot of the free processor ids (lazily materialised, cached)."""
-        if self._free_cache is None:
-            self._free_cache = frozenset(iter_bits(self._free_mask))
-        return self._free_cache
-
     def is_free(self, proc: int) -> bool:
         """Whether processor *proc* is currently free."""
         return bool(self._free_mask >> proc & 1)
 
     def owner_of(self, proc: int) -> int | None:
-        """Job id holding *proc*, or ``None`` if it is free."""
-        if 0 <= proc < self.n_procs:
-            return self._proc_owner[proc]
-        return None
+        """Job id holding *proc*, or ``None`` if it is free.
+
+        One :meth:`owners_in_mask` scan, O(running jobs).
+        """
+        if not 0 <= proc < self.n_procs:
+            return None
+        return next(iter(self.owners_in_mask(1 << proc)), None)
 
     def owner_mask(self, owner: int) -> int:
         """Bitmask of processors held by job *owner* (0 if none)."""
@@ -109,31 +104,23 @@ class Cluster:
     def owners_in_mask(self, mask: int) -> tuple[int, ...]:
         """Distinct job ids holding processors in *mask*.
 
-        Deduplicated in ascending order of the first processor each owner
-        holds within *mask* -- deterministic by construction, so decision
-        paths may iterate the result directly.
+        In ascending order of the first processor each owner holds
+        within *mask* -- deterministic by construction, so decision
+        paths may iterate the result directly.  One pass over the owner
+        masks: O(running jobs), whatever *mask* covers.
         """
-        busy = mask & self._full_mask & ~self._free_mask
-        owners: list[int] = []
-        while busy:
-            p = (busy & -busy).bit_length() - 1
-            owner = self._proc_owner[p]
-            if owner is None:  # pragma: no cover - busy bit always owned
-                busy &= busy - 1
-                continue
-            owners.append(owner)
-            # skip the owner's remaining processors in one bitop: the
-            # walk advances per *owner*, not per processor
-            busy &= ~self._owner_masks[owner]
-        return tuple(owners)
+        hits: list[tuple[int, int]] = []
+        # repro-lint: disable=RPR001 -- int-keyed, insertion-ordered dict; hits are sorted by lowest processor, so dict order never reaches the result
+        for owner, held in self._owner_masks.items():
+            overlap = held & mask
+            if overlap:
+                hits.append((overlap & -overlap, owner))
+        hits.sort()
+        return tuple([owner for _, owner in hits])
 
     def can_allocate(self, count: int) -> bool:
         """Whether *count* free processors exist right now."""
         return count <= self._free_mask.bit_count()
-
-    def can_allocate_specific(self, procs: Iterable[int]) -> bool:
-        """Whether every processor in *procs* is currently free."""
-        return self.can_allocate_mask(mask_from_ids(procs))
 
     def can_allocate_mask(self, mask: int) -> bool:
         """Whether every processor in *mask* is currently free."""
@@ -142,8 +129,8 @@ class Cluster:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def allocate(self, count: int, owner: int) -> frozenset[int]:
-        """Allocate *count* free processors to job *owner*.
+    def allocate(self, count: int, owner: int) -> int:
+        """Allocate *count* free processors to job *owner*; returns their mask.
 
         The concrete processors are chosen by the cluster's policy.
 
@@ -177,15 +164,12 @@ class Cluster:
             )
         return self._claim_mask(chosen, owner)
 
-    def allocate_specific(self, procs: Iterable[int], owner: int) -> frozenset[int]:
-        """Allocate exactly the processors *procs* to job *owner*.
+    def allocate_mask(self, mask: int, owner: int) -> int:
+        """Allocate exactly the processors in *mask* to job *owner*.
 
-        Used for same-processors restart of a suspended job.
+        Used for explicit placement and for the same-processors restart
+        of a suspended job; returns *mask*.
         """
-        return self.allocate_mask(mask_from_ids(procs), owner)
-
-    def allocate_mask(self, mask: int, owner: int) -> frozenset[int]:
-        """Allocate exactly the processors in *mask* to job *owner*."""
         if not mask:
             raise AllocationError(f"job {owner}: empty specific allocation")
         missing = mask & ~self._free_mask
@@ -195,50 +179,44 @@ class Cluster:
             )
         return self._claim_mask(mask, owner)
 
-    def _claim_mask(self, mask: int, owner: int) -> frozenset[int]:
-        ids = mask_to_ids(mask)  # ascending by construction
-        for p in ids:
-            self._proc_owner[p] = owner
+    def _claim_mask(self, mask: int, owner: int) -> int:
         self._owner_masks[owner] = self._owner_masks.get(owner, 0) | mask
         self._free_mask &= ~mask
-        self._free_cache = None
-        return frozenset(ids)
+        return mask
 
-    def release(self, procs: Iterable[int], owner: int) -> None:
-        """Return *procs*, previously allocated to *owner*, to the free pool.
+    def release(self, mask: int, owner: int) -> None:
+        """Return *mask*, the whole holding of *owner*, to the free pool.
 
-        All-or-nothing: ownership of the *whole* request is checked with a
-        single mask comparison before any state changes, so a partial
-        mismatch leaves the cluster untouched.
+        Exact: *mask* must equal :meth:`owner_mask` of *owner*, so a
+        caller's record of what a job holds is checked against the
+        cluster's on every release.  Checked before any state changes,
+        so a mismatch leaves the cluster untouched.  An owner holding
+        nothing may release the empty mask (a no-op).
 
         Raises
         ------
         AllocationError
-            If any processor is not currently owned by *owner* -- this
-            catches double-release and ownership-confusion bugs at the
-            point of the mistake instead of corrupting the free pool.
+            If *mask* names a processor *owner* does not hold, or leaves
+            out one it does -- this catches double-release,
+            ownership-confusion and stale-record bugs at the point of the
+            mistake instead of corrupting the free pool.
         """
-        mask = mask_from_ids(procs)
-        if not mask:
-            return
         owned = self._owner_masks.get(owner, 0)
-        bad = mask & ~owned
-        if bad:
-            p = (bad & -bad).bit_length() - 1
-            actual = self._proc_owner[p] if 0 <= p < self.n_procs else None
+        if mask != owned:
+            bad = mask & ~owned
+            if bad:
+                p = (bad & -bad).bit_length() - 1
+                raise AllocationError(
+                    f"release of processor {p} by job {owner}, "
+                    f"but it is owned by {self.owner_of(p)!r}"
+                )
             raise AllocationError(
-                f"release of processor {p} by job {owner}, "
-                f"but it is owned by {actual!r}"
+                f"job {owner} releases {mask.bit_count()} of the "
+                f"{owned.bit_count()} processors it holds"
             )
-        remaining = owned & ~mask
-        if remaining:
-            self._owner_masks[owner] = remaining
-        else:
+        if mask:
             del self._owner_masks[owner]
-        for p in iter_bits(mask):
-            self._proc_owner[p] = None
-        self._free_mask |= mask
-        self._free_cache = None
+            self._free_mask |= mask
 
     # ------------------------------------------------------------------
     # integrity
@@ -258,14 +236,6 @@ class Cluster:
             raise AllocationError("processor lost from the pool")
         if (owned_mask | self._free_mask) & ~self._full_mask:
             raise AllocationError("processor id out of range")
-        for p in range(self.n_procs):
-            owner = self._proc_owner[p]
-            if owner is not None and not (self._owner_masks.get(owner, 0) >> p & 1):
-                raise AllocationError(f"proc {p} owner array disagrees with masks")
-            if owner is None and not (self._free_mask >> p & 1):
-                raise AllocationError(f"proc {p} busy but has no owner")
-            if owner is not None and (self._free_mask >> p & 1):
-                raise AllocationError(f"proc {p} free but has an owner")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

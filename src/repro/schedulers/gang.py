@@ -12,7 +12,8 @@ slots time-share the machine.
 This implementation is the straightforward matrix variant:
 
 * admission is first-fit: a job joins the first slot with enough free
-  columns (processor ids unused by that slot), else opens a new slot;
+  columns (processor ids unused by that slot) and takes the lowest of
+  them, else opens a new slot;
 * each job keeps the same processor columns for its whole life, so
   suspension/resume is automatically local (the paper's constraint);
 * rotation is strictly round-robin over non-empty slots; no
@@ -31,6 +32,7 @@ suspension, which is exactly why coarse quanta are mandatory.
 
 from __future__ import annotations
 
+from repro.cluster.bitset import take_lowest
 from repro.schedulers.base import Scheduler
 from repro.workload.job import Job, JobState
 
@@ -43,12 +45,13 @@ class _Slot:
     def __init__(self) -> None:
         #: members of the slot (running or suspended, never finished)
         self.jobs: list[Job] = []
-        #: job_id -> processor columns assigned within this slot
-        self.columns: dict[int, frozenset[int]] = {}
+        #: job_id -> bitmask of the processor columns assigned within
+        #: this slot
+        self.columns: dict[int, int] = {}
 
-    def used(self) -> set[int]:
-        out: set[int] = set()
-        # repro-lint: disable=RPR001 -- set-union fold: result is order-insensitive
+    def used(self) -> int:
+        out = 0
+        # repro-lint: disable=RPR001 -- mask-union fold: result is order-insensitive
         for cols in self.columns.values():
             out |= cols
         return out
@@ -109,16 +112,16 @@ class GangScheduler(Scheduler):
         """First-fit the job into a slot; assign its columns for life."""
         driver = self.driver
         assert driver is not None
-        n = driver.cluster.n_procs
+        full = (1 << driver.cluster.n_procs) - 1
         for slot in self._slots:
-            free_cols = sorted(set(range(n)) - slot.used())
-            if len(free_cols) >= job.procs:
+            cols = take_lowest(full & ~slot.used(), job.procs)
+            if cols.bit_count() == job.procs:
                 slot.jobs.append(job)
-                slot.columns[job.job_id] = frozenset(free_cols[: job.procs])
+                slot.columns[job.job_id] = cols
                 return
         slot = _Slot()
         slot.jobs.append(job)
-        slot.columns[job.job_id] = frozenset(range(job.procs))
+        slot.columns[job.job_id] = (1 << job.procs) - 1
         self._slots.append(slot)
 
     def _evict(self, job: Job) -> None:
@@ -145,8 +148,8 @@ class GangScheduler(Scheduler):
         for job in list(slot.jobs):
             if job.state is not JobState.QUEUED:
                 continue
-            cols = job.suspended_procs or slot.columns[job.job_id]
-            if driver.cluster.can_allocate_specific(cols):
+            cols = job.suspended_mask or slot.columns[job.job_id]
+            if driver.cluster.can_allocate_mask(cols):
                 pending = job.pending_overhead
                 driver.start_job(job, procs=cols)
                 self._slot_protected_until = max(

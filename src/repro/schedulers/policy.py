@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Any, Protocol
 
-from repro.cluster.bitset import iter_bits, mask_from_ids, take_lowest
+from repro.cluster.bitset import take_lowest
 from repro.core.priorities import (
     PreemptionCriteria,
     instantaneous_priority,
@@ -337,7 +337,7 @@ class PreemptionPolicy(Policy):
                 if eligible is None:
                     return -inf
                 if eligible < first:  # none at or past the bound can lower it
-                    times.append((eligible, len(victim.allocated_procs)))
+                    times.append((eligible, victim.procs))
             times.sort()
             need = job.procs - free
             at = now
@@ -469,7 +469,7 @@ class HeadReservation(ReservationPolicy):
         driver = self.driver
         profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
         for running in driver.running_jobs():
-            profile.claim_running(len(running.allocated_procs), running.expected_end)
+            profile.claim_running(running.procs, running.expected_end)
         return profile
 
     def plan_head(self, head: Job) -> HeadPlan:
@@ -597,7 +597,7 @@ class PerJobReservations(ReservationPolicy):
         driver = self.driver
         profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
         for running in driver.running_jobs():
-            profile.claim_running(len(running.allocated_procs), running.expected_end)
+            profile.claim_running(running.procs, running.expected_end)
         return profile
 
     def _profile_with_reservations(self, exclude: int) -> AvailabilityProfile:
@@ -925,9 +925,7 @@ class SweepPreemption(PreemptionPolicy):
     ) -> float | None:
         """Width-ruled and limit-protected victims never qualify before
         the next event; the rest once *waiter* clears the SF threshold."""
-        if not self.criteria.width_allows(
-            waiter.procs, len(victim.allocated_procs), reentry
-        ):
+        if not self.criteria.width_allows(waiter.procs, victim.procs, reentry):
             return inf
         queue = self.kernel.queue
         if self.limits is not None and not self.victim_preemptable(
@@ -973,7 +971,7 @@ class SweepPreemption(PreemptionPolicy):
         suspended jobs must reacquire) is snapshotted at sweep entry and
         updated incrementally: a suspend pins the victim's processors,
         a resume unpins the job's -- the only two events that can change
-        it mid-sweep -- replacing the per-:meth:`_place` rescan of the
+        it mid-sweep -- replacing the per-:meth:`_place_mask` rescan of the
         whole queue.
         """
         driver = self.driver
@@ -1090,15 +1088,6 @@ class SweepPreemption(PreemptionPolicy):
             pinned |= j.suspended_mask  # 0 unless awaiting local resume
         return pinned
 
-    def _pinned_procs(self) -> set[int]:
-        """Processors some suspended job must reacquire to resume."""
-        return set(iter_bits(self._pinned_mask()))
-
-    def _place(self, job: Job, preferred: frozenset[int] = frozenset()) -> frozenset[int]:
-        """Choose processors for a fresh start (id-set facade over
-        :meth:`_place_mask`)."""
-        return frozenset(iter_bits(self._place_mask(job, mask_from_ids(preferred))))
-
     def _place_mask(self, job: Job, preferred_mask: int = 0) -> int:
         """Choose processors for a fresh start.
 
@@ -1130,7 +1119,7 @@ class SweepPreemption(PreemptionPolicy):
     ) -> bool:
         driver = self.driver
         if driver.cluster.can_allocate(job.procs):
-            driver.start_job(job, procs=self._place(job))
+            driver.start_job(job, procs=self._place_mask(job))
             self._note_started(job, priorities)
             return True
         if not allow_suspension:
@@ -1179,7 +1168,7 @@ class SweepPreemption(PreemptionPolicy):
                 break
             if victim_id in dead:
                 continue
-            width = len(victim.allocated_procs)
+            width = victim.procs
             if protected and not self.victim_preemptable(victim, victim_priority):
                 if verdicts is not None:
                     verdicts.append(
@@ -1240,13 +1229,11 @@ class SweepPreemption(PreemptionPolicy):
         chosen = self._scratch_chosen
         chosen.clear()
         covered_free = free
-        for victim in sorted(
-            candidates, key=lambda c: (-len(c.allocated_procs), c.job_id)
-        ):
+        for victim in sorted(candidates, key=lambda c: (-c.procs, c.job_id)):
             if covered_free >= job.procs:
                 break
             chosen.append(victim)
-            covered_free += len(victim.allocated_procs)
+            covered_free += victim.procs
         if tracer is not None:
             tracer.decision(
                 now,
@@ -1262,15 +1249,14 @@ class SweepPreemption(PreemptionPolicy):
             )
         freed_mask = 0
         for victim in chosen:
-            released = driver.cluster.owner_mask(victim.job_id)
+            released = victim.allocated_mask
             freed_mask |= released
             driver.suspend_job(victim, preemptor=job.job_id)
             self._note_suspended(victim, released)
         # run the preemptor on its victims' processors (the pseudocode's
         # available_processor_set) so each victim's resume set clears
         # when the preemptor finishes
-        placed = self._place_mask(job, preferred_mask=freed_mask)
-        driver.start_job(job, procs=frozenset(iter_bits(placed)))
+        driver.start_job(job, procs=self._place_mask(job, preferred_mask=freed_mask))
         self._note_started(job, priorities)
         return True
 
@@ -1339,7 +1325,7 @@ class SweepPreemption(PreemptionPolicy):
                     victim_verdict(
                         victim.job_id,
                         victim_priority,
-                        len(victim.allocated_procs),
+                        victim.procs,
                         cause or "candidate",
                         self.victim_protection_limit(victim)
                         if cause == "category_limit"
@@ -1377,7 +1363,7 @@ class SweepPreemption(PreemptionPolicy):
                 victims=verdicts,
             )
         for victim in owners:  # already ascending by job id
-            released = driver.cluster.owner_mask(victim.job_id)
+            released = victim.allocated_mask
             driver.suspend_job(victim, preemptor=job.job_id)
             self._note_suspended(victim, released)
         if driver.cluster.can_allocate_mask(needed_mask):
@@ -1496,7 +1482,7 @@ class TimeslicePreemption(PreemptionPolicy):
             if freed >= job.procs:
                 break
             chosen.append(victim)
-            freed += len(victim.allocated_procs)
+            freed += victim.procs
         if freed < job.procs:
             self._record_denial(job, limit_priority=None, path="arrival")
             return False
@@ -1527,7 +1513,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 verdict = "priority"
             else:
                 verdict = "candidate"
-            out.append(victim_verdict(r.job_id, p, len(r.allocated_procs), verdict))
+            out.append(victim_verdict(r.job_id, p, r.procs, verdict))
         return out
 
     def _record_denial(
@@ -1619,7 +1605,7 @@ class TimeslicePreemption(PreemptionPolicy):
             if freed >= job.procs:
                 break
             chosen.append(victim)
-            freed += len(victim.allocated_procs)
+            freed += victim.procs
         if freed < job.procs:
             self._record_denial(job, limit_priority=my_priority, path="sweep")
             return False
@@ -1663,7 +1649,7 @@ class TimeslicePreemption(PreemptionPolicy):
                     victim_verdict(
                         victim.job_id,
                         p,
-                        len(victim.allocated_procs),
+                        victim.procs,
                         cause or "candidate",
                     )
                 )

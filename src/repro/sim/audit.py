@@ -111,7 +111,7 @@ def audit_result(
                 )
         if job.suspension_count < 0:
             v.append(f"job {jid}: negative suspension count")
-        if job.allocated_procs:
+        if job.allocated_mask:
             v.append(f"job {jid}: still holds processors after finishing")
 
         area += job.procs * (job.run_time + job.total_overhead + job.wasted_time)

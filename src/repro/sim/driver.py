@@ -267,24 +267,26 @@ class SchedulingSimulation:
     # ------------------------------------------------------------------
     def can_start(self, job: Job) -> bool:
         """Whether *job* could start right now on free processors."""
-        if job.needs_specific_procs:
-            return self.cluster.can_allocate_specific(job.suspended_procs)
+        if job.suspended_mask:
+            return self.cluster.can_allocate_mask(job.suspended_mask)
         return self.cluster.can_allocate(job.procs)
 
     def start_job(
         self,
         job: Job,
-        procs: frozenset[int] | None = None,
+        procs: int | None = None,
         via: str | None = None,
-    ) -> frozenset[int]:
-        """(Re)start a queued job immediately; returns its processors.
+    ) -> int:
+        """(Re)start a queued job immediately; returns its processor mask.
 
+        Processor sets are bitmasks (bit ``p`` set = processor ``p``).
         Resumed jobs receive exactly their original processor set (local
-        preemption).  For fresh starts, *procs* lets the scheduler place
-        the job explicitly (the SS pseudocode schedules a preemptor on
-        its victims' processors so they unpin when it finishes);
-        otherwise the cluster's allocation policy chooses.  Raises on any
-        precondition violation -- a scheduler asking to start an
+        preemption).  For fresh starts, the mask *procs* lets the
+        scheduler place the job explicitly (the SS pseudocode schedules a
+        preemptor on its victims' processors so they unpin when it
+        finishes); otherwise the cluster's allocation policy chooses.
+        The job records the mask as :attr:`Job.allocated_mask`.  Raises
+        on any precondition violation -- a scheduler asking to start an
         unstartable job is a policy bug worth crashing on.
 
         *via* is a trace-only annotation of the dispatch path
@@ -295,20 +297,21 @@ class SchedulingSimulation:
             raise SimulationError(f"start_job: job {job.job_id} is not queued")
         resumed = job.needs_specific_procs or (self.migratable and job.was_suspended)
         self._account_busy()  # close the interval at the old busy level
-        if job.needs_specific_procs:
-            if procs is not None and frozenset(procs) != job.suspended_procs:
+        if job.suspended_mask:
+            if procs is not None and procs != job.suspended_mask:
                 raise SimulationError(
                     f"start_job: job {job.job_id} must resume on its "
                     "original processors"
                 )
-            procs = self.cluster.allocate_specific(job.suspended_procs, job.job_id)
+            procs = self.cluster.allocate_mask(job.suspended_mask, job.job_id)
         elif procs is not None:
-            if len(procs) != job.procs:
+            width = procs.bit_count()
+            if width != job.procs:
                 raise SimulationError(
-                    f"start_job: job {job.job_id} given {len(procs)} "
+                    f"start_job: job {job.job_id} given {width} "
                     f"processors, requests {job.procs}"
                 )
-            procs = self.cluster.allocate_specific(procs, job.job_id)
+            procs = self.cluster.allocate_mask(procs, job.job_id)
         else:
             procs = self.cluster.allocate(job.procs, job.job_id)
         job.mark_started(self.now, procs)
@@ -354,7 +357,7 @@ class SchedulingSimulation:
         if ev is not None:
             self.loop.cancel(ev)
         self._account_busy()
-        released = job.allocated_procs
+        released = job.allocated_mask
         self.cluster.release(released, job.job_id)
         job.mark_suspended(self.now, pinned=not self.migratable)
         del self._running[job.job_id]
@@ -364,8 +367,8 @@ class SchedulingSimulation:
             self.tracer.suspend(self.now, job, released, preemptor, overhead_added)
 
     def start_speculative(
-        self, job: Job, deadline: float, procs: frozenset[int] | None = None
-    ) -> frozenset[int]:
+        self, job: Job, deadline: float, procs: int | None = None
+    ) -> int:
         """Start *job* now, to be killed-and-requeued at *deadline*.
 
         Speculative backfilling (Perkovic & Keleher): the job gets a
@@ -397,7 +400,7 @@ class SchedulingSimulation:
         if ev is not None:
             self.loop.cancel(ev)
         self._account_busy()
-        released = job.allocated_procs
+        released = job.allocated_mask
         wasted = max(self.now - job.last_dispatch_time, 0.0)
         self.cluster.release(released, job.job_id)
         job.mark_killed(self.now)
@@ -435,7 +438,7 @@ class SchedulingSimulation:
         job.pending_overhead = 0.0
         job.remaining_useful = 0.0
         self._account_busy()
-        self.cluster.release(job.allocated_procs, job.job_id)
+        self.cluster.release(job.allocated_mask, job.job_id)
         job.mark_finished(self.now)
         del self._running[job.job_id]
         self._finished.append(job)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.machine import Cluster
+from repro.cluster.machine import AllocationError, Cluster
 from repro.core.overhead import FixedOverheadModel
 from repro.schedulers.base import Scheduler
 from repro.sim.driver import SchedulingSimulation
@@ -126,6 +126,24 @@ def test_suspend_job_requires_running():
         drive([make_job()], BadScheduler())
 
 
+def test_release_checks_the_job_record():
+    """The driver releases ``job.allocated_mask`` and the cluster takes
+    back only an owner's whole holding, so a job record that drifted
+    from the cluster's (here: one processor short) fails at the release
+    instead of leaving a processor held by nobody's record."""
+
+    class StaleRecord(GreedyScheduler):
+        timer_interval = 10.0
+
+        def on_timer(self):
+            job = self.driver.running_jobs()[0]
+            job.allocated_mask &= job.allocated_mask - 1  # drop the lowest bit
+            self.driver.suspend_job(job)
+
+    with pytest.raises(AllocationError, match="releases 1 of the 2"):
+        drive([make_job(procs=2, run=100.0)], StaleRecord())
+
+
 # ----------------------------------------------------------------------
 # suspension mechanics
 # ----------------------------------------------------------------------
@@ -165,7 +183,7 @@ def test_resume_reacquires_original_processors():
     sched = SuspendAtTimer()
     sim, _ = drive([job], sched, n_procs=4)
     # after completion, check the job ran both periods on the same procs:
-    # suspended_procs recorded at suspend must equal the final allocation
+    # suspended_mask recorded at suspend must equal the final allocation
     assert job.suspension_count == 1
     # job finished => allocated cleared; nothing double-booked en route
     sim.cluster.check_invariants()

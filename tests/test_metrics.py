@@ -29,7 +29,7 @@ def finished_job(
 ):
     j = make_job(job_id=job_id, submit=submit, run=run, procs=procs, estimate=estimate)
     j.mark_submitted(submit)
-    j.mark_started(start, frozenset(range(procs)))
+    j.mark_started(start, (1 << procs) - 1)
     j.mark_finished(start + run)
     return j
 

@@ -22,21 +22,21 @@ def test_migratable_job_restarts_anywhere():
         SelectiveSuspensionScheduler(suspension_factor=1.2, preemption_interval=10.0),
         migratable=True,
     )
-    # right after each suspension the job pins nothing: neither a
-    # processor set nor its bitmask twin (which the SS sweep ORs into
-    # the pinned mask that steers fresh starts)
+    # right after each suspension the job pins nothing: its suspended
+    # mask (which the SS sweep ORs into the pinned mask that steers
+    # fresh starts) stays empty
     pins = []
     suspend = sim.suspend_job
 
     def recording_suspend(job, preemptor=None):
         suspend(job, preemptor)
-        pins.append((job.suspended_procs, job.suspended_mask))
+        pins.append(job.suspended_mask)
 
     sim.suspend_job = recording_suspend
     sim.run([victim, preemptor, squatter])
     assert victim.state.value == "finished"
     assert victim.suspension_count
-    assert pins and all(procs == frozenset() and mask == 0 for procs, mask in pins)
+    assert pins and all(mask == 0 for mask in pins)
 
 
 def test_migration_never_hurts_drain():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.machine import Cluster
+from repro.cluster.bitset import lowest_bits, mask_from_ids, mask_to_ids, take_lowest
+from repro.cluster.machine import AllocationError, Cluster
 from repro.metrics.slowdown import bounded_slowdown, turnaround_time, wait_time
 from repro.metrics.utilization import busy_area_from_jobs
 from repro.schedulers.easy import EasyBackfillScheduler
@@ -191,7 +193,7 @@ def test_determinism_across_runs(raw):
 )
 def test_cluster_random_walk_keeps_invariants(ops):
     c = Cluster(16)
-    held: dict[int, frozenset[int]] = {}
+    held: dict[int, int] = {}
     next_owner = 0
     for is_alloc, count in ops:
         if is_alloc and c.can_allocate(count):
@@ -202,16 +204,34 @@ def test_cluster_random_walk_keeps_invariants(ops):
             c.release(procs, owner)
             del held[owner]
         c.check_invariants()
-        assert c.free_count + sum(len(p) for p in held.values()) == 16
+        assert c.free_count + sum(p.bit_count() for p in held.values()) == 16
+
+
+# ----------------------------------------------------------------------
+# bitmask helpers
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 512) - 1), st.data())
+def test_take_lowest_is_the_sorted_id_prefix(mask, data):
+    """The run-at-a-time walk takes exactly the first *k* ids, and
+    ``lowest_bits`` raises iff *mask* has fewer than *k* bits."""
+    k = data.draw(st.integers(min_value=0, max_value=mask.bit_count() + 2))
+    expected = mask_from_ids(mask_to_ids(mask)[:k])
+    assert take_lowest(mask, k) == expected
+    if k > mask.bit_count():
+        with pytest.raises(ValueError):
+            lowest_bits(mask, k)
+    else:
+        assert lowest_bits(mask, k) == expected
 
 
 class _SetModelCluster:
     """Reference model for :class:`Cluster`: plain sets and dicts.
 
     Mirrors the machine-model semantics (lowest-id-first allocation,
-    exclusive ownership, all-or-nothing release) with the most obvious
-    data structures so the bitmask implementation can be checked
-    operation for operation against it.
+    exclusive ownership, exact release of an owner's whole holding)
+    with the most obvious data structures so the bitmask implementation
+    can be checked operation for operation against it.
     """
 
     def __init__(self, n_procs: int) -> None:
@@ -235,13 +255,20 @@ class _SetModelCluster:
         return frozenset(procs)
 
     def release(self, procs: set[int], owner: int) -> bool:
-        if not procs <= self.owner_procs.get(owner, set()):
-            return False  # all-or-nothing: reject, change nothing
-        self.owner_procs[owner] -= procs
-        if not self.owner_procs[owner]:
-            del self.owner_procs[owner]
+        if procs != self.owner_procs.get(owner, set()):
+            return False  # exact: reject, change nothing
+        self.owner_procs.pop(owner, None)
         self.free |= procs
         return True
+
+    def owners_in(self, procs: set[int]) -> tuple[int, ...]:
+        """Owners of *procs*, by the lowest processor each holds there."""
+        firsts = {
+            owner: min(held & procs)
+            for owner, held in self.owner_procs.items()
+            if held & procs
+        }
+        return tuple(sorted(firsts, key=firsts.__getitem__))
 
 
 _cluster_ops = st.lists(
@@ -253,9 +280,14 @@ _cluster_ops = st.lists(
         ),
         st.tuples(st.just("release"), st.integers(min_value=0, max_value=12)),
         st.tuples(
+            st.just("partial_release"),
+            st.tuples(st.integers(min_value=0, max_value=12), st.integers(0, 15)),
+        ),
+        st.tuples(
             st.just("bad_release"),
             st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=6),
         ),
+        st.tuples(st.just("query"), st.integers(min_value=0, max_value=(1 << 16) - 1)),
     ),
     max_size=80,
 )
@@ -266,11 +298,7 @@ _cluster_ops = st.lists(
 def test_cluster_agrees_with_set_model(ops):
     """The bitmask Cluster is operation-for-operation equivalent to the
     set-based reference model: same allocations, same rejections, same
-    observable state after every step."""
-    import pytest
-
-    from repro.cluster.machine import AllocationError
-
+    owner lookups, same observable state after every step."""
     real = Cluster(16)
     model = _SetModelCluster(16)
     next_owner = 0
@@ -282,15 +310,16 @@ def test_cluster_agrees_with_set_model(ops):
                 with pytest.raises(AllocationError):
                     real.allocate(arg, owner=next_owner)
             else:
-                assert real.allocate(arg, owner=next_owner) == expected
+                assert real.allocate(arg, owner=next_owner) == mask_from_ids(expected)
                 next_owner += 1
         elif kind == "alloc_specific":
             expected = model.allocate_specific(set(arg), owner=next_owner)
             if expected is None:
                 with pytest.raises(AllocationError):
-                    real.allocate_specific(arg, owner=next_owner)
+                    real.allocate_mask(mask_from_ids(arg), owner=next_owner)
             else:
-                assert real.allocate_specific(arg, owner=next_owner) == expected
+                got = real.allocate_mask(mask_from_ids(arg), owner=next_owner)
+                assert got == mask_from_ids(expected)
                 next_owner += 1
         elif kind == "release":
             # release some existing owner's full holding, chosen by index
@@ -300,23 +329,32 @@ def test_cluster_agrees_with_set_model(ops):
             owner = owners[arg % len(owners)]
             procs = set(model.owner_procs[owner])
             assert model.release(procs, owner)
-            real.release(procs, owner)
-        else:  # bad_release: arbitrary procs under a bogus owner
+            real.release(mask_from_ids(procs), owner)
+        elif kind == "partial_release":
+            # drop one processor of some owner's holding: refused
+            owners = sorted(model.owner_procs)
+            if not owners:
+                continue
+            index, drop = arg
+            owner = owners[index % len(owners)]
+            held = sorted(model.owner_procs[owner])
+            procs = set(held) - {held[drop % len(held)]}
+            assert not model.release(procs, owner)
+            with pytest.raises(AllocationError):
+                real.release(mask_from_ids(procs), owner)
+        elif kind == "bad_release":  # arbitrary procs under a bogus owner
             assert not model.release(set(arg), owner=-1)
             with pytest.raises(AllocationError):
-                real.release(arg, owner=-1)
+                real.release(mask_from_ids(arg), owner=-1)
+        else:  # query: owners of a random processor mask
+            assert real.owners_in_mask(arg) == model.owners_in(set(mask_to_ids(arg)))
 
         # observable state identical after every operation
         real.check_invariants()
-        assert real.free_set() == frozenset(model.free)
-        assert real.free_mask == sum(1 << p for p in model.free)
+        assert real.free_mask == mask_from_ids(model.free)
+        assert real.free_count == len(model.free)
         for owner, procs in model.owner_procs.items():
-            assert real.owner_mask(owner) == sum(1 << p for p in procs)
-        for p in range(16):
-            expected_owner = next(
-                (o for o, ps in model.owner_procs.items() if p in ps), None
-            )
-            assert real.owner_of(p) == expected_owner
+            assert real.owner_mask(owner) == mask_from_ids(procs)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -62,7 +62,7 @@ def test_online_limits_learn_from_finished_jobs():
     limits = CategoryLimits(online=True, margin=1.5)
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))  # waited 100 => slowdown 2
+    j.mark_started(100.0, 0b1)  # waited 100 => slowdown 2
     j.mark_finished(200.0)
     limits.observe(j)
     same_cat = make_job(job_id=1, run=100.0, procs=1)
@@ -73,7 +73,7 @@ def test_online_fallback_to_overall_average():
     limits = CategoryLimits(online=True, margin=1.5)
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(100.0, frozenset({0}))
+    j.mark_started(100.0, 0b1)
     j.mark_finished(200.0)
     limits.observe(j)
     other_cat = make_job(job_id=1, run=30_000.0, procs=64)
@@ -84,7 +84,7 @@ def test_offline_observe_is_noop():
     limits = CategoryLimits(table={("VS", "Seq"): 5.0})
     j = make_job(job_id=0, submit=0.0, run=100.0, procs=1)
     j.mark_submitted(0.0)
-    j.mark_started(0.0, frozenset({0}))
+    j.mark_started(0.0, 0b1)
     j.mark_finished(100.0)
     limits.observe(j)
     assert limits.table == {("VS", "Seq"): 5.0}
@@ -140,7 +140,7 @@ def test_limits_from_result_margin():
     for i in range(4):
         j = make_job(job_id=i, submit=0.0, run=100.0, procs=1)
         j.mark_submitted(0.0)
-        j.mark_started(100.0, frozenset({i}))  # slowdown 2 for all
+        j.mark_started(100.0, 1 << i)  # slowdown 2 for all
         j.mark_finished(200.0)
         jobs.append(j)
     from repro.sim.driver import SimulationResult

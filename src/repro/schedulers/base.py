@@ -15,9 +15,10 @@ Contract
   if :attr:`Scheduler.timer_interval` is not ``None``).
 * Ticks are skipped, not dispatched, when nothing is traced or probed
   and they fall before both :meth:`Scheduler.quiet_until` (less one
-  interval) and the next arrival, finish or kill.  A scheduler whose
-  bound is valid therefore sees the same schedule either way; skipped
-  ticks still count in ``events_dispatched``.
+  interval) and the next arrival, finish or kill.  The driver asks the
+  bound right after each of these hooks and after each tick, so a
+  scheduler whose bound is valid sees the same schedule either way;
+  skipped ticks still count in ``events_dispatched``.
 * Inside a hook the scheduler may call ``self.driver.start_job(job)``
   and ``self.driver.suspend_job(job)``; both take effect immediately
   (processors move synchronously), so the scheduler can chain decisions
@@ -88,10 +89,12 @@ class Scheduler(ABC):
         """Periodic tick; only fired when :attr:`timer_interval` is set."""
 
     def quiet_until(self) -> float:
-        """Right after :meth:`on_timer`: a time before which no later tick
+        """Right after any hook (:meth:`on_arrival`, :meth:`on_finish`,
+        :meth:`on_kill` or :meth:`on_timer`): a time before which no tick
         can change anything, if no other event comes first.
 
-        An untraced, unprobed driver does not schedule the ticks before
+        It must read only the current state, whichever hook left it.  An
+        untraced, unprobed driver does not schedule the ticks before
         then, but keeps the last one as a float margin.  The default,
         ``-inf``, keeps every tick.
         """

@@ -287,12 +287,14 @@ class PreemptionPolicy(Policy):
     # timer-tick skipping (see Scheduler.quiet_until)
     # ------------------------------------------------------------------
     def quiet_until(self) -> float:
-        """Right after a suspension-allowed pass: a time before which no
-        later such pass can start, resume or suspend anything, if no
-        arrival, finish or kill comes first.
+        """Right after any hook's pass: a time before which no
+        suspension-allowed pass can start, resume or suspend anything,
+        if no arrival, finish or kill comes first.
 
         The default, ``-inf``, keeps every pass; the sweep engines
-        answer through :meth:`_first_action_time`.
+        answer through :meth:`_first_action_time` or, under the frozen
+        suspension priority, its one-sort twin
+        :meth:`SweepPreemption._first_crossing`.
         """
         return -inf
 
@@ -302,8 +304,8 @@ class PreemptionPolicy(Policy):
         ``-inf`` when an eligibility time cannot be told.  Skipping the
         passes before this time is exact: between events nothing a pass
         tests changes except the clocks :meth:`_eligible_at` forecasts.
-        The walk reads only the state the last pass left, so the bound
-        holds whether or not that pass acted.
+        The walk reads only the current state, so the bound holds
+        whichever hook's pass left it and whether or not that pass acted.
         """
         driver = self.driver
         now = driver.now
@@ -377,6 +379,19 @@ class FifoOrder(QueuePolicy):
         return list(queued)
 
 
+def _xfactor_crossing(
+    waiter_x: float, estimate: float, runner_x: float, factor: float, now: float
+) -> float:
+    """When a waiting job's xfactor *waiter_x*, rising at ``1 / estimate``
+    per second, first reaches *factor* x a frozen running xfactor.
+
+    Nondecreasing in *runner_x*, since every step is a monotone float
+    operation: the sorted walk of :meth:`SweepPreemption.quiet_until`
+    relies on it.
+    """
+    return now + max(factor * runner_x - waiter_x, 0.0) * estimate
+
+
 class SuspensionPriorityOrder(QueuePolicy):
     """Descending xfactor -- the SS/TSS suspension priority (section IV)."""
 
@@ -388,8 +403,9 @@ class SuspensionPriorityOrder(QueuePolicy):
     ) -> float:
         """Linear: a waiter's xfactor rises at ``1 / estimate`` per
         second and a runner's is frozen."""
-        gap = factor * runner.xfactor(now) - waiter.xfactor(now)
-        return now + max(gap, 0.0) * waiter.estimate
+        return _xfactor_crossing(
+            waiter.xfactor(now), waiter.estimate, runner.xfactor(now), factor, now
+        )
 
 
 class InstantaneousPriorityOrder(QueuePolicy):
@@ -815,14 +831,16 @@ class SweepPreemption(PreemptionPolicy):
     and the empty-queue / no-free-processor early exits (the bench gate
     pins their effect; see ``benchmarks/bench_micro.py``).
 
-    After a timer sweep, :meth:`quiet_until` tells the driver when the
+    After every hook, :meth:`quiet_until` tells the driver when the
     next sweep could act: a victim qualifies for a waiting job once the
     queue policy's :meth:`~QueuePolicy.crossing_time` says the job's
     xfactor reaches SF x the victim's; width-ruled and limit-protected
-    victims never qualify before the next event.  An untraced,
-    unprobed driver does not schedule the ticks before then.  Under the
-    reservation guard (``ss-easy``) the engine gives no bound and every
-    sweep runs.
+    victims never qualify before the next event.  Under the suspension
+    priority one walk over the running jobs, sorted once by their
+    frozen xfactor, answers for every waiter (:meth:`_first_crossing`).
+    An untraced, unprobed driver does not schedule the ticks before
+    then.  Under the reservation guard (``ss-easy``) the engine gives
+    no bound and every sweep runs.
     """
 
     def __init__(
@@ -914,11 +932,76 @@ class SweepPreemption(PreemptionPolicy):
     # timer-pass skipping
     # ------------------------------------------------------------------
     def quiet_until(self) -> float:
-        if self.kernel.reservation.guards_preemption:
+        kernel = self.kernel
+        if kernel.reservation.guards_preemption:
             # the guard's anchor can move with `now` (remaining_estimate
             # floors at 1 s once a job outlives its estimate): no bound
             return -inf
+        if isinstance(kernel.queue, SuspensionPriorityOrder):
+            return self._first_crossing()
         return self._first_action_time()
+
+    def _first_crossing(self) -> float:
+        """:meth:`_first_action_time` in one walk, for the frozen
+        suspension priority.
+
+        A running job's xfactor is frozen, so a fresh waiter's crossing
+        time (:func:`_xfactor_crossing`) never falls as the victim's
+        xfactor rises.  The running jobs sorted once by xfactor are then
+        in crossing order for every waiter, and the first prefix that
+        covers a request gives the time the per-waiter sort of the
+        generic walk gives.  Limit-protected victims never qualify and
+        are dropped once; width-ruled ones are skipped per waiter.
+        Re-entries read their owners' xfactors from the same snapshot.
+        """
+        driver = self.driver
+        queued = driver.queued_jobs()
+        if not queued:
+            return inf
+        now = driver.now
+        cluster = driver.cluster
+        factor = self.criteria.suspension_factor
+        width_allows = self.criteria.width_allows
+        # job_id -> xfactor of each running job, inf when protected (so
+        # is its crossing); victims: (xfactor, width) of the unprotected
+        frozen: dict[int, float] = {}
+        victims: list[tuple[float, int]] = []
+        for running in driver.running_jobs():
+            x = running.xfactor(now)
+            if self.limits is not None and not self.victim_preemptable(running, x):
+                x = inf
+            else:
+                victims.append((x, running.procs))
+            frozen[running.job_id] = x
+        victims.sort()
+        free = cluster.free_count
+        first = inf
+        for job in queued:
+            waiter_x = job.xfactor(now)
+            if job.needs_specific_procs:
+                at = now
+                for owner_id in cluster.owners_in_mask(job.suspended_mask):
+                    crossing = _xfactor_crossing(
+                        waiter_x, job.estimate, frozen[owner_id], factor, now
+                    )
+                    at = max(at, crossing)
+                    if at >= first:
+                        break
+                first = min(first, at)
+                continue
+            need = job.procs - free
+            if need <= 0:
+                return now  # no time is earlier
+            for x, width in victims:
+                at = _xfactor_crossing(waiter_x, job.estimate, x, factor, now)
+                if at >= first:
+                    break  # nor can any later victim lower the bound
+                if width_allows(job.procs, width, False):
+                    need -= width
+                    if need <= 0:
+                        first = at
+                        break
+        return first
 
     def _eligible_at(
         self, waiter: Job, victim: Job, reentry: bool, now: float
@@ -1386,7 +1469,7 @@ class TimeslicePreemption(PreemptionPolicy):
     *strictly lower* priority.  See :mod:`repro.core.immediate_service`
     for the policy rationale and the pinned-down unstated details.
 
-    After a timer sweep, :meth:`quiet_until` bounds when the next one
+    After every hook, :meth:`quiet_until` bounds when the next sweep
     could act: a victim qualifies once its protection window has ended
     and the waiting job's priority has reached its own
     (:meth:`~QueuePolicy.crossing_time` with factor 1: a quadratic,
@@ -1709,9 +1792,9 @@ class PolicyKernel(Scheduler):
     * ``on_finish`` -- the preemption policy observes the completion
       (TSS calibration), then either the reservation policy recomputes
       guarantees or a no-suspension service pass fills the hole.
-    * ``on_timer`` -- the full (suspension-allowed) service pass;
-      :meth:`quiet_until` lets an untraced, unprobed driver skip the
-      ticks that provably cannot act.
+    * ``on_timer`` -- the full (suspension-allowed) service pass.
+      :meth:`quiet_until`, asked after every hook, lets an untraced,
+      unprobed driver skip the ticks that provably cannot act.
     * ``on_kill`` -- reschedules when the backfill policy asks for it
       (speculative test runs).
 

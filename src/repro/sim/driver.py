@@ -220,6 +220,8 @@ class SchedulingSimulation:
         self._running: dict[int, Job] = {}
         self._finished: list[Job] = []
         self._finish_events: dict[int, Event] = {}
+        #: the timer tick waiting in the calendar, if any
+        self._tick: Event | None = None
         self._arrivals_pending = 0
         self.total_suspensions = 0
         self.total_kills = 0
@@ -395,7 +397,10 @@ class SchedulingSimulation:
     def _handle_kill(self, event: Event) -> None:
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
-            return  # the speculation won (finished) or was re-dispatched
+            # the speculation won (finished) or was re-dispatched: nothing
+            # changed, so the pending tick stays where it is
+            self._after_event()
+            return
         ev = self._finish_events.pop(job.job_id, None)
         if ev is not None:
             self.loop.cancel(ev)
@@ -410,6 +415,7 @@ class SchedulingSimulation:
         if self.tracer is not None:
             self.tracer.kill(self.now, job, released, wasted)
         self.scheduler.on_kill(job)
+        self._replace_tick()
         self._after_event()
 
     def _handle_arrival(self, event: Event) -> None:
@@ -427,12 +433,15 @@ class SchedulingSimulation:
         if self.tracer is not None:
             self.tracer.arrival(self.now, job)
         self.scheduler.on_arrival(job)
+        self._replace_tick()
         self._after_event()
 
     def _handle_finish(self, event: Event) -> None:
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
-            return  # stale: the job was suspended after this was scheduled
+            # stale: the job was suspended after this was scheduled
+            self._after_event()
+            return
         self._finish_events.pop(job.job_id, None)
         job.total_overhead += job.pending_overhead
         job.pending_overhead = 0.0
@@ -445,41 +454,68 @@ class SchedulingSimulation:
         if self.tracer is not None:
             self.tracer.finish(self.now, job)
         self.scheduler.on_finish(job)
+        self._replace_tick()
         self._after_event()
 
     def _handle_timer(self, event: Event) -> None:
+        self._tick = None
         if self._work_remains():
             self.scheduler.on_timer()
             interval = self.scheduler.timer_interval
             if interval and self._work_remains():
-                self.loop.at(self._next_tick(interval), EventKind.TIMER)
+                self._place_tick(self.now + interval, interval)
         self._after_event()
 
-    def _next_tick(self, interval: float) -> float:
-        """When the next timer tick enters the calendar.
+    def _replace_tick(self) -> None:
+        """Right after an arrival, finish or kill: move the pending tick
+        past the ticks the scheduler's new bound proves idle.
 
-        Untraced, unprobed runs jump over the ticks that fall before
-        both ``scheduler.quiet_until() - interval`` and the next
-        calendar event: handlers run only at events, so each such tick
-        would be a pass the scheduler's bound proves idle.  The jumped
-        ticks are charged to :attr:`EventLoop.dispatched`.  Keeping the
-        last tick before the bound absorbs float error in it.  Tick
-        times advance by repeated addition, so every tick placed is the
-        float the every-tick chain would reach.
+        Leaves it alone while another event comes first (that event
+        re-places it in turn) or no work remains, and asks the bound
+        before touching the calendar: a scheduler without one (``-inf``)
+        causes no churn.
         """
-        tick = self.now + interval
+        tick = self._tick
+        interval = self.scheduler.timer_interval
+        if tick is None or interval is None:
+            return
         if self.tracer is not None or self.probe is not None:
-            return tick  # every pass is a trace record / probe sample
-        next_event = self.loop.queue.peek_time()
-        if next_event is None or tick >= next_event:
-            return tick  # nothing to jump: the bound need not be asked
-        horizon = min(self.scheduler.quiet_until() - interval, next_event)
-        skipped = 0
-        while tick < horizon:
-            tick += interval
-            skipped += 1
-        self.loop.charge(skipped)
-        return tick
+            return
+        if self.loop.queue.peek() is not tick or not self._work_remains():
+            return
+        bound = self.scheduler.quiet_until() - interval
+        if bound > tick.time:
+            self.loop.cancel(tick)
+            self._place_tick(tick.time, interval, bound)
+
+    def _place_tick(
+        self, tick: float, interval: float, bound: float | None = None
+    ) -> None:
+        """Put the pending timer tick in the calendar, at chain tick
+        *tick* or a later one.
+
+        Untraced, unprobed runs move it to the first tick of the chain at
+        or after both *bound* (``scheduler.quiet_until() - interval``,
+        asked here unless given) and the next calendar event: handlers
+        run only at events, so each tick before both would be a pass the
+        scheduler's bound proves idle.  The jumped ticks are charged to
+        :attr:`EventLoop.dispatched`.  Keeping the last tick before the
+        bound absorbs float error in it.  Tick times advance by repeated
+        addition, so every tick placed is the float the every-tick chain
+        would reach.
+        """
+        if self.tracer is None and self.probe is None:
+            next_event = self.loop.queue.peek_time()
+            if next_event is not None and tick < next_event:
+                if bound is None:
+                    bound = self.scheduler.quiet_until() - interval
+                horizon = min(bound, next_event)
+                skipped = 0
+                while tick < horizon:
+                    tick += interval
+                    skipped += 1
+                self.loop.charge(skipped)
+        self._tick = self.loop.at(tick, EventKind.TIMER)
 
     def _work_remains(self) -> bool:
         return bool(self._queued or self._running or self._arrivals_pending > 0)
@@ -529,7 +565,7 @@ class SchedulingSimulation:
             self.loop.at(job.submit_time, EventKind.JOB_ARRIVAL, job)
         interval = self.scheduler.timer_interval
         if interval:
-            self.loop.at(min(j.submit_time for j in jobs) + interval, EventKind.TIMER)
+            self._place_tick(min(j.submit_time for j in jobs) + interval, interval)
 
         self.loop.run()
         self.scheduler.on_end()

@@ -170,6 +170,13 @@ class EventQueue:
             return None
         return self._heap[0][0]
 
+    def peek(self) -> Event | None:
+        """Return the next live event without removing it, or ``None``."""
+        self._drop_dead()
+        if not self._heap:
+            return None
+        return self._heap[0][3]
+
     def drain(self) -> Iterator[Event]:
         """Yield live events in order until the calendar is empty."""
         while self:

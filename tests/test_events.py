@@ -81,6 +81,18 @@ def test_peek_time_skips_dead_entries():
     assert q.peek_time() == 5.0
 
 
+def test_peek_returns_the_next_live_event_in_place():
+    q = EventQueue()
+    assert q.peek() is None
+    first = q.schedule(1.0, EventKind.TIMER)
+    second = q.schedule(1.0, EventKind.JOB_FINISH)  # earlier kind wins the tie
+    assert q.peek() is second
+    q.cancel(second)
+    assert q.peek() is first
+    assert q.pop() is first
+    assert q.peek() is None
+
+
 def test_nan_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):

@@ -63,7 +63,7 @@ from repro.schedulers.policy import (
 )
 from repro.sim.audit import audit_result
 from repro.sim.driver import SchedulingSimulation
-from repro.workload.job import fresh_copies
+from repro.workload.job import Job, fresh_copies
 from repro.workload.synthetic import generate_trace
 
 N_PROCS = 128
@@ -210,6 +210,44 @@ def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monke
     else:
         assert untraced[0] < traced[0]
         assert untraced[1] < traced[1]
+
+
+def test_ticks_after_an_arrival_or_finish_are_jumped(monkeypatch):
+    """The tick after an arrival or a finish is jumped when it cannot
+    act, not only the tick after a tick.
+
+    B arrives at 30 and reaches SF 2 x A's xfactor at 130, so of the
+    every-minute chain the untraced run keeps only 120 (the margin
+    before the bound) and 180 (the suspension).  The ticks at 60 and
+    300 follow B's arrival and B's finish, and neither can act.
+    """
+    times: list[float] = []
+    on_timer = PolicyKernel.on_timer
+
+    def recorded(self):
+        times.append(self.driver.now)
+        on_timer(self)
+
+    monkeypatch.setattr(PolicyKernel, "on_timer", recorded)
+    jobs = [
+        Job(job_id=0, submit_time=0.0, run_time=10_000.0, estimate=10_000.0, procs=4),
+        Job(job_id=1, submit_time=30.0, run_time=100.0, estimate=100.0, procs=4),
+    ]
+
+    def run(recorder):
+        times.clear()
+        sim = SchedulingSimulation(
+            Cluster(4), SelectiveSuspensionScheduler(suspension_factor=2.0), recorder=recorder
+        )
+        return sim.run(fresh_copies(jobs)), list(times)
+
+    (plain, plain_ticks), (traced, traced_ticks) = run(None), run(InMemoryRecorder())
+    assert plain_ticks == [120.0, 180.0]
+    assert traced_ticks[:5] == [60.0, 120.0, 180.0, 240.0, 300.0]
+    assert schedule_signature(plain) == schedule_signature(traced)
+    assert plain.total_suspensions == 1
+    # two arrivals, two finishes and the chain from 60 to 10,140
+    assert plain.events_dispatched == 173
 
 
 def test_probed_run_keeps_every_timer_tick(trace_jobs, monkeypatch):

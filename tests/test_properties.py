@@ -412,7 +412,7 @@ def test_audit_accepts_every_generated_schedule(raw):
 # act, a traced run keeps every pass (each denial is a decision record),
 # so the traced twin is the every-pass reference
 # ----------------------------------------------------------------------
-def _sweep_scheme(scheme: str, sf: float, jobs: list[Job]):
+def _sweep_scheme(scheme: str, sf: float, jobs: list[Job], width_rule: bool = True):
     from repro.core.immediate_service import ImmediateServiceScheduler
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
@@ -422,22 +422,37 @@ def _sweep_scheme(scheme: str, sf: float, jobs: list[Job]):
     )
 
     if scheme == "ss":
-        return SelectiveSuspensionScheduler(suspension_factor=sf)
+        return SelectiveSuspensionScheduler(suspension_factor=sf, width_rule=width_rule)
     if scheme == "tss-online":
-        return TunableSelectiveSuspensionScheduler(suspension_factor=sf)
+        return TunableSelectiveSuspensionScheduler(
+            suspension_factor=sf, width_rule=width_rule
+        )
     if scheme == "tss-calibrated":
         baseline = run_sim(
             [j.copy_static() for j in jobs], EasyBackfillScheduler(), n_procs=N_PROCS
         )
         return TunableSelectiveSuspensionScheduler(
-            suspension_factor=sf, limits=limits_from_result(baseline)
+            suspension_factor=sf, limits=limits_from_result(baseline), width_rule=width_rule
         )
     if scheme == "tss-conservative":
-        return TunableSuspensionWithGuarantees(suspension_factor=sf)
+        return TunableSuspensionWithGuarantees(suspension_factor=sf, width_rule=width_rule)
     if scheme == "ss-easy":
-        return SuspensionWithHeadGuarantee(suspension_factor=sf)
+        return SuspensionWithHeadGuarantee(suspension_factor=sf, width_rule=width_rule)
     assert scheme == "is"
     return ImmediateServiceScheduler()
+
+
+def _overhead_model(name: str):
+    """Overheads well under one sweep interval: at SF 1 two jobs can swap
+    at every sweep, and a charge that fills the interval leaves neither
+    any progress (the run would never end)."""
+    from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
+
+    return {
+        "none": None,
+        "fixed": FixedOverheadModel(seconds=5.0),
+        "disk": DiskSwapOverheadModel(default_memory_range_mb=(1.0, 10.0)),
+    }[name]
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -453,27 +468,18 @@ def _sweep_scheme(scheme: str, sf: float, jobs: list[Job]):
 )
 def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overhead, migratable):
     """Jumping the timer ticks that cannot act changes no decision and no total."""
-    from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
     from repro.experiments.parallel import outcome_fingerprint
     from repro.experiments.runner import simulate
     from repro.obs import InMemoryRecorder
 
     jobs = build_jobs([(s / compress, r, p, e) for s, r, p, e in raw])
-    # overheads well under one sweep interval: at SF 1 two jobs can swap
-    # at every sweep, and a charge that fills the interval leaves neither
-    # any progress (the run would never end)
-    model = {
-        "none": None,
-        "fixed": FixedOverheadModel(seconds=5.0),
-        "disk": DiskSwapOverheadModel(default_memory_range_mb=(1.0, 10.0)),
-    }[overhead]
 
     def run(recorder):
         return simulate(
             jobs,
             _sweep_scheme(scheme, sf, jobs),
             N_PROCS,
-            overhead_model=model,
+            overhead_model=_overhead_model(overhead),
             migratable=migratable,
             recorder=recorder,
         )
@@ -491,3 +497,41 @@ def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overh
         "arrival_window_closed",
     ):
         assert getattr(plain, total) == getattr(traced, total), total
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    job_lists,
+    st.sampled_from([1.0, 10.0, 100.0]),  # arrival compression
+    st.sampled_from(["ss", "tss-online", "tss-calibrated", "tss-conservative"]),
+    st.sampled_from([1.0, 1.5, 2.0, 5.0]),
+    st.booleans(),  # width rule
+    st.sampled_from(["none", "fixed", "disk"]),
+    st.booleans(),
+)
+def test_sorted_bound_walk_matches_the_generic_walk(
+    raw, compress, scheme, sf, width_rule, overhead, migratable
+):
+    """Under the frozen suspension priority, the one-sort walk that
+    answers ``quiet_until`` returns, at every call, exactly the float
+    of the generic per-waiter walk."""
+    from repro.experiments.runner import simulate
+    from repro.schedulers.policy import SweepPreemption
+
+    jobs = build_jobs([(s / compress, r, p, e) for s, r, p, e in raw])
+    sorted_walk = SweepPreemption._first_crossing
+
+    def checked(self):
+        bound = sorted_walk(self)
+        assert bound == self._first_action_time()
+        return bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SweepPreemption, "_first_crossing", checked)
+        simulate(
+            jobs,
+            _sweep_scheme(scheme, sf, jobs, width_rule),
+            N_PROCS,
+            overhead_model=_overhead_model(overhead),
+            migratable=migratable,
+        )

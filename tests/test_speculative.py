@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.machine import Cluster
+from repro.metrics.timeseries import StateProbe
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.speculative import SpeculativeBackfillScheduler
 from repro.sim.audit import audit_result
+from repro.sim.driver import SchedulingSimulation
 from repro.workload.estimates import InaccurateEstimates
 from repro.workload.job import JobState, fresh_copies
 from repro.workload.synthetic import generate_trace
@@ -40,6 +43,17 @@ def test_speculation_win():
     assert result.total_kills == 0
     # under EASY the same job waits behind the head
     assert jobs[1].first_start_time == pytest.approx(2000.0)
+
+
+def test_probe_samples_after_a_stale_kill():
+    """A test run that wins leaves its kill event stale; the probe still
+    samples after it, as after every other event."""
+    probe = StateProbe(interval=500.0)
+    sim = SchedulingSimulation(Cluster(8), SpeculativeBackfillScheduler(), probe=probe)
+    result = sim.run(winning_scenario())
+    assert result.total_kills == 0
+    # job 2 finishes at 302; its kill at the 902 s deadline is stale
+    assert probe.times() == [0.0, 902.0, 2000.0, 4000.0]
 
 
 def test_speculation_loss_kills_and_requeues():

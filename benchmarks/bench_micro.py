@@ -1,12 +1,12 @@
-"""Micro-benchmarks of the simulation substrate.
+"""Fixed kernel workloads, the call-count collector, and legacy references.
 
-Conventional pytest-benchmark timings (many rounds) for the hot paths:
-event calendar throughput, profile operations, cluster allocation, and
-end-to-end simulation rate in jobs/second for each scheduler family.
-Regressions here silently inflate every figure bench, so they are
-tracked separately -- ``tools/bench_gate.py`` runs this module, writes
-the schema-versioned ``BENCH_PR4.json`` artifact and fails CI on
-regressions against the committed baseline.
+``tools/bench_gate.py`` runs every workload of :func:`workloads` under
+:func:`count_calls` and compares the counts, call for call, with the
+committed ``tools/bench_baseline.json``.  A count is a property of the
+code, not of the machine or the run: it is the same on every run and
+under every hash seed (``tests/test_call_counts.py``), so any change in
+a count is a change in the code.  Wall-clock numbers live in
+``perfbench/``.
 
 The pre-optimisation kernel survives here as *executable references*:
 
@@ -18,36 +18,175 @@ The pre-optimisation kernel survives here as *executable references*:
 * :class:`LegacyAvailabilityProfile` -- the candidates-times-``fits``
   anchor rescan and the double-``list.insert`` claim.
 
-Each has a ``*_legacy`` bench twin so every speedup claim is measured
-in the same run it is reported from, and the ``test_*_identical``
-cases assert the optimised kernel makes byte-for-byte the same
-scheduling decisions as the legacy one -- the speedups are asserted,
-not claimed.
+The ``test_*_identical`` cases assert the optimised kernel makes
+byte-for-byte the same scheduling decisions as the legacy one.
 """
 
 from __future__ import annotations
 
-import pytest
+import gc
+import sys
+from functools import partial
+from pathlib import Path
+from types import CodeType, FrameType
+from typing import Any, Callable
 
+import repro
 from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
 from repro.cluster.machine import AllocationError, Cluster
 from repro.core.priorities import PreemptionCriteria, suspension_priority
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.obs import NULL_RECORDER
 from repro.schedulers.base import Scheduler
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
-from repro.sim.driver import SchedulingSimulation
+from repro.sim.driver import SchedulingSimulation, SimulationResult
 from repro.sim.events import EventKind, EventQueue
 from repro.workload.job import Job, fresh_copies
 from repro.workload.load import scale_load
-from repro.workload.swf import stream_jobs, stream_swf, write_synthetic_swf
+from repro.workload.swf import stream_jobs, stream_swf
 from repro.workload.synthetic import generate_trace
-from tests.conftest import run_sim
 
 JOBS_SDSC = generate_trace("SDSC", n_jobs=400, seed=3)
 #: the regime the ROADMAP cares about: a long, overloaded SDSC trace
 #: where queues stay deep and the kernel's quadratic terms dominate
 JOBS_CONGESTED = scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
+#: records in the ingestion workloads' log (``write_synthetic_swf``)
+INGEST_LINES = 20_000
+
+
+# ----------------------------------------------------------------------
+# the call-count collector
+# ----------------------------------------------------------------------
+#: the package whose functions :func:`count_calls` counts
+SRC_ROOT = Path(repro.__file__).resolve().parent
+#: frames Python 3.12 inlines into their caller (PEP 709); skipped, so a
+#: count names a function and not an interpreter detail
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+def count_calls(fn: Callable[[], object]) -> dict[str, int]:
+    """Python-level calls *fn* makes to functions under ``src/repro``.
+
+    Keys are ``path:qualname``, with the path relative to the package
+    (Python 3.10 code objects carry no qualname, so there a key holds
+    the bare function name); values count ``call`` events, so a
+    generator counts once per resumption.  *fn* first runs once
+    uncounted, so lazy imports and first-use caches stay out of the
+    count, and the garbage collector is off while counting, so no
+    finaliser runs at an allocation-dependent point.
+    """
+    fn()
+    calls: dict[CodeType, int] = {}
+
+    def profile(frame: FrameType, event: str, arg: Any) -> None:
+        if event == "call":
+            code = frame.f_code
+            calls[code] = calls.get(code, 0) + 1
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    counts: dict[str, int] = {}
+    for code, n in calls.items():
+        path = Path(code.co_filename).resolve()
+        if code.co_name in _COMPREHENSIONS or not path.is_relative_to(SRC_ROOT):
+            continue
+        name = getattr(code, "co_qualname", code.co_name)
+        key = f"{path.relative_to(SRC_ROOT).as_posix()}:{name}"
+        counts[key] = counts.get(key, 0) + n
+    return dict(sorted(counts.items()))
+
+
+# ----------------------------------------------------------------------
+# the counted workloads
+# ----------------------------------------------------------------------
+def simulate(
+    jobs: list[Job],
+    scheduler: Scheduler,
+    cluster: Any = None,
+    recorder: Any = None,
+) -> SimulationResult:
+    """One run over fresh copies of *jobs* on a 128-processor machine."""
+    driver = SchedulingSimulation(
+        cluster=Cluster(128) if cluster is None else cluster,
+        scheduler=scheduler,
+        recorder=recorder,
+    )
+    return driver.run(fresh_copies(jobs))
+
+
+def _event_queue_push_pop() -> None:
+    q = EventQueue()
+    for i in range(2000):
+        q.schedule(float(i % 97), EventKind.GENERIC, i)
+    while q:
+        q.pop()
+
+
+def _event_queue_with_cancellation() -> None:
+    q = EventQueue()
+    events = [q.schedule(float(i % 53), EventKind.GENERIC, i) for i in range(2000)]
+    for ev in events[::2]:
+        q.cancel(ev)
+    while q:
+        q.pop()
+
+
+def _profile_workload(profile_cls: type[AvailabilityProfile]) -> AvailabilityProfile:
+    p = profile_cls(430, origin=0.0)
+    for i in range(300):
+        width = 8 + (i * 7) % 48
+        anchor = p.find_anchor(100.0 + (i % 60), width)
+        p.claim(anchor, 100.0 + (i % 60), width)
+    return p
+
+
+def _cluster_workload(cluster_cls: Callable[[int], Any]) -> Any:
+    c = cluster_cls(430)
+    for _ in range(50):
+        held = [(i, c.allocate(4, owner=i)) for i in range(100)]
+        for owner, procs in held:
+            c.release(procs, owner)
+    return c
+
+
+def _ss(jobs: list[Job], recorder: Any = None) -> SimulationResult:
+    return simulate(jobs, SelectiveSuspensionScheduler(suspension_factor=2.0), recorder=recorder)
+
+
+def _swf_stream_parse(log: Path) -> int:
+    """Streaming parse: lines -> SWFRecord, no conversion."""
+    return sum(1 for _ in stream_swf(log))
+
+
+def _swf_stream_to_jobs(log: Path) -> int:
+    """Streaming ingestion: parse, hygiene filters and Job construction."""
+    return sum(1 for _ in stream_jobs(stream_swf(log), max_procs=128))
+
+
+def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
+    """The counted workloads by name; the two ``swf_*`` ones read
+    *swf_log*, a ``write_synthetic_swf`` log of :data:`INGEST_LINES`
+    records."""
+    return {
+        "event_queue_push_pop": _event_queue_push_pop,
+        "event_queue_with_cancellation": _event_queue_with_cancellation,
+        "profile_claim_and_anchor": partial(_profile_workload, AvailabilityProfile),
+        "cluster_allocate_release": partial(_cluster_workload, Cluster),
+        "easy_sdsc400": lambda: simulate(JOBS_SDSC, EasyBackfillScheduler()),
+        "ss_sdsc400": partial(_ss, JOBS_SDSC),
+        "ss_sdsc400_null_recorder": partial(_ss, JOBS_SDSC, NULL_RECORDER),
+        "ss_congested700": partial(_ss, JOBS_CONGESTED),
+        "swf_stream_parse": partial(_swf_stream_parse, swf_log),
+        "swf_stream_to_jobs": partial(_swf_stream_to_jobs, swf_log),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -59,12 +198,10 @@ class LegacyCluster:
     Free pool as ``set[int]``, ownership as ``dict[proc, owner]``: the
     reference keeps its internals.  The methods the driver calls take
     and return bitmasks, as :class:`Cluster`'s do, so it drops into the
-    driver for the ``*_legacy`` benches and the equivalence assertions.
-    Each distinct mask is turned into ids once (:meth:`ids`), so the
-    boundary costs one conversion per set handed out rather than one
-    per call, and the ``*_legacy`` benches keep measuring the set/dict
-    kernel; :meth:`ids` and :meth:`free_set` are the set reads
-    :class:`LegacySweepScheduler` uses.
+    driver for the equivalence assertions.  Each distinct mask is
+    turned into ids once (:meth:`ids`); :meth:`ids` and
+    :meth:`free_set` are the set reads :class:`LegacySweepScheduler`
+    uses.
     """
 
     def __init__(self, n_procs: int, policy=None) -> None:
@@ -177,7 +314,7 @@ class LegacyAvailabilityProfile(AvailabilityProfile):
 
     ``find_anchor`` re-walks the whole window per candidate (O(n^2));
     ``claim`` pays two O(n) ``list.insert`` shifts per call.  Kept as
-    the measured baseline for the merged-walk/splice rewrite.
+    the reference for the merged-walk/splice rewrite.
     """
 
     def _ensure_breakpoint(self, t: float) -> int:
@@ -250,21 +387,22 @@ class _RecomputingPriorities(dict):
 class LegacySweepScheduler(Scheduler):
     """Reference SS with the full pre-optimisation sweep.
 
-    Benchmark-only and deliberately **self-contained** on the bare
+    Reference-only and deliberately **self-contained** on the bare
     :class:`Scheduler` interface: since the policy-kernel refactor the
     production SS delegates its sweep to the composed
     ``SweepPreemption`` engine, so subclass overrides of the old
     ``sweep``/``_try_start`` internals would be dead code silently
-    benchmarking the optimised path.  Everything here is the legacy
+    running the optimised path.  Everything here is the legacy
     implementation: priorities recomputed per access, ``running_jobs()``
     re-sorted inside every ``_try_start``, the pinned set rebuilt from
     the queue on every ``_place``, and all placement done on id sets:
     it reads them through the cluster's :meth:`~LegacyCluster.ids` and
     :meth:`~LegacyCluster.free_set` and hands ``start_job`` a mask.
-    Pins down what the sweep-scoped snapshot/victim-list/pinned-mask
-    structures buy, and that they buy it without changing a single
-    scheduling decision (``test_kernel_equivalence_identical`` asserts
-    the schedules match event for event).
+    Pins down that the sweep-scoped snapshot/victim-list/pinned-mask
+    structures change no scheduling decision
+    (``test_kernel_equivalence_identical`` asserts the schedules match
+    event for event) and what they save
+    (``tests/test_call_counts.py`` counts the priority evaluations).
     """
 
     scheme_id = "ss"
@@ -427,13 +565,9 @@ class LegacySweepScheduler(Scheduler):
         return False  # pragma: no cover - owners covered all of `needed`
 
 
-def run_sim_legacy(jobs, scheduler, n_procs):
-    """run_sim twin on the full legacy kernel (LegacyCluster)."""
-    driver = SchedulingSimulation(cluster=LegacyCluster(n_procs), scheduler=scheduler)
-    return driver.run(jobs)
 
 
-def _schedule_signature(result):
+def _schedule_signature(result: SimulationResult) -> list[tuple[Any, ...]]:
     """Every externally observable per-job outcome, for exact equality."""
     return [
         (
@@ -447,76 +581,13 @@ def _schedule_signature(result):
 
 
 # ----------------------------------------------------------------------
-# substrate micro-benches
+# decision equivalence: the optimisations change cost, never the schedule
 # ----------------------------------------------------------------------
-def test_event_queue_push_pop(benchmark):
-    def run():
-        q = EventQueue()
-        for i in range(2000):
-            q.schedule(float(i % 97), EventKind.GENERIC, i)
-        while q:
-            q.pop()
-
-    benchmark(run)
-
-
-def test_event_queue_with_cancellation(benchmark):
-    def run():
-        q = EventQueue()
-        events = [q.schedule(float(i % 53), EventKind.GENERIC, i) for i in range(2000)]
-        for ev in events[::2]:
-            q.cancel(ev)
-        while q:
-            q.pop()
-
-    benchmark(run)
-
-
-def _profile_workload(profile_cls):
-    p = profile_cls(430, origin=0.0)
-    for i in range(300):
-        width = 8 + (i * 7) % 48
-        anchor = p.find_anchor(100.0 + (i % 60), width)
-        p.claim(anchor, 100.0 + (i % 60), width)
-    return p
-
-
-def test_profile_claim_and_anchor(benchmark):
-    benchmark(_profile_workload, AvailabilityProfile)
-
-
-def test_profile_claim_and_anchor_legacy(benchmark):
-    """The O(n^2) rescan + insert-churn profile, same workload."""
-    benchmark(_profile_workload, LegacyAvailabilityProfile)
-
-
 def test_profile_ops_identical():
     """Merged-walk anchors and spliced claims change cost, not plans."""
     fast = _profile_workload(AvailabilityProfile)
     slow = _profile_workload(LegacyAvailabilityProfile)
     assert fast.breakpoints() == slow.breakpoints()
-
-
-def _cluster_workload(cluster_cls):
-    c = cluster_cls(430)
-    for round_ in range(50):
-        held = []
-        for i in range(100):
-            held.append((i, c.allocate(4, owner=i)))
-        for owner, procs in held:
-            c.release(procs, owner)
-    return c
-
-
-def test_cluster_allocate_release(benchmark):
-    c = benchmark(_cluster_workload, Cluster)
-    assert c.free_count == 430
-
-
-def test_cluster_allocate_release_legacy(benchmark):
-    """The set/dict cluster, same allocate/release workload."""
-    c = benchmark(_cluster_workload, LegacyCluster)
-    assert c.free_count == 430
 
 
 def _cluster_churn(cluster_cls) -> list[tuple[int, ...]]:
@@ -554,123 +625,18 @@ def test_cluster_churn_identical():
     assert _cluster_churn(Cluster) == _cluster_churn(LegacyCluster)
 
 
-# ----------------------------------------------------------------------
-# end-to-end simulation rate
-# ----------------------------------------------------------------------
-def test_simulation_rate_easy(benchmark):
-    def run():
-        return run_sim(fresh_copies(JOBS_SDSC), EasyBackfillScheduler(), n_procs=128)
-
-    result = benchmark(run)
-    assert len(result.jobs) == len(JOBS_SDSC)
-
-
-def test_simulation_rate_ss(benchmark):
-    def run():
-        return run_sim(
-            fresh_copies(JOBS_SDSC),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
-            n_procs=128,
-        )
-
-    result = benchmark(run)
-    assert len(result.jobs) == len(JOBS_SDSC)
-
-
-def test_simulation_rate_ss_null_recorder(benchmark):
-    """SS throughput with the null recorder attached.
-
-    The zero-overhead-when-off contract (docs/TRACING.md): passing a
-    disabled recorder must leave ``driver.tracer is None``, so the only
-    possible cost over ``test_simulation_rate_ss`` is the per-site
-    ``if tracer is not None`` guards.  Compare the two benches in the
-    same run; the gap stays within the noise floor (<2% measured).
-    """
-    from repro.obs import NULL_RECORDER
-
-    def run():
-        driver = SchedulingSimulation(
-            cluster=Cluster(128),
-            scheduler=SelectiveSuspensionScheduler(suspension_factor=2.0),
-            recorder=NULL_RECORDER,
-        )
-        return driver.run(fresh_copies(JOBS_SDSC))
-
-    result = benchmark(run)
-    assert result.counters is None  # disabled recorder -> no tracer
-    assert len(result.jobs) == len(JOBS_SDSC)
-
-
-def test_simulation_rate_ss_legacy_sweep(benchmark):
-    """The full pre-optimisation kernel on the same SDSC trace.
-
-    Compare this bench's time against ``test_simulation_rate_ss`` in
-    the same run: the gap is what the bitmask cluster plus the
-    sweep-scoped snapshot/victim-list/pinned-mask structures save (it
-    widens with congestion -- see the ``*_congested`` pair).
-    """
-
-    def run():
-        return run_sim_legacy(
-            fresh_copies(JOBS_SDSC),
-            LegacySweepScheduler(suspension_factor=2.0),
-            n_procs=128,
-        )
-
-    result = benchmark(run)
-    assert len(result.jobs) == len(JOBS_SDSC)
-
-
-def test_simulation_rate_ss_congested(benchmark):
-    """SS on the overloaded trace where the quadratic terms dominated."""
-
-    def run():
-        return run_sim(
-            fresh_copies(JOBS_CONGESTED),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
-            n_procs=128,
-        )
-
-    result = benchmark(run)
-    assert len(result.jobs) == len(JOBS_CONGESTED)
-
-
-def test_simulation_rate_ss_congested_legacy(benchmark):
-    """The legacy kernel on the same overloaded trace."""
-
-    def run():
-        return run_sim_legacy(
-            fresh_copies(JOBS_CONGESTED),
-            LegacySweepScheduler(suspension_factor=2.0),
-            n_procs=128,
-        )
-
-    result = benchmark(run)
-    assert len(result.jobs) == len(JOBS_CONGESTED)
-
-
-# ----------------------------------------------------------------------
-# decision equivalence: the speedups change cost, never the schedule
-# ----------------------------------------------------------------------
 def test_kernel_equivalence_identical():
     """Optimised kernel == full legacy kernel, decision for decision.
 
     Runs the bitmask-cluster/incremental-sweep kernel and the complete
     legacy reference (set cluster + naive sweep) over the same traces
     and asserts per-job start/finish/suspension equality plus the
-    aggregate counters.  This is the in-run witness behind every
-    speedup ratio ``tools/bench_gate.py`` reports.
+    aggregate counters.
     """
     for jobs in (JOBS_SDSC, JOBS_CONGESTED):
-        fast = run_sim(
-            fresh_copies(jobs),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
-            n_procs=128,
-        )
-        slow = run_sim_legacy(
-            fresh_copies(jobs),
-            LegacySweepScheduler(suspension_factor=2.0),
-            n_procs=128,
+        fast = _ss(jobs)
+        slow = simulate(
+            jobs, LegacySweepScheduler(suspension_factor=2.0), cluster=LegacyCluster(128)
         )
         assert _schedule_signature(fast) == _schedule_signature(slow)
         assert fast.total_suspensions == slow.total_suspensions
@@ -680,53 +646,13 @@ def test_kernel_equivalence_identical():
 def test_sweep_priority_snapshot_identical():
     """The snapshot optimisation changes cost, not decisions.
 
-    The original PR-1 witness, retained: optimised sweep vs the naive
-    recomputing sweep on the *same* (bitmask) cluster.
+    Optimised sweep vs the naive recomputing sweep on the *same*
+    (bitmask) cluster, so the sweep alone is compared.
     """
-    fast = run_sim(
-        fresh_copies(JOBS_SDSC),
-        SelectiveSuspensionScheduler(suspension_factor=2.0),
-        n_procs=128,
+    fast = _ss(JOBS_SDSC)
+    slow = simulate(
+        JOBS_SDSC, LegacySweepScheduler(suspension_factor=2.0), cluster=_IdViewCluster(128)
     )
-    slow = SchedulingSimulation(
-        cluster=_IdViewCluster(128),
-        scheduler=LegacySweepScheduler(suspension_factor=2.0),
-    ).run(fresh_copies(JOBS_SDSC))
     assert _schedule_signature(fast) == _schedule_signature(slow)
     assert fast.total_suspensions == slow.total_suspensions
     assert fast.makespan == slow.makespan
-
-
-# ----------------------------------------------------------------------
-# ingestion: streaming SWF parse / convert throughput
-# ----------------------------------------------------------------------
-#: records in the bench log; large enough that per-record costs dominate
-#: file-open overhead, small enough to keep the suite fast.  The >=100k
-#: peak-RSS assertion lives in tools/bench_gate.py (it needs subprocess
-#: isolation to measure ru_maxrss, which pytest-benchmark cannot give).
-INGEST_LINES = 20_000
-
-
-@pytest.fixture(scope="module")
-def ingest_log(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ingest") / "ingest.swf"
-    write_synthetic_swf(path, INGEST_LINES)
-    return path
-
-
-def test_swf_stream_parse(benchmark, ingest_log):
-    """Raw streaming parse rate: lines -> SWFRecord, no conversion."""
-
-    def run() -> int:
-        return sum(1 for _ in stream_swf(ingest_log))
-
-    assert benchmark(run) == INGEST_LINES
-
-
-def test_swf_stream_to_jobs(benchmark, ingest_log):
-    """Full ingestion rate: parse + hygiene filters + Job construction."""
-
-    def run() -> int:
-        return sum(1 for _ in stream_jobs(stream_swf(ingest_log), max_procs=128))
-
-    assert benchmark(run) == INGEST_LINES

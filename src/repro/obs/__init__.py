@@ -28,9 +28,9 @@ Layers (bottom-up):
 recorder (or with the :data:`NULL_RECORDER`) has ``driver.tracer is
 None`` and every emission site is guarded by that single ``is not
 None`` check -- no event objects are built, no strings formatted, no
-callbacks invoked.  ``benchmarks/bench_micro.py`` pins the cost at the
-noise floor (<2 %).  The schema itself is documented as a stable
-contract in ``docs/TRACING.md``.
+callbacks invoked.  ``tools/bench_gate.py`` requires a null-recorder
+run to make exactly the untraced run's calls.  The schema itself is
+documented as a stable contract in ``docs/TRACING.md``.
 """
 
 from repro.obs.counters import DENIAL_CAUSES, GridCounters, TraceCounters

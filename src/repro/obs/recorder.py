@@ -7,8 +7,9 @@ implementations cover the practical spectrum:
 * :class:`NullRecorder` / :data:`NULL_RECORDER` -- ``enabled`` is
   false, so the driver never even constructs a
   :class:`~repro.obs.events.Tracer`; passing it is *exactly* as cheap
-  as passing no recorder at all (the zero-overhead-when-off contract,
-  pinned by ``benchmarks/bench_micro.py``).
+  as passing no recorder at all (the zero-overhead-when-off contract:
+  ``tools/bench_gate.py`` requires a null-recorder run to make exactly
+  the untraced run's calls).
 * :class:`InMemoryRecorder` -- appends events to a list; the test and
   notebook workhorse.
 * :class:`JsonlRecorder` -- streams one JSON object per line to a

@@ -232,6 +232,14 @@ class ReservationPolicy(Policy):
         (only called when :attr:`guards_preemption`)."""
         raise NotImplementedError
 
+    def _running_profile(self) -> AvailabilityProfile:
+        """Free processors over time as the running jobs release them."""
+        driver = self.driver
+        profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
+        for running in driver.running_jobs():
+            profile.claim_running(running.procs, running.expected_end)
+        return profile
+
 
 @dataclass
 class HeadPlan:
@@ -481,20 +489,13 @@ class HeadReservation(ReservationPolicy):
         # scheme-id-determined knobs: nothing to serialise (see class doc)
         return {}
 
-    def _running_profile(self) -> AvailabilityProfile:
-        driver = self.driver
-        profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
-        for running in driver.running_jobs():
-            profile.claim_running(running.procs, running.expected_end)
-        return profile
-
-    def plan_head(self, head: Job) -> HeadPlan:
+    def _anchor_head(self, head: Job) -> HeadPlan:
+        """Plan *head*'s earliest start against the running jobs and
+        announce it (when :attr:`announce`); nothing claimed yet."""
         driver = self.driver
         profile = self._running_profile()
         duration = head.remaining_estimate()
         anchor = profile.find_anchor(duration, head.procs)
-        if self.claim_head:
-            profile.claim(anchor, duration, head.procs)
         if self.announce and driver.tracer is not None:
             driver.tracer.decision(
                 driver.now,
@@ -506,6 +507,12 @@ class HeadReservation(ReservationPolicy):
             )
         return HeadPlan(profile=profile, head=head, anchor=anchor, duration=duration)
 
+    def plan_head(self, head: Job) -> HeadPlan:
+        plan = self._anchor_head(head)
+        if self.claim_head:
+            plan.profile.claim(plan.anchor, plan.duration, head.procs)
+        return plan
+
     def sweep_guard(self, head: Job) -> float:
         """The head's anchor for a preemption sweep to honor.
 
@@ -514,20 +521,7 @@ class HeadReservation(ReservationPolicy):
         guarantee is an estimate re-derived every sweep, exactly as
         EASY re-plans on every pass).
         """
-        driver = self.driver
-        profile = self._running_profile()
-        duration = head.remaining_estimate()
-        anchor = profile.find_anchor(duration, head.procs)
-        if self.announce and driver.tracer is not None:
-            driver.tracer.decision(
-                driver.now,
-                "reservation",
-                head.job_id,
-                anchor=anchor,
-                requested=head.procs,
-                duration=duration,
-            )
-        return anchor
+        return self._anchor_head(head).anchor
 
 
 class PerJobReservations(ReservationPolicy):
@@ -609,13 +603,6 @@ class PerJobReservations(ReservationPolicy):
                     )
 
     # ------------------------------------------------------------------
-    def _running_profile(self) -> AvailabilityProfile:
-        driver = self.driver
-        profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
-        for running in driver.running_jobs():
-            profile.claim_running(running.procs, running.expected_end)
-        return profile
-
     def _profile_with_reservations(self, exclude: int) -> AvailabilityProfile:
         driver = self.driver
         profile = self._running_profile()
@@ -828,8 +815,8 @@ class SweepPreemption(PreemptionPolicy):
     All the incremental fast paths of the optimised kernel are kept:
     the once-per-sweep priority snapshot, the insort-maintained victim
     list with its lazy dead set, the incrementally-updated pinned mask,
-    and the empty-queue / no-free-processor early exits (the bench gate
-    pins their effect; see ``benchmarks/bench_micro.py``).
+    and the empty-queue / no-free-processor early exits
+    (``tools/bench_gate.py`` pins their effect as exact call counts).
 
     After every hook, :meth:`quiet_until` tells the driver when the
     next sweep could act: a victim qualifies for a waiting job once the
@@ -1040,7 +1027,9 @@ class SweepPreemption(PreemptionPolicy):
         cannot invalidate the snapshot.  The naive form recomputed
         the priority O(queue x running) times per sweep inside sort
         keys and per-victim filters -- the dominant cost of congested
-        simulations (see ``benchmarks/bench_micro.py``).
+        simulations (``benchmarks/bench_micro.py`` keeps that form as
+        ``LegacySweepScheduler``; ``tools/bench_gate.py`` counts the
+        priority calls exactly).
 
         Two more sweep-scoped structures extend the same idea to the
         remaining quadratic terms.  The **victim list** is sorted once
@@ -1503,10 +1492,9 @@ class TimeslicePreemption(PreemptionPolicy):
         self._protected_until.clear()
 
     def on_arrival(self, job: Job) -> None:
-        if not self._grant_immediate_service(job):
-            # could not assemble processors even with preemption; the
-            # job waits and competes in subsequent sweeps
-            pass
+        # a job that cannot get processors even by preemption waits and
+        # competes in later sweeps
+        self._serve_fresh(job, arrival=True)
 
     def observe_finish(self, job: Job) -> None:
         self._protected_until.pop(job.job_id, None)
@@ -1551,29 +1539,6 @@ class TimeslicePreemption(PreemptionPolicy):
         if crossing is None:
             return None
         return max(crossing, self._protected_until.get(victim.job_id, -inf))
-
-    def _grant_immediate_service(self, job: Job) -> bool:
-        """Arrival path: start *job* now, preempting if necessary."""
-        driver = self.driver
-        if driver.cluster.can_allocate(job.procs):
-            self._start(job)
-            return True
-        victims = self._cheapest_victims(limit_priority=None)
-        freed = driver.cluster.free_count
-        chosen: list[Job] = []
-        for victim in victims:
-            if freed >= job.procs:
-                break
-            chosen.append(victim)
-            freed += victim.procs
-        if freed < job.procs:
-            self._record_denial(job, limit_priority=None, path="arrival")
-            return False
-        self._record_grant(job, chosen, limit_priority=None, path="arrival")
-        for victim in chosen:
-            self._suspend(victim, job)
-        self._start(job)
-        return True
 
     # ------------------------------------------------------------------
     # decision records (trace-only; never consulted by the policy)
@@ -1664,24 +1629,23 @@ class TimeslicePreemption(PreemptionPolicy):
     def _sweep(self) -> None:
         """Serve waiting jobs: free processors first, then preemption."""
         driver = self.driver
-        now = driver.now
-        waiting = sorted(
-            driver.queued_jobs(),
-            key=lambda j: (-self._priority(j, now), j.submit_time, j.job_id),
-        )
-        for job in waiting:
+        for job in self.kernel.queue.order(driver.queued_jobs(), driver.now):
             if job.needs_specific_procs:
                 self._serve_reentry(job)
             else:
-                self._serve_fresh(job)
+                self._serve_fresh(job, arrival=False)
 
-    def _serve_fresh(self, job: Job) -> bool:
+    def _serve_fresh(self, job: Job, arrival: bool) -> bool:
+        """Start *job* now, suspending the cheapest unprotected victims
+        if needed: on *arrival* any of them, in a sweep only those of
+        strictly lower priority than *job*."""
         driver = self.driver
         if driver.cluster.can_allocate(job.procs):
             self._start(job)
             return True
-        my_priority = self._priority(job, driver.now)
-        victims = self._cheapest_victims(limit_priority=my_priority)
+        limit = None if arrival else self._priority(job, driver.now)
+        path = "arrival" if arrival else "sweep"
+        victims = self._cheapest_victims(limit_priority=limit)
         freed = driver.cluster.free_count
         chosen: list[Job] = []
         for victim in victims:
@@ -1690,9 +1654,9 @@ class TimeslicePreemption(PreemptionPolicy):
             chosen.append(victim)
             freed += victim.procs
         if freed < job.procs:
-            self._record_denial(job, limit_priority=my_priority, path="sweep")
+            self._record_denial(job, limit_priority=limit, path=path)
             return False
-        self._record_grant(job, chosen, limit_priority=my_priority, path="sweep")
+        self._record_grant(job, chosen, limit_priority=limit, path=path)
         for victim in chosen:
             self._suspend(victim, job)
         self._start(job)

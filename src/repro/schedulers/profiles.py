@@ -13,7 +13,8 @@ rewrites the affected run of breakpoints with one slice splice (a single
 memmove instead of two ``list.insert`` shifts); anchor search is one
 merged breakpoint walk carrying a sliding-window minimum (O(n) per
 anchor, down from the O(n^2) candidates-times-rescan form -- the legacy
-reference survives in ``benchmarks/bench_micro.py``).  EASY and
+reference survives in ``benchmarks/bench_micro.py``, and
+``tools/bench_gate.py`` counts the calls per anchor exactly).  EASY and
 conservative backfilling rebuild a profile every scheduling pass, so
 these two operations bound the whole backfill family's cost once queues
 congest.

@@ -170,8 +170,9 @@ class SchedulingSimulation:
         :data:`~repro.obs.recorder.NULL_RECORDER`) disables tracing
         entirely: :attr:`tracer` stays ``None`` and every emission site
         reduces to a single ``is not None`` check -- the
-        zero-overhead-when-off contract pinned by
-        ``benchmarks/bench_micro.py``.  Tracing never changes the
+        zero-overhead-when-off contract (``tools/bench_gate.py``
+        requires a null-recorder run to make exactly the untraced run's
+        calls).  Tracing never changes the
         schedule: traced and untraced runs start, suspend and finish
         the same jobs at the same times.  Untraced runs without a
         *probe* leave out the timer ticks that cannot act (DESIGN.md

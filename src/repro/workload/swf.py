@@ -612,9 +612,10 @@ def stream_jobs(
     drop_interactive: bool = False,
     require_sorted: bool = True,
 ) -> Iterator[Job]:
-    """Streaming twin of :func:`jobs_from_swf_records` (same hygiene filters).
+    """Convert SWF records to jobs one at a time, with O(1) memory.
 
-    Yields simulate-ready jobs one at a time with O(1) memory.  The one
+    Applies the hygiene filters listed at :func:`jobs_from_swf_records`,
+    which is this conversion over the sorted records.  The one
     semantic difference from the eager path: a stream cannot be sorted,
     so the input must already be in nondecreasing submit order (true of
     archive logs; verify with :func:`scan_swf`).  With
@@ -700,7 +701,10 @@ def jobs_from_swf_records(
 ) -> list[Job]:
     """Convert SWF records to simulate-ready :class:`Job` objects.
 
-    Applies the standard hygiene filters used in scheduling studies:
+    Sorts the records by ``(submit time, job number)`` -- negative
+    submit times count as 0 -- and converts them with
+    :func:`stream_jobs`, which applies the standard hygiene filters used
+    in scheduling studies:
 
     * drop jobs with nonpositive run time or processor count (cancelled
       before start, or corrupt records);
@@ -716,51 +720,17 @@ def jobs_from_swf_records(
     Memory: SWF requested memory is KB per node; converted to MB per
     processor for the overhead model when present.
     """
-    jobs: list[Job] = []
-    for rec in records:
-        procs = rec.requested_procs if use_requested_procs else rec.allocated_procs
-        if procs <= 0:
-            procs = max(rec.allocated_procs, rec.requested_procs)
-        if procs <= 0:
-            continue
-        if rec.run_time <= 0:
-            continue
-        if max_procs is not None and procs > max_procs:
-            continue
-        run_time = max(rec.run_time, min_run_time)
-        estimate = rec.requested_time if rec.requested_time > 0 else run_time
-        estimate = max(estimate, 1.0)
-        memory_mb = rec.requested_memory_kb / 1024.0 if rec.requested_memory_kb > 0 else 0.0
-        jobs.append(
-            Job(
-                job_id=rec.job_number,
-                submit_time=max(rec.submit_time, 0.0),
-                run_time=run_time,
-                estimate=estimate,
-                procs=procs,
-                memory_mb=memory_mb,
-                user=rec.user_id,
-            )
+    ordered = sorted(records, key=lambda r: (max(r.submit_time, 0.0), r.job_number))
+    return list(
+        stream_jobs(
+            ordered,
+            max_procs=max_procs,
+            min_run_time=min_run_time,
+            use_requested_procs=use_requested_procs,
+            rebase_time=rebase_time,
+            require_sorted=False,
         )
-    jobs.sort(key=lambda j: (j.submit_time, j.job_id))
-    if rebase_time and jobs:
-        t0 = jobs[0].submit_time
-        if t0 > 0:
-            rebased = []
-            for j in jobs:
-                rebased.append(
-                    Job(
-                        job_id=j.job_id,
-                        submit_time=j.submit_time - t0,
-                        run_time=j.run_time,
-                        estimate=j.estimate,
-                        procs=j.procs,
-                        memory_mb=j.memory_mb,
-                        user=j.user,
-                    )
-                )
-            jobs = rebased
-    return jobs
+    )
 
 
 def jobs_to_swf_records(jobs: Iterable[Job]) -> list[SWFRecord]:

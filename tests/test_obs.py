@@ -59,7 +59,6 @@ from repro.schedulers.policy import (
     PreemptionPolicy,
     QueuePolicy,
     SweepPreemption,
-    TimeslicePreemption,
 )
 from repro.sim.audit import audit_result
 from repro.sim.driver import SchedulingSimulation
@@ -186,13 +185,8 @@ def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monke
     ticks still count in ``events_dispatched``.  ``ss-easy`` never
     skips.  A queue policy without crossing times walks every time and
     skips only the ticks while nothing waits."""
-    # the SS/TSS sweep orders the queue once per walk; IS walks in _sweep
-    walks = _counting(
-        monkeypatch,
-        (QueuePolicy, "order"),
-        (FifoOrder, "order"),
-        (TimeslicePreemption, "_sweep"),
-    )
+    # every walk (the SS/TSS sweep and the IS _sweep) orders the queue once
+    walks = _counting(monkeypatch, (QueuePolicy, "order"), (FifoOrder, "order"))
     ticks = _counting(monkeypatch, (PolicyKernel, "on_timer"))
     factory = IDENTITY_CASES[case][0]
     plain = simulate(trace_jobs, factory(), N_PROCS)

@@ -318,6 +318,24 @@ def test_stream_jobs_matches_eager():
     streamed = list(stream_jobs(iter(records), max_procs=128))
     assert [(j.job_id, j.submit_time, j.run_time, j.estimate, j.procs) for j in eager] \
         == [(j.job_id, j.submit_time, j.run_time, j.estimate, j.procs) for j in streamed]
+    # the eager path sorts by (submit clamped at 0, job number) first
+    messy = [
+        _rec(job=7, submit=500.0),
+        _rec(job=5, submit=-20.0, run=0.4),                # submit -> 0, run -> 1 s
+        _rec(job=5, submit=100.0, req_procs=-1, alloc=8),  # duplicate id; allocated width
+        _rec(job=6, submit=50.0, req_procs=-1, alloc=-1),  # dropped: no positive width
+        _rec(job=2, submit=100.0, run=0.0),                # dropped: bad run time
+        _rec(job=3, submit=100.0),
+    ]
+    assert [
+        (j.job_id, j.submit_time, j.run_time, j.estimate, j.procs)
+        for j in jobs_from_swf_records(messy, max_procs=128)
+    ] == [
+        (5, 0.0, 1.0, 200.0, 4),
+        (3, 100.0, 100.0, 200.0, 4),
+        (5, 100.0, 100.0, 200.0, 8),
+        (7, 500.0, 100.0, 200.0, 4),
+    ]
 
 
 def test_stream_jobs_requires_sorted():

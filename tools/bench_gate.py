@@ -1,42 +1,39 @@
 #!/usr/bin/env python3
-"""Tracked perf-regression gate over ``benchmarks/bench_micro.py``.
+"""Perf-regression gate: exact call counts over ``benchmarks/bench_micro.py``.
 
-The micro-bench suite measures the simulation kernel's hot paths and
-keeps the pre-optimisation implementations alive as in-run references
-(``*_legacy`` twins), so every speedup ratio is computed inside one
-process on one machine.  This script turns those measurements into a
-*tracked* artifact:
+Every workload of :func:`benchmarks.bench_micro.workloads` -- the event
+calendar, the availability profile, the cluster, EASY and SS on the
+SDSC-400 trace (SS also with the null recorder), SS on the congested
+700-job trace, and the streaming SWF parse and convert -- runs under
+:func:`~benchmarks.bench_micro.count_calls`, which counts the
+Python-level calls it makes to each function under ``src/repro``.
+Counts do not depend on the machine, the load or the hash seed, so they
+are compared exactly; no clock-measured value gates anything.
 
 ``--write``
-    Run the suite and write a schema-versioned baseline
-    (``BENCH_PR10.json`` at the repo root) recording per-bench
-    mean/stddev/rounds, end-to-end jobs/second, in-run speedup ratios,
-    a machine-independent *trace fingerprint* (SHA-256 over the
-    schedule signature each bench workload produces), the
-    streaming-vs-eager ingestion RSS comparison, and the
-    shared-memory dispatch bench (pickled bytes-per-cell, inline vs
-    ``jobs_ref``, on a 120k-job x 24-cell grid).
+    Run everything and write the committed baseline
+    (``tools/bench_baseline.json``): the Python version, every call
+    count and the trace fingerprints.
 
 ``--check``
-    Run the suite fresh, write the report to ``--out`` (a CI artifact),
-    then compare against the newest committed ``BENCH_*.json``:
+    Run everything, write the report to ``--out`` (a CI artifact), and
+    fail on any of:
 
-    * the trace fingerprints must match **exactly** -- a perf PR that
-      changes any schedule is rejected outright, machine-independent;
-    * the asserted speedup floors (SS vs the retained legacy kernel,
-      >= 1.5x on both the SDSC-400 and congested traces) must hold;
-    * the dispatch payload reduction (inline bytes-per-cell over ref
-      bytes-per-cell) must stay >= 10x -- byte counts, so the floor is
-      machine-independent;
-    * no bench may regress by more than ``--threshold`` (default 25%)
-      in *normalised* time -- each bench's per-round minimum is divided
-      by the same run's event-queue minimum, so a slower CI machine
-      does not fail the gate but a slower kernel does.  Minimums, not
-      means: scheduler noise only ever adds time, so the min survives
-      a busy single-vCPU runner that would wreck every mean.
+    * a Python major.minor version other than the baseline's (counts
+      may differ between versions; on 3.10, whose code objects carry no
+      qualname, the keys do);
+    * any call count that differs from the baseline's -- rises and
+      falls are listed separately; a deliberate change re-mints the
+      baseline with ``--write`` in the same commit;
+    * a null-recorder SS run that makes other calls than the untraced
+      run (the zero-overhead-when-off contract of docs/TRACING.md);
+    * a trace fingerprint (SHA-256 of the schedule each SS workload
+      produces) that differs from the baseline's -- a perf change that
+      changes a schedule is rejected outright;
+    * a streaming-ingestion peak RSS above 0.6x the eager reader's;
+    * a shared-memory dispatch payload reduction below 10x.
 
-Absolute wall-clock numbers are recorded for the human reading the
-artifact; only normalised quantities, byte ratios and fingerprints gate.
+Both modes apply the last three checks.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ import json
 import os
 import pickle
 import platform
-import re
 import subprocess
 import sys
 import tempfile
@@ -58,46 +54,10 @@ from typing import Any
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA = "repro.bench_gate/v1"
+SCHEMA = "repro.bench_gate/v2"
 
-#: bench used as the machine-speed proxy for normalisation; pure-python
-#: heap churn with no kernel code on the path
-REFERENCE_BENCH = "test_event_queue_push_pop"
-
-#: in-run speedup floors the ISSUE's acceptance criteria assert
-SPEEDUP_FLOORS = {
-    "ss_sdsc400_vs_legacy": 1.5,
-    "ss_congested_vs_legacy": 1.5,
-}
-
-#: fast-kernel bench -> its retained legacy twin
-SPEEDUP_PAIRS = {
-    "ss_sdsc400_vs_legacy": (
-        "test_simulation_rate_ss",
-        "test_simulation_rate_ss_legacy_sweep",
-    ),
-    "ss_congested_vs_legacy": (
-        "test_simulation_rate_ss_congested",
-        "test_simulation_rate_ss_congested_legacy",
-    ),
-    "profile_vs_legacy": (
-        "test_profile_claim_and_anchor",
-        "test_profile_claim_and_anchor_legacy",
-    ),
-    "cluster_vs_legacy": (
-        "test_cluster_allocate_release",
-        "test_cluster_allocate_release_legacy",
-    ),
-}
-
-#: simulation-rate bench -> number of jobs it schedules per round
-JOBS_PER_ROUND = {
-    "test_simulation_rate_easy": 400,
-    "test_simulation_rate_ss": 400,
-    "test_simulation_rate_ss_congested": 700,
-    "test_swf_stream_parse": 20_000,
-    "test_swf_stream_to_jobs": 20_000,
-}
+#: the committed baseline ``--check`` compares against
+BASELINE = REPO_ROOT / "tools" / "bench_baseline.json"
 
 #: jobs in the generated log the peak-RSS ingestion gate streams
 #: (the ISSUE's acceptance floor is >= 100k)
@@ -312,31 +272,6 @@ def check_dispatch(dispatch: dict[str, Any]) -> list[str]:
     return problems
 
 
-def run_bench_suite() -> dict[str, Any]:
-    """Run bench_micro under pytest-benchmark, return the parsed JSON."""
-    with tempfile.TemporaryDirectory() as tmp:
-        json_path = Path(tmp) / "bench.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env.setdefault("PYTHONHASHSEED", "0")
-        cmd = [
-            sys.executable,
-            "-m",
-            "pytest",
-            "benchmarks/bench_micro.py",
-            "-q",
-            "-p",
-            "no:randomly",
-            f"--benchmark-json={json_path}",
-        ]
-        proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
-        if proc.returncode != 0:
-            raise SystemExit(f"bench suite failed (exit {proc.returncode})")
-        with open(json_path, encoding="utf-8") as fh:
-            data: dict[str, Any] = json.load(fh)
-        return data
-
-
 def trace_fingerprints() -> dict[str, str]:
     """Machine-independent SHA-256 of each bench workload's schedule.
 
@@ -374,85 +309,58 @@ def trace_fingerprints() -> dict[str, str]:
     }
 
 
-def build_report(raw: dict[str, Any]) -> dict[str, Any]:
-    """Distil the pytest-benchmark JSON into the gate's schema."""
-    benches: dict[str, dict[str, Any]] = {}
-    for b in raw.get("benchmarks", []):
-        stats = b["stats"]
-        benches[b["name"]] = {
-            "mean_s": stats["mean"],
-            "stddev_s": stats["stddev"],
-            "median_s": stats["median"],
-            "min_s": stats["min"],
-            "rounds": stats["rounds"],
-        }
-
-    ref = benches.get(REFERENCE_BENCH)
-    if ref is None:
-        raise SystemExit(f"reference bench {REFERENCE_BENCH!r} missing from run")
-    # Gate on per-round *minimums*, not means: scheduler noise (CI
-    # runners are often single-vCPU and share the core with the
-    # harness) only ever adds time, so the min is the one statistic a
-    # busy neighbour cannot inflate -- it needs just one quiet round.
-    # Means are still recorded in "benches" for the human reader.
-    ref_min = ref["min_s"]
-
-    normalised = {
-        name: stats["min_s"] / ref_min
-        for name, stats in sorted(benches.items())
-        if name != REFERENCE_BENCH
-    }
-
-    speedups: dict[str, float] = {}
-    for label, (fast, slow) in SPEEDUP_PAIRS.items():
-        if fast in benches and slow in benches:
-            speedups[label] = benches[slow]["min_s"] / benches[fast]["min_s"]
-
-    rates = {
-        name: JOBS_PER_ROUND[name] / benches[name]["min_s"]
-        for name in JOBS_PER_ROUND
-        if name in benches
-    }
-
-    return {
-        "schema": SCHEMA,
-        "generated_utc": _dt.datetime.now(_dt.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "machine_dependent": ["benches", "jobs_per_second", "ingestion"],
-        "machine_independent": ["normalised", "speedups", "trace_fingerprints"],
-        # dispatch wall-clocks are machine-dependent; its gating ratio
-        # (payload_reduction) is a byte count and machine-independent
-        "benches": benches,
-        "jobs_per_second": rates,
-        "normalised": normalised,
-        "speedups": speedups,
-        "trace_fingerprints": trace_fingerprints(),
-        "ingestion": ingestion_report(),
-        "dispatch": dispatch_report(),
-    }
+def python_version() -> str:
+    """The running interpreter's ``major.minor``; counts are per version."""
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def newest_baseline(exclude: Path | None = None) -> Path | None:
-    """Newest committed ``BENCH_*.json`` at the repo root, by PR number."""
+def call_counts() -> dict[str, dict[str, int]]:
+    """Workload name -> ``path:qualname`` -> calls, for every workload."""
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+    from benchmarks.bench_micro import INGEST_LINES, count_calls, workloads
+    from repro.workload.swf import write_synthetic_swf
 
-    def pr_key(p: Path) -> tuple[int, str]:
-        m = re.search(r"(\d+)", p.stem)
-        return (int(m.group(1)) if m else -1, p.name)
-
-    candidates = [
-        p
-        for p in REPO_ROOT.glob("BENCH_*.json")
-        if exclude is None or p.resolve() != exclude.resolve()
-    ]
-    return max(candidates, key=pr_key) if candidates else None
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "ingest.swf"
+        write_synthetic_swf(log, INGEST_LINES)
+        return {name: count_calls(fn) for name, fn in workloads(log).items()}
 
 
-def check_report(
-    report: dict[str, Any], baseline: dict[str, Any], threshold: float
-) -> list[str]:
+def count_changes(
+    base: dict[str, dict[str, int]], calls: dict[str, dict[str, int]]
+) -> tuple[list[str], list[str]]:
+    """Every count in *calls* that differs from *base*: (rises, falls)."""
+    rises: list[str] = []
+    falls: list[str] = []
+    for workload in sorted(base.keys() | calls.keys()):
+        old, new = base.get(workload, {}), calls.get(workload, {})
+        for key in sorted(old.keys() | new.keys()):
+            was, now = old.get(key, 0), new.get(key, 0)
+            if was != now:
+                line = f"{workload} {key}: {was:,} -> {now:,} ({now - was:+,})"
+                (rises if now > was else falls).append(line)
+    return rises, falls
+
+
+def _listed(title: str, lines: list[str]) -> list[str]:
+    """*lines* under one problem heading, or nothing when empty."""
+    if not lines:
+        return []
+    return [f"{title} ({len(lines)}):" + "".join(f"\n      {x}" for x in lines)]
+
+
+def check_null_recorder(calls: dict[str, dict[str, int]]) -> list[str]:
+    """The null-recorder SS run must make exactly the untraced run's calls."""
+    rises, falls = count_changes(
+        {"ss_sdsc400": calls["ss_sdsc400"]},
+        {"ss_sdsc400": calls["ss_sdsc400_null_recorder"]},
+    )
+    return _listed("null recorder makes calls the untraced run does not", rises) + _listed(
+        "null recorder skips calls the untraced run makes", falls
+    )
+
+
+def check_report(report: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
     """All gate violations of *report* against *baseline* (empty = pass)."""
     problems: list[str] = []
 
@@ -464,26 +372,9 @@ def check_report(
                 "(the schedule itself changed; a perf PR must not do that)"
             )
 
-    for label, floor in SPEEDUP_FLOORS.items():
-        got_speedup = report["speedups"].get(label, 0.0)
-        if got_speedup < floor:
-            problems.append(
-                f"speedup {label!r} = {got_speedup:.2f}x fell below the "
-                f"asserted floor {floor:.1f}x"
-            )
-
-    base_norm = baseline.get("normalised", {})
-    for name, base_val in sorted(base_norm.items()):
-        cur_val = report["normalised"].get(name)
-        if cur_val is None:
-            problems.append(f"bench {name!r} disappeared from the suite")
-            continue
-        if cur_val > base_val * (1.0 + threshold):
-            problems.append(
-                f"bench {name!r} regressed: normalised time "
-                f"{base_val:.2f} -> {cur_val:.2f} "
-                f"(> {threshold:.0%} threshold)"
-            )
+    rises, falls = count_changes(baseline["calls"], report["calls"])
+    problems += _listed("call counts rose", rises)
+    problems += _listed("call counts fell", falls)
     return problems
 
 
@@ -493,40 +384,57 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--write",
         action="store_true",
-        help="run the suite and write a new committed baseline",
+        help="run everything and write the baseline tools/bench_baseline.json",
     )
     mode.add_argument(
         "--check",
         action="store_true",
-        help="run the suite and gate against the newest BENCH_*.json",
+        help="run everything and gate against the committed baseline",
     )
     parser.add_argument(
         "--out",
         type=Path,
-        default=None,
-        help="report path (default: BENCH_PR10.json for --write, "
-        "bench_report.json for --check)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="max allowed normalised-time regression (default 0.25 = 25%%)",
+        default=REPO_ROOT / "bench_report.json",
+        help="report path (default: bench_report.json)",
     )
     args = parser.parse_args(argv)
 
-    out = args.out or (
-        REPO_ROOT / ("BENCH_PR10.json" if args.write else "bench_report.json")
-    )
+    baseline: dict[str, Any] = {}
+    if args.check:
+        baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+        if baseline.get("schema") != SCHEMA:
+            print(
+                f"bench_gate: baseline schema {baseline.get('schema')!r} != {SCHEMA!r}; "
+                "refusing to compare",
+                file=sys.stderr,
+            )
+            return 1
+        if baseline.get("python") != python_version():
+            print(
+                f"bench_gate: FAIL: the baseline was minted on Python "
+                f"{baseline.get('python')} and this is Python {python_version()}; "
+                "call counts may differ between versions, so run the gate on "
+                f"Python {baseline.get('python')} or re-mint with --write",
+                file=sys.stderr,
+            )
+            return 1
 
-    raw = run_bench_suite()
-    report = build_report(raw)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"bench_gate: wrote {out}")
-    for label, val in sorted(report["speedups"].items()):
-        print(f"  speedup {label}: {val:.2f}x")
-    for name, val in sorted(report["jobs_per_second"].items()):
-        print(f"  rate {name}: {val:,.0f} jobs/s")
+    report = {
+        "schema": SCHEMA,
+        "generated_utc": _dt.datetime.now(_dt.timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"
+        ),
+        "python": python_version(),
+        "platform": platform.platform(),
+        "calls": call_counts(),
+        "trace_fingerprints": trace_fingerprints(),
+        "ingestion": ingestion_report(),
+        "dispatch": dispatch_report(),
+    }
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"bench_gate: wrote {args.out}")
+    for name, counts in report["calls"].items():
+        print(f"  calls {name}: {sum(counts.values()):,} to {len(counts)} functions")
     ing = report["ingestion"]
     print(
         f"  ingestion RSS ({ing['log_jobs']:,} jobs): streaming "
@@ -542,49 +450,21 @@ def main(argv: list[str] | None = None) -> int:
         f"({dsp['payload_reduction']:,.0f}x, floor {DISPATCH_REDUCTION_MIN:.0f}x)"
     )
 
-    if args.write:
-        # floors still apply when minting a baseline, and so do the
-        # streaming-memory and dispatch-payload bounds
-        bad = [
-            f"speedup {label!r} = {report['speedups'].get(label, 0.0):.2f}x "
-            f"below floor {floor:.1f}x"
-            for label, floor in SPEEDUP_FLOORS.items()
-            if report["speedups"].get(label, 0.0) < floor
-        ]
-        bad.extend(check_ingestion(report["ingestion"]))
-        bad.extend(check_dispatch(report["dispatch"]))
-        if bad:
-            print("bench_gate: FAIL", file=sys.stderr)
-            for line in bad:
-                print(f"  - {line}", file=sys.stderr)
-            return 1
-        print("bench_gate: baseline written")
-        return 0
-
-    baseline_path = newest_baseline(exclude=out)
-    if baseline_path is None:
-        print("bench_gate: no committed BENCH_*.json baseline; nothing to gate")
-        return 0
-    print(f"bench_gate: gating against {baseline_path.name}")
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    if baseline.get("schema") != SCHEMA:
-        print(
-            f"bench_gate: baseline schema {baseline.get('schema')!r} != {SCHEMA!r}; "
-            "refusing to compare",
-            file=sys.stderr,
-        )
-        return 1
-
-    problems = check_report(report, baseline, args.threshold)
-    problems.extend(check_ingestion(report["ingestion"]))
-    problems.extend(check_dispatch(report["dispatch"]))
+    problems = check_report(report, baseline) if args.check else []
+    problems += check_null_recorder(report["calls"])
+    problems += check_ingestion(report["ingestion"])
+    problems += check_dispatch(report["dispatch"])
     if problems:
         print("bench_gate: FAIL", file=sys.stderr)
         for p in problems:
             print(f"  - {p}", file=sys.stderr)
         return 1
-    print("bench_gate: PASS")
+    if args.write:
+        minted = {key: report[key] for key in ("schema", "python", "calls", "trace_fingerprints")}
+        BASELINE.write_text(json.dumps(minted, indent=2, sort_keys=True) + "\n")
+        print(f"bench_gate: baseline written to {BASELINE}")
+        return 0
+    print(f"bench_gate: PASS against {BASELINE}")
     return 0
 
 

@@ -54,7 +54,7 @@ from repro.analysis.report import experiment_report, scheme_comparison_report
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.experiments import paper
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import GridPolicy
+from repro.experiments.parallel import GridPolicy, resolve_workers
 from repro.experiments.runner import compare_schemes, simulate, standard_schemes
 from repro.obs import GridCounters, format_grid_counters
 from repro.schedulers.base import Scheduler
@@ -182,26 +182,10 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         help="retry a crashed or hung cell up to N times with exponential "
         "backoff before giving up (default: 0)",
     )
-    p.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="publish each distinct workload once to a shared-memory "
-        "segment so grid cells pickle a ~200-byte reference instead of "
-        "the whole job list (default: on whenever --workers uses a pool; "
-        "--no-shm forces the inline path)",
-    )
 
 
 def _cache_from_args(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir) if getattr(args, "cache_dir", None) else None
-
-
-def _policy_from_args(args: argparse.Namespace) -> GridPolicy:
-    return GridPolicy(
-        cell_timeout=getattr(args, "cell_timeout", None),
-        cell_retries=getattr(args, "cell_retries", 0),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,8 +413,18 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(args_list[1:])
+    parser = build_parser()
+    args = parser.parse_args(args_list)
+    if "cell_timeout" in args:  # a grid command: check its options up front
+        try:
+            resolve_workers(args.workers)
+            args.policy = GridPolicy(
+                cell_timeout=args.cell_timeout, cell_retries=args.cell_retries
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
-        return _dispatch(build_parser().parse_args(args_list))
+        return _dispatch(args)
     except BrokenPipeError:
         # output piped into a pager/head that closed early -- not an error
         try:
@@ -473,9 +467,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=_cache_from_args(args),
             trace_dir=args.trace_dir,
-            policy=_policy_from_args(args),
+            policy=args.policy,
             counters=counters,
-            shm=args.shm,
         )
         if counters:
             print(format_grid_counters(counters), file=sys.stderr)
@@ -520,9 +513,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             if "cache" in params:
                 kwargs["cache"] = _cache_from_args(args)
             if "policy" in params:
-                kwargs["policy"] = _policy_from_args(args)
-            if "shm" in params:
-                kwargs["shm"] = args.shm
+                kwargs["policy"] = args.policy
             out = fn(**kwargs)
         else:
             out = fn()
@@ -619,11 +610,10 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             workers=args.workers,
             cache=_cache_from_args(args),
-            policy=_policy_from_args(args),
+            policy=args.policy,
             counters=counters,
             provenance={"pipeline": pipeline.fingerprint(), "source": "swf"},
             trace_dir=args.trace_dir,
-            shm=args.shm,
         )
         if counters:
             print(format_grid_counters(counters), file=sys.stderr)

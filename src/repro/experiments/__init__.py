@@ -7,18 +7,16 @@
 * :mod:`repro.experiments.parallel` -- :func:`run_grid`: grid cells run
   in-process or fanned out over a process pool with deterministic
   merging, incremental cache commits and crash/hang/broken-pool
-  recovery governed by :class:`GridPolicy`; plus
+  recovery governed by :class:`GridPolicy`.  Each pool receives its
+  pending cells once, through the pool initializer, and each task names
+  a cell by index, so a workload shared by many cells crosses to each
+  worker at most once; plus
   :func:`replay_sharded`, which cuts a long (possibly streaming)
   workload into time-windowed shards and replays them through the same
   executor (docs/WORKLOADS.md).
 * :mod:`repro.experiments.cache` -- :class:`ResultCache`, the
   content-addressed on-disk result store keyed by (workload, machine,
   scheduler config, overhead model, migratable flag) fingerprints.
-* :mod:`repro.experiments.shm` -- the zero-copy workload plane:
-  :class:`WorkloadPlane` publishes each distinct job list once as a
-  shared-memory struct-of-arrays segment and grid cells carry a
-  :class:`JobsRef` instead of the list, so dispatch pickles stay tiny
-  and workers decode each workload once per process.
 * :mod:`repro.experiments.paper` -- one entry per paper table/figure;
   each returns the rows/series the paper plots, as plain data.
 """
@@ -52,13 +50,6 @@ from repro.experiments.runner import (
     standard_schemes,
     tuned_schemes,
 )
-from repro.experiments.shm import (
-    JobsRef,
-    WorkloadPlane,
-    decode_jobs,
-    encode_jobs,
-    resolve_jobs,
-)
 
 __all__ = [
     "CellFailure",
@@ -66,22 +57,17 @@ __all__ = [
     "GridExecutionError",
     "GridOutcome",
     "GridPolicy",
-    "JobsRef",
     "ResultCache",
     "SchemeSpec",
     "ShardedReplayOutcome",
     "SuspensionOverheadModel",
-    "WorkloadPlane",
     "WorkloadShard",
     "cell_fingerprint",
     "compare_schemes",
-    "decode_jobs",
-    "encode_jobs",
     "fingerprint_jobs",
     "iter_time_shards",
     "outcome_fingerprint",
     "replay_sharded",
-    "resolve_jobs",
     "run_grid",
     "shard_cell",
     "simulate",

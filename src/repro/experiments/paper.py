@@ -32,7 +32,6 @@ from repro.experiments.runner import (
     standard_schemes,
     tuned_schemes,
 )
-from repro.experiments.shm import JobsRef, WorkloadPlane
 from repro.metrics.aggregate import (
     category_shares,
     overall_stats,
@@ -45,7 +44,6 @@ from repro.workload.categories import classify_four_way
 from repro.workload.estimates import EstimateModel, InaccurateEstimates
 from repro.workload.job import Job
 from repro.workload.load import scale_load
-from repro.workload.pipeline import LoadScaleStage, WorkloadPipeline
 from repro.workload.synthetic import generate_trace
 
 #: Default trace size for experiment regeneration.
@@ -217,15 +215,12 @@ def ss_average_metrics(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 7-10: mean slowdown & turnaround per category, SS vs NS vs IS.
 
     ``data``: ``"slowdown"``/``"turnaround"`` -> scheme -> category -> mean.
     ``workers``/``cache`` fan the scheme cells out over a process pool
-    and/or an on-disk result cache (see :mod:`repro.experiments.parallel`);
-    ``shm`` controls the shared-memory workload plane (default: on in
-    pool mode).
+    and/or an on-disk result cache (see :mod:`repro.experiments.parallel`).
     """
     preset = get_preset(trace)
     jobs = _trace(trace, n_jobs, seed)
@@ -236,7 +231,6 @@ def ss_average_metrics(
         workers=workers,
         cache=cache,
         policy=policy,
-        shm=shm,
     )
     data = {
         "slowdown": _mean_grids(results, "slowdown"),
@@ -279,7 +273,6 @@ def hybrid_comparison(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Hybrids vs their parents: SS, SS+EASY, TSS+CONS, NS.
 
@@ -299,7 +292,6 @@ def hybrid_comparison(
         workers=workers,
         cache=cache,
         policy=policy,
-        shm=shm,
     )
     data = {
         "slowdown": _mean_grids(results, "slowdown"),
@@ -340,7 +332,6 @@ def ss_worst_case(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 11-12 (CTC) / 15-16 (SDSC): worst-case slowdown & turnaround.
 
@@ -355,7 +346,6 @@ def ss_worst_case(
         workers=workers,
         cache=cache,
         policy=policy,
-        shm=shm,
     )
     data = {
         "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
@@ -398,7 +388,6 @@ def tss_worst_case(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 13-14 (CTC) / 17-18 (SDSC): TSS vs SS vs NS vs IS worst cases."""
     preset = get_preset(trace)
@@ -408,7 +397,7 @@ def tss_worst_case(
         s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label
     ]
     results = compare_schemes(
-        jobs, preset.n_procs, specs, workers=workers, cache=cache, policy=policy, shm=shm
+        jobs, preset.n_procs, specs, workers=workers, cache=cache, policy=policy
     )
     data = {
         "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
@@ -452,7 +441,6 @@ def estimate_impact(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 19-24 (CTC) / 25-30 (SDSC): inaccurate user estimates.
 
@@ -473,7 +461,6 @@ def estimate_impact(
         workers=workers,
         cache=cache,
         policy=policy,
-        shm=shm,
     )
     data: dict[str, Any] = {}
     blocks: list[str] = []
@@ -513,7 +500,6 @@ def overhead_impact(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 31-34: SS with modelled suspend/restart overhead.
 
@@ -526,7 +512,7 @@ def overhead_impact(
     overhead = DiskSwapOverheadModel()
     tuned = [s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label]
     free = compare_schemes(
-        jobs, preset.n_procs, tuned, workers=workers, cache=cache, policy=policy, shm=shm
+        jobs, preset.n_procs, tuned, workers=workers, cache=cache, policy=policy
     )
     loaded = compare_schemes(
         jobs,
@@ -536,7 +522,6 @@ def overhead_impact(
         workers=workers,
         cache=cache,
         policy=policy,
-        shm=shm,
     )
     results = {
         "SF = 2": free["SF = 2 Tuned"],
@@ -584,7 +569,6 @@ def load_variation(
     workers: int | None = None,
     cache: ResultCache | None = None,
     policy: GridPolicy | None = None,
-    shm: bool | None = None,
 ) -> ExperimentOutput:
     """Figs 35-44: behaviour under scaled load.
 
@@ -604,16 +588,8 @@ def load_variation(
     the per-load NS baselines first (the tuned spec's limits depend on
     them), then every (scheme, load) cell at once.  With a *cache* the
     NS scheme cells hit the just-stored baseline fingerprints for free.
-
-    With ``shm=True`` the base trace is published **once** to the
-    shared-memory workload plane and every (scheme, load) cell carries
-    a ref whose :class:`~repro.workload.pipeline.LoadScaleStage` config
-    is applied worker-side after decode -- one segment for the whole
-    ``len(loads) x 3`` grid instead of ``len(loads)`` scaled copies in
-    every cell pickle.  :class:`LoadScaleStage` computes exactly what
-    :func:`~repro.workload.load.scale_load` computes, so results are
-    byte-identical either way (cache keys differ: ref cells hash
-    (base, pipeline), not the materialised scaled jobs).
+    Every cell of one load shares that load's scaled job list, so a
+    pool's cell table carries each scaled list once.
 
     ``data``: ``"loads"``, ``"utilization"`` (scheme -> [..]),
     ``"slowdown"``/``"turnaround"`` (scheme -> category -> [..]).
@@ -623,32 +599,9 @@ def load_variation(
     schemes = ["SF = 2 Tuned", "No Suspension", "IS"]
     specs = [s for s in tuned_schemes(suspension_factors=(2.0,)) if s.label in schemes]
 
-    plane: WorkloadPlane | None = None
-    refs: dict[float, JobsRef] = {}
-    scaled: dict[float, list[Job]] = {}
-    if shm:
-        plane = WorkloadPlane()
-        for load in loads:
-            ref = plane.publish(
-                base, pipeline=WorkloadPipeline([LoadScaleStage(load)])
-            )
-            if ref is None:  # shared memory unavailable: inline fallback
-                plane.close()
-                plane = None
-                refs.clear()
-                break
-            refs[load] = ref
-    if not refs:
-        scaled = {load: scale_load(base, load) for load in loads}
+    scaled = {load: scale_load(base, load) for load in loads}
 
     def _cell(key: str, load: float, scheduler_config: Mapping[str, object]) -> GridCell:
-        if refs:
-            return GridCell(
-                key=key,
-                jobs_ref=refs[load],
-                n_procs=preset.n_procs,
-                scheduler_config=scheduler_config,
-            )
         return GridCell(
             key=key,
             jobs=scaled[load],
@@ -656,28 +609,21 @@ def load_variation(
             scheduler_config=scheduler_config,
         )
 
-    try:
-        # Phase 1: the NS baseline for each load (calibrates the tuned spec).
-        baseline_cells = [
-            _cell(f"NS@{load:g}", load, EasyBackfillScheduler().config())
-            for load in loads
-        ]
-        baselines = run_grid(
-            baseline_cells, workers=workers, cache=cache, policy=policy, shm=shm
-        ).results
+    # Phase 1: the NS baseline for each load (calibrates the tuned spec).
+    baseline_cells = [
+        _cell(f"NS@{load:g}", load, EasyBackfillScheduler().config()) for load in loads
+    ]
+    baselines = run_grid(
+        baseline_cells, workers=workers, cache=cache, policy=policy
+    ).results
 
-        # Phase 2: every (scheme, load) cell in one fan-out.
-        cells: list[GridCell] = []
-        for load in loads:
-            for spec in specs:
-                scheduler = spec.build(baselines[f"NS@{load:g}"])
-                cells.append(_cell(f"{spec.label}@{load:g}", load, scheduler.config()))
-        grid = run_grid(
-            cells, workers=workers, cache=cache, policy=policy, shm=shm
-        ).results
-    finally:
-        if plane is not None:
-            plane.close()
+    # Phase 2: every (scheme, load) cell in one fan-out.
+    cells: list[GridCell] = []
+    for load in loads:
+        for spec in specs:
+            scheduler = spec.build(baselines[f"NS@{load:g}"])
+            cells.append(_cell(f"{spec.label}@{load:g}", load, scheduler.config()))
+    grid = run_grid(cells, workers=workers, cache=cache, policy=policy).results
 
     utilization: dict[str, list[float]] = {s: [] for s in schemes}
     sd: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}

@@ -11,6 +11,11 @@ pools, and merges the results deterministically:
   scheduler *instances* are stateful, single-use and unpicklable
   (factories close over arbitrary state); the worker rebuilds a fresh
   instance via :func:`repro.schedulers.registry.scheduler_from_config`;
+* a process pool receives the grid's pending cells **once**, through
+  its initializer, and each task names a cell by index -- under
+  ``fork`` the workers inherit the table, under ``spawn`` each worker
+  unpickles it once (pickle writes a job list shared by many cells
+  once), so no cell's workload rides in its task;
 * results are collected in **completion order** (so every fresh result
   is committed to the :class:`~repro.experiments.cache.ResultCache` the
   moment it exists -- a killed run loses zero finished cells) but merged
@@ -43,18 +48,12 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.experiments.cache import ResultCache, cell_fingerprint, fingerprint_jobs
 from repro.experiments.runner import simulate
-from repro.experiments.shm import (
-    JobsRef,
-    WorkloadPlane,
-    decode_stats_snapshot,
-    resolve_jobs,
-)
 from repro.obs.counters import GridCounters
 from repro.schedulers.registry import scheduler_from_config
 from repro.sim.driver import SimulationResult, SuspensionOverheadModel
@@ -67,19 +66,13 @@ class GridCell:
 
     ``key`` is the caller's name for the cell (scheme label, "(scheme,
     load)" string, ...) and must be unique within one :func:`run_grid`
-    call -- it keys the merged result dict.
-
-    The workload travels one of two ways: inline ``jobs`` (the classic
-    path -- the whole list rides inside the cell's pickle) or a
-    ``jobs_ref`` into the shared-memory workload plane
-    (:mod:`repro.experiments.shm` -- the pickle carries ~200 bytes and
-    the worker attaches/decodes once per process).  Exactly one of the
-    two must be set; :func:`run_grid` converts inline cells to refs
-    automatically in pool mode (``shm`` parameter).
+    call -- it keys the merged result dict.  ``jobs`` is never mutated
+    (the simulation runs on fresh copies), so many cells may share one
+    list.
     """
 
     key: str
-    jobs: list[Job] | None = None
+    jobs: list[Job]
     n_procs: int = 0
     scheduler_config: Mapping[str, object] = field(default_factory=dict)
     overhead_model: SuspensionOverheadModel | None = None
@@ -96,42 +89,16 @@ class GridCell:
     #: replay path stores the workload-pipeline fingerprint and shard
     #: window here; ``None`` leaves fingerprints exactly as before.
     provenance: Mapping[str, object] | None = None
-    #: shared-memory alternative to ``jobs`` (see
-    #: :class:`repro.experiments.shm.JobsRef`); mutually exclusive with it
-    jobs_ref: JobsRef | None = None
 
     def __post_init__(self) -> None:
-        if (self.jobs is None) == (self.jobs_ref is None):
-            raise ValueError(
-                f"cell {self.key!r}: exactly one of jobs / jobs_ref must be set"
-            )
         if self.n_procs < 1:
             raise ValueError(f"cell {self.key!r}: n_procs must be >= 1")
         if not self.scheduler_config:
             raise ValueError(f"cell {self.key!r}: scheduler_config is required")
 
-    def workload_source(self) -> object:
-        """The object that *is* this cell's workload (for identity memos)."""
-        return self.jobs if self.jobs is not None else self.jobs_ref
-
     def jobs_fingerprint(self) -> str:
-        """Workload hash feeding the cache key (ref cells never decode)."""
-        if self.jobs_ref is not None:
-            return self.jobs_ref.cache_jobs_fp()
-        assert self.jobs is not None
+        """Workload hash feeding the cache key."""
         return fingerprint_jobs(self.jobs)
-
-    def resolve(self) -> list[Job]:
-        """The cell's job list, decoding a ref via the workload plane.
-
-        Do not mutate the result of a ref cell -- it is the per-process
-        memoised decode, shared by every cell over the same workload
-        (the simulation path copies before running).
-        """
-        if self.jobs is not None:
-            return self.jobs
-        assert self.jobs_ref is not None
-        return resolve_jobs(self.jobs_ref)
 
     def fingerprint(self, jobs_fp: str | None = None) -> str:
         """Content address for the cache; *jobs_fp* skips re-hashing."""
@@ -171,6 +138,18 @@ class GridPolicy:
     #: times a ``BrokenProcessPool`` may be answered by building a fresh
     #: pool before the executor degrades to in-process execution
     pool_respawns: int = 1
+
+    def __post_init__(self) -> None:
+        # the values arrive from --cell-timeout / --cell-retries and the
+        # REPRO_BENCH_* variables; a zero or negative timeout would cull
+        # healthy cells, a negative budget would silently mean zero
+        timeout = self.cell_timeout
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"cell_timeout must be positive or None, got {timeout}")
+        for name in ("cell_retries", "backoff_base", "backoff_max", "pool_respawns"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @classmethod
     def from_env(
@@ -269,13 +248,16 @@ def resolve_workers(workers: int | None) -> int:
     """Normalise a worker-count argument.
 
     ``None`` / ``1`` -> 1 (in-process, no pool); ``0`` -> one per CPU;
-    anything else is taken literally (minimum 1).
+    any other count is taken literally.  A negative count raises
+    :class:`ValueError`.
     """
     if workers is None:
         return 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
     if workers == 0:
         return os.cpu_count() or 1
-    return max(int(workers), 1)
+    return int(workers)
 
 
 def simulate_cell(cell: GridCell) -> SimulationResult:
@@ -290,13 +272,12 @@ def simulate_cell(cell: GridCell) -> SimulationResult:
     harness wraps this function to crash/hang/kill deterministically.
     """
     scheduler = scheduler_from_config(cell.scheduler_config)
-    jobs = cell.resolve()
     if cell.trace_path is not None:
         from repro.obs.recorder import JsonlRecorder
 
         with JsonlRecorder(cell.trace_path) as recorder:
             return simulate(
-                list(jobs),
+                cell.jobs,
                 scheduler,
                 cell.n_procs,
                 cell.overhead_model,
@@ -304,7 +285,7 @@ def simulate_cell(cell: GridCell) -> SimulationResult:
                 recorder=recorder,
             )
     return simulate(
-        list(jobs),
+        cell.jobs,
         scheduler,
         cell.n_procs,
         cell.overhead_model,
@@ -312,28 +293,26 @@ def simulate_cell(cell: GridCell) -> SimulationResult:
     )
 
 
-def simulate_cell_with_stats(
-    simulate_fn: Callable[[GridCell], SimulationResult], cell: GridCell
-) -> tuple[SimulationResult, tuple[int, int, int, int]]:
-    """Run *cell* via *simulate_fn* and report the decode-stats delta.
+#: what a pool worker simulates: ``(simulate_fn, cell index -> cell)``,
+#: set once per worker process by :func:`_install_cells`
+_worker_cells: tuple[
+    Callable[[GridCell], SimulationResult], Mapping[int, GridCell]
+] | None = None
 
-    The pool submission wrapper: executed inside the worker process, it
-    brackets the cell with :func:`~repro.experiments.shm.decode_stats_snapshot`
-    so the worker's shared-memory activity (attaches, decodes, memo
-    hits, fallbacks) rides back to the coordinator alongside the result
-    -- four integers, not a side channel.  The coordinator folds the
-    deltas into :class:`~repro.obs.counters.GridCounters`
-    ``shm_worker_*`` fields.
-    """
-    before = decode_stats_snapshot()
-    result = simulate_fn(cell)
-    after = decode_stats_snapshot()
-    return result, (
-        after[0] - before[0],
-        after[1] - before[1],
-        after[2] - before[2],
-        after[3] - before[3],
-    )
+
+def _install_cells(
+    simulate_fn: Callable[[GridCell], SimulationResult], cells: Mapping[int, GridCell]
+) -> None:
+    """Pool initializer: keep the grid's cell table in this worker."""
+    global _worker_cells
+    _worker_cells = (simulate_fn, cells)
+
+
+def _simulate_installed(i: int) -> SimulationResult:
+    """Pool task: simulate cell *i* of the table :func:`_install_cells` kept."""
+    assert _worker_cells is not None, "worker started without its cell table"
+    simulate_fn, cells = _worker_cells
+    return simulate_fn(cells[i])
 
 
 class _GridExecution:
@@ -448,8 +427,15 @@ class _GridExecution:
     # pool execution
     # ------------------------------------------------------------------
     def run_pool(self, n_workers: int) -> None:
+        # every pool, a respawned one too, gets the same table: the
+        # cells still queued when the first pool starts
+        table = {i: self.cells[i] for i in self.queue}
         while self.queue and not self.degraded:
-            pool = ProcessPoolExecutor(max_workers=n_workers)
+            pool = ProcessPoolExecutor(
+                max_workers=n_workers,
+                initializer=_install_cells,
+                initargs=(self.simulate_fn, table),
+            )
             try:
                 drained = self._drain_with_pool(pool, n_workers)
             except BaseException:
@@ -470,17 +456,13 @@ class _GridExecution:
         the in-flight cells are already back on the queue and the
         respawn/degrade decision is taken.
         """
-        inflight: dict[
-            Future[tuple[SimulationResult, tuple[int, int, int, int]]], int
-        ] = {}
+        inflight: dict[Future[SimulationResult], int] = {}
         deadlines: dict[int, float] = {}
         timeout = self.policy.cell_timeout
         while self.queue or inflight:
             while self.queue and len(inflight) < n_workers:
                 i = self.queue.popleft()
-                inflight[
-                    pool.submit(simulate_cell_with_stats, self.simulate_fn, self.cells[i])
-                ] = i
+                inflight[pool.submit(_simulate_installed, i)] = i
                 if timeout is not None:
                     # repro-lint: disable=RPR002 -- executor deadline clock, not simulation state
                     deadlines[i] = time.monotonic() + timeout
@@ -499,12 +481,7 @@ class _GridExecution:
                 deadlines.pop(i, None)
                 exc = fut.exception()
                 if exc is None:
-                    result, stats = fut.result()
-                    counters = self.outcome.counters
-                    counters.shm_worker_attaches += stats[0]
-                    counters.shm_worker_decodes += stats[1]
-                    counters.shm_worker_fallbacks += stats[3]
-                    self._commit(i, result)
+                    self._commit(i, fut.result())
                 elif isinstance(exc, BrokenProcessPool):
                     # the pool died under this cell; fault not attributable
                     self._record_failure(i, exc, "lost", charged=False)
@@ -534,9 +511,7 @@ class _GridExecution:
     def _cull_overdue(
         self,
         pool: ProcessPoolExecutor,
-        inflight: dict[
-            Future[tuple[SimulationResult, tuple[int, int, int, int]]], int
-        ],
+        inflight: dict[Future[SimulationResult], int],
         deadlines: dict[int, float],
     ) -> bool:
         """Handle a wait() that expired: kill the pool if a cell is hung.
@@ -590,8 +565,6 @@ def run_grid(
     policy: GridPolicy | None = None,
     counters: GridCounters | None = None,
     simulate_fn: Callable[[GridCell], SimulationResult] | None = None,
-    shm: bool | None = None,
-    plane: WorkloadPlane | None = None,
 ) -> GridOutcome:
     """Execute *cells*, in parallel and/or from cache, merging deterministically.
 
@@ -602,7 +575,9 @@ def run_grid(
     workers:
         See :func:`resolve_workers`.  With one worker everything runs
         in-process (no pool, no pickling), which is also the fallback
-        when only one cell needs simulating.
+        when only one cell needs simulating.  A pool receives the
+        pending cells once, through its initializer, and each task
+        carries only a cell index.
     cache:
         Optional result cache; hits skip simulation entirely and every
         fresh result is stored back **the moment it completes**, so an
@@ -620,28 +595,6 @@ def run_grid(
         (module-level function or :func:`functools.partial` of one) in
         pool mode.  This is the fault-injection seam -- production code
         never passes it.
-    shm:
-        Shared-memory workload plane.  ``None`` (default) enables it
-        automatically whenever a pool will be used -- inline cells are
-        converted to :class:`~repro.experiments.shm.JobsRef` cells so
-        each distinct workload is published once and every worker
-        decodes it once, instead of every cell pickling the whole job
-        list.  ``True``/``False`` force it on/off.  Conversion never
-        changes a cell's cache fingerprint (a pipeline-less ref hashes
-        to the inline workload hash), results stay byte-identical, and
-        the segments are unlinked before this function returns (or, if
-        the coordinator is killed first, by the multiprocessing
-        resource tracker).
-    plane:
-        Optional caller-owned :class:`~repro.experiments.shm.WorkloadPlane`
-        to publish into instead of a per-call one.  Publishing is
-        memoised by workload fingerprint on the plane, so a caller
-        running several grids over the same workload (a sharded replay's
-        batches, a sweep's shared base trace) pays one segment total
-        instead of one per call.  The caller keeps lifecycle ownership:
-        ``run_grid`` never closes a passed plane, and
-        ``counters.shm_segments`` counts only the segments *this* call
-        published into it.
 
     The result dict iterates in cell input order regardless of worker
     completion order, and each value is bit-for-bit the result a serial
@@ -677,14 +630,13 @@ def run_grid(
     # an actual run (see GridCell.trace_path).
     pending: list[int] = []
     fingerprints: list[str | None] = [None] * len(cells)
-    jobs_fp_memo: dict[int, tuple[object, str]] = {}
+    jobs_fp_memo: dict[int, tuple[list[Job], str]] = {}
 
     def _jobs_fp(cell: GridCell) -> str:
-        source = cell.workload_source()
-        pinned = jobs_fp_memo.get(id(source))
-        if pinned is None or pinned[0] is not source:
-            pinned = (source, cell.jobs_fingerprint())
-            jobs_fp_memo[id(source)] = pinned
+        pinned = jobs_fp_memo.get(id(cell.jobs))
+        if pinned is None or pinned[0] is not cell.jobs:
+            pinned = (cell.jobs, cell.jobs_fingerprint())
+            jobs_fp_memo[id(cell.jobs)] = pinned
         return pinned[1]
 
     if cache is not None:
@@ -706,50 +658,15 @@ def run_grid(
         pending = list(range(len(cells)))
 
     n_workers = min(resolve_workers(workers), max(len(pending), 1))
-    pooled = n_workers > 1 and len(pending) > 1
-    use_shm = shm if shm is not None else pooled
-
-    # shared-memory conversion -- publish each distinct pending inline
-    # workload once, swap the cells over to refs.  Fingerprints are
-    # unchanged (a pipeline-less ref hashes to the inline jobs hash), so
-    # the cache entries probed above stay valid, as do warm caches
-    # written by inline or serial runs.  publish() returning None means
-    # shared memory is unavailable: that cell simply stays inline.
-    owned_plane: WorkloadPlane | None = None
-    exec_cells: Sequence[GridCell] = cells
-    stats_before = decode_stats_snapshot()
-    try:
-        if use_shm and pending:
-            if plane is None:
-                plane = owned_plane = WorkloadPlane()
-            segments_before = plane.segments
-            converted = list(cells)
-            for i in pending:
-                cell = converted[i]
-                if cell.jobs is None:
-                    continue  # already a ref
-                ref = plane.publish(cell.jobs, jobs_fp=_jobs_fp(cell))
-                if ref is not None:
-                    converted[i] = replace(cell, jobs=None, jobs_ref=ref)
-            exec_cells = converted
-            outcome.counters.shm_segments += plane.segments - segments_before
-
-        if pending:
-            execution = _GridExecution(
-                exec_cells, slots, fingerprints, cache, policy, outcome, simulate_fn
-            )
-            execution.queue.extend(pending)
-            if pooled:
-                execution.run_pool(n_workers)
-            else:
-                execution.run_serial()
-    finally:
-        if owned_plane is not None:
-            owned_plane.close()
-        attaches, decodes, _hits, fallbacks = decode_stats_snapshot()
-        outcome.counters.shm_attaches += attaches - stats_before[0]
-        outcome.counters.shm_decodes += decodes - stats_before[1]
-        outcome.counters.shm_fallbacks += fallbacks - stats_before[3]
+    if pending:
+        execution = _GridExecution(
+            cells, slots, fingerprints, cache, policy, outcome, simulate_fn
+        )
+        execution.queue.extend(pending)
+        if n_workers > 1:
+            execution.run_pool(n_workers)
+        else:
+            execution.run_serial()
 
     for cell, result in zip(cells, slots, strict=True):
         assert result is not None
@@ -1009,13 +926,8 @@ def replay_sharded(
 
     *provenance* (typically ``{"pipeline": pipe.fingerprint(), "source":
     log_name}``) is folded into every shard cell's cache key.  *shm* is
-    forwarded to each batch's :func:`run_grid`, so a retried shard
-    re-pickles a ~200-byte ref instead of its whole window of jobs; all
-    batches share one replay-owned
-    :class:`~repro.experiments.shm.WorkloadPlane`, flushed (segments
-    unlinked) after each batch so ``/dev/shm`` holds at most one batch
-    of segments at a time -- shards are distinct workloads, so cross-
-    batch segment reuse would buy nothing and cost the boundedness.
+    accepted and ignored: it once selected a shared-memory transport
+    that no longer exists, and existing callers still pass it.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -1023,24 +935,15 @@ def replay_sharded(
     outcome = ShardedReplayOutcome(
         counters=counters if counters is not None else GridCounters()
     )
-    plane = WorkloadPlane()
 
     def _flush(batch: list[GridCell]) -> None:
-        try:
-            grid = run_grid(
-                batch,
-                workers=workers,
-                cache=cache,
-                policy=policy,
-                counters=outcome.counters,
-                shm=shm,
-                plane=plane,
-            )
-        finally:
-            # every shard is a distinct workload, so nothing published
-            # for this batch is reusable by the next one: unlink now to
-            # keep shared memory bounded by one batch, not the log
-            plane.close()
+        grid = run_grid(
+            batch,
+            workers=workers,
+            cache=cache,
+            policy=policy,
+            counters=outcome.counters,
+        )
         for result in grid.results.values():  # input order == shard order
             outcome.jobs.extend(result.jobs)
         outcome.executed += grid.executed

@@ -212,7 +212,6 @@ def compare_schemes(
     trace_dir: str | Path | None = None,
     policy: GridPolicy | None = None,
     counters: GridCounters | None = None,
-    shm: bool | None = None,
 ) -> dict[str, SimulationResult]:
     """Run every scheme over (fresh copies of) the same workload.
 
@@ -226,9 +225,8 @@ def compare_schemes(
     By default every cell runs serially in-process.  The keyword-only
     arguments are the grid executor's (see ``run_grid``): *workers*
     fans the scheme cells out over a process pool, *cache* serves and
-    stores results, *policy* sets timeouts and retries, *counters*
-    collects recovery tallies, and *shm* controls the shared-memory
-    workload plane.  None of them changes a result.
+    stores results, *policy* sets timeouts and retries, and *counters*
+    collects recovery tallies.  None of them changes a result.
 
     With *trace_dir*, every scheme cell also streams its JSONL decision
     trace to a per-label file under that directory (see
@@ -263,5 +261,5 @@ def compare_schemes(
     )
     cells = [cell(s.label, s.build(baseline), trace_paths.get(s.label)) for s in schemes]
     return run_grid(
-        cells, workers=workers, cache=cache, policy=policy, counters=counters, shm=shm
+        cells, workers=workers, cache=cache, policy=policy, counters=counters
     ).results

@@ -96,10 +96,7 @@ class GridCounters:
     single simulation) and surfaced on
     :attr:`repro.experiments.parallel.GridOutcome.counters` so summaries
     can report what the fault-tolerance machinery actually did.  The
-    instance is falsy on an undisturbed run: ``shm_segments`` /
-    ``shm_attaches`` / ``shm_decodes`` count *normal* workload-plane
-    activity and never make the tally truthy on their own, while
-    ``shm_fallbacks`` is a degradation signal and does.
+    instance is falsy on an undisturbed run.
     """
 
     #: cells resubmitted after a failed attempt (crash or timeout)
@@ -112,43 +109,10 @@ class GridCounters:
     degraded_cells: int = 0
     #: corrupt cache entries quarantined during the cache probe
     cache_quarantines: int = 0
-    #: shared-memory workload segments published for this grid
-    shm_segments: int = 0
-    #: segment attaches performed in the coordinator process (serial,
-    #: degraded and cache-probe paths)
-    shm_attaches: int = 0
-    #: full segment decodes in the coordinator process (memo misses)
-    shm_decodes: int = 0
-    #: refs resolved from the local fallback registry after an attach
-    #: or integrity failure in the coordinator process
-    shm_fallbacks: int = 0
-    #: segment attaches performed inside pool workers, summed over the
-    #: per-cell deltas each worker reports alongside its result
-    shm_worker_attaches: int = 0
-    #: full segment decodes inside pool workers (each worker pays at
-    #: most one per (segment, pipeline); later cells hit its memo)
-    shm_worker_decodes: int = 0
-    #: fallback-registry resolutions inside pool workers -- workers
-    #: have no local registry, so any non-zero value means a worker
-    #: inherited one by fork and the plane degraded there
-    shm_worker_fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    #: fields that describe normal operation rather than recovery --
-    #: they never make the tally truthy (the ``*_fallbacks`` pair is
-    #: recovery)
-    _ROUTINE_FIELDS = (
-        "shm_segments",
-        "shm_attaches",
-        "shm_decodes",
-        "shm_worker_attaches",
-        "shm_worker_decodes",
-    )
-
     def __bool__(self) -> bool:
         """True when any recovery machinery fired."""
-        return any(
-            v for k, v in asdict(self).items() if k not in self._ROUTINE_FIELDS
-        )
+        return any(asdict(self).values())

@@ -12,6 +12,7 @@ the job mix.
 from __future__ import annotations
 
 from repro.workload.job import Job
+from repro.workload.pipeline import LoadScaleStage
 
 
 def scale_load(jobs: list[Job], load_factor: float) -> list[Job]:
@@ -20,8 +21,8 @@ def scale_load(jobs: list[Job], load_factor: float) -> list[Job]:
     Parameters
     ----------
     jobs:
-        The base trace.  Jobs are copied (via :meth:`Job.copy_static`), so
-        the originals stay reusable.
+        The base trace.  The originals are not modified, so they stay
+        reusable.
     load_factor:
         > 0.  Values above 1 increase load; 1.0 returns an unscaled copy;
         values below 1 thin the load (useful for sanity sweeps).
@@ -30,18 +31,7 @@ def scale_load(jobs: list[Job], load_factor: float) -> list[Job]:
     -----
     Run times, estimates, widths and memory are untouched, matching the
     paper's methodology.  Relative ordering of arrivals is preserved.
+    The list form of :class:`~repro.workload.pipeline.LoadScaleStage`,
+    which holds the transformation and the check on *load_factor*.
     """
-    if load_factor <= 0:
-        raise ValueError(f"load factor must be positive, got {load_factor}")
-    return [
-        Job(
-            job_id=job.job_id,
-            submit_time=job.submit_time / load_factor,
-            run_time=job.run_time,
-            estimate=job.estimate,
-            procs=job.procs,
-            memory_mb=job.memory_mb,
-            user=job.user,
-        )
-        for job in jobs
-    ]
+    return list(LoadScaleStage(load_factor).apply(iter(jobs)))

@@ -70,11 +70,11 @@ class PipelineStage(ABC):
 
 
 class LoadScaleStage(PipelineStage):
-    """Streaming twin of :func:`repro.workload.load.scale_load`.
+    """Divide every submit time by ``load_factor`` (must be > 0).
 
-    Divides every submit time by ``load_factor`` (the paper's section VI
-    load-variation methodology), leaving run times, estimates, widths
-    and memory untouched.
+    The paper's section VI load-variation methodology: run times,
+    estimates, widths and memory are untouched.
+    :func:`repro.workload.load.scale_load` is this stage over a list.
     """
 
     def __init__(self, load_factor: float) -> None:
@@ -252,65 +252,6 @@ class WorkloadPipeline:
             str(stage.config().get("stage", type(stage).__name__))
             for stage in self.stages
         )
-
-
-def _stage_from_config(cfg: dict[str, object]) -> PipelineStage:
-    """Rebuild one stage from its :meth:`PipelineStage.config` dict."""
-    kind = cfg.get("stage")
-    if kind == "load_scale":
-        return LoadScaleStage(float(cfg["load_factor"]))  # type: ignore[arg-type]
-    if kind == "category_filter":
-        keep = cfg["keep"]
-        assert isinstance(keep, list)
-        return CategoryFilterStage([(str(a), str(b)) for a, b in keep])
-    if kind == "estimates":
-        model_name = cfg.get("model")
-        model: EstimateModel
-        if model_name == "accurate":
-            model = AccurateEstimates()
-        elif model_name == "noise":
-            model = PerfectWithNoise(noise=float(cfg["noise"]))  # type: ignore[arg-type]
-        elif model_name == "inaccurate":
-            cap = cfg["cap_seconds"]
-            model = InaccurateEstimates(
-                badly_fraction=float(cfg["badly_fraction"]),  # type: ignore[arg-type]
-                max_factor=float(cfg["max_factor"]),  # type: ignore[arg-type]
-                cap_seconds=None if cap is None else float(cap),  # type: ignore[arg-type]
-            )
-        else:
-            raise ValueError(
-                f"estimate model {model_name!r} cannot be rebuilt from config "
-                "(custom models are not round-trippable; see _model_config)"
-            )
-        return EstimateStage(
-            model,
-            seed=int(cfg["seed"]),  # type: ignore[call-overload]
-            chunk_size=int(cfg["chunk_size"]),  # type: ignore[call-overload]
-        )
-    raise ValueError(f"unknown pipeline stage config {cfg!r}")
-
-
-def pipeline_from_config(config: dict[str, object]) -> WorkloadPipeline:
-    """Rebuild a :class:`WorkloadPipeline` from its :meth:`~WorkloadPipeline.config`.
-
-    The inverse of :meth:`WorkloadPipeline.config` for every in-repo
-    stage, so a pipeline can travel across process boundaries as plain
-    JSON-stable data (the shared-memory workload plane ships stage
-    configs, not stage objects -- see :mod:`repro.experiments.shm`).
-    The round trip preserves the fingerprint::
-
-        pipeline_from_config(p.config()).fingerprint() == p.fingerprint()
-
-    Raises :class:`ValueError` on an unknown schema, stage, or a custom
-    estimate model that :func:`_model_config` could only describe by
-    name.
-    """
-    schema = config.get("schema")
-    if schema != PIPELINE_SCHEMA:
-        raise ValueError(f"unknown pipeline schema {schema!r} (want {PIPELINE_SCHEMA!r})")
-    stages_cfg = config.get("stages")
-    assert isinstance(stages_cfg, list)
-    return WorkloadPipeline(_stage_from_config(dict(c)) for c in stages_cfg)
 
 
 def open_workload(

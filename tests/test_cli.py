@@ -58,6 +58,17 @@ def test_run_unknown_scheduler():
         main(["run", "--scheduler", "bogus", "--jobs", "10"])
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--cell-timeout", "0"), ("--cell-retries", "-2"), ("--workers", "-3")],
+)
+def test_invalid_grid_options_are_usage_errors(option, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "--trace", "SDSC", "--jobs", "20", option, value])
+    assert excinfo.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_compare_command(capsys):
     rc = main(["compare", "--trace", "SDSC", "--jobs", "100"])
     assert rc == 0

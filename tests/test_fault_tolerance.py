@@ -28,7 +28,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,6 @@ from repro.experiments import (
     ResultCache,
     run_grid,
 )
-from repro.experiments.shm import SEGMENT_PREFIX
 from repro.workload.synthetic import generate_trace
 
 from tests.fault_injection import (
@@ -95,20 +93,6 @@ def plan_for(tmp_path, **faults):
     """A picklable simulate_fn injecting *faults* (key -> FaultSpec)."""
     plan = FaultPlan(state_dir=str(tmp_path / "fault-state"), faults=faults)
     return functools.partial(faulty_simulate, plan)
-
-
-def segments_for_pid(pid):
-    """Workload-plane segments in /dev/shm published by process *pid*.
-
-    Segment names embed the creating pid (``rprs-<fp12>-<pid>-<seq>``),
-    so leak checks are precise: parallel test runs cannot see each
-    other's segments.
-    """
-    try:
-        names = os.listdir("/dev/shm")
-    except FileNotFoundError:  # non-Linux: nothing observable to leak
-        return []
-    return [n for n in names if n.startswith(SEGMENT_PREFIX) and f"-{pid}-" in n]
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +267,15 @@ def test_repeated_pool_death_degrades_to_in_process(tiny_trace, tmp_path):
 
 
 @pytest.mark.fault
-def test_pool_respawn_reattaches_segments(tiny_trace, tmp_path):
-    """Shared-memory plane x pool death: the respawned pool's fresh
-    workers re-attach the published workload segment, results stay
-    byte-identical, and the segment is unlinked when the grid returns."""
+def test_pool_respawn_hands_workers_the_table_again(tiny_trace, tmp_path):
+    """Pool death x the initializer hand-off: tasks carry only a cell
+    index, so the respawned pool's fresh workers can simulate the lost
+    cell only if the pool gave them the cell table again."""
     cells = sf_cells(tiny_trace, (1.2, 1.5, 2.0, 3.0))
     clean = run_grid(cells)
     outcome = run_grid(
         cells,
         workers=2,
-        shm=True,
         simulate_fn=plan_for(tmp_path, **{"sf=1.5": FaultSpec(KILL)}),
     )
     for key in clean.results:
@@ -300,9 +283,8 @@ def test_pool_respawn_reattaches_segments(tiny_trace, tmp_path):
             clean.results[key]
         ), key
     assert outcome.counters.pool_respawns == 1
-    assert outcome.counters.shm_segments == 1  # one workload -> one segment
-    assert outcome.counters.shm_fallbacks == 0  # nobody needed the escape hatch
-    assert segments_for_pid(os.getpid()) == []  # deterministically unlinked
+    assert outcome.counters.degraded_cells == 0  # the new pool did the work
+    assert outcome.failures["sf=1.5"].resolution == "pool-respawn"
 
 
 _COORDINATOR = """\
@@ -377,20 +359,6 @@ def test_sigkilled_run_loses_zero_completed_cells(tiny_trace, tmp_path):
         try:
             proc.wait(timeout=300)
         finally:
-            # Reap the orphans with SIGTERM first: the multiprocessing
-            # resource tracker ignores it, outlives the group, and
-            # unlinks the run's shared-memory workload segments the
-            # moment the last holder of its pipe dies.  A straight
-            # SIGKILL of the whole group would take the tracker down
-            # with the workers and leak /dev/shm entries -- the one
-            # crash shape the tracker cannot cover.
-            try:
-                os.killpg(proc.pid, signal.SIGTERM)
-            except (ProcessLookupError, PermissionError):
-                pass
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and segments_for_pid(proc.pid):
-                time.sleep(0.05)
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
@@ -398,11 +366,6 @@ def test_sigkilled_run_loses_zero_completed_cells(tiny_trace, tmp_path):
     out = log.read_bytes()
     assert proc.returncode == -signal.SIGKILL, out.decode()
     assert b"UNREACHABLE" not in out
-    # killed-coordinator leak check: the coordinator published its
-    # workload segment (workers=4 -> the plane is on by default) and
-    # never reached its finally -- the resource tracker must have
-    # unlinked it once the worker orphans died
-    assert segments_for_pid(proc.pid) == []
 
     cache = ResultCache(cache_dir)
     completed_before_kill = len(cache)

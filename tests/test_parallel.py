@@ -5,13 +5,19 @@ The contract under test (see :mod:`repro.experiments.parallel`):
 * a parallel run is **indistinguishable** from a serial one -- same
   keys, same order, same per-job schedules, bit for bit;
 * a warm cache serves every cell without simulating anything
-  (``GridOutcome.executed == 0``);
+  (``GridOutcome.executed == 0``), whether a serial or a pooled run
+  wrote it;
+* a pool receives its cells once, through its initializer, so each
+  task it is sent carries a cell index and never a workload;
 * the cache fingerprint covers everything that changes results --
   trace, machine size, scheduler config (SF, interval, width rule,
   TSS limits), overhead model, migratable flag -- and nothing else.
 """
 
 from __future__ import annotations
+
+import pickle
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments import (
     GridCell,
+    GridPolicy,
     ResultCache,
     cell_fingerprint,
     compare_schemes,
@@ -29,6 +36,7 @@ from repro.experiments import (
     standard_schemes,
     tuned_schemes,
 )
+from repro.experiments import parallel, paper
 from repro.experiments.parallel import resolve_workers
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.registry import known_schemes, scheduler_from_config
@@ -163,7 +171,122 @@ def test_resolve_workers():
     assert resolve_workers(1) == 1
     assert resolve_workers(0) >= 1  # one per CPU
     assert resolve_workers(7) == 7
-    assert resolve_workers(-3) == 1
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        resolve_workers(-3)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("cell_timeout", 0.0),
+        ("cell_timeout", -5.0),
+        ("cell_timeout", float("nan")),
+        ("cell_retries", -2),
+        ("backoff_base", -0.5),
+        ("backoff_max", -1.0),
+        ("pool_respawns", -1),
+    ],
+)
+def test_grid_policy_rejects_invalid_values(name, value):
+    """These values arrive from the CLI and REPRO_BENCH_* variables; a
+    zero timeout would cull healthy cells, a negative budget would
+    silently act as zero."""
+    with pytest.raises(ValueError, match=name):
+        GridPolicy(**{name: value})
+
+
+# ----------------------------------------------------------------------
+# the pool hand-off: one cell table per pool, an index per task
+# ----------------------------------------------------------------------
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: pickles what run_grid hands it.
+
+    Tasks are not run; each future resolves to a placeholder, which is
+    enough for run_grid to commit the cell.
+    """
+
+    made: list[_RecordingPool] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initializer = initializer
+        self.initargs = initargs
+        self.task_bytes: list[int] = []
+        _RecordingPool.made.append(self)
+
+    def submit(self, fn, *args):
+        self.task_bytes.append(len(pickle.dumps((fn, args))))
+        fut: Future[str] = Future()
+        fut.set_result("not simulated")
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_tasks_carry_an_index_not_the_workload(monkeypatch):
+    jobs = generate_trace("SDSC", n_jobs=2000, seed=1)
+    cells = [
+        GridCell(
+            key=f"sf={sf}",
+            jobs=jobs,
+            n_procs=N_PROCS,
+            scheduler_config=SelectiveSuspensionScheduler(sf).config(),
+        )
+        for sf in (1.5, 2.0, 5.0)
+    ]
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    outcome = run_grid(cells, workers=2)
+    assert outcome.executed == len(cells)
+
+    (pool,) = _RecordingPool.made
+    assert len(pool.task_bytes) == len(cells)
+    assert max(pool.task_bytes) < 1024  # an inline cell pickles to ~1 MB
+    simulate_fn, table = pool.initargs
+    assert simulate_fn is parallel.simulate_cell
+    assert sorted(table) == list(range(len(cells)))
+    assert all(table[i] is cell for i, cell in enumerate(cells))
+    # pickle writes the shared job list once for the whole table
+    assert len(pickle.dumps(pool.initargs)) < 2 * len(pickle.dumps(cells[0]))
+
+
+def test_warm_cache_is_shared_between_serial_and_pooled_runs(small_trace, tmp_path):
+    """One transport, one cache namespace: whichever of a serial and a
+    pooled run writes the cache, the other is served from it."""
+    cells = [
+        GridCell(
+            key=f"sf={sf}",
+            jobs=small_trace,
+            n_procs=N_PROCS,
+            scheduler_config=SelectiveSuspensionScheduler(sf).config(),
+        )
+        for sf in (1.5, 2.0, 5.0)
+    ]
+    for first, second in ((1, 2), (2, 1)):
+        cache = ResultCache(tmp_path / f"cache-{first}-then-{second}")
+        cold = run_grid(cells, workers=first, cache=cache)
+        assert cold.executed == len(cells)
+        warm = run_grid(cells, workers=second, cache=cache)
+        assert warm.executed == 0 and warm.cache_hits == len(cells)
+        for key in cold.results:
+            assert schedule_signature(warm.results[key]) == schedule_signature(
+                cold.results[key]
+            ), key
+
+
+def test_load_variation_pooled_cache_serves_serial_rerun(tmp_path):
+    """The pooled and serial load sweeps key their cells alike: a serial
+    rerun on the pooled run's cache simulates nothing and reports the
+    same figures."""
+    kwargs = {"loads": (1.0, 1.4), "n_jobs": 120, "seed": 3}
+    pooled = paper.load_variation(
+        "SDSC", workers=2, cache=ResultCache(tmp_path / "cache"), **kwargs
+    )
+    rerun_cache = ResultCache(tmp_path / "cache")
+    serial = paper.load_variation("SDSC", cache=rerun_cache, **kwargs)
+    assert rerun_cache.misses == 0 and rerun_cache.stores == 0
+    assert serial.data == pooled.data
+    assert serial.report == pooled.report
 
 
 # ----------------------------------------------------------------------
@@ -449,3 +572,27 @@ def test_traced_worker_results_match_trace_contents(small_trace, tmp_path):
         assert summary.suspensions == result.total_suspensions
         assert summary.finished == len(result.jobs)
         assert abs(summary.busy_proc_seconds - result.busy_proc_seconds) <= 1e-6
+
+
+def test_probe_memo_pins_jobs_lists(trace, tmp_path):
+    """Satellite regression: the cache probe's identity memo must hold
+    a reference to each list it fingerprints.  Transient per-cell lists
+    (built in the ``cells`` expression and only reachable through the
+    cells) must all land in the cache under their own fingerprints --
+    an unpinned ``id()`` key could alias a recycled id to a stale
+    fingerprint and serve the wrong workload's result."""
+    cfg = EasyBackfillScheduler().config()
+    cache = ResultCache(tmp_path / "cache")
+    variants = [trace[: 40 + i] for i in range(4)]  # distinct workloads
+    cells = [
+        GridCell(key=f"v{i}", jobs=list(v), n_procs=N_PROCS, scheduler_config=cfg)
+        for i, v in enumerate(variants)
+    ]
+    run_grid(cells, cache=cache)
+    for i, v in enumerate(variants):
+        probe = GridCell(
+            key=f"probe{i}", jobs=list(v), n_procs=N_PROCS, scheduler_config=cfg
+        )
+        hit = run_grid([probe], cache=cache)
+        assert hit.cache_hits == 1, f"variant {i} missed its own cache entry"
+        assert len({j.job_id for j in hit.results[f"probe{i}"].jobs}) == len(v)

@@ -31,7 +31,10 @@ are compared exactly; no clock-measured value gates anything.
       produces) that differs from the baseline's -- a perf change that
       changes a schedule is rejected outright;
     * a streaming-ingestion peak RSS above 0.6x the eager reader's;
-    * a shared-memory dispatch payload reduction below 10x.
+    * a pooled grid whose per-cell task pickles to more than a tenth of
+      an inline cell, or whose pool cell table (the initializer's
+      arguments, pickled once per ``spawn`` worker) pickles to more
+      than two inline cells.
 
 Both modes apply the last three checks.
 """
@@ -63,14 +66,20 @@ BASELINE = REPO_ROOT / "tools" / "bench_baseline.json"
 #: (the ISSUE's acceptance floor is >= 100k)
 INGESTION_LOG_JOBS = 120_000
 
-#: workload size / grid width of the shared-memory dispatch bench
+#: workload size / grid width of the dispatch bench
 DISPATCH_JOBS = 120_000
 DISPATCH_CELLS = 24
 
 #: an inline cell's pickle must be at least this many times larger than
-#: a ``jobs_ref`` cell's -- the zero-copy plane's acceptance floor.
-#: Byte counts are deterministic, so this gate is machine-independent.
+#: the task the grid executor submits per cell.  Byte counts are
+#: deterministic, so this gate is machine-independent.
 DISPATCH_REDUCTION_MIN = 10.0
+
+#: the pool initializer's arguments -- the table of every cell -- may
+#: pickle to at most this many inline cells.  Pickle writes a job list
+#: shared by all cells once; a table that copied it per cell would
+#: weigh DISPATCH_CELLS inline cells.
+DISPATCH_TABLE_MAX_CELLS = 2.0
 
 #: the streaming reader's peak RSS may be at most this fraction of the
 #: eager reader's on the same log.  The eager path materialises every
@@ -173,21 +182,23 @@ def check_ingestion(ingestion: dict[str, Any]) -> list[str]:
 
 
 def dispatch_report() -> dict[str, Any]:
-    """Measure dispatch payload: inline cells vs shared-memory refs.
+    """Measure what a pooled grid ships to its workers, in pickled bytes.
 
     Builds one deterministic 120k-job workload (plain arithmetic, no
-    RNG) and a 24-cell scheduler sweep over it, then compares what the
-    grid executor would actually ship to workers: ``pickle.dumps`` of
-    every inline cell vs every ``jobs_ref`` cell (after publishing the
-    workload once to a :class:`~repro.experiments.shm.WorkloadPlane`).
-    Wall-clock for both serialisation passes plus the one-time
-    worker-side decode is recorded for the human; only the byte ratio
-    gates.
+    RNG) and a 24-cell scheduler sweep over it, then runs
+    :func:`~repro.experiments.parallel.run_grid` with two workers
+    against a stand-in for ``ProcessPoolExecutor`` that pickles what
+    the executor hands the pool -- the initializer's arguments, and
+    each submitted task -- and simulates nothing.  Both are compared
+    with the pickle of one inline cell, which is what each task carried
+    before cells reached workers through the pool initializer.
+    Pickling times are recorded for the human; only byte counts gate.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    from concurrent.futures import Future
+
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
-    from repro.experiments.parallel import GridCell
-    from repro.experiments.shm import WorkloadPlane, resolve_jobs
+    from repro.experiments import parallel
     from repro.workload.job import Job
 
     jobs = [
@@ -202,59 +213,62 @@ def dispatch_report() -> dict[str, Any]:
         )
         for i in range(DISPATCH_JOBS)
     ]
-    configs = [
-        SelectiveSuspensionScheduler(1.0 + 0.25 * k).config()
+    cells = [
+        parallel.GridCell(
+            key=f"cell{k}",
+            jobs=jobs,
+            n_procs=128,
+            scheduler_config=SelectiveSuspensionScheduler(1.0 + 0.25 * k).config(),
+        )
         for k in range(DISPATCH_CELLS)
     ]
 
     t0 = time.perf_counter()
-    inline_blobs = [
-        pickle.dumps(
-            GridCell(key=f"inline{k}", jobs=jobs, n_procs=128, scheduler_config=cfg)
-        )
-        for k, cfg in enumerate(configs)
-    ]
+    inline_bytes = len(pickle.dumps(cells[0]))
     inline_seconds = time.perf_counter() - t0
+    table: dict[str, float] = {}
+    task_bytes: list[int] = []
 
-    plane = WorkloadPlane()
+    class RecordingPool:
+        def __init__(self, max_workers: int, initializer: Any, initargs: Any) -> None:
+            t0 = time.perf_counter()
+            table["bytes"] = len(pickle.dumps(initargs))
+            table["seconds"] = time.perf_counter() - t0
+
+        def submit(self, fn: Any, *args: Any) -> Future[str]:
+            task_bytes.append(len(pickle.dumps((fn, args))))
+            future: Future[str] = Future()
+            future.set_result("not simulated")
+            return future
+
+        def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+            pass
+
+    real_pool = parallel.ProcessPoolExecutor
+    parallel.ProcessPoolExecutor = RecordingPool
     try:
-        t0 = time.perf_counter()
-        ref = plane.publish(jobs)
-        if ref is None:
-            raise SystemExit("dispatch bench: shared memory unavailable")
-        publish_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ref_blobs = [
-            pickle.dumps(
-                GridCell(key=f"ref{k}", jobs_ref=ref, n_procs=128, scheduler_config=cfg)
-            )
-            for k, cfg in enumerate(configs)
-        ]
-        ref_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        decoded = resolve_jobs(ref)  # cold: what one worker pays, once
-        decode_seconds = time.perf_counter() - t0
-        if len(decoded) != DISPATCH_JOBS:
-            raise SystemExit(
-                f"dispatch bench: decode returned {len(decoded)} jobs, "
-                f"expected {DISPATCH_JOBS}"
-            )
+        parallel.run_grid(cells, workers=2)
     finally:
-        plane.close()
+        parallel.ProcessPoolExecutor = real_pool
+    if len(task_bytes) != DISPATCH_CELLS:
+        raise SystemExit(
+            f"dispatch bench: the grid submitted {len(task_bytes)} tasks, "
+            f"expected {DISPATCH_CELLS}"
+        )
 
-    inline_bytes = sum(map(len, inline_blobs)) / DISPATCH_CELLS
-    ref_bytes = sum(map(len, ref_blobs)) / DISPATCH_CELLS
+    task_bytes_per_cell = sum(task_bytes) / DISPATCH_CELLS
     return {
         "jobs": DISPATCH_JOBS,
         "cells": DISPATCH_CELLS,
         "inline_bytes_per_cell": inline_bytes,
-        "ref_bytes_per_cell": ref_bytes,
-        "payload_reduction": inline_bytes / ref_bytes,
+        "task_bytes_per_cell": task_bytes_per_cell,
+        "payload_reduction": inline_bytes / task_bytes_per_cell,
         "payload_reduction_min": DISPATCH_REDUCTION_MIN,
+        "table_bytes": table["bytes"],
+        "table_inline_cells": table["bytes"] / inline_bytes,
+        "table_inline_cells_max": DISPATCH_TABLE_MAX_CELLS,
         "inline_pickle_seconds": inline_seconds,
-        "publish_seconds": publish_seconds,
-        "ref_pickle_seconds": ref_seconds,
-        "decode_seconds": decode_seconds,
+        "table_pickle_seconds": table["seconds"],
     }
 
 
@@ -267,7 +281,15 @@ def check_dispatch(dispatch: dict[str, Any]) -> list[str]:
             f"dispatch payload reduction {reduction:.1f}x fell below the "
             f"{DISPATCH_REDUCTION_MIN:.0f}x floor "
             f"({dispatch.get('inline_bytes_per_cell', 0):,.0f} B inline vs "
-            f"{dispatch.get('ref_bytes_per_cell', 0):,.0f} B per ref cell)"
+            f"{dispatch.get('task_bytes_per_cell', 0):,.0f} B per task)"
+        )
+    table_cells = dispatch.get("table_inline_cells", float("inf"))
+    if table_cells > DISPATCH_TABLE_MAX_CELLS:
+        problems.append(
+            f"the pool cell table pickles to {table_cells:.2f} inline cells "
+            f"(limit {DISPATCH_TABLE_MAX_CELLS:g}; "
+            f"{dispatch.get('table_bytes', 0):,.0f} B); "
+            "the shared workload is no longer written once"
         )
     return problems
 
@@ -445,9 +467,12 @@ def main(argv: list[str] | None = None) -> int:
     dsp = report["dispatch"]
     print(
         f"  dispatch payload ({dsp['jobs']:,} jobs x {dsp['cells']} cells): "
-        f"{dsp['inline_bytes_per_cell'] / 1e6:.1f} MB inline vs "
-        f"{dsp['ref_bytes_per_cell']:.0f} B per ref cell "
-        f"({dsp['payload_reduction']:,.0f}x, floor {DISPATCH_REDUCTION_MIN:.0f}x)"
+        f"{dsp['inline_bytes_per_cell'] / 1e6:.1f} MB inline cell vs "
+        f"{dsp['task_bytes_per_cell']:.0f} B per task "
+        f"({dsp['payload_reduction']:,.0f}x, floor {DISPATCH_REDUCTION_MIN:.0f}x); "
+        f"cell table {dsp['table_bytes'] / 1e6:.1f} MB "
+        f"({dsp['table_inline_cells']:.2f} inline cells, "
+        f"limit {DISPATCH_TABLE_MAX_CELLS:g})"
     )
 
     problems = check_report(report, baseline) if args.check else []

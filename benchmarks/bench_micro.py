@@ -38,8 +38,10 @@ from repro.core.priorities import PreemptionCriteria, suspension_priority
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.obs import NULL_RECORDER
 from repro.schedulers.base import Scheduler
+from repro.schedulers.conservative import ConservativeBackfillScheduler
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
+from repro.schedulers.relaxed import RelaxedBackfillScheduler
 from repro.sim.driver import SchedulingSimulation, SimulationResult
 from repro.sim.events import EventKind, EventQueue
 from repro.workload.job import Job, fresh_copies
@@ -184,6 +186,10 @@ def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
         "ss_sdsc400": partial(_ss, JOBS_SDSC),
         "ss_sdsc400_null_recorder": partial(_ss, JOBS_SDSC, NULL_RECORDER),
         "ss_congested700": partial(_ss, JOBS_CONGESTED),
+        "conservative_congested700": lambda: simulate(
+            JOBS_CONGESTED, ConservativeBackfillScheduler()
+        ),
+        "relaxed_congested700": lambda: simulate(JOBS_CONGESTED, RelaxedBackfillScheduler()),
         "swf_stream_parse": partial(_swf_stream_parse, swf_log),
         "swf_stream_to_jobs": partial(_swf_stream_to_jobs, swf_log),
     }

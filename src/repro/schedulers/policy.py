@@ -235,10 +235,11 @@ class ReservationPolicy(Policy):
     def _running_profile(self) -> AvailabilityProfile:
         """Free processors over time as the running jobs release them."""
         driver = self.driver
-        profile = AvailabilityProfile(driver.cluster.n_procs, driver.now)
-        for running in driver.running_jobs():
-            profile.claim_running(running.procs, running.expected_end)
-        return profile
+        return AvailabilityProfile(
+            driver.cluster.n_procs,
+            driver.now,
+            [(running.procs, running.expected_end) for running in driver.running_jobs()],
+        )
 
 
 @dataclass
@@ -707,7 +708,7 @@ class RelaxedBackfill(BackfillPolicy):
             trial.claim(driver.now, duration, job.procs)
             new_anchor = trial.find_anchor(plan.duration, head.procs)
             if new_anchor <= allowance:
-                driver.start_job(job)
+                driver.start_job(job, via="backfill")
                 profile.claim(driver.now, duration, job.procs)
 
 
@@ -1849,6 +1850,12 @@ class PolicyKernel(Scheduler):
         Phase 2 asks the reservation policy to plan the (now blocked)
         head; if the scheme reserves nothing, dispatch stops at the
         head.  Phase 3 lets the backfill policy fill around the plan.
+
+        An untraced pass skips phases 2 and 3 when no job behind the head
+        passes ``can_start``: no fill starts such a job, and starts only
+        take processors, so the plan could start nothing.  Its only other
+        effect is the traced ``reservation`` record, so traced passes
+        plan every time.
         """
         driver = self.driver
         while True:
@@ -1863,7 +1870,10 @@ class PolicyKernel(Scheduler):
         queue = driver.queued_jobs()
         if not queue:
             return  # pragma: no cover - loop returned already
+        rest = queue[1:]
+        if driver.tracer is None and not any(driver.can_start(job) for job in rest):
+            return
         plan = self.reservation.plan_head(queue[0])
         if plan is None:
             return
-        self.backfill.fill(queue[1:], plan)
+        self.backfill.fill(rest, plan)

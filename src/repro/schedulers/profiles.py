@@ -8,15 +8,18 @@ step function ``free(t)`` on ``[origin, inf)``.
 
 The representation is a sorted list of ``[time, free]`` breakpoints; the
 value applies from the breakpoint up to the next one, and the final
-breakpoint extends to infinity.  Lookups bisect (O(log n)); a claim
-rewrites the affected run of breakpoints with one slice splice (a single
-memmove instead of two ``list.insert`` shifts); anchor search is one
+breakpoint extends to infinity.  The constructor takes the running jobs'
+``(count, until)`` releases and builds their step function in one
+sort-and-accumulate pass (O(R log R) for R running jobs).  Lookups
+bisect (O(log n)); a claim rewrites the affected run of breakpoints with
+one slice splice (a single memmove instead of two ``list.insert``
+shifts); anchor search is one
 merged breakpoint walk carrying a sliding-window minimum (O(n) per
 anchor, down from the O(n^2) candidates-times-rescan form -- the legacy
 reference survives in ``benchmarks/bench_micro.py``, and
 ``tools/bench_gate.py`` counts the calls per anchor exactly).  EASY and
 conservative backfilling rebuild a profile every scheduling pass, so
-these two operations bound the whole backfill family's cost once queues
+these operations bound the whole backfill family's cost once queues
 congest.
 """
 
@@ -24,10 +27,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterable
 
 
 class ProfileError(RuntimeError):
-    """Raised when a claim would drive free processors negative."""
+    """Raised when a claim, or the running jobs' releases, would drive
+    free processors negative."""
 
 
 class AvailabilityProfile:
@@ -40,15 +45,46 @@ class AvailabilityProfile:
         everywhere.
     origin:
         Current simulation time; claims and queries before it are invalid.
+    releases:
+        ``(count, until)`` per running job: *count* processors busy until
+        *until*, floored at ``origin + 1`` for a job past its estimate.
+        Each end is ``origin + (max(until, origin + 1) - origin)``, the
+        float one :meth:`claim` from ``origin`` would end at.  Releases
+        holding more than ``n_procs`` raise :class:`ProfileError`.
     """
 
-    def __init__(self, n_procs: int, origin: float) -> None:
+    def __init__(
+        self,
+        n_procs: int,
+        origin: float,
+        releases: Iterable[tuple[int, float]] = (),
+    ) -> None:
         if n_procs <= 0:
             raise ValueError(f"n_procs must be positive, got {n_procs}")
         self.n_procs = n_procs
         self.origin = origin
-        self._times: list[float] = [origin]
-        self._free: list[int] = [n_procs]
+        floor = origin + 1.0
+        ends = sorted(
+            [(origin + (max(until, floor) - origin), count) for count, until in releases]
+        )
+        times = [origin]
+        released = [0]  # processors released by each breakpoint, cumulative
+        busy = 0
+        for end, count in ends:
+            if count <= 0:
+                raise ValueError(f"count must be positive, got {count}")
+            busy += count
+            if end > times[-1]:
+                times.append(end)
+                released.append(busy)
+            elif end > origin:
+                released[-1] = busy  # tied end: one breakpoint releases both
+            else:
+                raise ValueError(f"release at t={end} not after origin={origin}")
+        if busy > n_procs:
+            raise ProfileError(f"running jobs hold {busy} procs on a {n_procs}-proc machine")
+        self._times: list[float] = times
+        self._free: list[int] = [n_procs - busy + gone for gone in released]
 
     # ------------------------------------------------------------------
     # queries
@@ -61,7 +97,9 @@ class AvailabilityProfile:
         return self._free[idx]
 
     def min_free(self, start: float, end: float) -> int:
-        """Minimum of ``free(t)`` over the window ``[start, end)``."""
+        """Minimum of ``free(t)`` over the window ``[start, end)`` (*start* >= origin)."""
+        if start < self.origin:
+            raise ValueError(f"query at t={start} before origin={self.origin}")
         if end <= start:
             return self.free_at(start)
         idx = bisect_right(self._times, start) - 1
@@ -142,11 +180,6 @@ class AvailabilityProfile:
             new_free.append(free[j])
         times[i : last + 1] = new_times
         free[i : last + 1] = new_free
-
-    def claim_running(self, count: int, until: float) -> None:
-        """Account a currently running job: *count* procs busy until *until*."""
-        until = max(until, self.origin + 1.0)  # jobs past their estimate
-        self.claim(self.origin, until - self.origin, count)
 
     # ------------------------------------------------------------------
     # planning

@@ -204,7 +204,7 @@ class Job:
         The 1 s floor keeps profiles sane when a job outlives its
         estimate (possible with real, under-estimated traces).  Such a
         job is always planned to need one more second, and
-        ``AvailabilityProfile.claim_running`` floors a running one the
+        ``AvailabilityProfile`` floors a running one's release the
         same way, so plans made at different times differ: an anchor
         re-planned at every sweep -- the ``ss-easy`` sweep guard -- can
         move between two events, which is why ``ss-easy`` never skips a

@@ -32,6 +32,7 @@ from repro.core.overhead import DiskSwapOverheadModel
 from repro.core.priorities import PreemptionCriteria
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
+from repro.experiments.parallel import outcome_fingerprint
 from repro.experiments.runner import simulate
 from repro.metrics.timeseries import StateProbe
 from repro.obs import (
@@ -53,6 +54,7 @@ from repro.schedulers.hybrids import (
 from repro.schedulers.policy import (
     FifoOrder,
     GreedyBackfill,
+    HeadReservation,
     NoBackfill,
     NoReservations,
     PolicyKernel,
@@ -60,9 +62,12 @@ from repro.schedulers.policy import (
     QueuePolicy,
     SweepPreemption,
 )
+from repro.schedulers.relaxed import RelaxedBackfillScheduler
+from repro.schedulers.speculative import SpeculativeBackfillScheduler
 from repro.sim.audit import audit_result
 from repro.sim.driver import SchedulingSimulation
 from repro.workload.job import Job, fresh_copies
+from repro.workload.load import scale_load
 from repro.workload.synthetic import generate_trace
 
 N_PROCS = 128
@@ -204,6 +209,26 @@ def test_untraced_run_skips_timer_passes_that_cannot_act(trace_jobs, case, monke
     else:
         assert untraced[0] < traced[0]
         assert untraced[1] < traced[1]
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [EasyBackfillScheduler, RelaxedBackfillScheduler, SpeculativeBackfillScheduler],
+    ids=["easy", "relaxed", "speculative"],
+)
+def test_untraced_backfill_skips_head_plans_no_job_can_use(trace_jobs, factory, monkeypatch):
+    """An untraced backfill pass plans the head only when some job
+    behind it can start now, since no fill starts any other; a traced
+    pass plans every time, because the plan is a ``reservation`` record.
+    Schedules and ``events_dispatched`` are the same either way."""
+    plans = _counting(monkeypatch, (HeadReservation, "plan_head"))
+    jobs = scale_load(trace_jobs, 1.8)
+    plain = simulate(jobs, factory(), N_PROCS)
+    untraced, plans[0] = plans[0], 0
+    traced = simulate(jobs, factory(), N_PROCS, recorder=InMemoryRecorder())
+    assert 0 < untraced < plans[0]
+    assert outcome_fingerprint(plain.jobs) == outcome_fingerprint(traced.jobs)
+    assert plain.events_dispatched == traced.events_dispatched
 
 
 def test_ticks_after_an_arrival_or_finish_are_jumped(monkeypatch):

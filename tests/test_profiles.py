@@ -102,11 +102,38 @@ def test_find_anchor_impossible_count():
         p.find_anchor(10.0, 9)
 
 
-def test_claim_running_clamps_past_estimates():
+def test_running_release_clamps_past_estimates():
     """A running job past its estimate still occupies processors now."""
-    p = AvailabilityProfile(8, origin=100.0)
-    p.claim_running(4, until=90.0)  # "expected end" in the past
+    # "expected end" in the past
+    p = AvailabilityProfile(8, origin=100.0, releases=[(4, 90.0)])
     assert p.free_at(100.0) == 4
+
+
+def test_releases_build_the_step_function():
+    """Tied ends share one breakpoint; overdue releases end 1 s on."""
+    releases = [(4, 300.0), (2, 150.0), (3, 300.0), (1, 50.0)]
+    p = AvailabilityProfile(16, origin=100.0, releases=releases)
+    assert p.breakpoints() == [(100.0, 6), (101.0, 7), (150.0, 9), (300.0, 16)]
+
+
+def test_releases_over_capacity_raise():
+    with pytest.raises(ProfileError):
+        AvailabilityProfile(8, origin=0.0, releases=[(5, 10.0), (4, 20.0)])
+    with pytest.raises(ValueError):
+        AvailabilityProfile(8, origin=0.0, releases=[(0, 10.0)])
+
+
+def test_window_queries_before_origin_rejected():
+    """``min_free`` and ``fits`` refuse a window that starts before the
+    origin, as ``free_at`` and ``claim`` do, instead of reading the tail
+    segment."""
+    p = AvailabilityProfile(8, origin=100.0)
+    p.claim(100.0, 50.0, 6)
+    with pytest.raises(ValueError, match="before origin"):
+        p.min_free(50.0, 120.0)
+    with pytest.raises(ValueError, match="before origin"):
+        p.fits(50.0, 10.0, 8)
+    assert p.min_free(100.0, 120.0) == 2
 
 
 def test_anchor_then_claim_round_trip():

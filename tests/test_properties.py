@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.bitset import lowest_bits, mask_from_ids, mask_to_ids, take_lowest
@@ -12,7 +12,7 @@ from repro.metrics.slowdown import bounded_slowdown, turnaround_time, wait_time
 from repro.metrics.utilization import busy_area_from_jobs
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.profiles import AvailabilityProfile
+from repro.schedulers.profiles import AvailabilityProfile, ProfileError
 from repro.sim.events import EventKind, EventQueue
 from repro.workload.job import Job, JobState
 from tests.conftest import run_sim
@@ -115,6 +115,49 @@ def test_profile_anchor_window_actually_fits(claim_list, duration, count):
     for t, _ in p.breakpoints():
         if t < anchor:
             assert not p.fits(t, duration, count)
+
+
+#: a release end: an offset from the origin (below 1 s: overdue or past
+#: its estimate) or an absolute time, which may lie before the origin
+release_ends = st.one_of(
+    st.tuples(st.just(True), st.floats(-100.0, 5000.0)),
+    st.tuples(st.just(False), st.floats(0.0, 1e9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0.0, 100.3, 86_400.7]), st.floats(0.0, 1e7)),  # origin
+    # releases pick their ends from a short pool, so ends tie
+    st.lists(release_ends, min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(0, 5)), max_size=25),
+    st.integers(1, 64),  # n_procs
+)
+# ends where origin + (until - origin) is not until
+@example(100.3, [(False, 228.68458488789813)], [(3, 0)], 8)
+@example(589564.5260470452, [(False, 1784514.8448591975), (True, 0.5)], [(2, 0), (1, 1)], 8)
+def test_profile_built_from_releases_matches_per_release_claims(
+    origin, pool, picks, n_procs
+):
+    """The one-pass build equals one claim from the origin per running
+    job, breakpoint for breakpoint, float for float, and both refuse
+    running sets wider than the machine."""
+    ends = [origin + value if relative else value for relative, value in pool]
+    releases = [(count, ends[k % len(ends)]) for count, k in picks]
+
+    def claimed() -> AvailabilityProfile:
+        p = AvailabilityProfile(n_procs, origin)
+        for count, until in releases:
+            p.claim(origin, max(until, origin + 1.0) - origin, count)
+        return p
+
+    try:
+        expected = claimed().breakpoints()
+    except ProfileError:
+        with pytest.raises(ProfileError):
+            AvailabilityProfile(n_procs, origin, releases)
+        return
+    assert AvailabilityProfile(n_procs, origin, releases).breakpoints() == expected
 
 
 # ----------------------------------------------------------------------

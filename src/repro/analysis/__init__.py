@@ -5,8 +5,8 @@
 * :mod:`repro.analysis.report` -- full experiment reports combining
   several tables with headers and paper-reference notes.
 * :mod:`repro.analysis.timeline` -- occupancy timelines rebuilt from
-  decision traces (see ``docs/TRACING.md``): interval lists, CSV
-  export, and ASCII Gantt charts.
+  decision traces by the trace replay (see ``docs/TRACING.md``):
+  interval lists, CSV export, and ASCII Gantt charts.
 """
 
 from repro.analysis.tables import (
@@ -16,12 +16,8 @@ from repro.analysis.tables import (
     series_table,
 )
 from repro.analysis.report import experiment_report, scheme_comparison_report
-from repro.analysis.timeline import (
-    OccupancyInterval,
-    ascii_gantt,
-    occupancy_intervals,
-    timeline_csv,
-)
+from repro.analysis.timeline import ascii_gantt, occupancy_intervals, timeline_csv
+from repro.obs.summary import OccupancyInterval
 
 __all__ = [
     "OccupancyInterval",

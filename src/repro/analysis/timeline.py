@@ -11,8 +11,8 @@ aggregate tables cannot provide.
 Three exports:
 
 * :func:`occupancy_intervals` -- the run as a list of
-  :class:`OccupancyInterval` (one per contiguous dispatch..release
-  period of a job), the machine-readable timeline;
+  :class:`~repro.obs.summary.OccupancyInterval` (one per contiguous
+  dispatch..release period of a job), the machine-readable timeline;
 * :func:`timeline_csv` -- the same as CSV text, one row per interval,
   for spreadsheets / pandas / gnuplot;
 * :func:`ascii_gantt` -- a terminal Gantt chart, one row per job,
@@ -28,8 +28,9 @@ the queue between periods.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
+
+from repro.obs.summary import OccupancyInterval, replay_events
 
 #: Gantt glyph per interval outcome (also the chart legend).
 GANTT_GLYPHS = {
@@ -40,86 +41,20 @@ GANTT_GLYPHS = {
 }
 
 
-@dataclass(frozen=True)
-class OccupancyInterval:
-    """One contiguous run period of one job.
-
-    ``end_type`` is the release event that closed the interval:
-    ``"finish"``, ``"suspend"`` or ``"kill"``.  ``via`` is the dispatch
-    annotation of the period's start (``"backfill"``, ``"speculative"``
-    or ``None``) and ``resumed`` whether it began as a resume.
-    """
-
-    job_id: int
-    start: float
-    end: float
-    width: int
-    end_type: str
-    via: str | None = None
-    resumed: bool = False
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def area(self) -> float:
-        """Processor-seconds of occupancy (width x duration)."""
-        return self.width * self.duration
-
-
-_DISPATCH_TYPES = ("start", "backfill_start", "resume")
-_RELEASE_TYPES = ("suspend", "kill", "finish")
-
-
 def occupancy_intervals(
     events: Iterable[Mapping[str, Any]],
 ) -> list[OccupancyInterval]:
     """Rebuild the run's occupancy timeline from its event stream.
 
-    Returns intervals sorted by (start, job_id).  Raises ``ValueError``
-    on structurally broken streams, same contract as
+    The intervals :func:`~repro.obs.summary.replay_events` closes,
+    sorted by (start, job_id).  Raises ``ValueError`` on structurally
+    broken streams, the same replay as
     :func:`repro.obs.summary.summarize_trace`.
     """
-    open_periods: dict[int, tuple[float, int, str | None, bool]] = {}
-    out: list[OccupancyInterval] = []
-    for ev in events:
-        etype = ev.get("type")
-        jid = ev.get("job")
-        t = float(ev.get("t", 0.0))
-        if etype in _DISPATCH_TYPES:
-            assert jid is not None
-            if jid in open_periods:
-                raise ValueError(f"job {jid} dispatched twice without release (t={t})")
-            open_periods[jid] = (
-                t,
-                int(ev.get("width", 0)),
-                ev.get("via"),
-                etype == "resume",
-            )
-        elif etype in _RELEASE_TYPES:
-            assert jid is not None
-            if jid not in open_periods:
-                raise ValueError(f"{etype} for job {jid} which is not running (t={t})")
-            t0, width, via, resumed = open_periods.pop(jid)
-            out.append(
-                OccupancyInterval(
-                    job_id=jid,
-                    start=t0,
-                    end=t,
-                    width=width,
-                    end_type=str(etype),
-                    via=via,
-                    resumed=resumed,
-                )
-            )
-    if open_periods:
-        raise ValueError(
-            f"trace ended with {len(open_periods)} job(s) still on processors: "
-            f"{sorted(open_periods)[:10]}"
-        )
-    out.sort(key=lambda i: (i.start, i.job_id))
-    return out
+    return sorted(
+        (iv for _, iv in replay_events(events) if iv is not None),
+        key=lambda iv: (iv.start, iv.job_id),
+    )
 
 
 def timeline_csv(intervals: Iterable[OccupancyInterval]) -> str:
@@ -148,8 +83,8 @@ def ascii_gantt(
 ) -> str:
     """Render a per-job Gantt chart as fixed-width ASCII.
 
-    One row per job (ascending job id, truncated to *max_jobs* rows
-    with a trailing note).  Time is bucketed into *width* columns; a
+    One row per job (ascending job id, truncated to *max_jobs* rows,
+    at least one, with a trailing note).  Time is bucketed into *width* columns; a
     bucket takes the glyph of the interval covering its midpoint:
     ``#`` ran to completion, ``s`` ended in a suspension, ``x`` was a
     killed speculation, ``.`` queued (between the job's arrival -- if
@@ -158,6 +93,8 @@ def ascii_gantt(
     """
     if width <= 0:
         raise ValueError("width must be positive")
+    if max_jobs is not None and max_jobs < 1:
+        raise ValueError("max_jobs must be positive")
     if not intervals:
         return "(empty timeline)"
     t0 = min(iv.start for iv in intervals)

@@ -423,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))
+    if getattr(args, "trace_cmd", None) == "gantt":
+        for flag, value in (("--width", args.width), ("--max-jobs", args.max_jobs)):
+            if value < 1:
+                parser.error(f"{flag} must be at least 1, got {value}")
     try:
         return _dispatch(args)
     except BrokenPipeError:

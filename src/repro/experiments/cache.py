@@ -155,7 +155,7 @@ class ResultCache:
         *garbage* bytes can raise nearly anything -- ``AttributeError``
         and ``ImportError`` for stale class paths, ``MemoryError`` for a
         corrupted length prefix -- and none of those may escape a cache
-        *probe*.
+        *lookup*.
         """
         path = self._path(fingerprint)
         try:

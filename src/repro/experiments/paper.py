@@ -96,8 +96,9 @@ def job_distribution(
     ``data`` keys: ``"shares16"``, ``"shares4"`` (category -> fraction).
     """
     jobs = _trace(trace, n_jobs, seed)
-    shares16 = category_shares(jobs_finished_ok(jobs))
-    shares4 = category_shares(jobs_finished_ok(jobs), classify_four_way)
+    # shares read only static job fields, so fresh jobs classify as they are
+    shares16 = category_shares(jobs)
+    shares4 = category_shares(jobs, classify_four_way)
     report = "\n\n".join(
         [
             category_grid_table(
@@ -120,12 +121,6 @@ def job_distribution(
         data={"shares16": shares16, "shares4": shares4},
         report=report,
     )
-
-
-def jobs_finished_ok(jobs: list[Job]) -> list[Job]:
-    """Classification helpers need finished-or-fresh jobs; shares only
-    use static fields, so fresh jobs pass straight through."""
-    return jobs
 
 
 # ----------------------------------------------------------------------

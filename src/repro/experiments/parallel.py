@@ -621,7 +621,7 @@ def run_grid(
     slots: list[SimulationResult | None] = [None] * len(cells)
     outcome = GridOutcome(counters=counters if counters is not None else GridCounters())
 
-    # cache probe -- fingerprint each cell, memoising the workload hash
+    # cache lookup -- fingerprint each cell, memoising the workload hash
     # by identity (grids typically reuse one jobs list across schemes).
     # The memo value PINS the keyed object: an id() key alone would go
     # stale if the list were collected and its id recycled by a

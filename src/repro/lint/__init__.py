@@ -38,7 +38,7 @@ Architecture
 * :mod:`repro.lint.rules` -- the per-file checkers RPR001-003/005/006/008
   and the same-file call resolver RPR005 and RPR008 share.
 * :mod:`repro.lint.project` -- RPR004, the cross-file conformance pass
-  (event vocabulary vs. counter folds vs. replay coverage; scheduler
+  (event vocabulary vs. Tracer emission vs. replay coverage; scheduler
   ``scheme_id``/``config()``/``describe()`` contract).
 * :mod:`repro.lint.suppress` -- ``# repro-lint: disable=RPRxxx -- why``
   directives; a justification is *mandatory* (a bare disable is itself

@@ -193,8 +193,8 @@ def lint_paths(
 ) -> LintReport:
     """Lint *paths* and return the merged, baseline-filtered report.
 
-    ``select`` restricts to a rule subset (tests use this to probe one
-    rule at a time).  A full-rule-set run also audits suppressions: a
+    ``select`` restricts to a rule subset (tests use this to exercise
+    one rule at a time).  A full-rule-set run also audits suppressions: a
     directive that suppressed nothing is an RPR000 finding.  Under
     ``select`` the audit is skipped, since an unselected rule cannot
     defend its directives.  Baseline entries are only judged stale for

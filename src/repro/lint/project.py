@@ -1,7 +1,7 @@
 """RPR004: cross-file protocol-conformance checks.
 
 Where RPR001-003/005/006 look at one file at a time, RPR004 checks the
-*agreements between* modules that the test suite can only probe
+*agreements between* modules that the test suite can only check
 dynamically (and therefore only for the event sequences a given
 workload happens to produce):
 
@@ -23,10 +23,9 @@ workload happens to produce):
   composition layer down -- and ``config_fragment`` must stay callable
   with no arguments.
 * **Event-vocabulary lockstep** -- the :class:`Tracer` must emit every
-  type in ``EVENT_TYPES`` (no orphan vocabulary), every lifecycle
-  emission method must fold :class:`TraceCounters` in the same breath
-  (counters and stream may never disagree), and the replay witness
-  (``obs/summary.py``) must handle the full vocabulary.
+  type in ``EVENT_TYPES`` (no orphan vocabulary), and the replay
+  (``obs/summary.py``), which every count and state of a run is folded
+  from, must handle the full vocabulary.
 * **Call-site conformance** -- ``tracer.<method>(...)`` sites in
   ``core/`` / ``schedulers/`` / ``sim/`` must name real Tracer methods,
   and literal ``decision(..., "<action>", ...)`` actions must come from
@@ -49,10 +48,6 @@ from repro.lint.checker import DECISION_PATH_RE, FileContext
 from repro.lint.findings import Finding
 
 RULE = "RPR004"
-
-#: Tracer methods that frame the run rather than record job lifecycle
-#: (exempt from the counters-lockstep requirement)
-_FRAMING_METHODS = frozenset({"run_begin", "run_end"})
 
 #: private plumbing on Tracer that call sites must not use directly
 _PRIVATE_PREFIX = "_"
@@ -360,7 +355,7 @@ def _check_policies(
 
 
 # ----------------------------------------------------------------------
-# event vocabulary / counters lockstep / replay coverage
+# event vocabulary / replay coverage
 # ----------------------------------------------------------------------
 def _find_events_module(contexts: dict[str, FileContext]) -> str | None:
     for relpath in sorted(contexts):
@@ -412,7 +407,7 @@ def _check_event_lockstep(contexts: dict[str, FileContext]) -> list[Finding]:
     if not event_types or tracer is None:
         return findings
 
-    # (b) emission coverage: every EVENT_TYPES member must appear as a
+    # emission coverage: every EVENT_TYPES member must appear as a
     # literal inside the Tracer class (emitted or assigned to an etype)
     emitted = _string_constants(tracer) & set(event_types)
     for missing in sorted(set(event_types) - emitted):
@@ -426,52 +421,7 @@ def _check_event_lockstep(contexts: dict[str, FileContext]) -> list[Finding]:
             )
         )
 
-    # (c) counters lockstep: each emitting lifecycle method folds counters
-    for meth in tracer.body:
-        if not isinstance(meth, ast.FunctionDef):
-            continue
-        if meth.name in _FRAMING_METHODS or meth.name.startswith(_PRIVATE_PREFIX):
-            continue
-        emits = any(
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr in ("_emit", "record")
-            for n in ast.walk(meth)
-        )
-        if not emits:
-            continue
-        touches_counters = any(
-            (
-                isinstance(n, ast.Attribute)
-                and n.attr == "counters"
-            )
-            or (
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr == "_queue_delta"
-            )
-            or (
-                isinstance(n, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "c" for t in n.targets
-                )
-                and isinstance(n.value, ast.Attribute)
-                and n.value.attr == "counters"
-            )
-            for n in ast.walk(meth)
-        )
-        if not touches_counters:
-            findings.append(
-                _finding(
-                    events_rel,
-                    meth,
-                    ctx,
-                    f"Tracer.{meth.name}() emits events without folding "
-                    "TraceCounters -- counters and stream would disagree",
-                )
-            )
-
-    # replay witness coverage: obs/summary.py must mention every type
+    # replay coverage: obs/summary.py must mention every type
     for relpath in sorted(contexts):
         if relpath.replace("\\", "/").endswith("obs/summary.py"):
             summary_ctx = contexts[relpath]
@@ -543,8 +493,8 @@ def _check_tracer_call_sites(contexts: dict[str, FileContext]) -> list[Finding]:
                                 node,
                                 ctx,
                                 f"decision action {action.value!r} is not in "
-                                "DECISION_ACTIONS; replay and counters would "
-                                "not classify it",
+                                "DECISION_ACTIONS; the replay would not "
+                                "classify it",
                             )
                         )
     return findings

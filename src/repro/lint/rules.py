@@ -527,7 +527,7 @@ class CachePurityChecker(Checker):
       fork makes it *appear* to work);
     * a cache **read** path (``get`` / ``__contains__`` / ``__len__`` of
       a ``*Cache`` class, including the ``self._helper()`` methods they
-      call) mutating the filesystem -- a probe that deletes or rewrites
+      call) mutating the filesystem -- a lookup that deletes or rewrites
       entries turns concurrent readers into writers and destroys the
       evidence of corruption.  The one sanctioned mutation is the
       quarantine rename: ``rename``/``replace`` whose call carries a

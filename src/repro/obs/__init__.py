@@ -16,13 +16,13 @@ Layers (bottom-up):
   its three implementations: :class:`NullRecorder` (disabled,
   zero-cost), :class:`InMemoryRecorder` (tests / notebooks) and
   :class:`JsonlRecorder` (streaming one JSON object per line to disk).
-* :mod:`repro.obs.counters` -- per-run :class:`TraceCounters`
-  (suspensions, preemption denials by cause, backfill fills,
-  queue-depth time series), maintained by the tracer and surfaced on
-  :class:`~repro.sim.driver.SimulationResult`.
-* :mod:`repro.obs.summary` -- independent replay: rebuild per-job
-  statistics, the busy-area integral and utilisation from the event
-  stream alone and compare them against what the run claimed.
+* :mod:`repro.obs.counters` -- the denial-cause vocabulary and the
+  grid executor's fault-recovery tallies (:class:`GridCounters`).
+* :mod:`repro.obs.summary` -- the one replay of a trace: it pairs every
+  release with its dispatch and folds the stream into per-job
+  statistics, run counts, the busy-area integral, utilisation and the
+  queue and machine state at each lifecycle instant, then checks them
+  against what the run claimed.  Nothing is counted while a run emits.
 
 **Zero-overhead-when-off contract:** a simulation constructed without a
 recorder (or with the :data:`NULL_RECORDER`) has ``driver.tracer is
@@ -33,7 +33,7 @@ run to make exactly the untraced run's calls.  The schema itself is
 documented as a stable contract in ``docs/TRACING.md``.
 """
 
-from repro.obs.counters import DENIAL_CAUSES, GridCounters, TraceCounters
+from repro.obs.counters import DENIAL_CAUSES, GridCounters
 from repro.obs.events import (
     DECISION_ACTIONS,
     EVENT_TYPES,
@@ -50,9 +50,12 @@ from repro.obs.recorder import (
     read_trace,
 )
 from repro.obs.summary import (
+    OccupancyInterval,
+    StateSample,
     TraceSummary,
     format_grid_counters,
     format_summary,
+    replay_events,
     summarize_trace,
 )
 
@@ -65,8 +68,9 @@ __all__ = [
     "JsonlRecorder",
     "NULL_RECORDER",
     "NullRecorder",
+    "OccupancyInterval",
+    "StateSample",
     "TRACE_SCHEMA_VERSION",
-    "TraceCounters",
     "TraceEvent",
     "TraceRecorder",
     "TraceSummary",
@@ -74,5 +78,6 @@ __all__ = [
     "format_grid_counters",
     "format_summary",
     "read_trace",
+    "replay_events",
     "summarize_trace",
 ]

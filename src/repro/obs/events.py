@@ -17,13 +17,11 @@ Emission discipline
 -------------------
 
 The driver and schedulers never talk to a recorder directly; they emit
-through a :class:`Tracer`, which
-
-* only exists when tracing is enabled (``driver.tracer is None``
-  otherwise -- the zero-overhead-when-off contract), and
-* maintains the run's :class:`~repro.obs.counters.TraceCounters` in
-  lockstep with the events, so counters and stream can never disagree
-  regardless of which recorder implementation is attached.
+through a :class:`Tracer`, which only exists when tracing is enabled
+(``driver.tracer is None`` otherwise -- the zero-overhead-when-off
+contract).  The tracer keeps no tallies: every count and state of a run
+is folded from the stream afterwards by :mod:`repro.obs.summary`, so
+every recorder implementation yields the same numbers.
 
 Decision records
 ----------------
@@ -43,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.cluster.bitset import mask_to_ids
-from repro.obs.counters import TraceCounters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import TraceRecorder
@@ -127,26 +124,18 @@ class Tracer:
 
     Constructed by the driver **only when tracing is on**; emission
     sites therefore guard with a single ``if tracer is not None``.
-    Counter maintenance lives here (not in recorders) so every
-    recorder implementation yields identical counters.
     """
 
-    __slots__ = ("recorder", "counters", "_depth")
+    __slots__ = ("recorder",)
 
     def __init__(self, recorder: "TraceRecorder") -> None:
         self.recorder = recorder
-        self.counters = TraceCounters()
-        self._depth = 0  # live queue length, tracked by deltas
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _emit(self, t: float, etype: str, job: int | None, data: dict[str, Any]) -> None:
         self.recorder.record(TraceEvent(t=t, type=etype, job=job, data=data))
-
-    def _queue_delta(self, t: float, delta: int) -> None:
-        self._depth += delta
-        self.counters.note_queue_depth(t, self._depth)
 
     # ------------------------------------------------------------------
     # run framing
@@ -207,8 +196,6 @@ class Tracer:
     # lifecycle events (emitted by the driver)
     # ------------------------------------------------------------------
     def arrival(self, t: float, job: "Job") -> None:
-        self.counters.arrivals += 1
-        self._queue_delta(t, +1)
         self._emit(
             t,
             "arrival",
@@ -236,15 +223,10 @@ class Tracer:
         """
         if resumed:
             etype = "resume"
-            self.counters.resumes += 1
         elif via == "backfill":
             etype = "backfill_start"
-            self.counters.starts += 1
-            self.counters.backfill_fills += 1
         else:
             etype = "start"
-            self.counters.starts += 1
-        self._queue_delta(t, -1)
         self._emit(
             t,
             etype,
@@ -266,8 +248,6 @@ class Tracer:
         overhead_added: float,
     ) -> None:
         """A running job was suspended off the processors in mask *procs*."""
-        self.counters.suspensions += 1
-        self._queue_delta(t, +1)
         self._emit(
             t,
             "suspend",
@@ -284,8 +264,6 @@ class Tracer:
 
     def kill(self, t: float, job: "Job", procs: int, wasted: float) -> None:
         """A speculative run was killed off the processors in mask *procs*."""
-        self.counters.kills += 1
-        self._queue_delta(t, +1)
         self._emit(
             t,
             "kill",
@@ -299,7 +277,6 @@ class Tracer:
         )
 
     def finish(self, t: float, job: "Job") -> None:
-        self.counters.finishes += 1
         self._emit(
             t,
             "finish",
@@ -315,25 +292,7 @@ class Tracer:
     # decision records (emitted by schedulers)
     # ------------------------------------------------------------------
     def decision(self, t: float, action: str, job_id: int | None, **data: Any) -> None:
-        """Emit one decision record and fold it into the counters.
-
-        ``preempt``/``timeslice_grant`` count as granted attempts;
-        ``preempt_denied`` counts against its ``cause``; entries of a
-        ``victims`` list with a non-``candidate`` verdict count as
-        per-victim rejections.  ``reservation`` and ``speculate`` are
-        informational and leave the preemption counters alone.
-        """
-        c = self.counters
-        if action in ("preempt", "timeslice_grant"):
-            c.preempt_attempts += 1
-            c.preempt_grants += 1
-        elif action == "preempt_denied":
-            c.preempt_attempts += 1
-            c.count_denial(str(data.get("cause", "insufficient")))
-        for v in data.get("victims", ()):  # type: ignore[union-attr]
-            verdict = v.get("verdict")
-            if verdict and verdict != "candidate":
-                c.count_rejection(str(verdict))
+        """Emit one decision record; *action* is from :data:`DECISION_ACTIONS`."""
         payload: dict[str, Any] = {"action": action}
         payload.update(data)
         self._emit(t, "decision", job_id, payload)

@@ -94,8 +94,8 @@ class Scheduler(ABC):
         can change anything, if no other event comes first.
 
         It must read only the current state, whichever hook left it.  An
-        untraced, unprobed driver does not schedule the ticks before
-        then, but keeps the last one as a float margin.  The default,
+        untraced driver does not schedule the ticks before then, but
+        keeps the last one as a float margin.  The default,
         ``-inf``, keeps every tick.
         """
         return -inf

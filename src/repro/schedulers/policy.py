@@ -826,8 +826,8 @@ class SweepPreemption(PreemptionPolicy):
     victims never qualify before the next event.  Under the suspension
     priority one walk over the running jobs, sorted once by their
     frozen xfactor, answers for every waiter (:meth:`_first_crossing`).
-    An untraced, unprobed driver does not schedule the ticks before
-    then.  Under the reservation guard (``ss-easy``) the engine gives
+    An untraced driver does not schedule the ticks before then.
+    Under the reservation guard (``ss-easy``) the engine gives
     no bound and every sweep runs.
     """
 
@@ -1464,8 +1464,8 @@ class TimeslicePreemption(PreemptionPolicy):
     and the waiting job's priority has reached its own
     (:meth:`~QueuePolicy.crossing_time` with factor 1: a quadratic,
     since a running job's instantaneous xfactor falls while a waiter's
-    rises).  An untraced, unprobed driver does not schedule the ticks
-    before then.
+    rises).  An untraced driver does not schedule the ticks before
+    then.
     """
 
     def __init__(
@@ -1758,8 +1758,8 @@ class PolicyKernel(Scheduler):
       (TSS calibration), then either the reservation policy recomputes
       guarantees or a no-suspension service pass fills the hole.
     * ``on_timer`` -- the full (suspension-allowed) service pass.
-      :meth:`quiet_until`, asked after every hook, lets an untraced,
-      unprobed driver skip the ticks that provably cannot act.
+      :meth:`quiet_until`, asked after every hook, lets an untraced
+      driver skip the ticks that provably cannot act.
     * ``on_kill`` -- reschedules when the backfill policy asks for it
       (speculative test runs).
 

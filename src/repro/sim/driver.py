@@ -51,7 +51,6 @@ from repro.sim.events import Event, EventKind
 from repro.workload.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.counters import TraceCounters
     from repro.obs.recorder import TraceRecorder
     from repro.schedulers.base import Scheduler
 
@@ -62,12 +61,6 @@ class SuspensionOverheadModel(Protocol):
     def suspend_resume_cost(self, job: Job) -> float:
         """Total overhead seconds charged for one suspension of *job*."""
         ...
-
-
-class StateProbeLike(Protocol):
-    """Anything that can sample driver state (see metrics.timeseries)."""
-
-    def maybe_sample(self, driver: "SchedulingSimulation") -> None: ...
 
 
 @dataclass
@@ -106,10 +99,6 @@ class SimulationResult:
     #: from "window closed at t = 0" (a burst trace), which
     #: ``last_arrival == 0`` alone cannot.
     arrival_window_closed: bool = False
-    #: trace counters maintained by the :class:`~repro.obs.events.Tracer`
-    #: during the run; ``None`` for untraced runs.  See
-    #: :mod:`repro.obs.counters` and ``docs/TRACING.md``.
-    counters: "TraceCounters | None" = None
 
     @property
     def utilization(self) -> float:
@@ -174,9 +163,8 @@ class SchedulingSimulation:
         requires a null-recorder run to make exactly the untraced run's
         calls).  Tracing never changes the
         schedule: traced and untraced runs start, suspend and finish
-        the same jobs at the same times.  Untraced runs without a
-        *probe* leave out the timer ticks that cannot act (DESIGN.md
-        section 6).
+        the same jobs at the same times.  Untraced runs leave out the
+        timer ticks that cannot act (DESIGN.md section 6).
     """
 
     def __init__(
@@ -185,7 +173,6 @@ class SchedulingSimulation:
         scheduler: "Scheduler",
         overhead_model: SuspensionOverheadModel | None = None,
         migratable: bool = False,
-        probe: "StateProbeLike | None" = None,
         recorder: "TraceRecorder | None" = None,
     ) -> None:
         if cluster.busy_count:
@@ -193,8 +180,6 @@ class SchedulingSimulation:
         self.cluster = cluster
         self.scheduler = scheduler
         self.overhead_model = overhead_model
-        #: optional time-series probe (see repro.metrics.timeseries)
-        self.probe = probe
         #: the recorder handed in at construction (``None`` if untraced)
         self.recorder = recorder
         #: emission facade; ``None`` unless a recorder with
@@ -400,7 +385,6 @@ class SchedulingSimulation:
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # the speculation won (finished) or was re-dispatched: nothing
             # changed, so the pending tick stays where it is
-            self._after_event()
             return
         ev = self._finish_events.pop(job.job_id, None)
         if ev is not None:
@@ -417,7 +401,6 @@ class SchedulingSimulation:
             self.tracer.kill(self.now, job, released, wasted)
         self.scheduler.on_kill(job)
         self._replace_tick()
-        self._after_event()
 
     def _handle_arrival(self, event: Event) -> None:
         job: Job = event.payload
@@ -435,13 +418,11 @@ class SchedulingSimulation:
             self.tracer.arrival(self.now, job)
         self.scheduler.on_arrival(job)
         self._replace_tick()
-        self._after_event()
 
     def _handle_finish(self, event: Event) -> None:
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # stale: the job was suspended after this was scheduled
-            self._after_event()
             return
         self._finish_events.pop(job.job_id, None)
         job.total_overhead += job.pending_overhead
@@ -456,7 +437,6 @@ class SchedulingSimulation:
             self.tracer.finish(self.now, job)
         self.scheduler.on_finish(job)
         self._replace_tick()
-        self._after_event()
 
     def _handle_timer(self, event: Event) -> None:
         self._tick = None
@@ -465,7 +445,6 @@ class SchedulingSimulation:
             interval = self.scheduler.timer_interval
             if interval and self._work_remains():
                 self._place_tick(self.now + interval, interval)
-        self._after_event()
 
     def _replace_tick(self) -> None:
         """Right after an arrival, finish or kill: move the pending tick
@@ -478,9 +457,7 @@ class SchedulingSimulation:
         """
         tick = self._tick
         interval = self.scheduler.timer_interval
-        if tick is None or interval is None:
-            return
-        if self.tracer is not None or self.probe is not None:
+        if tick is None or interval is None or self.tracer is not None:
             return
         if self.loop.queue.peek() is not tick or not self._work_remains():
             return
@@ -495,17 +472,17 @@ class SchedulingSimulation:
         """Put the pending timer tick in the calendar, at chain tick
         *tick* or a later one.
 
-        Untraced, unprobed runs move it to the first tick of the chain at
-        or after both *bound* (``scheduler.quiet_until() - interval``,
-        asked here unless given) and the next calendar event: handlers
-        run only at events, so each tick before both would be a pass the
-        scheduler's bound proves idle.  The jumped ticks are charged to
+        Untraced runs move it to the first tick of the chain at or after
+        both *bound* (``scheduler.quiet_until() - interval``, asked here
+        unless given) and the next calendar event: handlers run only at
+        events, so each tick before both would be a pass the scheduler's
+        bound proves idle.  The jumped ticks are charged to
         :attr:`EventLoop.dispatched`.  Keeping the last tick before the
         bound absorbs float error in it.  Tick times advance by repeated
         addition, so every tick placed is the float the every-tick chain
         would reach.
         """
-        if self.tracer is None and self.probe is None:
+        if self.tracer is None:
             next_event = self.loop.queue.peek_time()
             if next_event is not None and tick < next_event:
                 if bound is None:
@@ -528,10 +505,6 @@ class SchedulingSimulation:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _after_event(self) -> None:
-        if self.probe is not None:
-            self.probe.maybe_sample(self)
-
     def run(self, jobs: list[Job], require_drain: bool = True) -> SimulationResult:
         """Simulate *jobs* to completion and return the result record.
 
@@ -604,5 +577,4 @@ class SchedulingSimulation:
             last_arrival=self._window_end,
             busy_in_arrival_window=self._window_busy,
             arrival_window_closed=self._window_closed,
-            counters=self.tracer.counters if self.tracer is not None else None,
         )

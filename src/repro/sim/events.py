@@ -109,7 +109,7 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert *event* and return it (handy for chaining)."""
-        # repro-lint: disable=RPR003 -- x != x is the standard NaN probe, not an equality test
+        # repro-lint: disable=RPR003 -- x != x is the standard NaN test, not an equality test
         if event.time != event.time:  # NaN guard
             raise ValueError("event time is NaN")
         heapq.heappush(

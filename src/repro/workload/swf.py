@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import TracebackType
-from typing import IO, Iterable, Iterator, Literal, Mapping, TextIO
+from typing import IO, Iterable, Iterator, Literal, Mapping
 
 from repro.workload.job import Job
 
@@ -398,19 +398,6 @@ class SWFReader:
             if record is not None:
                 yield record
 
-    def iter_chunks(self, chunk_size: int) -> Iterator[list[SWFRecord]]:
-        """Yield records in lists of at most *chunk_size* (the last may be short)."""
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        chunk: list[SWFRecord] = []
-        for record in self:
-            chunk.append(record)
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
 
 def stream_swf(
     path: str | Path, on_malformed: MalformedPolicy = "raise"
@@ -420,22 +407,9 @@ def stream_swf(
         yield from reader
 
 
-def iter_swf(stream: TextIO) -> Iterator[SWFRecord]:
-    """Yield records from an open SWF stream, skipping comments/blanks."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        try:
-            yield SWFRecord.from_line(line)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-
-
 def read_swf(path: str | Path) -> list[SWFRecord]:
-    """Parse an SWF file into a list of records."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return list(iter_swf(fh))
+    """Parse an SWF file into a list of records: :func:`stream_swf`, materialised."""
+    return list(stream_swf(path))
 
 
 def read_swf_header(path: str | Path) -> dict[str, str]:

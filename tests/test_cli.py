@@ -198,6 +198,17 @@ def test_trace_gantt_ascii_and_csv(tmp_path, capsys):
     assert csv_text.startswith("job,start,end,duration,width,area,end_type,via,resumed")
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--width", "0"), ("--max-jobs", "0"), ("--max-jobs", "-2")]
+)
+def test_invalid_gantt_options_are_usage_errors(tmp_path, option, value, capsys):
+    out, _ = _record_small_trace(tmp_path, capsys)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "gantt", str(out), option, value])
+    assert excinfo.value.code == 2
+    assert f"{option} must be at least 1" in capsys.readouterr().err
+
+
 def test_trace_record_all_scheduler_names(tmp_path, capsys):
     for name in ("easy", "tss", "is", "speculative"):
         out, recorded = _record_small_trace(tmp_path, capsys, scheduler=name)

@@ -1,18 +1,18 @@
-"""Decision tracing: counters, replay witness, round-trips, identity.
+"""Decision tracing: the replay witness, round-trips, identity.
 
 The contracts under test (docs/TRACING.md):
 
 * **zero-overhead-when-off** -- no recorder (or a disabled one) means
-  ``driver.tracer is None`` and ``result.counters is None``;
+  ``driver.tracer is None``;
 * **schedule identity** -- tracing changes no decisions: a traced run
   matches the untraced run of the same inputs job for job and total
   for total (``events_dispatched`` included), although untraced SS,
   TSS and IS never schedule the timer ticks that cannot act and traced
   runs keep every tick;
-* **three-way consistency** -- for SS, TSS, IS and NS alike, the
-  driver's totals, the counters maintained during emission, and an
-  independent replay of the event stream all agree (per-job suspension
-  counts, busy-area integral, utilization);
+* **consistency** -- for SS, TSS, IS and NS alike, the driver's totals
+  and an independent replay of the event stream agree (run counts,
+  per-job suspension counts, busy-area integral, utilization), and the
+  replay's counts equal a hand fold over the stream;
 * **round-trip** -- a trace written to JSONL reads back to the same
   replayed summary as the in-memory stream;
 * **self-check** -- the ``run_end`` trailer verifies the replay, and
@@ -23,9 +23,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis.timeline import occupancy_intervals
 from repro.cluster.machine import Cluster
 from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.overhead import DiskSwapOverheadModel
@@ -34,14 +41,12 @@ from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.experiments.parallel import outcome_fingerprint
 from repro.experiments.runner import simulate
-from repro.metrics.timeseries import StateProbe
 from repro.obs import (
     DENIAL_CAUSES,
     EVENT_TYPES,
     NULL_RECORDER,
     InMemoryRecorder,
     JsonlRecorder,
-    TraceCounters,
     read_trace,
     summarize_trace,
 )
@@ -100,14 +105,21 @@ def close(a: float, b: float) -> bool:
 # zero-overhead-when-off
 # ----------------------------------------------------------------------
 def test_untraced_run_has_no_counters(trace_jobs):
-    result = simulate(trace_jobs, EasyBackfillScheduler(), N_PROCS)
-    assert result.counters is None
+    """Nothing is counted while a run emits: an untraced run builds no
+    tracer, and every count comes from replaying a trace."""
+    sim = SchedulingSimulation(Cluster(N_PROCS), EasyBackfillScheduler())
+    assert sim.tracer is None
+    sim.run(fresh_copies(trace_jobs))
+    assert sim.tracer is None
 
 
 def test_disabled_recorder_keeps_tracing_off(trace_jobs):
     assert not NULL_RECORDER.enabled
-    result = simulate(trace_jobs, EasyBackfillScheduler(), N_PROCS, recorder=NULL_RECORDER)
-    assert result.counters is None
+    sim = SchedulingSimulation(
+        Cluster(N_PROCS), EasyBackfillScheduler(), recorder=NULL_RECORDER
+    )
+    assert sim.tracer is None
+    sim.run(fresh_copies(trace_jobs))
 
 
 # ----------------------------------------------------------------------
@@ -269,28 +281,6 @@ def test_ticks_after_an_arrival_or_finish_are_jumped(monkeypatch):
     assert plain.events_dispatched == 173
 
 
-def test_probed_run_keeps_every_timer_tick(trace_jobs, monkeypatch):
-    """A run with a :class:`StateProbe` sees every tick, like its traced
-    twin, and the probe records the same samples either way."""
-    ticks = _counting(monkeypatch, (PolicyKernel, "on_timer"))
-
-    def run(recorder):
-        probe = StateProbe(interval=60.0)
-        sim = SchedulingSimulation(
-            Cluster(N_PROCS),
-            SCHEDULER_FACTORIES["ss"](),
-            probe=probe,
-            recorder=recorder,
-        )
-        sim.run(fresh_copies(trace_jobs))
-        return probe.samples
-
-    probed = run(None)
-    probed_ticks, ticks[0] = ticks[0], 0
-    assert run(InMemoryRecorder()) == probed
-    assert probed_ticks == ticks[0] > 0
-
-
 def test_preemption_policy_without_a_bound_keeps_every_timer_pass(trace_jobs):
     """A timer policy that does not answer ``quiet_until`` is never
     skipped, even while nothing waits."""
@@ -323,37 +313,40 @@ def test_preemption_policy_without_a_bound_keeps_every_timer_pass(trace_jobs):
 
 
 # ----------------------------------------------------------------------
-# three-way consistency: driver totals == counters == replayed trace
+# consistency: driver totals == replayed trace
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", sorted(SCHEDULER_FACTORIES))
 def test_counters_and_replay_agree_with_driver(trace_jobs, scheme):
+    """The replay's run counts (every count the tracer once kept while
+    emitting) agree with the driver's totals."""
     result, recorder = traced_run(trace_jobs, scheme)
     audit_result(result)  # first witness: per-job record audit
-
-    counters = result.counters
-    assert isinstance(counters, TraceCounters)
-    assert counters.arrivals == len(trace_jobs)
-    assert counters.finishes == len(trace_jobs)
-    assert counters.suspensions == result.total_suspensions
-    assert counters.preempt_attempts == counters.preempt_grants + sum(
-        counters.preempt_denials.values()
-    )
 
     # second witness: independent replay of the event stream
     summary = summarize_trace(recorder.dicts())
     assert summary.matches_run_end is True
-    assert summary.finished == len(trace_jobs)
+    n_jobs = len(trace_jobs)
+    assert len(summary.per_job) == n_jobs  # arrivals
+    assert summary.finished == n_jobs
+    assert summary.starts == n_jobs + result.total_kills
     assert summary.suspensions == result.total_suspensions
+    # local restart: every suspended job resumes before the run drains
+    assert summary.resumes == result.total_suspensions
+    assert summary.kills == result.total_kills
+    assert 0 <= summary.backfill_fills <= summary.starts
+    attempts = summary.preempt_grants + sum(summary.preempt_denials.values())
+    assert attempts <= summary.decisions
     assert close(summary.makespan, result.makespan)
     assert close(summary.busy_proc_seconds, result.busy_proc_seconds)
     assert close(summary.utilization, result.utilization)
 
-    # per-job reconstruction: suspension counts and busy areas
+    # per-job reconstruction: dispatches, suspension counts, busy areas
     by_id = {j.job_id: j for j in result.jobs}
     assert set(summary.per_job) == set(by_id)
     for jid, stats in summary.per_job.items():
         job = by_id[jid]
         assert stats.suspensions == job.suspension_count
+        assert stats.dispatches == 1 + job.suspension_count + job.kill_count
         assert stats.finish is not None and close(stats.finish, job.finish_time)
         area = job.procs * (job.run_time + job.total_overhead)
         assert close(stats.busy, area)
@@ -372,20 +365,40 @@ def test_preemptive_schemes_actually_suspended(trace_jobs):
 
 
 def test_counters_refold_from_stream(trace_jobs):
-    """Counters must equal a from-scratch fold over the emitted events."""
-    result, recorder = traced_run(trace_jobs, "ss")
-    c = result.counters
-    events = recorder.dicts()
-    by_type = {t: sum(1 for e in events if e["type"] == t) for t in EVENT_TYPES}
-    assert c.arrivals == by_type["arrival"]
-    assert c.starts == by_type["start"] + by_type["backfill_start"]
-    assert c.backfill_fills == by_type["backfill_start"]
-    assert c.resumes == by_type["resume"]
-    assert c.suspensions == by_type["suspend"]
-    assert c.kills == by_type["kill"]
-    assert c.finishes == by_type["finish"]
-    denied = [e for e in events if e["type"] == "decision" and e["action"] == "preempt_denied"]
-    assert sum(c.preempt_denials.values()) == len(denied)
+    """The summary's counts equal a from-scratch fold over the emitted
+    events, for the SS sweep and for IS's timeslice grants."""
+    for scheme in ("ss", "is"):
+        _, recorder = traced_run(trace_jobs, scheme)
+        events = recorder.dicts()
+        summary = summarize_trace(events)
+        by_type = {t: sum(1 for e in events if e["type"] == t) for t in EVENT_TYPES}
+        assert sum(by_type.values()) == summary.events == len(events)
+        assert len(summary.per_job) == by_type["arrival"]
+        assert summary.starts == by_type["start"] + by_type["backfill_start"]
+        assert summary.backfill_fills == by_type["backfill_start"]
+        assert summary.resumes == by_type["resume"]
+        assert summary.suspensions == by_type["suspend"]
+        assert summary.kills == by_type["kill"]
+        assert summary.finished == by_type["finish"]
+        assert summary.decisions == by_type["decision"]
+
+        grants = 0
+        denials: dict[str, int] = {}
+        rejections: dict[str, int] = {}
+        for e in events:
+            if e["type"] != "decision":
+                continue
+            if e["action"] in ("preempt", "timeslice_grant"):
+                grants += 1
+            elif e["action"] == "preempt_denied":
+                denials[e["cause"]] = denials.get(e["cause"], 0) + 1
+            for v in e.get("victims", []):
+                if v["verdict"] != "candidate":
+                    rejections[v["verdict"]] = rejections.get(v["verdict"], 0) + 1
+        assert grants > 0 and denials and rejections, scheme
+        assert summary.preempt_grants == grants
+        assert summary.preempt_denials == denials
+        assert summary.victim_rejections == rejections
 
 
 # ----------------------------------------------------------------------
@@ -440,11 +453,12 @@ def test_is_decisions_carry_path_and_timeslice(trace_jobs):
 
 
 def test_ns_run_emits_reservations_but_no_preemptions(trace_jobs):
-    result, recorder = traced_run(trace_jobs, "ns")
-    assert result.counters.preempt_attempts == 0
+    _, recorder = traced_run(trace_jobs, "ns")
+    summary = summarize_trace(recorder.dicts())
+    assert summary.preempt_grants == 0 and not summary.preempt_denials
     actions = {e["action"] for e in recorder.dicts() if e["type"] == "decision"}
     assert actions <= {"reservation"}
-    assert result.counters.backfill_fills > 0
+    assert summary.backfill_fills > 0
 
 
 # ----------------------------------------------------------------------
@@ -535,6 +549,51 @@ def test_replay_rejects_newer_schema():
         summarize_trace(events)
 
 
+@pytest.mark.parametrize("etype", ["arrival", "start", "resume", "suspend", "finish"])
+@pytest.mark.parametrize("job", [None, "7", 7.0, True], ids=["none", "str", "float", "bool"])
+def test_replay_rejects_lifecycle_event_without_int_job(etype, job):
+    events = [{"t": 2.5, "type": etype, "job": job, "width": 2}]
+    with pytest.raises(ValueError, match=f"{etype} event at t=2.5 has job id"):
+        summarize_trace(events)
+    missing = [{"t": 2.5, "type": etype, "width": 2}]
+    with pytest.raises(ValueError, match=f"{etype} event at t=2.5 has job id None"):
+        summarize_trace(missing)
+
+
+def test_replay_rejects_missing_job_ids_under_python_O():
+    """The job-id check raises, so it holds under ``python -O`` too,
+    where an ``assert`` would let the events replay as job ``None``."""
+    code = textwrap.dedent(
+        """
+        from repro.analysis.timeline import occupancy_intervals
+        from repro.obs import summarize_trace
+
+        stream = [
+            {"t": 0.0, "type": "start", "width": 2},
+            {"t": 5.0, "type": "finish"},
+        ]
+        for replay in (summarize_trace, occupancy_intervals):
+            try:
+                replay(stream)
+            except ValueError as exc:
+                print(exc)
+            else:
+                print("accepted")
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.splitlines() == [
+        "start event at t=0.0 has job id None, not an int"
+    ] * 2
+
+
 def test_read_trace_reports_malformed_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t":0.0,"type":"run_begin","job":null}\nnot json\n')
@@ -543,15 +602,31 @@ def test_read_trace_reports_malformed_line(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# counters plumbing
+# replayed states
 # ----------------------------------------------------------------------
 def test_queue_depth_series(trace_jobs):
-    result, _ = traced_run(trace_jobs, "ss")
-    series = result.counters.queue_depth
-    assert series, "queue depth series must not be empty"
-    times = [t for t, _ in series]
+    """One state per instant with a lifecycle event, in time order; the
+    machine adds up, and the drained run ends with nothing queued or
+    running."""
+    _, recorder = traced_run(trace_jobs, "ss")
+    events = recorder.dicts()
+    states = summarize_trace(events).states
+    assert states, "queue depth series must not be empty"
+    times = [s.time for s in states]
     assert times == sorted(times)
     assert len(set(times)) == len(times), "same-t samples must coalesce"
-    assert all(d >= 0 for _, d in series)
-    assert result.counters.max_queue_depth == max(d for _, d in series)
-    assert series[-1][1] == 0, "a drained run ends with an empty queue"
+    lifecycle = {"arrival", "start", "backfill_start", "resume", "suspend", "kill", "finish"}
+    assert set(times) == {e["t"] for e in events if e["type"] in lifecycle}
+    intervals = occupancy_intervals(events)
+    for s in states:
+        assert s.busy_procs + s.free_procs == N_PROCS
+        assert min(s.running, s.queued_fresh, s.queued_suspended, s.busy_procs) >= 0
+        # the jobs on processors just after the instant, from the intervals
+        held = [iv for iv in intervals if iv.start <= s.time < iv.end]
+        assert (s.running, s.busy_procs) == (len(held), sum(iv.width for iv in held))
+    assert max(s.queued for s in states) > 0
+    assert max(s.queued_suspended for s in states) > 0
+    last = states[-1]
+    assert (last.running, last.queued, last.busy_procs) == (0, 0, 0), (
+        "a drained run ends with nothing queued or running"
+    )

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.machine import Cluster
-from repro.metrics.timeseries import StateProbe
+from repro.experiments.parallel import outcome_fingerprint
+from repro.obs import InMemoryRecorder
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.speculative import SpeculativeBackfillScheduler
 from repro.sim.audit import audit_result
@@ -45,15 +46,24 @@ def test_speculation_win():
     assert jobs[1].first_start_time == pytest.approx(2000.0)
 
 
-def test_probe_samples_after_a_stale_kill():
-    """A test run that wins leaves its kill event stale; the probe still
-    samples after it, as after every other event."""
-    probe = StateProbe(interval=500.0)
-    sim = SchedulingSimulation(Cluster(8), SpeculativeBackfillScheduler(), probe=probe)
-    result = sim.run(winning_scenario())
-    assert result.total_kills == 0
-    # job 2 finishes at 302; its kill at the 902 s deadline is stale
-    assert probe.times() == [0.0, 902.0, 2000.0, 4000.0]
+def test_stale_kill_changes_nothing():
+    """A test run that wins leaves its kill event stale: dispatching it
+    changes nothing, so the traced and untraced schedules are equal and
+    the trace holds no ``kill`` event."""
+    plain = run_sim(winning_scenario(), SpeculativeBackfillScheduler(), n_procs=8)
+    recorder = InMemoryRecorder()
+    sim = SchedulingSimulation(Cluster(8), SpeculativeBackfillScheduler(), recorder=recorder)
+    traced = sim.run(winning_scenario())
+    events = recorder.dicts()
+    # job 2 speculates until a 902 s deadline and finishes at 302
+    assert [e["deadline"] for e in events if e.get("action") == "speculate"] == [902.0]
+    assert [e["t"] for e in events if e["type"] == "finish" and e["job"] == 2] == [302.0]
+    assert "kill" not in {e["type"] for e in events}
+    assert plain.total_kills == traced.total_kills == 0
+    assert outcome_fingerprint(plain.jobs) == outcome_fingerprint(traced.jobs)
+    # the stale kill is dispatched either way: three arrivals, three
+    # finishes and the kill
+    assert plain.events_dispatched == traced.events_dispatched == 7
 
 
 def test_speculation_loss_kills_and_requeues():

@@ -12,7 +12,6 @@ from repro.workload.swf import (
     SWFReader,
     SWFRecord,
     format_scan_report,
-    iter_swf,
     jobs_from_swf_records,
     jobs_to_swf_records,
     parse_header_directive,
@@ -50,15 +49,18 @@ def test_parse_rejects_nonnumeric():
 
 
 def test_iter_swf_skips_comments_and_blanks():
+    """Iterating SWF text (an :class:`SWFReader` over an open stream)
+    skips blank and ``;`` lines, before and after the first record."""
     stream = io.StringIO(f"; UnixStartTime: 0\n\n{GOOD_LINE}\n;\n{GOOD_LINE}\n")
-    records = list(iter_swf(stream))
+    records = list(SWFReader(stream))
     assert len(records) == 2
+    assert not stream.closed  # the caller keeps a stream it passed in
 
 
 def test_iter_swf_reports_line_numbers():
     stream = io.StringIO(f"{GOOD_LINE}\nbroken line here\n")
     with pytest.raises(ValueError, match="line 2"):
-        list(iter_swf(stream))
+        list(SWFReader(stream))
 
 
 def test_round_trip_through_file(tmp_path):
@@ -249,16 +251,16 @@ def test_reader_rejects_bad_policy(tmp_path):
         SWFReader("whatever.swf", on_malformed="explode")
 
 
-def test_reader_iter_chunks(tmp_path):
-    path = _swf_file(tmp_path, [GOOD_LINE] * 5)
-    with SWFReader(path) as reader:
-        chunks = list(reader.iter_chunks(2))
-    assert [len(c) for c in chunks] == [2, 2, 1]
-
-
 def test_stream_swf_matches_read_swf(tmp_path):
     path = _swf_file(tmp_path, [GOOD_LINE] * 3, header={"MaxProcs": "128"})
     assert list(stream_swf(path)) == read_swf(path)
+    bad = _swf_file(tmp_path, [GOOD_LINE, "broken line here"], header={"MaxProcs": "128"})
+    with pytest.raises(ValueError) as streamed:
+        list(stream_swf(bad))
+    with pytest.raises(ValueError) as read:
+        read_swf(bad)
+    assert str(streamed.value) == str(read.value)
+    assert str(read.value).startswith("line ")
 
 
 def test_parse_header_directive():

@@ -124,6 +124,16 @@ def test_gantt_empty_and_bad_width():
         ascii_gantt(occupancy_intervals(SMALL_STREAM), width=0)
 
 
+@pytest.mark.parametrize("max_jobs", [0, -2])
+def test_gantt_rejects_max_jobs_below_one(max_jobs):
+    """Zero rows crashed on an empty ``max()``; a negative count
+    silently hid the last jobs."""
+    with pytest.raises(ValueError, match="max_jobs"):
+        ascii_gantt(occupancy_intervals(SMALL_STREAM), max_jobs=max_jobs)
+    with pytest.raises(ValueError, match="max_jobs"):
+        ascii_gantt([], max_jobs=max_jobs)
+
+
 def test_kill_periods_get_their_own_glyph():
     events = [
         ev(0.0, "start", 3, width=2, via="speculative"),

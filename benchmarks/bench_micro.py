@@ -32,10 +32,14 @@ from types import CodeType, FrameType
 from typing import Any, Callable
 
 import repro
+from repro.analysis.report import scheme_comparison_report
 from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
 from repro.cluster.machine import AllocationError, Cluster
+from repro.core.immediate_service import ImmediateServiceScheduler
 from repro.core.priorities import PreemptionCriteria, suspension_priority
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
+from repro.core.tss import TunableSelectiveSuspensionScheduler
+from repro.metrics.aggregate import overall_stats, per_category_stats
 from repro.obs import NULL_RECORDER
 from repro.schedulers.base import Scheduler
 from repro.schedulers.conservative import ConservativeBackfillScheduler
@@ -44,6 +48,7 @@ from repro.schedulers.profiles import AvailabilityProfile, ProfileError
 from repro.schedulers.relaxed import RelaxedBackfillScheduler
 from repro.sim.driver import SchedulingSimulation, SimulationResult
 from repro.sim.events import EventKind, EventQueue
+from repro.workload.categories import classify_four_way
 from repro.workload.job import Job, fresh_copies
 from repro.workload.load import scale_load
 from repro.workload.swf import stream_jobs, stream_swf
@@ -163,6 +168,14 @@ def _ss(jobs: list[Job], recorder: Any = None) -> SimulationResult:
     return simulate(jobs, SelectiveSuspensionScheduler(suspension_factor=2.0), recorder=recorder)
 
 
+def _metrics_fold(result: SimulationResult) -> str:
+    """Every per-category fold a paper figure makes, over one result."""
+    per_category_stats(result.jobs)
+    per_category_stats(result.jobs, classifier=classify_four_way)
+    overall_stats(result.jobs)
+    return scheme_comparison_report("EASY SDSC-400", {"EASY": result})
+
+
 def _swf_stream_parse(log: Path) -> int:
     """Streaming parse: lines -> SWFRecord, no conversion."""
     return sum(1 for _ in stream_swf(log))
@@ -176,7 +189,9 @@ def _swf_stream_to_jobs(log: Path) -> int:
 def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
     """The counted workloads by name; the two ``swf_*`` ones read
     *swf_log*, a ``write_synthetic_swf`` log of :data:`INGEST_LINES`
-    records."""
+    records.  ``metrics_fold_sdsc400`` folds an EASY run made here, so
+    its count holds the metrics alone."""
+    easy_sdsc400 = simulate(JOBS_SDSC, EasyBackfillScheduler())
     return {
         "event_queue_push_pop": _event_queue_push_pop,
         "event_queue_with_cancellation": _event_queue_with_cancellation,
@@ -190,6 +205,11 @@ def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
             JOBS_CONGESTED, ConservativeBackfillScheduler()
         ),
         "relaxed_congested700": lambda: simulate(JOBS_CONGESTED, RelaxedBackfillScheduler()),
+        "tss_congested700": lambda: simulate(
+            JOBS_CONGESTED, TunableSelectiveSuspensionScheduler(suspension_factor=2.0)
+        ),
+        "is_sdsc400": lambda: simulate(JOBS_SDSC, ImmediateServiceScheduler()),
+        "metrics_fold_sdsc400": partial(_metrics_fold, easy_sdsc400),
         "swf_stream_parse": partial(_swf_stream_parse, swf_log),
         "swf_stream_to_jobs": partial(_swf_stream_to_jobs, swf_log),
     }

@@ -7,10 +7,11 @@ Everything the paper reports is one of:
 * a **count/share** per category (Tables II, III, VII, VIII);
 * the same, restricted to well/badly estimated jobs (Figs 19-30).
 
-:func:`per_category_stats` computes all of it in one pass; callers pick
-the classifier (16-way or 4-way) and optionally an estimate-quality
-filter.  Numbers come back in plain dataclasses so report rendering and
-tests stay independent of numpy dtypes.
+:func:`per_category_stats` computes all of it: it buckets the jobs once,
+then folds slowdown, turnaround and wait in one pass over each bucket.
+Callers pick the classifier (16-way or 4-way) and optionally an
+estimate-quality filter.  Numbers come back in plain dataclasses so
+report rendering and tests stay independent of numpy dtypes.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.metrics.slowdown import bounded_slowdown, turnaround_time, wait_time
+from repro.metrics.slowdown import BOUNDED_SLOWDOWN_THRESHOLD
 from repro.workload.categories import (
     classify_four_way,
     classify_sixteen_way,
     estimate_quality,
 )
-from repro.workload.job import Job
+from repro.workload.job import Job, JobState
 
 Classifier = Callable[[Job], tuple[str, str]]
 
@@ -74,6 +75,37 @@ def _collect(
     return buckets
 
 
+def _fold(category: tuple[str, str], bucket: list[Job]) -> CategoryStats:
+    """All three metrics of *bucket* in one pass over its jobs.
+
+    Each job is checked once and its turnaround computed once; the
+    values are the exact float expressions of
+    :mod:`repro.metrics.slowdown` (``bounded_slowdown``,
+    ``turnaround_time``, ``wait_time``), and the lists go to
+    :meth:`MetricSummary.of`, whose ``sum()`` fixes the rounding of
+    every total.
+    """
+    slowdowns: list[float] = []
+    turnarounds: list[float] = []
+    waits: list[float] = []
+    finished = JobState.FINISHED
+    for job in bucket:
+        finish = job.finish_time
+        if job.state is not finished or finish is None:
+            raise ValueError(f"job {job.job_id} has not finished; metrics undefined")
+        turnaround = finish - job.submit_time
+        run_time = job.run_time
+        slowdowns.append(max(turnaround / max(run_time, BOUNDED_SLOWDOWN_THRESHOLD), 1.0))
+        turnarounds.append(turnaround)
+        waits.append(turnaround - run_time - job.total_overhead)
+    return CategoryStats(
+        category=category,
+        slowdown=MetricSummary.of(slowdowns),
+        turnaround=MetricSummary.of(turnarounds),
+        wait=MetricSummary.of(waits),
+    )
+
+
 def per_category_stats(
     jobs: Iterable[Job],
     classifier: Classifier = classify_sixteen_way,
@@ -96,15 +128,10 @@ def per_category_stats(
         if quality not in ("well", "badly"):
             raise ValueError(f"quality must be 'well', 'badly' or None, got {quality!r}")
         jobs = [j for j in jobs if estimate_quality(j) == quality]
-    out: dict[tuple[str, str], CategoryStats] = {}
-    for category, bucket in _collect(jobs, classifier).items():
-        out[category] = CategoryStats(
-            category=category,
-            slowdown=MetricSummary.of([bounded_slowdown(j) for j in bucket]),
-            turnaround=MetricSummary.of([turnaround_time(j) for j in bucket]),
-            wait=MetricSummary.of([wait_time(j) for j in bucket]),
-        )
-    return out
+    return {
+        category: _fold(category, bucket)
+        for category, bucket in _collect(jobs, classifier).items()
+    }
 
 
 def per_category_worst(
@@ -118,13 +145,7 @@ def per_category_worst(
 
 def overall_stats(jobs: Iterable[Job]) -> CategoryStats:
     """Whole-trace summary (the paper's 'overall slowdown was 3.58' numbers)."""
-    bucket = list(jobs)
-    return CategoryStats(
-        category=("ALL", "ALL"),
-        slowdown=MetricSummary.of([bounded_slowdown(j) for j in bucket]),
-        turnaround=MetricSummary.of([turnaround_time(j) for j in bucket]),
-        wait=MetricSummary.of([wait_time(j) for j in bucket]),
-    )
+    return _fold(("ALL", "ALL"), list(jobs))
 
 
 def split_by_estimate_quality(

@@ -54,7 +54,7 @@ def bounded_slowdown(
 ) -> float:
     """Eq. 1's bounded slowdown of a finished job (>= 1 always)."""
     _require_finished(job)
-    if threshold <= 0:
+    if not threshold > 0:  # also rejects NaN
         raise ValueError(f"threshold must be positive, got {threshold}")
     denom = max(job.run_time, threshold)
     return max(turnaround_time(job) / denom, 1.0)

@@ -96,35 +96,74 @@ WIDTH_BOUNDS: dict[WidthClass, tuple[int, int]] = {
 }
 
 
+#: Inclusive upper bounds of the bounded classes, read once from the
+#: tables above; the last class of each table is open-ended.
+_VERY_SHORT_MAX = LENGTH_BOUNDS[LengthClass.VERY_SHORT][1]
+_SHORT_MAX = LENGTH_BOUNDS[LengthClass.SHORT][1]
+_LONG_MAX = LENGTH_BOUNDS[LengthClass.LONG][1]
+_SEQUENTIAL_MAX = WIDTH_BOUNDS[WidthClass.SEQUENTIAL][1]
+_NARROW_MAX = WIDTH_BOUNDS[WidthClass.NARROW][1]
+_WIDE_MAX = WIDTH_BOUNDS[WidthClass.WIDE][1]
+
+
 def length_class(run_time: float) -> LengthClass:
     """Classify a run time (seconds) per Table I."""
-    if run_time <= 0:
+    if not run_time > 0:  # also rejects NaN
         raise ValueError(f"run time must be positive, got {run_time}")
-    if run_time <= 10 * MINUTE:
+    if run_time <= _VERY_SHORT_MAX:
         return LengthClass.VERY_SHORT
-    if run_time <= HOUR:
+    if run_time <= _SHORT_MAX:
         return LengthClass.SHORT
-    if run_time <= 8 * HOUR:
+    if run_time <= _LONG_MAX:
         return LengthClass.LONG
     return LengthClass.VERY_LONG
 
 
 def width_class(procs: int) -> WidthClass:
     """Classify a processor count per Table I."""
-    if procs < 1:
+    if not procs >= 1:  # also rejects NaN
         raise ValueError(f"processor count must be >= 1, got {procs}")
-    if procs == 1:
+    if procs <= _SEQUENTIAL_MAX:
         return WidthClass.SEQUENTIAL
-    if procs <= 8:
+    if procs <= _NARROW_MAX:
         return WidthClass.NARROW
-    if procs <= 32:
+    if procs <= _WIDE_MAX:
         return WidthClass.WIDE
     return WidthClass.VERY_WIDE
 
 
 def classify_sixteen_way(job: "Job") -> SixteenWayCategory:
-    """Table I category of *job* (by actual run time and width)."""
-    return (length_class(job.run_time).value, width_class(job.procs).value)
+    """Table I category of *job* (by actual run time and width).
+
+    Equal to ``(length_class(job.run_time).value,
+    width_class(job.procs).value)`` but without touching Enum members:
+    TSS classifies every candidate victim, so this runs inside the
+    preemption sweep.  A value those two reject fails every comparison
+    here and reaches them, so the errors are theirs.
+    """
+    run_time = job.run_time
+    procs = job.procs
+    if run_time > _LONG_MAX:
+        length = "VL"
+    elif run_time > _SHORT_MAX:
+        length = "L"
+    elif run_time > _VERY_SHORT_MAX:
+        length = "S"
+    elif run_time > 0:
+        length = "VS"
+    else:
+        length = length_class(run_time).value
+    if procs > _WIDE_MAX:
+        width = "VW"
+    elif procs > _NARROW_MAX:
+        width = "W"
+    elif procs > _SEQUENTIAL_MAX:
+        width = "N"
+    elif procs >= 1:
+        width = "Seq"
+    else:
+        width = width_class(procs).value
+    return (length, width)
 
 
 def classify_four_way(job: "Job") -> FourWayCategory:

@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+_INF = float("inf")
+
 
 class JobState(Enum):
     """Lifecycle states of a job."""
@@ -66,11 +68,12 @@ class Job:
     job_id:
         Unique nonnegative id (SWF job number or generator index).
     submit_time:
-        Arrival time, seconds from trace start.
+        Arrival time, seconds from trace start (finite, >= 0).
     run_time:
-        Actual useful run time, seconds (> 0).
+        Actual useful run time, seconds (finite, > 0).
     estimate:
-        User-estimated run time, seconds; schedulers plan with this.
+        User-estimated run time, seconds (finite, > 0); schedulers plan
+        with this.
         Clamped to at least ``run_time``'s floor of 1 s by the loaders.
     procs:
         Number of processors requested (rigid).
@@ -141,14 +144,15 @@ class Job:
     def __post_init__(self) -> None:
         if self.job_id < 0:
             raise ValueError(f"job_id must be nonnegative, got {self.job_id}")
-        if self.run_time <= 0:
-            raise ValueError(f"job {self.job_id}: run_time must be > 0")
+        # ``not 0 < x < _INF`` also rejects NaN and inf, without a call
+        if not 0 < self.run_time < _INF:
+            raise ValueError(f"job {self.job_id}: run_time must be finite and > 0")
         if self.procs <= 0:
             raise ValueError(f"job {self.job_id}: procs must be > 0")
-        if self.estimate <= 0:
-            raise ValueError(f"job {self.job_id}: estimate must be > 0")
-        if self.submit_time < 0:
-            raise ValueError(f"job {self.job_id}: negative submit time")
+        if not 0 < self.estimate < _INF:
+            raise ValueError(f"job {self.job_id}: estimate must be finite and > 0")
+        if not 0 <= self.submit_time < _INF:
+            raise ValueError(f"job {self.job_id}: submit time must be finite and >= 0")
         self._clock_mark = self.submit_time
         if self.remaining_useful < 0:
             self.remaining_useful = self.run_time

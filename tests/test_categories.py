@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.workload.categories import (
     FOUR_WAY_CATEGORIES,
@@ -45,6 +50,12 @@ def test_length_class_boundaries(run_time, expected):
 def test_length_class_rejects_nonpositive():
     with pytest.raises(ValueError):
         length_class(0.0)
+
+
+def test_length_class_rejects_nan():
+    """NaN fails every ``<=`` bound, so it used to land in VERY_LONG."""
+    with pytest.raises(ValueError, match="run time must be positive"):
+        length_class(float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -127,3 +138,58 @@ def test_every_combination_maps_to_a_category():
         for procs in (1, 2, 8, 9, 32, 33, 400):
             cat = classify_sixteen_way(make_job(run=run, procs=procs))
             assert cat in SIXTEEN_WAY_CATEGORIES
+
+
+# ----------------------------------------------------------------------
+# the flat 16-way classifier equals the Enum classifiers
+# ----------------------------------------------------------------------
+def _neighbours(x):
+    return (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+
+
+LENGTH_EDGES = [t for b in (10 * MIN, HOUR, 8 * HOUR) for t in _neighbours(b)]
+WIDTH_EDGES = [1, 2, 8, 9, 32, 33, 10**9, 10**9 + 1]
+
+
+@pytest.mark.parametrize("run_time", LENGTH_EDGES)
+@pytest.mark.parametrize("procs", WIDTH_EDGES)
+def test_flat_classifier_at_every_bound(run_time, procs):
+    job = make_job(run=run_time, procs=procs)
+    want = (length_class(run_time).value, width_class(procs).value)
+    assert classify_sixteen_way(job) == want
+
+
+@given(
+    run_time=st.one_of(
+        st.floats(min_value=0.0, max_value=10 * HOUR, exclude_min=True),
+        st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+        st.sampled_from(LENGTH_EDGES),
+    ),
+    procs=st.one_of(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=10**10),
+    ),
+)
+@example(run_time=5e-324, procs=1)
+def test_flat_classifier_matches_enum_classifiers(run_time, procs):
+    job = make_job(run=run_time, procs=procs)
+    want = (length_class(run_time).value, width_class(procs).value)
+    assert classify_sixteen_way(job) == want
+
+
+@pytest.mark.parametrize(
+    "run_time, procs, message",
+    [
+        (0.0, 4, "run time must be positive"),
+        (-1.0, 4, "run time must be positive"),
+        (float("nan"), 4, "run time must be positive"),
+        (100.0, 0, "processor count must be >= 1"),
+        (100.0, float("nan"), "processor count must be >= 1"),
+    ],
+)
+def test_flat_classifier_raises_what_the_enum_classifiers_raise(run_time, procs, message):
+    """Job construction refuses these values, but a mutated job still
+    fails loudly, with the Enum classifiers' own errors."""
+    job = SimpleNamespace(run_time=run_time, procs=procs)
+    with pytest.raises(ValueError, match=message):
+        classify_sixteen_way(job)

@@ -35,6 +35,28 @@ def test_invalid_fields_rejected(kwargs):
         make_job(**kwargs)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"run": NAN}, "run_time"),
+        ({"run": INF}, "run_time"),
+        ({"estimate": NAN}, "estimate"),
+        ({"estimate": INF}, "estimate"),
+        ({"submit": NAN}, "submit time"),
+        ({"submit": INF}, "submit time"),
+    ],
+)
+def test_non_finite_times_rejected(kwargs, field):
+    """A NaN run time would be classified VL, and a NaN estimate makes
+    every xfactor NaN, so every SF comparison silently fails."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_job(**kwargs)
+
+
 # ----------------------------------------------------------------------
 # lifecycle transitions
 # ----------------------------------------------------------------------

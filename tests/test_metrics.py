@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.aggregate import (
+    CategoryStats,
     MetricSummary,
     category_shares,
     overall_stats,
@@ -20,7 +23,11 @@ from repro.metrics.slowdown import (
     xfactor_final,
 )
 from repro.metrics.utilization import busy_area_from_jobs, utilization_from_jobs
-from repro.workload.categories import classify_four_way
+from repro.workload.categories import (
+    classify_four_way,
+    classify_sixteen_way,
+    estimate_quality,
+)
 from tests.conftest import make_job
 
 
@@ -77,6 +84,15 @@ def test_bounded_slowdown_custom_threshold():
     assert bounded_slowdown(j, threshold=1.0) == pytest.approx(61.0)
     with pytest.raises(ValueError):
         bounded_slowdown(j, threshold=0.0)
+
+
+def test_bounded_slowdown_rejects_nan_threshold():
+    """``max(run_time, nan)`` is ``run_time``, so a NaN threshold was
+    silently ignored: 20.0 for this job, against 10.0 by default."""
+    j = finished_job(submit=0.0, start=95.0, run=5.0)
+    assert bounded_slowdown(j) == 10.0
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        bounded_slowdown(j, threshold=float("nan"))
 
 
 def test_default_threshold_is_ten_seconds():
@@ -155,6 +171,82 @@ def test_overall_stats_covers_all():
     o = overall_stats(jobs)
     assert o.count == 4
     assert o.category == ("ALL", "ALL")
+
+
+@pytest.mark.parametrize("finish_time", [None, 50.0])
+def test_fold_rejects_unfinished_job(finish_time):
+    """Unfinished: a state other than FINISHED, or no finish time."""
+    unfinished = make_job(job_id=1)
+    unfinished.finish_time = finish_time
+    jobs = [finished_job(job_id=0), unfinished]
+    with pytest.raises(ValueError, match="job 1 has not finished"):
+        per_category_stats(jobs)
+    with pytest.raises(ValueError, match="job 1 has not finished"):
+        overall_stats(jobs)
+
+
+# ----------------------------------------------------------------------
+# the one-pass fold equals the per-job metric functions, bit for bit
+# ----------------------------------------------------------------------
+def reference_stats(category, bucket):
+    """One bucket summarised through the per-job functions, metric by metric."""
+    return CategoryStats(
+        category=category,
+        slowdown=MetricSummary.of([bounded_slowdown(j) for j in bucket]),
+        turnaround=MetricSummary.of([turnaround_time(j) for j in bucket]),
+        wait=MetricSummary.of([wait_time(j) for j in bucket]),
+    )
+
+
+def reference_per_category(jobs, classifier, quality):
+    if quality is not None:
+        jobs = [j for j in jobs if estimate_quality(j) == quality]
+    buckets = {}
+    for j in jobs:
+        buckets.setdefault(classifier(j), []).append(j)
+    return {c: reference_stats(c, b) for c, b in buckets.items()}
+
+
+@st.composite
+def finished_jobs(draw):
+    """Finished jobs with arbitrary waits, estimates and overhead.
+
+    Run times straddle eq. 1's 10 s threshold and every Table I bound;
+    times are arbitrary floats, so rounding differs job to job.
+    """
+    times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    jobs = []
+    for i in range(draw(st.integers(min_value=0, max_value=40))):
+        run = draw(st.floats(min_value=0.01, max_value=1e5, allow_nan=False))
+        submit = draw(times)
+        start = submit + draw(times)
+        overhead = draw(st.one_of(st.just(0.0), times))
+        j = make_job(
+            job_id=i,
+            submit=submit,
+            run=run,
+            procs=draw(st.integers(min_value=1, max_value=128)),
+            estimate=run * draw(st.floats(min_value=0.1, max_value=10.0)),
+        )
+        j.mark_submitted(submit)
+        j.mark_started(start, (1 << j.procs) - 1)
+        j.mark_finished(start + run + overhead)
+        j.total_overhead = overhead
+        jobs.append(j)
+    return jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jobs=finished_jobs(),
+    classifier=st.sampled_from([classify_sixteen_way, classify_four_way]),
+    quality=st.sampled_from([None, "well", "badly"]),
+)
+def test_fold_equals_per_job_reference(jobs, classifier, quality):
+    got = per_category_stats(jobs, classifier=classifier, quality=quality)
+    want = reference_per_category(jobs, classifier, quality)
+    assert list(got.items()) == list(want.items())
+    assert overall_stats(jobs) == reference_stats(("ALL", "ALL"), jobs)
 
 
 def test_split_by_estimate_quality():

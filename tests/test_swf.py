@@ -122,6 +122,16 @@ def test_jobs_drop_nonpositive_runtime():
     assert [j.job_id for j in jobs] == [3]
 
 
+def test_non_finite_run_time_is_rejected_not_streamed():
+    """``nan`` parses as a float and passes the ``run_time <= 0`` filter;
+    the job it would become is refused, on both conversion paths."""
+    rec = SWFRecord.from_line("1 0 0 nan 4 -1 -1 4 3600 -1 1 1 1 1 1 -1 -1 -1")
+    with pytest.raises(ValueError, match="job 1: run_time must be finite"):
+        list(stream_jobs([rec]))
+    with pytest.raises(ValueError, match="job 1: run_time must be finite"):
+        jobs_from_swf_records([rec])
+
+
 def test_jobs_drop_too_wide():
     jobs = jobs_from_swf_records([_rec(req_procs=64), _rec(job=2)], max_procs=32)
     assert [j.job_id for j in jobs] == [2]

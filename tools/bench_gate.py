@@ -2,10 +2,11 @@
 """Perf-regression gate: exact call counts over ``benchmarks/bench_micro.py``.
 
 Every workload of :func:`benchmarks.bench_micro.workloads` -- the event
-calendar, the availability profile, the cluster, EASY and SS on the
-SDSC-400 trace (SS also with the null recorder), SS, conservative and
-relaxed backfilling on the congested 700-job trace, and the streaming
-SWF parse and convert -- runs under
+calendar, the availability profile, the cluster, EASY, SS and IS on the
+SDSC-400 trace (SS also with the null recorder), the per-category
+metric fold over the EASY run, SS, TSS, conservative and relaxed
+backfilling on the congested 700-job trace, and the streaming SWF
+parse and convert -- runs under
 :func:`~benchmarks.bench_micro.count_calls`, which counts the
 Python-level calls it makes to each function under ``src/repro``.
 Counts do not depend on the machine, the load or the hash seed, so they

@@ -838,8 +838,12 @@ class SweepPreemption(PreemptionPolicy):
         limits: PreemptionLimits | None = None,
     ) -> None:
         super().__init__()
-        if preemption_interval <= 0:
-            raise ValueError("preemption interval must be positive")
+        # ``not 0 < x < inf`` also rejects NaN
+        if not 0 < preemption_interval < inf:
+            raise ValueError(
+                "'preemption_interval' must be positive and finite, "
+                f"got {preemption_interval!r}"
+            )
         self.criteria = criteria
         self.timer_interval = float(preemption_interval)
         self.limits = limits
@@ -1466,6 +1470,18 @@ class TimeslicePreemption(PreemptionPolicy):
     since a running job's instantaneous xfactor falls while a waiter's
     rises).  An untraced driver does not schedule the ticks before
     then.
+
+    Passes do not re-derive what no event changed, and each shortcut
+    is exact:
+
+    * each job's priority is computed at most once per instant
+      (:meth:`_snapshot`);
+    * an untraced run remembers, per suspended job, one running job
+      seen blocking its re-entry, and re-tests that one before scanning
+      the owners of the re-entry's processors; a sweep in which every
+      waiting job is a re-entry so denied returns at once;
+    * :meth:`quiet_until` keeps its answer until the driver's
+      :attr:`~repro.sim.driver.SchedulingSimulation.transitions` moves.
     """
 
     def __init__(
@@ -1474,14 +1490,28 @@ class TimeslicePreemption(PreemptionPolicy):
         sweep_interval: float = 60.0,
     ) -> None:
         super().__init__()
-        if timeslice <= 0:
-            raise ValueError(f"'timeslice' must be positive, got {timeslice!r}")
-        if sweep_interval <= 0:
-            raise ValueError(f"'sweep_interval' must be positive, got {sweep_interval!r}")
+        # ``not 0 < x < inf`` also rejects NaN
+        if not 0 < timeslice < inf:
+            raise ValueError(
+                f"'timeslice' must be positive and finite, got {timeslice!r}"
+            )
+        if not 0 < sweep_interval < inf:
+            raise ValueError(
+                f"'sweep_interval' must be positive and finite, got {sweep_interval!r}"
+            )
         self.timeslice = float(timeslice)
         self.timer_interval = float(sweep_interval)
         #: job_id -> end of its current protection window
         self._protected_until: dict[int, float] = {}
+        #: job_id -> queue priority at ``_snapshot_now`` (see _snapshot)
+        self._priorities: dict[int, float] = {}
+        self._snapshot_now = -inf
+        #: suspended job_id -> a job once seen blocking its re-entry
+        #: (read by untraced runs only, and re-tested at each read)
+        self._blockers: dict[int, Job] = {}
+        #: quiet_until's last answer and the driver's transitions then
+        self._bound = -inf
+        self._bound_transitions = -1
 
     def config_fragment(self) -> dict[str, object]:
         return {"timeslice": self.timeslice, "sweep_interval": self.timer_interval}
@@ -1491,6 +1521,10 @@ class TimeslicePreemption(PreemptionPolicy):
     # ------------------------------------------------------------------
     def on_begin(self) -> None:
         self._protected_until.clear()
+        self._priorities.clear()
+        self._snapshot_now = -inf
+        self._blockers.clear()
+        self._bound_transitions = -1
 
     def on_arrival(self, job: Job) -> None:
         # a job that cannot get processors even by preemption waits and
@@ -1499,6 +1533,7 @@ class TimeslicePreemption(PreemptionPolicy):
 
     def observe_finish(self, job: Job) -> None:
         self._protected_until.pop(job.job_id, None)
+        self._blockers.pop(job.job_id, None)
 
     def service_pass(self, allow_suspension: bool) -> None:
         self._sweep()
@@ -1506,11 +1541,29 @@ class TimeslicePreemption(PreemptionPolicy):
     # ------------------------------------------------------------------
     # mechanics
     # ------------------------------------------------------------------
-    def _priority(self, job: Job, now: float) -> float:
-        return self.kernel.queue.priority(job, now)
+    def _snapshot(self) -> dict[int, float]:
+        """job_id -> queue priority at *now*, for the jobs priced so far.
+
+        Valid for the whole instant: a priority at *now* integrates the
+        job's past only, so a start or suspension at *now* changes none
+        (the reason the SS sweep's snapshot is exact).
+        """
+        now = self.driver.now
+        # repro-lint: disable=RPR003 -- the snapshot belongs to this exact instant; any other float is another instant
+        if now != self._snapshot_now:
+            self._snapshot_now = now
+            self._priorities.clear()
+        return self._priorities
+
+    def _priority(self, job: Job, snapshot: dict[int, float]) -> float:
+        """*job*'s priority from *snapshot*, computed on first use."""
+        p = snapshot.get(job.job_id)
+        if p is None:
+            p = snapshot[job.job_id] = self.kernel.queue.priority(job, self._snapshot_now)
+        return p
 
     def _is_protected(self, job: Job) -> bool:
-        return self.driver.now < self._protected_until.get(job.job_id, -float("inf"))
+        return self.driver.now < self._protected_until.get(job.job_id, -inf)
 
     def _start(self, job: Job) -> None:
         driver = self.driver
@@ -1527,9 +1580,46 @@ class TimeslicePreemption(PreemptionPolicy):
     def _suspend(self, victim: Job, preemptor: Job) -> None:
         self.driver.suspend_job(victim, preemptor=preemptor.job_id)
         self._protected_until.pop(victim.job_id, None)
+        # the preemptor starts next, protected: the likeliest blocker of
+        # the victim's re-entry
+        self._blockers[victim.job_id] = preemptor
 
+    def _still_blocked(
+        self, job: Job, snapshot: dict[int, float], now: float
+    ) -> bool:
+        """Whether re-entry *job*'s remembered blocker denies it at *now*.
+
+        It does while it holds a processor of *job*'s set (so it runs)
+        and is protected or has priority at or above *job*'s: the owner
+        scan of :meth:`_serve_reentry` would then deny *job* too.
+        """
+        owner = self._blockers.get(job.job_id)
+        if owner is None or not owner.allocated_mask & job.suspended_mask:
+            return False
+        if now < self._protected_until.get(owner.job_id, -inf):
+            return True
+        return self._priority(owner, snapshot) >= self._priority(job, snapshot)
+
+    # ------------------------------------------------------------------
+    # timer-pass skipping
+    # ------------------------------------------------------------------
     def quiet_until(self) -> float:
-        return self._first_action_time()
+        """The first action time, kept until the driver's state moves.
+
+        Between two transitions nothing a pass tests changes but the
+        clocks, so the bound found after the last one still holds.
+        Recomputed at a later *now*, a quadratic root would move by a
+        few ulps only; the driver's margin tick absorbs that.
+        """
+        transitions = self.driver.transitions
+        if transitions != self._bound_transitions:
+            self._bound_transitions = transitions
+            queue = self.kernel.queue
+            if isinstance(queue, InstantaneousPriorityOrder):
+                self._bound = self._first_eligibility(queue)
+            else:
+                self._bound = self._first_action_time()
+        return self._bound
 
     def _eligible_at(
         self, waiter: Job, victim: Job, reentry: bool, now: float
@@ -1541,6 +1631,67 @@ class TimeslicePreemption(PreemptionPolicy):
             return None
         return max(crossing, self._protected_until.get(victim.job_id, -inf))
 
+    def _first_eligibility(self, queue: InstantaneousPriorityOrder) -> float:
+        """:meth:`_first_action_time`'s float, for the instantaneous
+        priority, whose :meth:`~QueuePolicy.crossing_time` always tells.
+
+        A victim still protected at the bound found so far cannot lower
+        it, so its crossing (a square root) is not computed.  For each
+        re-entry the owner that becomes eligible last is remembered as
+        its blocker: it blocks every pass before the bound, the margin
+        tick the driver keeps included.
+        """
+        driver = self.driver
+        now = driver.now
+        cluster = driver.cluster
+        crossing = queue.crossing_time
+        protected_until = self._protected_until
+        blockers = self._blockers
+        free = cluster.free_count
+        running = driver.running_jobs()
+        times = self._scratch_times
+        first = inf
+        for job in driver.queued_jobs():
+            mask = job.suspended_mask
+            if mask:
+                # a re-entry acts once every owner of its processors is
+                # eligible
+                at = now
+                for owner_id in cluster.owners_in_mask(mask):
+                    owner = driver.running_job(owner_id)
+                    if owner is None:  # pragma: no cover - busy bits are owned
+                        continue
+                    eligible = protected_until.get(owner_id, -inf)
+                    if eligible < first:
+                        eligible = max(crossing(job, owner, 1.0, now), eligible)
+                    if eligible > at:
+                        at = eligible
+                        blockers[job.job_id] = owner
+                    if at >= first:
+                        break  # cannot lower the bound
+                if at < first:
+                    first = at
+                continue
+            # a fresh start acts once free processors plus the victims
+            # eligible by then cover its request
+            need = job.procs - free
+            if need <= 0:
+                return now  # no time is earlier
+            times.clear()
+            for victim in running:
+                eligible = protected_until.get(victim.job_id, -inf)
+                if eligible < first:  # none at or past the bound can lower it
+                    eligible = max(crossing(job, victim, 1.0, now), eligible)
+                    if eligible < first:
+                        times.append((eligible, victim.procs))
+            times.sort()
+            for eligible, width in times:
+                need -= width
+                if need <= 0:
+                    first = eligible
+                    break
+        return first
+
     # ------------------------------------------------------------------
     # decision records (trace-only; never consulted by the policy)
     # ------------------------------------------------------------------
@@ -1551,11 +1702,10 @@ class TimeslicePreemption(PreemptionPolicy):
         ``priority`` -- queue priority not strictly below the waiter's
         (sweep/re-entry paths only); else ``candidate``.
         """
-        driver = self.driver
-        now = driver.now
+        snapshot = self._snapshot()
         out: list[dict[str, Any]] = []
-        for r in sorted(driver.running_jobs(), key=lambda r: r.job_id):
-            p = self._priority(r, now)
+        for r in sorted(self.driver.running_jobs(), key=lambda r: r.job_id):
+            p = self._priority(r, snapshot)
             if self._is_protected(r):
                 verdict = "protected"
             elif limit_priority is not None and p >= limit_priority:
@@ -1616,23 +1766,45 @@ class TimeslicePreemption(PreemptionPolicy):
         """
         driver = self.driver
         now = driver.now
-        out = [
-            r
-            for r in driver.running_jobs()
-            if not self._is_protected(r)
-            and (
-                limit_priority is None or self._priority(r, now) < limit_priority
-            )
-        ]
-        out.sort(key=lambda r: (self._priority(r, now), r.job_id))
-        return out
+        snapshot = self._snapshot()
+        protected_until = self._protected_until
+        ranked: list[tuple[float, int, Job]] = []
+        for r in driver.running_jobs():
+            if now < protected_until.get(r.job_id, -inf):
+                continue
+            p = self._priority(r, snapshot)
+            if limit_priority is None or p < limit_priority:
+                ranked.append((p, r.job_id, r))
+        ranked.sort()  # job ids are unique: jobs are never compared
+        return [r for _, _, r in ranked]
 
     def _sweep(self) -> None:
-        """Serve waiting jobs: free processors first, then preemption."""
+        """Serve waiting jobs: free processors first, then preemption.
+
+        An untraced sweep returns before ordering the queue when every
+        waiting job is a re-entry whose remembered blocker still denies
+        it: each would be denied again, and an untraced denial changes
+        nothing.
+        """
         driver = self.driver
-        for job in self.kernel.queue.order(driver.queued_jobs(), driver.now):
+        queued = driver.queued_jobs()
+        if not queued:
+            return
+        now = driver.now
+        snapshot = self._snapshot()
+        if driver.tracer is None:
+            for job in queued:
+                if not (job.suspended_mask and self._still_blocked(job, snapshot, now)):
+                    break
+            else:
+                return
+        priority = self.kernel.queue.priority
+        for job in queued:
+            if job.job_id not in snapshot:
+                snapshot[job.job_id] = priority(job, now)
+        for job in self.kernel.queue.order(queued, now, snapshot):
             if job.needs_specific_procs:
-                self._serve_reentry(job)
+                self._serve_reentry(job, snapshot)
             else:
                 self._serve_fresh(job, arrival=False)
 
@@ -1644,7 +1816,7 @@ class TimeslicePreemption(PreemptionPolicy):
         if driver.cluster.can_allocate(job.procs):
             self._start(job)
             return True
-        limit = None if arrival else self._priority(job, driver.now)
+        limit = None if arrival else self._snapshot()[job.job_id]
         path = "arrival" if arrival else "sweep"
         victims = self._cheapest_victims(limit_priority=limit)
         freed = driver.cluster.free_count
@@ -1663,15 +1835,18 @@ class TimeslicePreemption(PreemptionPolicy):
         self._start(job)
         return True
 
-    def _serve_reentry(self, job: Job) -> bool:
+    def _serve_reentry(self, job: Job, snapshot: dict[int, float]) -> bool:
         driver = self.driver
         needed_mask = job.suspended_mask  # cached at suspension time
         if driver.cluster.can_allocate_mask(needed_mask):
             self._start(job)
             return True
-        now = driver.now
         tracer = driver.tracer
-        my_priority = self._priority(job, now)
+        now = driver.now
+        if tracer is None and self._still_blocked(job, snapshot, now):
+            return False  # the owner scan would deny it too
+        protected_until = self._protected_until
+        my_priority = snapshot[job.job_id]
         # ascending job id, so verdicts and suspensions keep one order
         owners: list[Job] = []
         for owner_id in sorted(driver.cluster.owners_in_mask(needed_mask)):
@@ -1685,10 +1860,9 @@ class TimeslicePreemption(PreemptionPolicy):
         verdicts: list[dict[str, Any]] | None = [] if tracer is not None else None
         blocking: str | None = None
         for victim in owners:
-            p = self._priority(victim, now)
-            if self._is_protected(victim):
+            if now < protected_until.get(victim.job_id, -inf):
                 cause = "protected"
-            elif p >= my_priority:
+            elif self._priority(victim, snapshot) >= my_priority:
                 cause = "priority"
             else:
                 cause = None
@@ -1696,7 +1870,7 @@ class TimeslicePreemption(PreemptionPolicy):
                 verdicts.append(
                     victim_verdict(
                         victim.job_id,
-                        p,
+                        self._priority(victim, snapshot),
                         victim.procs,
                         cause or "candidate",
                     )
@@ -1704,7 +1878,10 @@ class TimeslicePreemption(PreemptionPolicy):
             if cause is not None:
                 blocking = blocking or cause
                 if verdicts is None:
-                    break  # untraced: first blocker settles it
+                    # untraced: first blocker settles it, and is re-tested
+                    # before the next scan
+                    self._blockers[job.job_id] = victim
+                    break
         if blocking is not None:
             if tracer is not None:
                 tracer.decision(

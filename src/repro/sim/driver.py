@@ -209,6 +209,10 @@ class SchedulingSimulation:
         #: the timer tick waiting in the calendar, if any
         self._tick: Event | None = None
         self._arrivals_pending = 0
+        #: job state changes so far: arrivals, starts, suspensions,
+        #: finishes and kills, whichever policy caused them.  A policy may
+        #: keep what it derived from the state until this moves.
+        self.transitions = 0
         self.total_suspensions = 0
         self.total_kills = 0
 
@@ -312,6 +316,7 @@ class SchedulingSimulation:
         self._finish_events[job.job_id] = ev
         del self._queued[job.job_id]
         self._running[job.job_id] = job
+        self.transitions += 1
         if self.tracer is not None:
             self.tracer.dispatch(self.now, job, procs, resumed, via)
         return procs
@@ -350,6 +355,7 @@ class SchedulingSimulation:
         job.mark_suspended(self.now, pinned=not self.migratable)
         del self._running[job.job_id]
         self._queued[job.job_id] = job
+        self.transitions += 1
         self.total_suspensions += 1
         if self.tracer is not None:
             self.tracer.suspend(self.now, job, released, preemptor, overhead_added)
@@ -396,6 +402,7 @@ class SchedulingSimulation:
         job.mark_killed(self.now)
         del self._running[job.job_id]
         self._queued[job.job_id] = job
+        self.transitions += 1
         self.total_kills += 1
         if self.tracer is not None:
             self.tracer.kill(self.now, job, released, wasted)
@@ -414,6 +421,7 @@ class SchedulingSimulation:
             self._window_closed = True
         job.mark_submitted(self.now)
         self._queued[job.job_id] = job
+        self.transitions += 1
         if self.tracer is not None:
             self.tracer.arrival(self.now, job)
         self.scheduler.on_arrival(job)
@@ -433,6 +441,7 @@ class SchedulingSimulation:
         job.mark_finished(self.now)
         del self._running[job.job_id]
         self._finished.append(job)
+        self.transitions += 1
         if self.tracer is not None:
             self.tracer.finish(self.now, job)
         self.scheduler.on_finish(job)

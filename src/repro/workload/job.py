@@ -76,7 +76,7 @@ class Job:
         with this.
         Clamped to at least ``run_time``'s floor of 1 s by the loaders.
     procs:
-        Number of processors requested (rigid).
+        Number of processors requested (rigid; an ``int`` >= 1).
     memory_mb:
         Resident set per processor in MB; drives the suspension-overhead
         model.  ``0`` means "unknown" (overhead model substitutes its
@@ -147,8 +147,11 @@ class Job:
         # ``not 0 < x < _INF`` also rejects NaN and inf, without a call
         if not 0 < self.run_time < _INF:
             raise ValueError(f"job {self.job_id}: run_time must be finite and > 0")
-        if self.procs <= 0:
-            raise ValueError(f"job {self.job_id}: procs must be > 0")
+        # ``type() is int`` also rejects NaN, inf, 2.5, 3.0 and True
+        if type(self.procs) is not int or self.procs < 1:
+            raise ValueError(
+                f"job {self.job_id}: procs must be an int >= 1, got {self.procs!r}"
+            )
         if not 0 < self.estimate < _INF:
             raise ValueError(f"job {self.job_id}: estimate must be finite and > 0")
         if not 0 <= self.submit_time < _INF:

@@ -57,6 +57,17 @@ def test_non_finite_times_rejected(kwargs, field):
         make_job(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "procs", [NAN, INF, 2.5, 3.0, True, 0, -2], ids=repr
+)
+def test_width_must_be_an_int_of_at_least_one(procs):
+    """A 2.5-processor job would be classified ("VS", "N") and then
+    crash the cluster's mask arithmetic mid-run; a NaN width fails
+    every comparison."""
+    with pytest.raises(ValueError, match="procs must be an int >= 1"):
+        make_job(procs=procs)
+
+
 # ----------------------------------------------------------------------
 # lifecycle transitions
 # ----------------------------------------------------------------------

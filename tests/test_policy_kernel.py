@@ -208,6 +208,35 @@ def test_malformed_config_fails_loudly(config: dict[str, object], key: str) -> N
     assert repr(key) in str(info.value)
 
 
+#: (scheme, key) of every timer knob: a tick interval or the IS timeslice
+_TIMER_KNOBS = [
+    ("ss", "preemption_interval"),
+    ("tss", "preemption_interval"),
+    ("ss-easy", "preemption_interval"),
+    ("tss-conservative", "preemption_interval"),
+    ("is", "timeslice"),
+    ("is", "sweep_interval"),
+]
+
+
+@pytest.mark.parametrize(("scheme", "key"), _TIMER_KNOBS)
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 0.0, -60.0],
+    ids=["nan", "inf", "-inf", "zero", "negative"],
+)
+def test_timer_knobs_must_be_positive_and_finite(
+    scheme: str, key: str, value: float
+) -> None:
+    """A NaN timeslice turns IS protection off, an infinite interval
+    places no tick, and a NaN interval fails mid-run on its first tick:
+    each is refused when the scheme is built."""
+    with pytest.raises(ValueError) as info:
+        scheduler_from_config({"scheme": scheme, key: value})
+    assert repr(scheme) in str(info.value)
+    assert repr(key) in str(info.value)
+
+
 _SWEEP_PARAMS = {
     "suspension_factor": st.floats(
         min_value=1.0, max_value=10.0, allow_nan=False, allow_infinity=False

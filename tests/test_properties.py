@@ -455,7 +455,13 @@ def test_audit_accepts_every_generated_schedule(raw):
 # act, a traced run keeps every pass (each denial is a decision record),
 # so the traced twin is the every-pass reference
 # ----------------------------------------------------------------------
-def _sweep_scheme(scheme: str, sf: float, jobs: list[Job], width_rule: bool = True):
+def _sweep_scheme(
+    scheme: str,
+    sf: float,
+    jobs: list[Job],
+    width_rule: bool = True,
+    timeslice: float = 600.0,
+):
     from repro.core.immediate_service import ImmediateServiceScheduler
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
@@ -482,7 +488,7 @@ def _sweep_scheme(scheme: str, sf: float, jobs: list[Job], width_rule: bool = Tr
     if scheme == "ss-easy":
         return SuspensionWithHeadGuarantee(suspension_factor=sf, width_rule=width_rule)
     assert scheme == "is"
-    return ImmediateServiceScheduler()
+    return ImmediateServiceScheduler(timeslice=timeslice)
 
 
 def _overhead_model(name: str):
@@ -508,9 +514,15 @@ def _overhead_model(name: str):
     st.sampled_from([1.0, 1.5, 2.0, 5.0]),
     st.sampled_from(["none", "fixed", "disk"]),
     st.booleans(),
+    st.sampled_from([60.0, 600.0, 3600.0]),  # IS timeslice
 )
-def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overhead, migratable):
-    """Jumping the timer ticks that cannot act changes no decision and no total."""
+def test_untraced_timer_skip_matches_every_pass(
+    raw, compress, scheme, sf, overhead, migratable, timeslice
+):
+    """Jumping the timer ticks that cannot act changes no decision and no
+    total.  Under IS it also witnesses the kept bound, the remembered
+    blockers and the sweeps they end early, which untraced runs alone
+    use."""
     from repro.experiments.parallel import outcome_fingerprint
     from repro.experiments.runner import simulate
     from repro.obs import InMemoryRecorder
@@ -520,7 +532,7 @@ def test_untraced_timer_skip_matches_every_pass(raw, compress, scheme, sf, overh
     def run(recorder):
         return simulate(
             jobs,
-            _sweep_scheme(scheme, sf, jobs),
+            _sweep_scheme(scheme, sf, jobs, timeslice=timeslice),
             N_PROCS,
             overhead_model=_overhead_model(overhead),
             migratable=migratable,
@@ -578,3 +590,114 @@ def test_sorted_bound_walk_matches_the_generic_walk(
             overhead_model=_overhead_model(overhead),
             migratable=migratable,
         )
+
+
+# ----------------------------------------------------------------------
+# IS: the kept tick bound and the remembered re-entry blockers
+# ----------------------------------------------------------------------
+_is_runs = given(
+    job_lists,
+    st.sampled_from([1.0, 10.0, 100.0]),  # arrival compression
+    st.sampled_from([60.0, 600.0, 3600.0]),  # timeslice
+    st.sampled_from(["none", "fixed", "disk"]),
+    st.booleans(),
+)
+
+
+def _simulate_is(raw, compress, timeslice, overhead, migratable):
+    from repro.core.immediate_service import ImmediateServiceScheduler
+    from repro.experiments.runner import simulate
+
+    jobs = build_jobs([(s / compress, r, p, e) for s, r, p, e in raw])
+    return simulate(
+        jobs,
+        ImmediateServiceScheduler(timeslice=timeslice),
+        N_PROCS,
+        overhead_model=_overhead_model(overhead),
+        migratable=migratable,
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@_is_runs
+def test_kept_is_bound_is_the_generic_walk_after_every_transition(
+    raw, compress, timeslice, overhead, migratable
+):
+    """At every IS ``quiet_until`` call after the driver's transition
+    count moved, the answer is exactly the generic walk's float; at
+    every other call it is the previous answer."""
+    from repro.schedulers.policy import PreemptionPolicy, TimeslicePreemption
+
+    kept = TimeslicePreemption.quiet_until
+    last: dict[str, float] = {}
+
+    def checked(self):
+        bound = kept(self)
+        transitions = self.driver.transitions
+        if last.get("transitions") != transitions:
+            assert bound == PreemptionPolicy._first_action_time(self)
+        else:
+            assert bound == last["bound"]
+        last.update(transitions=transitions, bound=bound)
+        return bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TimeslicePreemption, "quiet_until", checked)
+        _simulate_is(raw, compress, timeslice, overhead, migratable)
+
+
+def _check_remembered_denials(mp, settled: list[int]) -> None:
+    """Patch the IS blocker re-test so that each denial it settles is
+    checked against a full scan of the owners of the re-entry's set,
+    with priorities computed afresh; *settled* counts them."""
+    from repro.schedulers.policy import TimeslicePreemption
+
+    remembered = TimeslicePreemption._still_blocked
+
+    def checked(self, job, snapshot, now):
+        blocked = remembered(self, job, snapshot, now)
+        if blocked:
+            driver = self.driver
+            mask = job.suspended_mask
+            assert not driver.cluster.can_allocate_mask(mask)
+            priority = self.kernel.queue.priority
+            mine = priority(job, now)
+            assert any(
+                now < self._protected_until.get(owner_id, -float("inf"))
+                or priority(driver.running_job(owner_id), now) >= mine
+                for owner_id in driver.cluster.owners_in_mask(mask)
+            ), f"job {job.job_id}: the owner scan would grant the re-entry"
+            settled.append(job.job_id)
+        return blocked
+
+    mp.setattr(TimeslicePreemption, "_still_blocked", checked)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@_is_runs
+def test_every_remembered_blocker_denial_is_an_owner_scan_denial(
+    raw, compress, timeslice, overhead, migratable
+):
+    """A re-entry denied by its remembered blocker alone would be denied
+    by the full owner scan too, so skipping the scan changes nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        _check_remembered_denials(mp, [])
+        _simulate_is(raw, compress, timeslice, overhead, migratable)
+
+
+def test_remembered_blockers_settle_denials_on_a_paper_trace():
+    """The differential above is not vacuous: on this synthetic SDSC
+    trace the remembered blockers settle over a thousand re-entry
+    denials."""
+    from repro.core.immediate_service import ImmediateServiceScheduler
+    from repro.experiments.runner import simulate
+    from repro.workload.synthetic import generate_trace
+
+    settled: list[int] = []
+    with pytest.MonkeyPatch.context() as mp:
+        _check_remembered_denials(mp, settled)
+        result = simulate(
+            generate_trace("SDSC", n_jobs=100, seed=2), ImmediateServiceScheduler(), 128
+        )
+    assert result.total_suspensions > 0
+    assert len(settled) > 100

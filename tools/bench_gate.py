@@ -29,9 +29,9 @@ are compared exactly; no clock-measured value gates anything.
       baseline with ``--write`` in the same commit;
     * a null-recorder SS run that makes other calls than the untraced
       run (the zero-overhead-when-off contract of docs/TRACING.md);
-    * a trace fingerprint (SHA-256 of the schedule each SS workload
-      produces) that differs from the baseline's -- a perf change that
-      changes a schedule is rejected outright;
+    * a trace fingerprint (SHA-256 of the schedule each SS workload and
+      the IS workload produce) that differs from the baseline's -- a
+      perf change that changes a schedule is rejected outright;
     * a streaming-ingestion peak RSS above 0.6x the eager reader's;
     * a pooled grid whose per-cell task pickles to more than a tenth of
       an inline cell, or whose pool cell table (the initializer's
@@ -306,17 +306,15 @@ def trace_fingerprints() -> dict[str, str]:
     which a perf PR must never do.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.immediate_service import ImmediateServiceScheduler
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
     from repro.sim.driver import SchedulingSimulation
     from repro.cluster.machine import Cluster
     from repro.workload.load import scale_load
     from repro.workload.synthetic import generate_trace
 
-    def run_signature(jobs: list[Any]) -> str:
-        driver = SchedulingSimulation(
-            cluster=Cluster(128),
-            scheduler=SelectiveSuspensionScheduler(suspension_factor=2.0),
-        )
+    def run_signature(jobs: list[Any], scheduler: Any) -> str:
+        driver = SchedulingSimulation(cluster=Cluster(128), scheduler=scheduler)
         result = driver.run(jobs)
         sig = [
             (j.job_id, j.first_start_time, j.finish_time, j.suspension_count)
@@ -326,9 +324,16 @@ def trace_fingerprints() -> dict[str, str]:
         return hashlib.sha256(blob).hexdigest()
 
     return {
-        "ss_sdsc400": run_signature(generate_trace("SDSC", n_jobs=400, seed=3)),
+        "ss_sdsc400": run_signature(
+            generate_trace("SDSC", n_jobs=400, seed=3),
+            SelectiveSuspensionScheduler(suspension_factor=2.0),
+        ),
         "ss_congested700": run_signature(
-            scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
+            scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8),
+            SelectiveSuspensionScheduler(suspension_factor=2.0),
+        ),
+        "is_sdsc400": run_signature(
+            generate_trace("SDSC", n_jobs=400, seed=3), ImmediateServiceScheduler()
         ),
     }
 

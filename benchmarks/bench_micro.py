@@ -482,7 +482,7 @@ class LegacySweepScheduler(Scheduler):
             key=lambda j: (-priorities[j.job_id], j.submit_time, j.job_id),
         )
         for job in idle:
-            if job.needs_specific_procs:
+            if job.suspended_mask:
                 self._try_resume(job, allow_suspension, priorities)
             else:
                 self._try_start(job, allow_suspension, priorities)
@@ -493,7 +493,7 @@ class LegacySweepScheduler(Scheduler):
         ids = driver.cluster.ids
         pinned: set[int] = set()
         for j in driver.queued_jobs():
-            if j.needs_specific_procs:
+            if j.suspended_mask:
                 pinned |= ids(j.suspended_mask)
         return pinned
 

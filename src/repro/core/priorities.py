@@ -27,6 +27,7 @@ figure-4-6 bench can check the simulated behaviour against the theory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.workload.job import Job
 
@@ -75,6 +76,8 @@ class PreemptionCriteria:
     suspension_factor:
         ``SF >= 1``: the minimum ratio of idle priority to victim
         priority for preemption.  The paper evaluates 1.5, 2 and 5.
+        ``SF = inf`` stays legal: no priority clears it, so nothing is
+        ever suspended.  NaN is refused.
     width_rule:
         When true (the paper's default for *fresh* starts), a victim may
         only be suspended by a job requesting at least half the victim's
@@ -94,10 +97,9 @@ class PreemptionCriteria:
         # canonical types, so ``config()`` emits 2.0 / true for 2 / 1
         object.__setattr__(self, "suspension_factor", float(self.suspension_factor))
         object.__setattr__(self, "width_rule", bool(self.width_rule))
-        if self.suspension_factor < 1.0:
-            raise ValueError(
-                f"suspension factor must be >= 1, got {self.suspension_factor}"
-            )
+        sf = self.suspension_factor
+        if not 1.0 <= sf <= inf:  # also rejects NaN
+            raise ValueError(f"'suspension_factor' must be >= 1 (inf allowed), got {sf!r}")
 
     def priority_allows(self, idle_priority: float, victim_priority: float) -> bool:
         """The SF threshold: idle >= SF x victim."""

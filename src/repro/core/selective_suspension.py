@@ -57,7 +57,8 @@ def SelectiveSuspensionScheduler(
     Parameters
     ----------
     suspension_factor:
-        The SF threshold; the paper evaluates 1.5, 2 and 5.
+        The SF threshold, >= 1; the paper evaluates 1.5, 2 and 5.  SF =
+        inf is legal and never suspends; NaN is refused.
     preemption_interval:
         Seconds between preemption sweeps (paper: 60).
     width_rule:

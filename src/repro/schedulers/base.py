@@ -13,9 +13,9 @@ Contract
   queue, :meth:`Scheduler.on_finish` after a job's processors were
   released, and :meth:`Scheduler.on_timer` on each periodic tick (only
   if :attr:`Scheduler.timer_interval` is not ``None``).
-* Ticks are skipped, not dispatched, when nothing is traced or probed
-  and they fall before both :meth:`Scheduler.quiet_until` (less one
-  interval) and the next arrival, finish or kill.  The driver asks the
+* Ticks are skipped, not dispatched, when nothing is traced and they
+  fall before both :meth:`Scheduler.quiet_until` (less one interval)
+  and the next arrival, finish or kill.  The driver asks the
   bound right after each of these hooks and after each tick, so a
   scheduler whose bound is valid sees the same schedule either way;
   skipped ticks still count in ``events_dispatched``.
@@ -37,7 +37,6 @@ from math import inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.events import Tracer
     from repro.sim.driver import SchedulingSimulation
     from repro.workload.job import Job
 
@@ -65,7 +64,7 @@ class Scheduler(ABC):
     # driver wiring
     # ------------------------------------------------------------------
     def bind(self, driver: "SchedulingSimulation") -> None:
-        """Attach to a driver; called once before the simulation starts."""
+        """Attach to a driver; called at the start of every run."""
         self.driver = driver
 
     def on_begin(self) -> None:
@@ -107,26 +106,8 @@ class Scheduler(ABC):
         """
 
     # ------------------------------------------------------------------
-    # conveniences shared by concrete schedulers
+    # reporting
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time (valid inside hooks)."""
-        assert self.driver is not None
-        return self.driver.now
-
-    @property
-    def tracer(self) -> "Tracer | None":
-        """The run's trace emitter, or ``None`` when tracing is off.
-
-        Emission sites in concrete schedulers guard with a single
-        ``if self.tracer is not None`` check -- build no event payloads,
-        format no strings, outside that branch (the zero-overhead
-        contract, see :mod:`repro.obs`).
-        """
-        assert self.driver is not None
-        return self.driver.tracer
-
     def describe(self) -> str:
         """One-line description for report headers."""
         return self.name

@@ -32,6 +32,8 @@ suspension, which is exactly why coarse quanta are mandatory.
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.cluster.bitset import take_lowest
 from repro.schedulers.base import Scheduler
 from repro.workload.job import Job, JobState
@@ -64,7 +66,8 @@ class GangScheduler(Scheduler):
     ----------
     quantum:
         Seconds between gang switches; the classic trade-off knob
-        (responsiveness vs context-switch amortisation).
+        (responsiveness vs context-switch amortisation).  Also the
+        timer interval, so it must be positive and finite.
     """
 
     name = "GANG"
@@ -75,8 +78,8 @@ class GangScheduler(Scheduler):
 
     def __init__(self, quantum: float = 600.0) -> None:
         super().__init__()
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
+        if not 0 < quantum < inf:  # also rejects NaN
+            raise ValueError(f"'quantum' must be positive and finite, got {quantum!r}")
         self.quantum = float(quantum)
         self.timer_interval = float(quantum)
         self._slots: list[_Slot] = []
@@ -93,6 +96,7 @@ class GangScheduler(Scheduler):
     def on_begin(self) -> None:
         self._slots = []
         self._active = 0
+        self._slot_protected_until = 0.0
 
     def on_arrival(self, job: Job) -> None:
         self._admit(job)

@@ -114,27 +114,17 @@ class PreemptionLimits(Protocol):
 class Policy(ABC):
     """Shared base for all four policy axes.
 
-    A policy is bound to exactly one :class:`PolicyKernel` (policies are
-    stateful and single-use, like the schedulers they compose into) and
-    reaches the simulation through it.
+    A policy belongs to exactly one :class:`PolicyKernel` (policies are
+    stateful, so each kernel needs its own).  Both links are plain
+    attributes, so reaching either costs no call; reading one before it
+    is set raises ``AttributeError``.
     """
 
-    def __init__(self) -> None:
-        self._kernel: PolicyKernel | None = None
-
-    def bind_kernel(self, kernel: "PolicyKernel") -> None:
-        self._kernel = kernel
-
-    @property
-    def kernel(self) -> "PolicyKernel":
-        assert self._kernel is not None, "policy used before kernel binding"
-        return self._kernel
-
-    @property
-    def driver(self) -> "SchedulingSimulation":
-        driver = self.kernel.driver
-        assert driver is not None, "kernel used before driver binding"
-        return driver
+    #: the kernel composed from this policy, set by its constructor
+    kernel: "PolicyKernel"
+    #: the driver of the current run, set by :meth:`PolicyKernel.bind`
+    #: before every run
+    driver: "SchedulingSimulation"
 
     def on_begin(self) -> None:
         """Reset run-scoped state; called once at simulation start."""
@@ -324,7 +314,7 @@ class PreemptionPolicy(Policy):
         times = self._scratch_times
         first = inf
         for job in driver.queued_jobs():
-            if job.needs_specific_procs:
+            if job.suspended_mask:
                 # a re-entry acts once every owner of its processors is
                 # eligible
                 at = now
@@ -681,13 +671,14 @@ class RelaxedBackfill(BackfillPolicy):
 
     Each candidate is evaluated on a cloned profile: claim it now,
     re-anchor the head, accept iff the what-if anchor stays within
-    ``anchor + relaxation x head estimate``.
+    ``anchor + relaxation x head estimate``.  ``relaxation = inf`` stays
+    legal (any job that fits now backfills); NaN is refused.
     """
 
     def __init__(self, relaxation: float = 0.5) -> None:
         super().__init__()
-        if relaxation < 0:
-            raise ValueError("relaxation must be nonnegative")
+        if not 0 <= relaxation <= inf:  # also rejects NaN
+            raise ValueError(f"'relaxation' must be >= 0 (inf allowed), got {relaxation!r}")
         self.relaxation = float(relaxation)
 
     def config_fragment(self) -> dict[str, object]:
@@ -720,10 +711,12 @@ class SpeculativeBackfill(BackfillPolicy):
 
     def __init__(self, speculation_window: float = 900.0, max_kills: int = 2) -> None:
         super().__init__()
-        if speculation_window <= 0:
-            raise ValueError("speculation_window must be positive")
-        if max_kills < 0:
-            raise ValueError("max_kills must be nonnegative")
+        if not 0 < speculation_window < inf:  # also rejects NaN
+            raise ValueError(
+                f"'speculation_window' must be positive and finite, got {speculation_window!r}"
+            )
+        if not 0 <= max_kills < inf:
+            raise ValueError(f"'max_kills' must be finite and >= 0, got {max_kills!r}")
         self.speculation_window = float(speculation_window)
         self.max_kills = int(max_kills)
 
@@ -751,7 +744,7 @@ class SpeculativeBackfill(BackfillPolicy):
         driver = self.driver
         if job.kill_count >= self.max_kills:
             return False
-        if job.needs_specific_procs:
+        if job.suspended_mask:
             return False  # never gamble away a suspension checkpoint
         if job.remaining_estimate() <= self.speculation_window:
             return False  # not a gamble; conventional backfill territory
@@ -970,7 +963,7 @@ class SweepPreemption(PreemptionPolicy):
         first = inf
         for job in queued:
             waiter_x = job.xfactor(now)
-            if job.needs_specific_procs:
+            if job.suspended_mask:
                 at = now
                 for owner_id in cluster.owners_in_mask(job.suspended_mask):
                     crossing = _xfactor_crossing(
@@ -1103,7 +1096,7 @@ class SweepPreemption(PreemptionPolicy):
             for job in idle:
                 if not allow_suspension and not driver.cluster.free_mask:
                     break  # same argument as above, mid-sweep
-                if job.needs_specific_procs:
+                if job.suspended_mask:
                     self._try_resume(job, allow_suspension, priorities)
                 else:
                     self._try_start(job, allow_suspension, priorities)
@@ -1803,7 +1796,7 @@ class TimeslicePreemption(PreemptionPolicy):
             if job.job_id not in snapshot:
                 snapshot[job.job_id] = priority(job, now)
         for job in self.kernel.queue.order(queued, now, snapshot):
-            if job.needs_specific_procs:
+            if job.suspended_mask:
                 self._serve_reentry(job, snapshot)
             else:
                 self._serve_fresh(job, arrival=False)
@@ -1972,13 +1965,20 @@ class PolicyKernel(Scheduler):
         self.preemption = preemption
         self.timer_interval = preemption.timer_interval
         for policy in self._axes():
-            policy.bind_kernel(self)
+            policy.kernel = self
 
     def _axes(self) -> tuple[Policy, ...]:
         """The four policies in config merge order."""
         return (self.queue, self.reservation, self.backfill, self.preemption)
 
     # ------------------------------------------------------------------
+    def bind(self, driver: "SchedulingSimulation") -> None:
+        """Attach the kernel and each of its policies to *driver*; called
+        before every run, so one kernel can drive several in turn."""
+        super().bind(driver)
+        for policy in self._axes():
+            policy.driver = driver
+
     def config(self) -> dict[str, object]:
         cfg: dict[str, object] = {"scheme": self.scheme_id}
         for policy in self._axes():

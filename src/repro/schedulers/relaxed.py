@@ -42,7 +42,8 @@ def RelaxedBackfillScheduler(relaxation: float = 0.5) -> PolicyKernel:
     ----------
     relaxation:
         Fraction of the head job's estimate by which its reserved start
-        may slip to admit a backfill.  0 reproduces EASY exactly.
+        may slip to admit a backfill.  0 reproduces EASY exactly; inf is
+        legal and admits any job that fits now; NaN is refused.
     """
     return PolicyKernel(
         scheme_id="relaxed",

@@ -51,12 +51,12 @@ def SpeculativeBackfillScheduler(
     Parameters
     ----------
     speculation_window:
-        Length of a test run, seconds (default 900).  A speculating job
-        is killed after this long; a hole shorter than the window is
-        not gambled on.
+        Length of a test run, seconds (default 900; positive and
+        finite).  A speculating job is killed after this long; a hole
+        shorter than the window is not gambled on.
     max_kills:
         Maximum lost speculations per job before it must wait for
-        conventional service.
+        conventional service (finite, >= 0).
     """
     return PolicyKernel(
         scheme_id="speculative",

@@ -195,6 +195,9 @@ class SchedulingSimulation:
         #: ablation benches.
         self.migratable = migratable
         self.loop = EventLoop()
+        #: current simulation time, ``loop.now`` as a plain attribute:
+        #: each handler first copies its event's time here
+        self.now = self.loop.now
         self.loop.on(EventKind.JOB_ARRIVAL, self._handle_arrival)
         self.loop.on(EventKind.JOB_FINISH, self._handle_finish)
         self.loop.on(EventKind.TIMER, self._handle_timer)
@@ -226,11 +229,6 @@ class SchedulingSimulation:
     # ------------------------------------------------------------------
     # read-only views for schedulers & tests
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.loop.now
-
     def queued_jobs(self) -> list[Job]:
         """Queued jobs in queue-entry order (arrivals and re-queues)."""
         # repro-lint: disable=RPR001 -- int-keyed dict filled in event order; insertion order IS the queue discipline
@@ -245,14 +243,6 @@ class SchedulingSimulation:
         """The running job with *job_id*, or ``None`` -- O(1) lookup so
         schedulers can resolve processor owners without scanning."""
         return self._running.get(job_id)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queued)
-
-    @property
-    def running_count(self) -> int:
-        return len(self._running)
 
     # ------------------------------------------------------------------
     # scheduler services
@@ -287,15 +277,16 @@ class SchedulingSimulation:
         """
         if job.job_id not in self._queued:
             raise SimulationError(f"start_job: job {job.job_id} is not queued")
-        resumed = job.needs_specific_procs or (self.migratable and job.was_suspended)
+        now = self.now
+        pinned = job.suspended_mask
         self._account_busy()  # close the interval at the old busy level
-        if job.suspended_mask:
-            if procs is not None and procs != job.suspended_mask:
+        if pinned:
+            if procs is not None and procs != pinned:
                 raise SimulationError(
                     f"start_job: job {job.job_id} must resume on its "
                     "original processors"
                 )
-            procs = self.cluster.allocate_mask(job.suspended_mask, job.job_id)
+            procs = self.cluster.allocate_mask(pinned, job.job_id)
         elif procs is not None:
             width = procs.bit_count()
             if width != job.procs:
@@ -306,19 +297,19 @@ class SchedulingSimulation:
             procs = self.cluster.allocate_mask(procs, job.job_id)
         else:
             procs = self.cluster.allocate(job.procs, job.job_id)
-        job.mark_started(self.now, procs)
-        job.last_dispatch_time = self.now
-        job.expected_end = self.now + job.remaining_estimate()
+        job.mark_started(now, procs)
+        job.last_dispatch_time = now
+        job.expected_end = now + job.remaining_estimate()
         occupancy = max(job.remaining_useful + job.pending_overhead, 0.0)
-        ev = self.loop.at(
-            self.now + occupancy, EventKind.JOB_FINISH, job, epoch=job.epoch
+        self._finish_events[job.job_id] = self.loop.at(
+            now + occupancy, EventKind.JOB_FINISH, job, epoch=job.epoch
         )
-        self._finish_events[job.job_id] = ev
         del self._queued[job.job_id]
         self._running[job.job_id] = job
         self.transitions += 1
         if self.tracer is not None:
-            self.tracer.dispatch(self.now, job, procs, resumed, via)
+            resumed = bool(pinned) or (self.migratable and job.was_suspended)
+            self.tracer.dispatch(now, job, procs, resumed, via)
         return procs
 
     def suspend_job(self, job: Job, preemptor: int | None = None) -> None:
@@ -333,7 +324,8 @@ class SchedulingSimulation:
         """
         if job.job_id not in self._running:
             raise SimulationError(f"suspend_job: job {job.job_id} is not running")
-        ran = self.now - job.last_dispatch_time
+        now = self.now
+        ran = now - job.last_dispatch_time
         if ran < -1e-9:
             raise SimulationError(f"job {job.job_id}: negative run period {ran}")
         paid = min(max(ran, 0.0), job.pending_overhead)
@@ -352,13 +344,13 @@ class SchedulingSimulation:
         self._account_busy()
         released = job.allocated_mask
         self.cluster.release(released, job.job_id)
-        job.mark_suspended(self.now, pinned=not self.migratable)
+        job.mark_suspended(now, pinned=not self.migratable)
         del self._running[job.job_id]
         self._queued[job.job_id] = job
         self.transitions += 1
         self.total_suspensions += 1
         if self.tracer is not None:
-            self.tracer.suspend(self.now, job, released, preemptor, overhead_added)
+            self.tracer.suspend(now, job, released, preemptor, overhead_added)
 
     def start_speculative(
         self, job: Job, deadline: float, procs: int | None = None
@@ -372,7 +364,7 @@ class SchedulingSimulation:
         fresh (never-suspended) jobs may speculate -- killing a job
         that holds a checkpoint would silently drop the checkpoint.
         """
-        if job.needs_specific_procs:
+        if job.suspended_mask:
             raise SimulationError(
                 f"start_speculative: job {job.job_id} holds a suspension "
                 "checkpoint and cannot be run speculatively"
@@ -387,6 +379,7 @@ class SchedulingSimulation:
     # event handlers
     # ------------------------------------------------------------------
     def _handle_kill(self, event: Event) -> None:
+        now = self.now = event.time
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # the speculation won (finished) or was re-dispatched: nothing
@@ -397,19 +390,20 @@ class SchedulingSimulation:
             self.loop.cancel(ev)
         self._account_busy()
         released = job.allocated_mask
-        wasted = max(self.now - job.last_dispatch_time, 0.0)
+        wasted = max(now - job.last_dispatch_time, 0.0)
         self.cluster.release(released, job.job_id)
-        job.mark_killed(self.now)
+        job.mark_killed(now)
         del self._running[job.job_id]
         self._queued[job.job_id] = job
         self.transitions += 1
         self.total_kills += 1
         if self.tracer is not None:
-            self.tracer.kill(self.now, job, released, wasted)
+            self.tracer.kill(now, job, released, wasted)
         self.scheduler.on_kill(job)
         self._replace_tick()
 
     def _handle_arrival(self, event: Event) -> None:
+        now = self.now = event.time
         job: Job = event.payload
         self._arrivals_pending -= 1
         if self._arrivals_pending == 0:
@@ -417,17 +411,18 @@ class SchedulingSimulation:
             # window, before this arrival's scheduling side effects
             self._account_busy()
             self._window_busy = self._busy_seconds
-            self._window_end = self.now
+            self._window_end = now
             self._window_closed = True
-        job.mark_submitted(self.now)
+        job.mark_submitted(now)
         self._queued[job.job_id] = job
         self.transitions += 1
         if self.tracer is not None:
-            self.tracer.arrival(self.now, job)
+            self.tracer.arrival(now, job)
         self.scheduler.on_arrival(job)
         self._replace_tick()
 
     def _handle_finish(self, event: Event) -> None:
+        now = self.now = event.time
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # stale: the job was suspended after this was scheduled
@@ -438,16 +433,17 @@ class SchedulingSimulation:
         job.remaining_useful = 0.0
         self._account_busy()
         self.cluster.release(job.allocated_mask, job.job_id)
-        job.mark_finished(self.now)
+        job.mark_finished(now)
         del self._running[job.job_id]
         self._finished.append(job)
         self.transitions += 1
         if self.tracer is not None:
-            self.tracer.finish(self.now, job)
+            self.tracer.finish(now, job)
         self.scheduler.on_finish(job)
         self._replace_tick()
 
     def _handle_timer(self, event: Event) -> None:
+        self.now = event.time
         self._tick = None
         if self._work_remains():
             self.scheduler.on_timer()
@@ -508,8 +504,9 @@ class SchedulingSimulation:
         return bool(self._queued or self._running or self._arrivals_pending > 0)
 
     def _account_busy(self) -> None:
-        self._busy_seconds += self.cluster.busy_count * (self.now - self._busy_mark)
-        self._busy_mark = self.now
+        now = self.now
+        self._busy_seconds += self.cluster.busy_count * (now - self._busy_mark)
+        self._busy_mark = now
 
     # ------------------------------------------------------------------
     # running

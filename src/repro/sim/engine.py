@@ -9,16 +9,22 @@ Design notes
 ------------
 
 * The clock never moves backwards: scheduling an event in the past raises
-  immediately rather than silently reordering history.
+  immediately rather than silently reordering history, and
+  :meth:`EventLoop.run` raises if the calendar ever yields one.
 * Handlers are registered per :class:`~repro.sim.events.EventKind`; an
   unhandled kind is an error, because a dropped event in a scheduling
   simulation silently corrupts every downstream metric.
-* ``max_events``/``max_time`` guards turn runaway simulations (e.g. a
+* The ``max_events`` budget turns runaway simulations (e.g. a
   scheduler that re-posts timers forever) into loud failures.
+* :meth:`EventLoop.run` is the one dispatch path: it pops, checks and
+  dispatches each event inline, and the clock is the plain attribute
+  :attr:`EventLoop.now`, so an event costs no call but its handler's.
 """
 
 from __future__ import annotations
 
+from heapq import heappop
+from math import inf
 from typing import Any, Callable
 
 from repro.sim.events import Event, EventKind, EventQueue
@@ -45,36 +51,28 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0, max_events: int = 50_000_000) -> None:
         self.queue = EventQueue()
-        self._now = float(start_time)
+        #: current simulation time in seconds: the time of the event
+        #: being dispatched, or of the last one (a plain attribute, so
+        #: reading the clock costs no call)
+        self.now = float(start_time)
+        #: events dispatched so far, :meth:`charge`-d ones included
+        self.dispatched = 0
         self._handlers: dict[EventKind, Handler] = {}
-        self._dispatched = 0
         self._max_events = int(max_events)
         self._stopped = False
-
-    # ------------------------------------------------------------------
-    # clock & bookkeeping
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
-    def dispatched(self) -> int:
-        """Number of events dispatched so far, :meth:`charge`-d ones included."""
-        return self._dispatched
 
     def charge(self, count: int) -> None:
         """Count *count* events as dispatched, under the ``max_events`` budget.
 
-        :meth:`step` charges each event it pops.  A driver charges the
-        events it proved to be no-ops and therefore never scheduled
-        (skipped timer ticks, see :mod:`repro.sim.driver`), so
-        :attr:`dispatched` and the budget see them as if each had been
-        popped and handled.
+        Only this method raises the budget error: :meth:`run` counts
+        each event it dispatches inline and calls ``charge(0)`` once the
+        count passes the budget.  A driver charges the events it proved
+        to be no-ops and therefore never scheduled (skipped timer ticks,
+        see :mod:`repro.sim.driver`), so :attr:`dispatched` and the
+        budget see them as if each had been popped and handled.
         """
-        self._dispatched += count
-        if self._dispatched > self._max_events:
+        self.dispatched += count
+        if self.dispatched > self._max_events:
             raise SimulationError(
                 f"event budget exhausted ({self._max_events} events); "
                 "likely a timer storm or a livelocked scheduler"
@@ -94,10 +92,11 @@ class EventLoop:
         payload: Any = None,
         epoch: int = 0,
     ) -> Event:
-        """Schedule an event at absolute time *time*."""
-        if time < self._now:
+        """Schedule an event at absolute time *time* (not before
+        :attr:`now`; the calendar refuses NaN)."""
+        if time < self.now:
             raise SimulationError(
-                f"attempt to schedule event at t={time} before now={self._now}"
+                f"attempt to schedule event at t={time} before now={self.now}"
             )
         return self.queue.schedule(time, kind, payload, epoch)
 
@@ -111,7 +110,7 @@ class EventLoop:
         """Schedule an event *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self._now + delay, kind, payload, epoch)
+        return self.at(self.now + delay, kind, payload, epoch)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (lazy; safe to call twice)."""
@@ -136,23 +135,6 @@ class EventLoop:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> Event | None:
-        """Dispatch exactly one event; return it, or ``None`` if idle."""
-        if not self.queue:
-            return None
-        event = self.queue.pop()
-        if event.time < self._now:
-            raise SimulationError(
-                f"event calendar yielded t={event.time} < now={self._now}"
-            )
-        self._now = event.time
-        handler = self._handlers.get(event.kind)
-        if handler is None:
-            raise SimulationError(f"no handler registered for {event.kind!r}")
-        self.charge(1)
-        handler(event)
-        return event
-
     def run(self, until: float | None = None) -> None:
         """Dispatch events until the calendar empties.
 
@@ -166,12 +148,35 @@ class EventLoop:
         the loop dispatches nothing and the stop is consumed.  Resetting
         the flag here instead would silently discard stops issued
         between runs -- see :meth:`stop`.
+
+        This is the one dispatch path: each event is popped from the
+        calendar's ``_heap`` (with :meth:`~repro.sim.events.EventQueue.pop`'s
+        bookkeeping), checked and handed to its handler inline, so no
+        Python call but the handler's is made per event.
         """
-        while self.queue and not self._stopped:
-            next_time = self.queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
+        queue = self.queue
+        heap = queue._heap
+        handlers = self._handlers
+        max_events = self._max_events
+        horizon = inf if until is None else until
+        while not self._stopped:
+            while heap and heap[0][3].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > horizon:
                 break
-            self.step()
+            time, _, _, event = heappop(heap)
+            event.fired = True
+            queue._live -= 1
+            if time < self.now:
+                raise SimulationError(f"event calendar yielded t={time} < now={self.now}")
+            self.now = time
+            handler = handlers.get(event.kind)
+            if handler is None:
+                raise SimulationError(f"no handler registered for {event.kind!r}")
+            self.dispatched += 1
+            if self.dispatched > max_events:
+                self.charge(0)  # raises the budget error
+            handler(event)
         # consume the stop that ended (or pre-empted) this run so the
         # next run() starts fresh
         self._stopped = False

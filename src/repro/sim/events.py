@@ -94,6 +94,10 @@ class EventQueue:
     The queue is a binary heap keyed on ``(time, kind, seq)``.  All
     operations are O(log n) except :meth:`peek_time`, which is amortised
     O(1) after dead-entry cleanup.
+
+    :meth:`repro.sim.engine.EventLoop.run` pops from ``_heap`` inline and
+    repeats :meth:`pop`'s bookkeeping (skip cancelled entries, set
+    ``fired``, debit ``_live``); a change to one must change the other.
     """
 
     def __init__(self) -> None:
@@ -107,17 +111,6 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def push(self, event: Event) -> Event:
-        """Insert *event* and return it (handy for chaining)."""
-        # repro-lint: disable=RPR003 -- x != x is the standard NaN test, not an equality test
-        if event.time != event.time:  # NaN guard
-            raise ValueError("event time is NaN")
-        heapq.heappush(
-            self._heap, (event.time, int(event.kind), next(self._counter), event)
-        )
-        self._live += 1
-        return event
-
     def schedule(
         self,
         time: float,
@@ -125,8 +118,14 @@ class EventQueue:
         payload: Any = None,
         epoch: int = 0,
     ) -> Event:
-        """Create an :class:`Event` and insert it in one call."""
-        return self.push(Event(time=time, kind=kind, payload=payload, epoch=epoch))
+        """Create an :class:`Event` at *time*, insert it and return it."""
+        # repro-lint: disable=RPR003 -- x != x is the standard NaN test, not an equality test
+        if time != time:  # NaN guard
+            raise ValueError("event time is NaN")
+        event = Event(time, kind, payload, epoch)
+        heapq.heappush(self._heap, (time, int(kind), next(self._counter), event))
+        self._live += 1
+        return event
 
     def cancel(self, event: Event) -> None:
         """Lazily cancel *event*.

@@ -311,11 +311,6 @@ class Job:
         """Whether the job has ever been suspended."""
         return self.suspension_count > 0
 
-    @property
-    def needs_specific_procs(self) -> bool:
-        """True when the job may only (re)start on ``suspended_mask``."""
-        return bool(self.suspended_mask)
-
     def turnaround(self) -> float:
         """Finish minus submit; only valid once finished."""
         if self.finish_time is None:
@@ -327,8 +322,12 @@ class Job:
 
         ``(wait time + estimated run time) / estimated run time`` -- grows
         while the job waits, constant while it runs, and >= 1 always.
+        The wait is :meth:`waited`'s float, read here without the call.
         """
-        return (self.waited(now) + self.estimate) / self.estimate
+        wait = self._wait_accrued
+        if self.state is JobState.QUEUED:
+            wait += max(now - self._clock_mark, 0.0)
+        return (wait + self.estimate) / self.estimate
 
     def instantaneous_xfactor(self, now: float) -> float:
         """The IS scheme's priority (Chiang & Vernon).
@@ -337,10 +336,16 @@ class Job:
         jobs that have not yet run; the IS scheduler treats never-run jobs
         as maximally entitled, so this returns ``inf`` when accrued is 0.
         """
-        acc = self.accrued(now)
+        acc = self._run_accrued
+        wait = self._wait_accrued
+        # the floats of accrued() and waited(), read without the calls
+        if self.state is JobState.RUNNING:
+            acc += max(now - self._clock_mark, 0.0)
+        elif self.state is JobState.QUEUED:
+            wait += max(now - self._clock_mark, 0.0)
         if acc <= 0.0:
-            return float("inf")
-        return (self.waited(now) + acc) / acc
+            return _INF
+        return (wait + acc) / acc
 
     def copy_static(self) -> "Job":
         """Fresh Job with the same static fields and pristine state.

@@ -10,6 +10,7 @@ per access, makes more ``suspension_priority`` calls on the same trace.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -71,3 +72,16 @@ def test_legacy_sweep_makes_more_priority_calls():
         )
     )
     assert legacy[PRIORITY] > count_calls(run_ss)[PRIORITY]
+
+
+def test_gate_prints_each_total_next_to_the_baseline():
+    spec = importlib.util.spec_from_file_location(
+        "bench_gate", REPO_ROOT / "tools" / "bench_gate.py"
+    )
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    counts = {"a": 308_000, "b": 246}
+    assert gate.calls_line("ss_congested700", counts, {"a": 498_847}) == (
+        "  calls ss_congested700: 308,246 to 2 functions (baseline 498,847, -38.2%)"
+    )
+    assert gate.calls_line("new", counts, None) == "  calls new: 308,246 to 2 functions"

@@ -10,10 +10,13 @@ import pytest
 
 from repro.cluster.machine import AllocationError, Cluster
 from repro.core.overhead import FixedOverheadModel
+from repro.experiments.parallel import outcome_fingerprint
 from repro.schedulers.base import Scheduler
+from repro.schedulers.registry import known_schemes, scheduler_from_config
 from repro.sim.driver import SchedulingSimulation
 from repro.sim.engine import SimulationError
-from repro.workload.job import JobState
+from repro.workload.job import JobState, fresh_copies
+from repro.workload.synthetic import generate_trace
 from tests.conftest import make_job
 
 
@@ -421,3 +424,22 @@ def test_start_speculative_rejects_checkpointed_job():
 
     with pytest.raises(SimulationError, match="checkpoint"):
         drive([make_job(run=100.0, procs=4)], Bad())
+
+
+_REUSE_JOBS = generate_trace("SDSC", n_jobs=120, seed=3)
+
+
+def _outcome(scheduler: Scheduler) -> str:
+    sim = SchedulingSimulation(cluster=Cluster(128), scheduler=scheduler)
+    return outcome_fingerprint(sim.run(fresh_copies(_REUSE_JOBS)).jobs)
+
+
+@pytest.mark.parametrize("scheme", known_schemes())
+def test_one_scheduler_drives_two_simulations_in_turn(scheme: str) -> None:
+    """Binding happens per run: the kernel's policies reach the second
+    run's driver, and run-scoped state starts afresh (gang's protection
+    window included), so both runs give a fresh instance's schedule."""
+    fresh = _outcome(scheduler_from_config({"scheme": scheme}))
+    reused = scheduler_from_config({"scheme": scheme})
+    assert _outcome(reused) == fresh
+    assert _outcome(reused) == fresh

@@ -137,9 +137,30 @@ def test_stop_during_run_consumed_for_next_run():
     assert seen == ["a", "b"]
 
 
-def test_step_returns_none_when_idle():
+def test_run_returns_at_once_when_idle():
+    loop, seen = collecting_loop()
+    loop.run()
+    assert seen == [] and loop.dispatched == 0 and loop.now == 0.0
+
+
+def test_nan_time_rejected_through_the_loop():
     loop, _ = collecting_loop()
-    assert loop.step() is None
+    with pytest.raises(ValueError, match="NaN"):
+        loop.at(float("nan"), EventKind.GENERIC)
+    assert not loop.queue
+
+
+def test_calendar_event_before_now_fails_the_run():
+    """An event put straight into the calendar, behind the clock, is
+    caught when the loop pops it, not dispatched back in time."""
+    loop, seen = collecting_loop()
+    loop.at(10.0, EventKind.GENERIC, "on time")
+    loop.run()
+    loop.queue.schedule(5.0, EventKind.GENERIC, "late")
+    with pytest.raises(SimulationError, match="yielded t=5.0 < now=10.0"):
+        loop.run()
+    assert [p for _, p in seen] == ["on time"]
+    assert loop.now == 10.0
 
 
 def test_dispatched_counter():

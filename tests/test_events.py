@@ -124,10 +124,11 @@ def test_event_carries_epoch():
     assert ev.cancelled
 
 
-def test_push_returns_event():
+def test_schedule_returns_the_queued_event():
     q = EventQueue()
-    ev = Event(time=1.0, kind=EventKind.GENERIC)
-    assert q.push(ev) is ev
+    ev = q.schedule(1.0, EventKind.GENERIC, "p", epoch=2)
+    assert (ev.time, ev.kind, ev.payload, ev.epoch) == (1.0, EventKind.GENERIC, "p", 2)
+    assert q.pop() is ev
 
 
 def test_negative_times_allowed_and_ordered():

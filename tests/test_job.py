@@ -127,7 +127,6 @@ def test_suspend_remembers_processors():
     assert j.suspended_mask == 0b110000
     assert j.allocated_mask == 0
     assert j.suspension_count == 1
-    assert j.needs_specific_procs
 
 
 def test_resume_must_use_same_processors():
@@ -312,7 +311,7 @@ def test_mark_killed_resets_progress():
     assert j.remaining_useful == 100.0  # from scratch
     assert j.kill_count == 1
     assert j.wasted_time == pytest.approx(60.0)
-    assert not j.needs_specific_procs  # kills do not pin processors
+    assert j.suspended_mask == 0  # kills do not pin processors
 
 
 def test_mark_killed_requires_running():

@@ -38,11 +38,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.cluster.machine import Cluster
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import CategoryLimits, TunableSelectiveSuspensionScheduler
 from repro.schedulers.base import Scheduler
 from repro.schedulers.policy import PolicyKernel
 from repro.schedulers.registry import SCHEMES, known_schemes, scheduler_from_config
+from repro.sim.driver import SchedulingSimulation
+from repro.workload.job import fresh_copies
+from repro.workload.synthetic import generate_trace
 
 
 def _json(config: dict[str, object]) -> str:
@@ -235,6 +239,61 @@ def test_timer_knobs_must_be_positive_and_finite(
         scheduler_from_config({"scheme": scheme, key: value})
     assert repr(scheme) in str(info.value)
     assert repr(key) in str(info.value)
+
+
+#: (scheme, key, the edge values it accepts) for every knob that is not
+#: a timer: SF = inf never suspends, relaxation = inf never bounds the
+#: head's delay, and zero relaxation or kills are ordinary settings
+_BOUNDED_KNOBS = [
+    ("ss", "suspension_factor", {"inf"}),
+    ("tss", "suspension_factor", {"inf"}),
+    ("ss-easy", "suspension_factor", {"inf"}),
+    ("tss-conservative", "suspension_factor", {"inf"}),
+    ("relaxed", "relaxation", {"inf", "zero"}),
+    ("speculative", "speculation_window", set()),
+    ("speculative", "max_kills", {"zero"}),
+    ("gang", "quantum", set()),
+]
+_EDGE_VALUES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "zero": 0.0,
+    "negative": -2.0,
+}
+
+
+@pytest.mark.parametrize(("scheme", "key", "legal"), _BOUNDED_KNOBS)
+@pytest.mark.parametrize("edge", sorted(_EDGE_VALUES))
+def test_non_finite_knobs_are_refused_unless_documented(
+    scheme: str, key: str, legal: set[str], edge: str
+) -> None:
+    """NaN used to build and land in ``config()`` (and so in cache
+    fingerprints); each edge value is refused naming scheme and key,
+    except the documented legal ones, which build and round-trip."""
+    config = {"scheme": scheme, key: _EDGE_VALUES[edge]}
+    if edge in legal:
+        built = scheduler_from_config(config).config()
+        assert built[key] == config[key]
+        assert scheduler_from_config(built).config() == built
+        return
+    with pytest.raises(ValueError) as info:
+        scheduler_from_config(config)
+    assert repr(scheme) in str(info.value)
+    assert repr(key) in str(info.value)
+
+
+def test_infinite_sf_and_relaxation_run_as_documented() -> None:
+    jobs = generate_trace("SDSC", n_jobs=120, seed=3)
+    configs = [
+        {"scheme": "ss", "suspension_factor": float("inf")},
+        {"scheme": "relaxed", "relaxation": float("inf")},
+    ]
+    for config in configs:
+        sim = SchedulingSimulation(Cluster(128), scheduler_from_config(config))
+        result = sim.run(fresh_copies(jobs))
+        assert len(result.jobs) == len(jobs)
+        assert result.total_suspensions == 0
 
 
 _SWEEP_PARAMS = {

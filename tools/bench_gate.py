@@ -18,8 +18,9 @@ are compared exactly; no clock-measured value gates anything.
     count and the trace fingerprints.
 
 ``--check``
-    Run everything, write the report to ``--out`` (a CI artifact), and
-    fail on any of:
+    Run everything, write the report to ``--out`` (a CI artifact),
+    print each workload's call total next to the baseline's, and fail
+    on any of:
 
     * a Python major.minor version other than the baseline's (counts
       may differ between versions; on 3.10, whose code objects carry no
@@ -371,6 +372,19 @@ def count_changes(
     return rises, falls
 
 
+def calls_line(
+    name: str, counts: dict[str, int], base: dict[str, int] | None
+) -> str:
+    """One workload's call total, with the baseline's and the change
+    when *base* (its baseline counts) is given."""
+    total = sum(counts.values())
+    line = f"  calls {name}: {total:,} to {len(counts)} functions"
+    if base is not None:
+        was = sum(base.values())
+        line += f" (baseline {was:,}, {(total - was) / max(was, 1):+.1%})"
+    return line
+
+
 def _listed(title: str, lines: list[str]) -> list[str]:
     """*lines* under one problem heading, or nothing when empty."""
     if not lines:
@@ -463,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"bench_gate: wrote {args.out}")
     for name, counts in report["calls"].items():
-        print(f"  calls {name}: {sum(counts.values()):,} to {len(counts)} functions")
+        print(calls_line(name, counts, baseline.get("calls", {}).get(name)))
     ing = report["ingestion"]
     print(
         f"  ingestion RSS ({ing['log_jobs']:,} jobs): streaming "

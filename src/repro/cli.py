@@ -100,7 +100,7 @@ def _build_scheduler(args: argparse.Namespace) -> Scheduler:
     kind = args.scheduler.lower()
     scheme = SCHEDULER_ALIASES.get(kind, kind)
     if scheme not in SCHEMES:
-        raise SystemExit(f"unknown scheduler {args.scheduler!r}")
+        raise ValueError(f"unknown scheduler {args.scheduler!r}")
     config: dict[str, object] = {"scheme": scheme}
     if "suspension_factor" in inspect.signature(SCHEMES[scheme]).parameters:
         config["suspension_factor"] = args.sf
@@ -427,6 +427,13 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (("--width", args.width), ("--max-jobs", args.max_jobs)):
             if value < 1:
                 parser.error(f"{flag} must be at least 1, got {value}")
+    try:  # build what the command runs now, so a bad value is a usage error
+        if "sf" in args:
+            args.built_scheduler = _build_scheduler(args)
+        if "swf" in args:
+            args.workload = _load_jobs(args)
+    except (KeyError, OSError, ValueError) as exc:
+        parser.error(str(exc.args[0] if isinstance(exc, KeyError) else exc))
     try:
         return _dispatch(args)
     except BrokenPipeError:
@@ -443,9 +450,9 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "run":
-        jobs, n_procs = _load_jobs(args)
+        jobs, n_procs = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
-        result = simulate(jobs, _build_scheduler(args), n_procs, overhead)
+        result = simulate(jobs, args.built_scheduler, n_procs, overhead)
         print(
             experiment_report(
                 f"{args.trace}: {result.scheduler}", result, metric=args.metric
@@ -460,7 +467,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _dispatch_workload(args)
 
     if args.command == "compare":
-        jobs, n_procs = _load_jobs(args)
+        jobs, n_procs = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
         counters = GridCounters()
         results = compare_schemes(
@@ -489,7 +496,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "inspect":
         from repro.workload.stats import format_stats, workload_stats
 
-        jobs, n_procs = _load_jobs(args)
+        jobs, n_procs = args.workload
         print(format_stats(workload_stats(jobs), n_procs=n_procs))
         return 0
 
@@ -599,7 +606,7 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
         from repro.metrics.aggregate import overall_stats, per_category_stats
 
         n_procs = _machine_procs()
-        scheduler_config = _build_scheduler(args).config()
+        scheduler_config = args.built_scheduler.config()
         overhead = DiskSwapOverheadModel() if args.overhead else None
         counters = GridCounters()
         stream = open_workload(
@@ -655,10 +662,10 @@ def _dispatch_trace(args: argparse.Namespace) -> int:
     from repro.obs import JsonlRecorder, format_summary, read_trace, summarize_trace
 
     if args.trace_cmd == "record":
-        jobs, n_procs = _load_jobs(args)
+        jobs, n_procs = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
         with JsonlRecorder(args.out) as rec:
-            simulate(jobs, _build_scheduler(args), n_procs, overhead, recorder=rec)
+            simulate(jobs, args.built_scheduler, n_procs, overhead, recorder=rec)
         # Print the *replayed* summary of the file just written: this is
         # the same block `trace summarize` prints, so the record/summarize
         # round-trip check is literal output equality.

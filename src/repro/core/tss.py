@@ -26,6 +26,7 @@ on every reported metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Mapping
 
 from repro.core.priorities import PreemptionCriteria
@@ -50,8 +51,8 @@ class CategoryLimits:
     ----------
     table:
         category -> limit on the job xfactor; above it, no preemption.
-        Missing categories mean "never protected" unless online mode
-        supplies a value.
+        Each limit must be > 0; ``inf``, like a missing category, means
+        "never protected" unless online mode supplies a value.
     online:
         If true, the table is updated as jobs finish: the limit becomes
         ``margin x`` the category's running average bounded slowdown.
@@ -59,7 +60,10 @@ class CategoryLimits:
         :meth:`to_config` cannot carry it) and :meth:`reset` empties it
         again at every run start.
     margin:
-        The paper's 1.5 multiplier.
+        The paper's 1.5 multiplier; must satisfy ``0 < margin < inf``.
+
+    NaN is refused everywhere: it would land in :meth:`to_config`, and
+    so in cache fingerprints.
     """
 
     table: dict[SixteenWayCategory, float] = field(default_factory=dict)
@@ -78,6 +82,13 @@ class CategoryLimits:
         # canonical types, so ``to_config()`` emits 2.0 for a margin of 2
         self.margin = float(self.margin)
         self.table = {cat: float(limit) for cat, limit in sorted(self.table.items())}
+        if not 0 < self.margin < inf:
+            raise ValueError(f"margin must satisfy 0 < margin < inf, got {self.margin}")
+        for cat in self.table:  # sorted just above
+            if not self.table[cat] > 0:
+                raise ValueError(
+                    f"limit for {'|'.join(cat)} must be > 0 (inf allowed), got {self.table[cat]}"
+                )
 
     def limit_for(self, job: Job) -> float:
         """The xfactor ceiling protecting *job* from preemption."""

@@ -119,10 +119,11 @@ class ResultCache:
     at worst duplicate work, never corrupt entries.
 
     Unreadable entries are **quarantined**, not deleted: a garbage
-    pickle is renamed to ``<fp>.pkl.corrupt`` so the next :meth:`put`
-    repairs the slot while the evidence survives for diagnosis (a
-    corrupt entry usually means a torn disk write or an unsanctioned
-    mutation of the cache directory -- worth keeping).
+    pickle is renamed to ``<fp>.pkl.corrupt`` (``.corrupt.1``, ... once
+    that name is taken) so the next :meth:`put` repairs the slot while
+    the evidence survives for diagnosis (a corrupt entry usually means a
+    torn disk write or an unsanctioned mutation of the cache directory
+    -- worth keeping).
 
     Counters (``hits`` / ``misses`` / ``stores`` / ``corrupt``) are
     per-instance diagnostics; tests use them to assert that a warm
@@ -172,16 +173,24 @@ class ResultCache:
         return result
 
     def _quarantine(self, path: Path) -> None:
-        """Move an unreadable entry aside as ``<name>.pkl.corrupt``.
+        """Move an unreadable entry to the first free name among
+        ``<name>.corrupt``, ``<name>.corrupt.1``, ...
 
         The rename frees the slot (``put`` then writes a fresh entry at
         the canonical path) while preserving the poisoned bytes next to
-        it; ``__len__``/``clear`` ignore ``*.corrupt`` files.  This is
-        the one sanctioned mutation on the cache *read* path -- see
-        repro-lint rule RPR005.
+        it, and never replaces an earlier quarantine's;
+        ``__len__``/``clear`` ignore these files.  This is the one
+        mutation on the cache *read* path:
+        ``tests/test_parallel.py::test_cache_reads_only_quarantine``
+        snapshots the store around every ``get``, ``in`` and ``len``.
         """
+        target = path.with_name(path.name + ".corrupt")
+        n = 0
+        while target.exists():
+            n += 1
+            target = path.with_name(f"{path.name}.corrupt.{n}")
         try:
-            path.rename(path.with_name(path.name + ".corrupt"))
+            path.rename(target)
         except OSError:  # raced away, or the path is not renameable
             return
         self.corrupt += 1

@@ -6,13 +6,12 @@ decision records -- are *structural* properties of the code, and the
 hash-order bug fixed in ``SelectiveSuspensionScheduler._try_resume``
 (PR 2) showed how silently they rot: one unsorted iteration over a
 set-derived collection inside a decision path and every cross-process
-reproduction claim is void.  This package enforces those invariants
-statically, before a simulation ever runs.
+reproduction claim is void.  This package enforces the invariants no
+runtime test can see, statically, before a simulation ever runs.
 
-Every rule but one reads a single file; RPR004 reads the agreements
-between files.  A cold run of the whole tree takes a few seconds, so
-the linter runs serially with no cache and needs nothing but the
-standard library.
+Every rule reads a single file.  A cold run of the whole tree takes a
+few seconds, so the linter runs serially with no cache and needs
+nothing but the standard library.
 
 Rule catalogue (see ``docs/STATIC_ANALYSIS.md`` for the full reference):
 
@@ -20,14 +19,16 @@ Rule catalogue (see ``docs/STATIC_ANALYSIS.md`` for the full reference):
 RPR001   unordered iteration inside scheduling-decision code paths
 RPR002   wall-clock / unseeded-randomness nondeterminism sources
 RPR003   exact float equality between simulation-time expressions
-RPR004   protocol conformance (Scheduler / Tracer / recorder lockstep)
-RPR005   trace & cache purity (JSON-stable configs, picklable cells)
-RPR006   mutable defaults and shared class-level mutable state
 RPR008   broad except handler swallows faults untraced (same-file helpers
          followed)
 RPR000   framework diagnostics (parse errors, malformed suppressions,
          stale suppressions on full-rule-set runs)
 =======  ==============================================================
+
+The scheme, policy, trace-vocabulary, recorder, config-purity, pool and
+cache-read-path contracts are runtime tests on the real objects (see
+the catalogue's "What this record decided"), and ruff's ``B006`` and
+``RUF012`` cover mutable defaults and class-level mutable state.
 
 Architecture
 ------------
@@ -35,30 +36,23 @@ Architecture
 * :mod:`repro.lint.checker` -- the :class:`~repro.lint.checker.Checker`
   AST-visitor base and per-file :class:`~repro.lint.checker.FileContext`
   (parent links, scope qualnames, lightweight set-type inference).
-* :mod:`repro.lint.rules` -- the per-file checkers RPR001-003/005/006/008
-  and the same-file call resolver RPR005 and RPR008 share.
-* :mod:`repro.lint.project` -- RPR004, the cross-file conformance pass
-  (event vocabulary vs. Tracer emission vs. replay coverage; scheduler
-  ``scheme_id``/``config()``/``describe()`` contract).
+* :mod:`repro.lint.rules` -- the checkers RPR001-003/008 and the
+  same-file call resolver RPR008 follows handlers with.
 * :mod:`repro.lint.suppress` -- ``# repro-lint: disable=RPRxxx -- why``
-  directives; a justification is *mandatory* (a bare disable is itself
-  reported as RPR000), and every full-rule-set run reports the
-  directives that no longer suppress anything.
-* :mod:`repro.lint.baseline` -- the checked-in accepted-findings file
-  (``tools/lint_baseline.json``) keyed by content fingerprints that
-  survive line drift, each entry carrying its justification.
+  directives, the only way to accept a finding; a justification is
+  *mandatory* (a bare disable is itself reported as RPR000), and every
+  full-rule-set run reports the directives that no longer suppress
+  anything.
 * :mod:`repro.lint.engine` -- discovery, serial per-file analysis, the
-  cross-file pass, the stale-suppression audit, baseline application,
-  human output.
+  stale-suppression audit, human output.
 * :mod:`repro.lint.sarif` -- SARIF 2.1.0 rendering for code-scanning
-  upload (baselined findings carry ``suppressions`` entries).
+  upload.
 * :mod:`repro.lint.cli` -- the ``repro-sched lint`` front end (also
   reachable as ``tools/run_lint.py``).
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.checker import Checker, FileContext
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.findings import Finding
@@ -67,7 +61,6 @@ from repro.lint.sarif import render_sarif
 from repro.lint.suppress import Suppressions
 
 __all__ = [
-    "Baseline",
     "Checker",
     "FileContext",
     "Finding",

@@ -203,9 +203,9 @@ class Checker(ast.NodeVisitor):
     Subclasses set :attr:`rule` / :attr:`title`, optionally restrict
     themselves with :attr:`decision_paths_only`, and call
     :meth:`flag` from their ``visit_*`` methods.  Findings are plain
-    data (:class:`repro.lint.findings.Finding`); suppression and
-    baseline application happen later in the engine, so checkers never
-    need to know about either.
+    data (:class:`repro.lint.findings.Finding`); suppressions are
+    applied later in the engine, so checkers never need to know about
+    them.
     """
 
     rule: ClassVar[str] = "RPR999"

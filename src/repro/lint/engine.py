@@ -1,13 +1,11 @@
-"""Lint orchestration: discovery, per-file analysis, the cross-file pass.
+"""Lint orchestration: discovery, per-file analysis, the suppression audit.
 
 Files are analysed one after another in discovery order (a cold run of
 the whole tree takes a few seconds, so there is nothing for a worker
-pool or a result cache to win back).  Each file's parsed context is
-kept for the one cross-file pass, RPR004, which then runs over the
-whole set.  On a full-rule-set run the stale-suppression audit follows:
-every ``# repro-lint: disable`` directive that suppressed nothing in
-either phase becomes an RPR000 finding.  The baseline folds in last,
-and findings come back sorted by location.
+pool or a result cache to win back).  On a full-rule-set run the
+stale-suppression audit follows: every ``# repro-lint: disable``
+directive that suppressed nothing becomes an RPR000 finding.  Findings
+come back sorted by location.
 """
 
 from __future__ import annotations
@@ -17,11 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.checker import FileContext
 from repro.lint.findings import FRAMEWORK_RULE, Finding, assign_occurrences
-from repro.lint.project import RULE as PROJECT_RULE
-from repro.lint.project import run_project_checks
 from repro.lint.rules import PER_FILE_CHECKERS
 from repro.lint.suppress import Suppressions, parse_suppressions
 
@@ -42,8 +37,6 @@ class FileResult:
     #: suppression-system RPR000s (malformed / unjustified directives)
     errors: list[Finding] = field(default_factory=list)
     used_lines: set[int] = field(default_factory=set)
-    #: the parsed file, for the cross-file pass (None on a syntax error)
-    context: FileContext | None = None
 
 
 @dataclass
@@ -51,9 +44,7 @@ class LintReport:
     """The merged outcome :func:`lint_paths` returns."""
 
     active: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
     files: int = 0
 
     @property
@@ -64,8 +55,7 @@ class LintReport:
 def rule_catalogue() -> list[tuple[str, str]]:
     """(rule id, one-line title) pairs, in rule-id order."""
     rows = [(c.rule, c.title) for c in PER_FILE_CHECKERS]
-    rows.append((PROJECT_RULE, "cross-file protocol conformance"))
-    rows.append((FRAMEWORK_RULE, "framework diagnostics (parse/suppression/baseline)"))
+    rows.append((FRAMEWORK_RULE, "framework diagnostics (parse/suppression)"))
     return sorted(rows)
 
 
@@ -75,8 +65,8 @@ def _package_relpath(path: Path) -> str:
     Walks up while the parent directory is itself a package (has an
     ``__init__.py``), so ``src/repro/core/tss.py`` becomes
     ``core/tss.py`` -- the relpath a ``src/repro`` run gives the same
-    file, which path-scoped rules and baseline fingerprints key on.  A
-    file outside any package is its own root.
+    file, which path-scoped rules and fingerprints key on.  A file
+    outside any package is its own root.
     """
     root = path.parent
     while (root / "__init__.py").exists() and (root.parent / "__init__.py").exists():
@@ -87,7 +77,7 @@ def _package_relpath(path: Path) -> str:
 def discover_files(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
     """(absolute path, root-relative posix path) for every ``.py`` file.
 
-    A directory argument is a *root*: relpaths (and therefore baseline
+    A directory argument is a *root*: relpaths (and therefore
     fingerprints) are relative to it.  A file argument is placed by
     :func:`_package_relpath`.
     """
@@ -143,27 +133,20 @@ def analyze_source(
         return result
 
     ctx = FileContext(relpath, source, tree)
-    result.context = ctx
     raw: list[Finding] = []
     for checker_cls in PER_FILE_CHECKERS:
         if _select(select, checker_cls.rule) and checker_cls.applies_to(relpath):
             raw.extend(checker_cls(ctx).run())
     for f in sorted(raw, key=Finding.sort_key):
-        if not _suppress(result, f):
+        directive = suppressions.covering(f.rule, f.line)
+        if directive is None:
             result.findings.append(f)
+        else:
+            result.suppressed += 1
+            result.used_lines.add(directive.line)
     if _select(select, FRAMEWORK_RULE):
         result.errors = list(suppressions.errors)
     return result
-
-
-def _suppress(result: FileResult, finding: Finding) -> bool:
-    """Count *finding* as suppressed if a directive in its file covers it."""
-    directive = result.suppressions.covering(finding.rule, finding.line)
-    if directive is None:
-        return False
-    result.suppressed += 1
-    result.used_lines.add(directive.line)
-    return True
 
 
 def _unused_directives(result: FileResult) -> Iterator[Finding]:
@@ -186,71 +169,39 @@ def _unused_directives(result: FileResult) -> Iterator[Finding]:
 
 
 def lint_paths(
-    paths: Sequence[str | Path],
-    *,
-    baseline: Baseline | None = None,
-    select: Iterable[str] | None = None,
+    paths: Sequence[str | Path], *, select: Iterable[str] | None = None
 ) -> LintReport:
-    """Lint *paths* and return the merged, baseline-filtered report.
+    """Lint *paths* and return the merged report.
 
     ``select`` restricts to a rule subset (tests use this to exercise
     one rule at a time).  A full-rule-set run also audits suppressions: a
     directive that suppressed nothing is an RPR000 finding.  Under
     ``select`` the audit is skipped, since an unselected rule cannot
-    defend its directives.  Baseline entries are only judged stale for
-    the rules and files this run covered.
+    defend its directives.
     """
     selected = frozenset(select) if select is not None else None
-    files = discover_files(paths)
     results = [
         analyze_source(relpath, abspath.read_text(encoding="utf-8"), selected)
-        for abspath, relpath in files
+        for abspath, relpath in discover_files(paths)
     ]
-    report = LintReport(files=len(results))
     merged: list[Finding] = []
     for res in results:
         merged.extend(res.findings)
         merged.extend(res.errors)
-
-    if _select(selected, PROJECT_RULE):
-        by_path = {res.relpath: res for res in results}
-        contexts = {
-            res.relpath: res.context for res in results if res.context is not None
-        }
-        for f in run_project_checks(contexts):
-            if not _suppress(by_path[f.path], f):
-                merged.append(f)
-
-    if selected is None:
-        for res in results:
+        if selected is None:
             merged.extend(_unused_directives(res))
-    report.suppressed = sum(res.suppressed for res in results)
-    merged = assign_occurrences(sorted(merged, key=Finding.sort_key))
-
-    if baseline is not None:
-        merged.extend(baseline.unjustified())
-        active, baselined, stale = baseline.split(
-            merged, rules=selected, paths={relpath for _, relpath in files}
-        )
-        report.active = sorted(active, key=Finding.sort_key)
-        report.baselined = baselined
-        report.stale_baseline = stale
-    else:
-        report.active = merged
-    return report
+    return LintReport(
+        active=assign_occurrences(sorted(merged, key=Finding.sort_key)),
+        suppressed=sum(res.suppressed for res in results),
+        files=len(results),
+    )
 
 
-def render_human(report: LintReport, *, verbose: bool = False) -> str:
+def render_human(report: LintReport) -> str:
     """The terminal report."""
     lines = [f.render() for f in report.active]
-    if verbose and report.baselined:
-        lines.append("")
-        lines.append("baselined (accepted) findings:")
-        lines.extend(f"  {f.render()}" for f in report.baselined)
-    for fp in report.stale_baseline:
-        lines.append(f"note: stale baseline entry {fp} (code changed or removed)")
     lines.append(
         f"{len(report.active)} finding(s) in {report.files} file(s) "
-        f"({report.suppressed} suppressed, {len(report.baselined)} baselined)"
+        f"({report.suppressed} suppressed)"
     )
     return "\n".join(lines)

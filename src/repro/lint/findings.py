@@ -1,12 +1,12 @@
 """Finding records, fingerprints and output formatting.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`~Finding.fingerprint` deliberately excludes the line *number*:
-baselined findings must survive unrelated edits above them, so the
-identity is ``rule | path | enclosing scope | normalised source line``
-plus an occurrence index for repeats of the same line text within the
-same scope.  That is the same trade-off ruff's and mypy's baselines
-make: a finding "moves" only when the offending line itself (or its
+:meth:`~Finding.fingerprint` (the SARIF ``partialFingerprints`` entry
+code scanning tracks findings by) deliberately excludes the line
+*number*, so a finding survives unrelated edits above it: the identity
+is ``rule | path | enclosing scope | normalised source line`` plus an
+occurrence index for repeats of the same line text within the same
+scope.  A finding "moves" only when the offending line itself (or its
 scope) changes, at which point re-review is exactly what we want.
 """
 
@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-#: Framework-diagnostic pseudo-rule (parse failures, malformed
-#: suppression directives, unjustified baseline entries).
+#: Framework-diagnostic pseudo-rule (parse failures, malformed or
+#: unjustified suppression directives, stale directives).
 FRAMEWORK_RULE = "RPR000"
 
 
@@ -96,25 +96,12 @@ def assign_occurrences(findings: Iterable[Finding]) -> list[Finding]:
     return out
 
 
-def render_json(
-    findings: list[Finding],
-    *,
-    suppressed: int,
-    baselined: int,
-    files: int,
-    stale_baseline: list[str],
-) -> str:
+def render_json(findings: list[Finding], *, suppressed: int, files: int) -> str:
     """The machine-readable report (one JSON document)."""
     return json.dumps(
         {
             "findings": [f.as_dict() for f in findings],
-            "counts": {
-                "active": len(findings),
-                "suppressed": suppressed,
-                "baselined": baselined,
-                "files": files,
-            },
-            "stale_baseline": stale_baseline,
+            "counts": {"active": len(findings), "suppressed": suppressed, "files": files},
         },
         indent=2,
         sort_keys=True,

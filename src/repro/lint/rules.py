@@ -1,14 +1,12 @@
-"""Per-file checkers RPR001-RPR003, RPR005, RPR006, RPR008.
+"""Per-file checkers RPR001-RPR003 and RPR008.
 
 Each rule targets one bug *class* this repository has either shipped or
 structurally cannot afford (see ``docs/STATIC_ANALYSIS.md`` for the
-catalogue with worked examples; RPR004, the cross-file conformance
-pass, lives in :mod:`repro.lint.project`).  Two rules look past one
-function body: RPR005 follows a cache read method into the helpers it
-calls, and RPR008 follows a broad handler into the helpers *it* calls.
-Both use the same resolver, :func:`_same_file_closure`, which stays
-inside the file on purpose -- what a helper imported from elsewhere
-does is not visible here, so it never vouches for anything.
+catalogue with worked examples).  RPR008 looks past one function body:
+it follows a broad handler into the helpers it calls, through
+:func:`_same_file_closure`, which stays inside the file on purpose --
+what a helper imported from elsewhere does is not visible here, so it
+never vouches for anything.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ _Root = TypeVar("_Root", bound=ast.AST)
 
 
 # ----------------------------------------------------------------------
-# the shared same-file call resolver (RPR005 read paths, RPR008 sanctions)
+# the same-file call resolver (RPR008 sanctions)
 # ----------------------------------------------------------------------
 
 
@@ -503,290 +501,6 @@ class FloatTimeEqualityChecker(Checker):
 
 
 # ----------------------------------------------------------------------
-# RPR005 -- trace/cache purity
-# ----------------------------------------------------------------------
-
-_JSON_SAFE_CALLS = frozenset(
-    {"int", "float", "str", "bool", "list", "dict", "sorted", "tuple", "len", "round",
-     "min", "max", "abs"}
-)
-
-
-class CachePurityChecker(Checker):
-    """RPR005: cached/parallel cells must be JSON-stable and picklable.
-
-    Three concrete shapes:
-
-    * a ``config()`` override returning values the cache fingerprint
-      cannot stably serialise (lambdas, sets -- iteration order leaks
-      into the JSON -- or reaches into ``self.driver`` process state);
-      the returned dict literal must also carry the ``"scheme"`` key
-      the registry rebuilds from;
-    * submitting a ``lambda`` or nested function to a process pool
-      (unpicklable, and closing over process-local state even when a
-      fork makes it *appear* to work);
-    * a cache **read** path (``get`` / ``__contains__`` / ``__len__`` of
-      a ``*Cache`` class, including the ``self._helper()`` methods they
-      call) mutating the filesystem -- a lookup that deletes or rewrites
-      entries turns concurrent readers into writers and destroys the
-      evidence of corruption.  The one sanctioned mutation is the
-      quarantine rename: ``rename``/``replace`` whose call carries a
-      ``".corrupt"`` string constant moves an unreadable entry aside
-      instead of destroying it.
-    """
-
-    rule: ClassVar[str] = "RPR005"
-    title: ClassVar[str] = "trace/cache purity violation"
-
-    #: cache methods that must behave as reads
-    _READ_METHODS: ClassVar[frozenset[str]] = frozenset(
-        {"get", "__contains__", "__len__"}
-    )
-    #: attribute calls that mutate the filesystem (Path / os / shutil)
-    _FS_MUTATORS: ClassVar[frozenset[str]] = frozenset(
-        {"unlink", "remove", "rmtree", "rename", "replace", "rmdir",
-         "write_bytes", "write_text", "touch"}
-    )
-    #: mutators the quarantine sanction can bless
-    _QUARANTINE_OK: ClassVar[frozenset[str]] = frozenset({"rename", "replace"})
-
-    # -- cache read-path mutations ---------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if node.name.endswith("Cache"):
-            self._check_cache_read_paths(node)
-        self.generic_visit(node)
-
-    def _check_cache_read_paths(self, cls: ast.ClassDef) -> None:
-        methods = _defs_in(cls.body)
-        roots = [methods[name] for name in sorted(self._READ_METHODS) if name in methods]
-        # read-path helpers (self._helper()) are part of the read path;
-        # module-level functions are not followed
-        for method in _same_file_closure(roots, methods, {}):
-            for sub in ast.walk(method):
-                if not isinstance(sub, ast.Call):
-                    continue
-                fn = sub.func
-                if not isinstance(fn, ast.Attribute):
-                    continue
-                if _same_file_callee(sub, methods, {}) is not None:
-                    continue  # a helper: scanned in its own right
-                if fn.attr in self._FS_MUTATORS:
-                    if fn.attr in self._QUARANTINE_OK and _names_corrupt(sub):
-                        continue
-                    self.flag(
-                        sub,
-                        f".{fn.attr}() on the cache read path (via "
-                        f"{cls.name}.{method.name}); reads must not mutate the store "
-                        '-- quarantine unreadable entries (rename to ".corrupt") '
-                        "instead of deleting or rewriting them",
-                    )
-
-    # -- config() returns ------------------------------------------------
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if node.name == "config" and self._in_scheduler_class(node):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Return) and sub.value is not None:
-                    self._check_config_return(sub.value)
-        self.generic_visit(node)
-
-    def _in_scheduler_class(self, node: ast.FunctionDef) -> bool:
-        for parent in self.ctx.parent_chain(node):
-            if isinstance(parent, ast.ClassDef):
-                if parent.name.endswith("Scheduler"):
-                    return True
-                return any(
-                    isinstance(stmt, ast.Assign)
-                    and any(
-                        isinstance(t, ast.Name) and t.id == "scheme_id"
-                        for t in stmt.targets
-                    )
-                    for stmt in parent.body
-                )
-        return False
-
-    def _check_config_return(self, value: ast.expr) -> None:
-        if isinstance(value, ast.Dict):
-            keys = [
-                k.value
-                for k in value.keys
-                if isinstance(k, ast.Constant) and isinstance(k.value, str)
-            ]
-            has_splat = any(k is None for k in value.keys)
-            if "scheme" not in keys and not has_splat:
-                self.flag(
-                    value,
-                    'config() dict lacks the "scheme" key the registry and '
-                    "cache fingerprint key on",
-                )
-            for v in value.values:
-                self._check_config_value(v)
-        else:
-            for sub in ast.walk(value):
-                if isinstance(sub, ast.expr):
-                    self._check_config_value(sub, nested=True)
-
-    def _check_config_value(self, v: ast.expr, nested: bool = False) -> None:
-        targets = ast.walk(v) if not nested else [v]
-        for sub in targets:
-            if isinstance(sub, ast.Lambda):
-                self.flag(sub, "config() value contains a lambda (not JSON-stable)")
-            elif isinstance(sub, (ast.Set, ast.SetComp)):
-                self.flag(
-                    sub,
-                    "config() value contains a set (hash order leaks into the "
-                    "cache fingerprint); use sorted(...)",
-                )
-            elif isinstance(sub, ast.Call):
-                fn = sub.func
-                if isinstance(fn, ast.Name) and fn.id in ("set", "frozenset"):
-                    self.flag(
-                        sub,
-                        "config() value builds a set (not JSON-stable); use "
-                        "sorted(...)",
-                    )
-            elif isinstance(sub, ast.Attribute):
-                chain = _attr_chain(sub)
-                if "driver" in chain[1:]:
-                    self.flag(
-                        sub,
-                        "config() reads self.driver.* -- process-local "
-                        "simulation state must not reach the cache fingerprint",
-                    )
-
-    # -- pool submissions -------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        fn = node.func
-        if isinstance(fn, ast.Attribute) and fn.attr in (
-            "submit",
-            "apply_async",
-            "map",
-            "map_async",
-            "imap",
-            "imap_unordered",
-        ):
-            if node.args:
-                task = node.args[0]
-                if isinstance(task, ast.Lambda):
-                    self.flag(
-                        task,
-                        f"lambda passed to .{fn.attr}() -- unpicklable and "
-                        "closes over process-local state",
-                    )
-                elif isinstance(task, ast.Name) and self._is_nested_function(
-                    task.id, node
-                ):
-                    self.flag(
-                        task,
-                        f"nested function {task.id!r} passed to .{fn.attr}() "
-                        "-- worker processes cannot unpickle it; hoist it to "
-                        "module level",
-                    )
-        self.generic_visit(node)
-
-    def _is_nested_function(self, name: str, site: ast.AST) -> bool:
-        enclosing = [
-            p
-            for p in self.ctx.parent_chain(site)
-            if isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in enclosing:
-            for stmt in ast.walk(func):
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt is not func
-                    and stmt.name == name
-                ):
-                    return True
-        return False
-
-
-# ----------------------------------------------------------------------
-# RPR006 -- mutable defaults / shared class-level state
-# ----------------------------------------------------------------------
-
-_MUTABLE_CALLS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
-)
-
-
-def _is_mutable_literal(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        fn = node.func
-        name = fn.id if isinstance(fn, ast.Name) else (
-            fn.attr if isinstance(fn, ast.Attribute) else None
-        )
-        return name in _MUTABLE_CALLS
-    return False
-
-
-class MutableSharedStateChecker(Checker):
-    """RPR006: mutable defaults and class-level mutable containers.
-
-    A mutable default argument is shared across *calls*; a class-level
-    mutable attribute is shared across *instances* -- for schedulers,
-    that is state bleeding between grid cells (the exact hazard the
-    registry's rebuild-per-worker contract exists to prevent).
-    Dataclass ``field(default_factory=...)`` and ``__slots__`` are, of
-    course, fine.
-    """
-
-    rule: ClassVar[str] = "RPR006"
-    title: ClassVar[str] = "mutable default / shared class-level state"
-
-    def _check_defaults(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        args = node.args
-        for default in (
-            *args.defaults,
-            *(d for d in args.kw_defaults if d is not None),
-        ):
-            if _is_mutable_literal(default):
-                self.flag(
-                    default,
-                    f"mutable default argument in {node.name}() is shared "
-                    "across calls; default to None and create inside",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        for stmt in node.body:
-            value: ast.expr | None = None
-            name: str | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                if isinstance(stmt.targets[0], ast.Name):
-                    name = stmt.targets[0].id
-                    value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                name = stmt.target.id
-                value = stmt.value
-            if name is None or value is None or name == "__slots__":
-                continue
-            if isinstance(value, ast.Call):
-                fn = value.func
-                fn_name = fn.id if isinstance(fn, ast.Name) else (
-                    fn.attr if isinstance(fn, ast.Attribute) else None
-                )
-                if fn_name == "field":
-                    continue  # dataclass field(default_factory=...) is the fix
-            if _is_mutable_literal(value):
-                self.flag(
-                    value,
-                    f"class-level mutable attribute {name!r} is shared across "
-                    "all instances; initialise it in __init__ (or use a "
-                    "dataclass default_factory)",
-                )
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------------------
 # RPR008 -- broad handlers that swallow faults untraced
 # ----------------------------------------------------------------------
 
@@ -878,12 +592,10 @@ class BroadExceptChecker(Checker):
         )
 
 
-#: the per-file rule set, in rule-id order (RPR004 is project-level)
+#: the rule set, in rule-id order
 PER_FILE_CHECKERS: tuple[type[Checker], ...] = (
     UnorderedIterationChecker,
     NondeterminismSourceChecker,
     FloatTimeEqualityChecker,
-    CachePurityChecker,
-    MutableSharedStateChecker,
     BroadExceptChecker,
 )

@@ -1,12 +1,10 @@
 """SARIF 2.1.0 output for repro-lint (``--format sarif``).
 
 One ``run`` with the full rule catalogue in ``tool.driver.rules``;
-active findings become ``level: error`` results, baselined findings are
-included with an ``external`` suppression so code-scanning UIs show
-them as reviewed rather than losing them.  Each result carries the
-finding's content fingerprint under ``partialFingerprints`` --
-the same line-drift-tolerant identity the baseline uses -- so upload
-consumers track findings across commits exactly as the baseline does.
+active findings become ``level: error`` results.  Each result carries
+the finding's line-drift-tolerant content fingerprint under
+``partialFingerprints``, so upload consumers track findings across
+commits.
 
 Output is rendered with sorted keys and no timestamps or absolute
 paths, so SARIF reports are byte-identical across hash seeds and
@@ -31,9 +29,9 @@ SARIF_SCHEMA = (
 )
 
 
-def _result(f: Finding, uri_base: str, *, suppressed: bool) -> dict[str, Any]:
+def _result(f: Finding, uri_base: str) -> dict[str, Any]:
     uri = posixpath.join(uri_base, f.path) if uri_base else f.path
-    out: dict[str, Any] = {
+    return {
         "ruleId": f.rule,
         "level": "error",
         "message": {"text": f.message},
@@ -50,9 +48,6 @@ def _result(f: Finding, uri_base: str, *, suppressed: bool) -> dict[str, Any]:
         ],
         "partialFingerprints": {"reproLint/v1": f.fingerprint()},
     }
-    if suppressed:
-        out["suppressions"] = [{"kind": "external"}]
-    return out
 
 
 def render_sarif(report: "LintReport", *, uri_base: str = "") -> str:
@@ -68,10 +63,7 @@ def render_sarif(report: "LintReport", *, uri_base: str = "") -> str:
         }
         for rule, title in rule_catalogue()
     ]
-    results = [_result(f, uri_base, suppressed=False) for f in report.active]
-    results.extend(
-        _result(f, uri_base, suppressed=True) for f in report.baselined
-    )
+    results = [_result(f, uri_base) for f in report.active]
     doc = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

@@ -53,16 +53,11 @@ class Suppressions:
         self.errors = errors
         self.directives = directives
 
-    def covers(self, rule: str, line: int) -> bool:
-        """Whether a (justified) directive suppresses *rule* on *line*."""
-        return self.covering(rule, line) is not None
-
     def covering(self, rule: str, line: int) -> Directive | None:
-        """The directive suppressing *rule* on *line*, if any.
+        """The (justified) directive suppressing *rule* on *line*, if any.
 
-        Callers that need to *account* for a suppression (the stale-
-        directive audit marks directives used when they fire) take the
-        directive itself; plain yes/no callers use :meth:`covers`.
+        The engine marks the directive it returns as used, which is
+        what the stale-directive audit reads.
         """
         for d in self._by_line.get(line, ()):
             if "all" in d.rules or rule in d.rules:

@@ -134,7 +134,8 @@ class Policy(ABC):
 
         Every behavioural constructor knob must surface here (or be
         fully determined by the composition's ``scheme_id``) so cache
-        fingerprints compose correctly -- enforced by RPR004.
+        fingerprints compose correctly -- a knob missing here fails
+        ``tests/test_policy_kernel.py::test_parameterised_config_round_trips``.
         """
         return {}
 
@@ -476,10 +477,6 @@ class HeadReservation(ReservationPolicy):
         self.claim_head = claim_head
         self.announce = announce
 
-    def config_fragment(self) -> dict[str, object]:
-        # scheme-id-determined knobs: nothing to serialise (see class doc)
-        return {}
-
     def _anchor_head(self, head: Job) -> HeadPlan:
         """Plan *head*'s earliest start against the running jobs and
         announce it (when :attr:`announce`); nothing claimed yet."""
@@ -582,6 +579,7 @@ class PerJobReservations(ReservationPolicy):
                 profile.claim(anchor, duration, queued.procs)
                 # compression moved the guarantee: record the new anchor
                 # (unchanged reservations are not re-emitted)
+                # repro-lint: disable=RPR003 -- trace-only dedup of a bitwise-unchanged anchor; an ulp difference re-emits one trace line and steers no decision
                 if tracer is not None and old_anchors.get(queued.job_id) != anchor:
                     tracer.decision(
                         driver.now,

@@ -24,8 +24,9 @@ def scale_load(jobs: list[Job], load_factor: float) -> list[Job]:
         The base trace.  The originals are not modified, so they stay
         reusable.
     load_factor:
-        > 0.  Values above 1 increase load; 1.0 returns an unscaled copy;
-        values below 1 thin the load (useful for sanity sweeps).
+        Finite and > 0 (NaN and inf raise ``ValueError``).  Values above
+        1 increase load; 1.0 returns an unscaled copy; values below 1
+        thin the load (useful for sanity sweeps).
 
     Notes
     -----

@@ -34,6 +34,7 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from collections.abc import Collection
+from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -70,7 +71,7 @@ class PipelineStage(ABC):
 
 
 class LoadScaleStage(PipelineStage):
-    """Divide every submit time by ``load_factor`` (must be > 0).
+    """Divide every submit time by ``load_factor`` (``0 < x < inf``).
 
     The paper's section VI load-variation methodology: run times,
     estimates, widths and memory are untouched.
@@ -78,8 +79,8 @@ class LoadScaleStage(PipelineStage):
     """
 
     def __init__(self, load_factor: float) -> None:
-        if load_factor <= 0:
-            raise ValueError(f"load factor must be positive, got {load_factor}")
+        if not 0 < load_factor < inf:
+            raise ValueError(f"load factor must be positive and finite, got {load_factor}")
         self.load_factor = float(load_factor)
 
     def apply(self, jobs: Iterator[Job]) -> Iterator[Job]:

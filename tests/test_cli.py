@@ -69,6 +69,19 @@ def test_invalid_grid_options_are_usage_errors(option, value, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [("--sf", "nan", "suspension_factor"), ("--sf", "0.5", "suspension_factor"),
+     ("--jobs", "0", "n_jobs"), ("--jobs", "-5", "n_jobs"), ("--load", "0", "load factor"),
+     ("--load", "nan", "load factor"), ("--trace", "FOO", "'FOO'")],
+)
+def test_invalid_run_options_are_usage_errors(option, value, named, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--jobs", "20", option, value])
+    assert excinfo.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_compare_command(capsys):
     rc = main(["compare", "--trace", "SDSC", "--jobs", "100"])
     assert rc == 0

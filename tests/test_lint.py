@@ -1,40 +1,57 @@
-"""repro-lint: per-rule fixtures, suppression/baseline mechanics, CLI.
+"""repro-lint: per-rule fixtures, suppression mechanics, CLI.
 
 Each RPR rule gets at least one *positive* fixture (the bug shape it
 exists for -- RPR001's is the PR-2 ``_try_resume`` hash-order bug) and
 one *negative* (the sanctioned pattern that must stay quiet).  Fixture
 trees are written to ``tmp_path`` and linted through the real engine.
-The meta-tests at the bottom pin the deliverable: the live
-``src/repro`` tree is clean under the shipped baseline, a single file
-gets the verdict the tree run gives it, and output does not depend on
-``PYTHONHASHSEED``.
+The deleted checks RPR004-RPR006 keep their fixture shapes here, each
+built as a live object and shown to fail the runtime test that replaced
+the check.  The meta-tests at the bottom pin the deliverable: the live
+``src/repro`` tree is clean, a single file gets the verdict the tree
+run gives it, and output does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import collections
+import importlib
+import inspect
 import json
 import os
-import shutil
+import pickle
+import pkgutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, lint_paths
+import repro
+from repro.experiments import GridCell, GridExecutionError, ResultCache, parallel, run_grid
+from repro.lint import lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import LintReport, analyze_source, discover_files, rule_catalogue
 from repro.lint.findings import Finding, assign_occurrences
 from repro.lint.sarif import render_sarif
 from repro.lint.suppress import parse_suppressions
+from repro.obs import events as obs_events
+from repro.obs.events import Tracer
+from repro.schedulers.base import Scheduler
+from repro.schedulers.registry import SCHEMES
+from repro.sim.driver import SimulationResult
+from repro.workload.job import Job
+from repro.workload.synthetic import generate_trace
+from tests.test_obs import check_recorder, check_trace_vocabulary, traced_scheme_runs
+from tests.test_parallel import check_cache_read_path
+from tests.test_policy_kernel import check_scheme_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
-SHIPPED_BASELINE = REPO_ROOT / "tools" / "lint_baseline.json"
 
 #: every rule the linter ships, framework diagnostics included
-RULES = ["RPR000", "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR008"]
+RULES = ["RPR000", "RPR001", "RPR002", "RPR003", "RPR008"]
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:
@@ -290,336 +307,294 @@ class TestRPR003:
 
 
 # ----------------------------------------------------------------------
-# RPR004 -- cross-file protocol conformance (via lint_paths on a tree)
+# the deleted checks RPR004-RPR006: each fixture shape they encoded, built
+# as a live object, fails the runtime test that replaced the check
 # ----------------------------------------------------------------------
+class _Idle(Scheduler):
+    """Schedules nothing; the scheme shapes below subclass it."""
+
+    def on_arrival(self, job: Job) -> None:
+        pass
+
+    def on_finish(self, job: Job) -> None:
+        pass
+
+
+def breaks_scheme_contract(monkeypatch: pytest.MonkeyPatch, cls: type[Scheduler]) -> str:
+    """The error the table test's check raises on *cls*, put in the
+    scheme table ("" when it passes)."""
+    monkeypatch.setitem(SCHEMES, cls.__name__, cls)
+    try:
+        check_scheme_contract(cls)
+    except (AssertionError, AttributeError, KeyError, TypeError) as exc:
+        return type(exc).__name__
+    return ""
+
+
+@pytest.fixture(scope="module")
+def scheme_runs() -> dict[str, list[dict]]:
+    return traced_scheme_runs()
+
+
 class TestRPR004:
-    def lint_tree(self, tmp_path: Path, files: dict[str, str]) -> list[Finding]:
-        return lint_paths([write_tree(tmp_path, files)], select=["RPR004"]).active
+    """Now ``tests/test_policy_kernel.py::test_every_scheme_class_is_in_the_table``
+    and ``tests/test_obs.py``'s vocabulary and recorder-protocol tests."""
 
-    def test_missing_scheme_id_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "schedulers/bad.py": """
-                    class BadScheduler(Scheduler):
-                        def on_arrival(self, job):
-                            pass
-                """
-            },
-        )
-        assert any("scheme_id" in f.message for f in found)
+    def test_missing_scheme_id_fires(self, monkeypatch) -> None:
+        class BadScheduler(_Idle):
+            pass
 
-    def test_conforming_scheduler_is_clean(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "schedulers/good.py": """
-                    class GoodScheduler(Scheduler):
-                        scheme_id = "good"
+        assert breaks_scheme_contract(monkeypatch, BadScheduler) == "AssertionError"
 
-                        def config(self):
-                            return {"scheme": self.scheme_id}
-                """
-            },
-        )
-        assert found == []
+    def test_conforming_scheduler_is_clean(self, monkeypatch) -> None:
+        class GoodScheduler(_Idle):
+            scheme_id = "GoodScheduler"
 
-    def test_init_knobs_without_config_override_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "schedulers/knobs.py": """
-                    class KnobScheduler(Scheduler):
-                        scheme_id = "knobs"
+            def config(self) -> dict[str, object]:
+                return {"scheme": self.scheme_id}
 
-                        def __init__(self, suspension_factor: float):
-                            self.sf = suspension_factor
-                """
-            },
-        )
-        assert any("config() override" in f.message for f in found)
+        assert breaks_scheme_contract(monkeypatch, GoodScheduler) == ""
 
-    def test_config_with_required_params_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "schedulers/sig.py": """
-                    class SigScheduler(Scheduler):
-                        scheme_id = "sig"
+    def test_init_knobs_without_config_override_fires(self, monkeypatch) -> None:
+        class KnobScheduler(_Idle):
+            scheme_id = "KnobScheduler"
 
-                        def config(self, extra):
-                            return {"scheme": self.scheme_id, "extra": extra}
-                """
-            },
-        )
-        assert any("required parameters" in f.message for f in found)
+            def __init__(self, suspension_factor: float = 2.0) -> None:
+                super().__init__()
+                self.sf = suspension_factor
 
-    def test_recorder_without_close_or_enabled_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "obs/half.py": """
-                    class HalfRecorder:
-                        def record(self, event):
-                            self.rows.append(event)
-                """
-            },
-        )
-        msgs = " ".join(f.message for f in found)
-        assert "close()" in msgs and "enabled" in msgs
+        assert breaks_scheme_contract(monkeypatch, KnobScheduler) == "AssertionError"
 
-    def test_orphan_event_type_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "obs/events.py": """
-                    EVENT_TYPES = ("arrival", "ghost")
+    def test_config_with_required_params_fires(self, monkeypatch) -> None:
+        class SigScheduler(_Idle):
+            scheme_id = "SigScheduler"
 
-                    class Tracer:
-                        def arrival(self, t, job):
-                            self._emit("arrival", t)
-                """
-            },
-        )
-        assert any("ghost" in f.message for f in found)
+            def config(self, extra: object) -> dict[str, object]:  # type: ignore[override]
+                return {"scheme": self.scheme_id, "extra": extra}
 
-    def test_unknown_decision_action_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "obs/events.py": """
-                    EVENT_TYPES = ("decision",)
-                    DECISION_ACTIONS = ("preempt",)
+        assert breaks_scheme_contract(monkeypatch, SigScheduler) == "TypeError"
 
-                    class Tracer:
-                        def decision(self, t, action):
-                            self._emit("decision", t)
-                """,
-                "schedulers/rogue.py": """
-                    def plan(self, t):
-                        self.tracer.decision(t, "yolo")
-                """,
-            },
-        )
-        assert any("'yolo'" in f.message for f in found)
+    def test_recorder_without_close_or_enabled_fires(self) -> None:
+        class HalfRecorder:
+            def record(self, event: object) -> None:
+                pass
 
-    def test_unknown_tracer_method_fires(self, tmp_path: Path) -> None:
-        found = self.lint_tree(
-            tmp_path,
-            {
-                "obs/events.py": """
-                    EVENT_TYPES = ("arrival",)
+        with pytest.raises(AttributeError, match="enabled"):
+            check_recorder(HalfRecorder(), generate_trace("SDSC", n_jobs=40, seed=9))
 
-                    class Tracer:
-                        def arrival(self, t, job):
-                            self._emit("arrival", t)
-                """,
-                "sim/rogue.py": """
-                    def go(self, t):
-                        self.tracer.arival(t, None)
-                """,
-            },
-        )
-        assert any("arival" in f.message for f in found)
+    def test_orphan_event_type_fires(self, monkeypatch, scheme_runs) -> None:
+        monkeypatch.setattr(obs_events, "EVENT_TYPES", (*obs_events.EVENT_TYPES, "ghost"))
+        with pytest.raises(AssertionError):
+            check_trace_vocabulary(scheme_runs)
+
+    def test_unknown_decision_action_fires(self, monkeypatch, scheme_runs) -> None:
+        # speculative backfilling emits an action the vocabulary lacks
+        declared = tuple(a for a in obs_events.DECISION_ACTIONS if a != "speculate")
+        monkeypatch.setattr(obs_events, "DECISION_ACTIONS", declared)
+        with pytest.raises(AssertionError):
+            check_trace_vocabulary(scheme_runs)
+
+    def test_unknown_tracer_method_fires(self, monkeypatch) -> None:
+        # the driver's tracer.arrival(...) call now names no Tracer method
+        monkeypatch.delattr(Tracer, "arrival")
+        with pytest.raises(AttributeError, match="arrival"):
+            traced_scheme_runs()
 
 
-# ----------------------------------------------------------------------
-# RPR005 -- trace/cache purity
-# ----------------------------------------------------------------------
+class _Configured(_Idle):
+    """A scheme whose one knob, ``margin``, is what ``knob()`` returns."""
+
+    scheme_id = "FooScheduler"
+
+    def __init__(self, margin: object = 1.5) -> None:
+        super().__init__()
+
+    def knob(self) -> object:
+        return 1.5
+
+    def config(self) -> dict[str, object]:
+        return {"scheme": self.scheme_id, "margin": self.knob()}
+
+
+_SIMULATE_INSTALLED, _KILL_POOL = parallel._simulate_installed, parallel._kill_pool
+
+
+def _pool_task(i: int) -> object:
+    """Module level, so a pool can pickle it by name."""
+    return _SIMULATE_INSTALLED(i)
+
+
+class _UnlinkInGet(ResultCache):
+    # the historical bug shape: "clean up" corrupt entries on read
+    def get(self, fingerprint: str) -> SimulationResult | None:
+        path = self._path(fingerprint)
+        try:
+            return pickle.loads(path.read_bytes())
+        except FileNotFoundError:
+            return None
+        except Exception:
+            path.unlink()
+            return None
+
+
+class _RenameToBak(ResultCache):
+    def _quarantine(self, path: Path) -> None:
+        path.rename(path.with_suffix(".bak"))
+
+
+class _DropHelper(ResultCache):
+    def _quarantine(self, path: Path) -> None:
+        self._drop(path)
+
+    def _drop(self, path: Path) -> None:
+        path.unlink()
+
+
 class TestRPR005:
-    def test_config_without_scheme_key_fires(self) -> None:
-        src = """
-            class FooScheduler:
-                scheme_id = "foo"
+    """Config purity: the table test, which encodes each config as JSON
+    before any run; pool tasks: the real pools, which pickle them; the
+    cache read path: ``tests/test_parallel.py::test_cache_reads_only_quarantine``."""
 
-                def config(self):
-                    return {"margin": self.margin}
-        """
-        assert "RPR005" in rules_of(findings_for(src, "schedulers/foo.py"))
+    def breaks_with(self, monkeypatch, value: object) -> str:
+        class FooScheduler(_Configured):
+            def knob(self) -> object:
+                return value
 
-    def test_lambda_in_config_fires(self) -> None:
-        src = """
-            class FooScheduler:
-                def config(self):
-                    return {"scheme": "foo", "key": lambda j: j.procs}
-        """
-        assert "RPR005" in rules_of(findings_for(src, "schedulers/foo.py"))
+        return breaks_scheme_contract(monkeypatch, FooScheduler)
 
-    def test_set_in_config_fires(self) -> None:
-        src = """
-            class FooScheduler:
-                def config(self):
-                    return {"scheme": "foo", "cats": {"a", "b"}}
-        """
-        assert "RPR005" in rules_of(findings_for(src, "schedulers/foo.py"))
+    def test_config_without_scheme_key_fires(self, monkeypatch) -> None:
+        class FooScheduler(_Configured):
+            def config(self) -> dict[str, object]:
+                return {"margin": 1.5}
 
-    def test_driver_state_in_config_fires(self) -> None:
-        src = """
-            class FooScheduler:
-                def config(self):
-                    return {"scheme": "foo", "now": self.driver.now}
-        """
-        assert "RPR005" in rules_of(findings_for(src, "schedulers/foo.py"))
+        assert breaks_scheme_contract(monkeypatch, FooScheduler) == "KeyError"
 
-    def test_clean_config_passes(self) -> None:
-        src = """
-            class FooScheduler:
-                def config(self):
-                    return {"scheme": "foo", "margin": float(self.margin)}
-        """
-        assert findings_for(src, "schedulers/foo.py", select={"RPR005"}) == []
+    def test_lambda_in_config_fires(self, monkeypatch) -> None:
+        assert self.breaks_with(monkeypatch, lambda j: j.procs) == "TypeError"
 
-    def test_lambda_to_pool_fires(self) -> None:
-        src = """
-            def run_all(pool, cells):
-                return [pool.submit(lambda c: c.run(), c) for c in cells]
-        """
-        assert "RPR005" in rules_of(findings_for(src, "experiments/x.py"))
+    def test_set_in_config_fires(self, monkeypatch) -> None:
+        assert self.breaks_with(monkeypatch, {"a", "b"}) == "TypeError"
 
-    def test_nested_function_to_pool_fires(self) -> None:
-        src = """
-            def run_all(pool, cells):
-                def work(c):
-                    return c.run()
-                return [pool.submit(work, c) for c in cells]
-        """
-        assert "RPR005" in rules_of(findings_for(src, "experiments/x.py"))
+    def test_clean_config_passes(self, monkeypatch) -> None:
+        assert self.breaks_with(monkeypatch, 1.5) == ""
 
-    def test_module_level_worker_is_clean(self) -> None:
-        src = """
-            def work(c):
-                return c.run()
+    def test_driver_state_in_config_fires(self, monkeypatch) -> None:
+        class FooScheduler(_Configured):
+            def knob(self) -> object:
+                return self.driver.now  # type: ignore[union-attr]
 
-            def run_all(pool, cells):
-                return [pool.submit(work, c) for c in cells]
-        """
-        assert findings_for(src, "experiments/x.py", select={"RPR005"}) == []
+        assert breaks_scheme_contract(monkeypatch, FooScheduler) == "AttributeError"
 
-    # -- cache read-path mutations ------------------------------------
-    def test_unlink_in_cache_get_fires(self) -> None:
-        # the historical bug shape: "clean up" corrupt entries on read
-        src = """
-            class ResultCache:
-                def get(self, fp):
-                    path = self._path(fp)
-                    try:
-                        return load(path)
-                    except Exception:
-                        path.unlink()
-                        return None
-        """
-        found = findings_for(src, "experiments/cache.py", select={"RPR005"})
-        assert found and "read path" in found[0].message
-
-    def test_quarantine_rename_in_cache_get_is_clean(self) -> None:
-        src = """
-            class ResultCache:
-                def get(self, fp):
-                    path = self._path(fp)
-                    try:
-                        return load(path)
-                    except Exception:
-                        path.rename(path.with_name(path.name + ".corrupt"))
-                        return None
-        """
-        assert findings_for(src, "experiments/cache.py", select={"RPR005"}) == []
-
-    def test_non_quarantine_rename_in_cache_get_fires(self) -> None:
-        src = """
-            class ResultCache:
-                def get(self, fp):
-                    path = self._path(fp)
-                    try:
-                        return load(path)
-                    except Exception:
-                        path.rename(path.with_suffix(".bak"))
-                        return None
-        """
-        assert "RPR005" in rules_of(
-            findings_for(src, "experiments/cache.py", select={"RPR005"})
+    def run_pooled(self, monkeypatch, task: object) -> None:
+        monkeypatch.setattr(parallel, "_simulate_installed", task)
+        # a killed pool's manager thread ends before the test does
+        monkeypatch.setattr(
+            parallel, "_kill_pool", lambda pool: (_KILL_POOL(pool), pool.shutdown(wait=True))
         )
+        jobs = generate_trace("SDSC", n_jobs=20, seed=1)
+        cells = [GridCell(key, jobs, 128, {"scheme": key}) for key in ("fcfs", "easy")]
+        assert len(run_grid(cells, workers=2).results) == 2
 
-    def test_mutation_in_read_path_helper_fires(self) -> None:
-        # helpers reached from get() are part of the read path too
-        src = """
-            class ResultCache:
-                def get(self, fp):
-                    try:
-                        return load(self._path(fp))
-                    except Exception:
-                        self._drop(self._path(fp))
-                        return None
+    # a pool killed after a task failed to pickle can trip CPython 3.11's
+    # executor thread (InvalidStateError in terminate_broken); harmless
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_lambda_to_pool_fires(self, monkeypatch) -> None:
+        with pytest.raises(GridExecutionError, match="pickle"):
+            self.run_pooled(monkeypatch, lambda i: _SIMULATE_INSTALLED(i))
 
-                def _drop(self, path):
-                    path.unlink()
-        """
-        assert "RPR005" in rules_of(
-            findings_for(src, "experiments/cache.py", select={"RPR005"})
-        )
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_nested_function_to_pool_fires(self, monkeypatch) -> None:
+        def work(i: int) -> object:
+            return _SIMULATE_INSTALLED(i)
 
-    def test_write_path_mutations_are_clean(self) -> None:
-        src = """
-            class ResultCache:
-                def get(self, fp):
-                    return load(self._path(fp))
+        with pytest.raises(GridExecutionError, match="pickle"):
+            self.run_pooled(monkeypatch, work)
 
-                def put(self, fp, result):
-                    os.replace(tmp, self._path(fp))
+    def test_module_level_worker_is_clean(self, monkeypatch) -> None:
+        self.run_pooled(monkeypatch, _pool_task)
 
-                def clear(self):
-                    for p in self.root.glob("*/*.pkl"):
-                        p.unlink()
-        """
-        assert findings_for(src, "experiments/cache.py", select={"RPR005"}) == []
+    def test_unlink_in_cache_get_fires(self, tmp_path, monkeypatch) -> None:
+        with pytest.raises(AssertionError):
+            check_cache_read_path(_UnlinkInGet(tmp_path), monkeypatch)
 
-    def test_non_cache_class_read_methods_exempt(self) -> None:
-        src = """
-            class Workspace:
-                def get(self, name):
-                    path = self.root / name
-                    path.unlink()
-                    return path
-        """
-        assert findings_for(src, "experiments/x.py", select={"RPR005"}) == []
+    def test_quarantine_rename_in_cache_get_is_clean(self, tmp_path, monkeypatch) -> None:
+        check_cache_read_path(ResultCache(tmp_path), monkeypatch)
+
+    def test_non_quarantine_rename_in_cache_get_fires(self, tmp_path, monkeypatch) -> None:
+        with pytest.raises(AssertionError):
+            check_cache_read_path(_RenameToBak(tmp_path), monkeypatch)
+
+    def test_mutation_in_read_path_helper_fires(self, tmp_path, monkeypatch) -> None:
+        with pytest.raises(AssertionError):
+            check_cache_read_path(_DropHelper(tmp_path), monkeypatch)
+
+    def test_write_path_mutations_are_clean(self, tmp_path, monkeypatch) -> None:
+        # put and clear write and delete; only get, in and len are reads
+        cache = ResultCache(tmp_path)
+        check_cache_read_path(cache, monkeypatch)
+        assert cache.clear() == 2 and len(cache) == 0
 
 
-# ----------------------------------------------------------------------
-# RPR006 -- mutable defaults / shared class-level state
-# ----------------------------------------------------------------------
+#: values whose sharing across calls or instances leaks state
+_MUTABLE = (list, dict, set, bytearray, collections.deque)
+
+
+def shared_mutable_state(*objs: object) -> list[str]:
+    """Mutable default arguments of the functions and methods among
+    *objs*, and mutable class attributes of the classes among them."""
+    found = []
+    for obj in objs:
+        members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+        for name, value in members:
+            if isinstance(value, _MUTABLE) and not (name[:1] == "_" == name[-1:]):
+                found.append(f"{obj.__qualname__}.{name}")  # type: ignore[attr-defined]
+            fn = getattr(value, "__func__", value)
+            if inspect.isfunction(fn) and any(
+                isinstance(d, _MUTABLE)
+                for d in (*(fn.__defaults__ or ()), *(fn.__kwdefaults__ or {}).values())
+            ):
+                found.append(fn.__qualname__)
+    return found
+
+
 class TestRPR006:
+    """Ruff's B006 and RUF012 flag these shapes in source (CI's lint
+    job shows both fire); the live check finds them on the package."""
+
+    def test_package_shares_no_mutable_state(self) -> None:
+        objs = [
+            obj
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")
+            for obj in vars(importlib.import_module(info.name)).values()
+            if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ == info.name
+        ]
+        assert len(objs) > 100 and shared_mutable_state(*objs) == []
+
     def test_mutable_default_argument_fires(self) -> None:
-        src = """
-            def plan(jobs, seen=[]):
-                seen.extend(jobs)
-                return seen
-        """
-        assert "RPR006" in rules_of(findings_for(src))
+        def plan(jobs: list[int], seen: list[int] = []) -> list[int]:  # noqa: B006
+            return seen
+
+        assert shared_mutable_state(plan) == [plan.__qualname__]
 
     def test_class_level_mutable_fires(self) -> None:
-        src = """
-            class Sched:
-                pending = []
-        """
-        assert "RPR006" in rules_of(findings_for(src))
+        class Sched:
+            pending = []  # noqa: RUF012
+
+        assert shared_mutable_state(Sched) == [f"{Sched.__qualname__}.pending"]
 
     def test_none_default_is_clean(self) -> None:
-        src = """
-            def plan(jobs, seen=None):
-                seen = seen if seen is not None else []
-                return seen
-        """
-        assert findings_for(src, select={"RPR006"}) == []
+        def plan(jobs: list[int], seen: list[int] | None = None) -> list[int]:
+            return seen if seen is not None else []
+
+        assert shared_mutable_state(plan) == []
 
     def test_dataclass_field_is_clean(self) -> None:
-        src = """
-            from dataclasses import dataclass, field
+        @dataclass(slots=True)
+        class Sched:
+            pending: list[int] = field(default_factory=list)
 
-            @dataclass
-            class Sched:
-                pending: list = field(default_factory=list)
-                __slots__ = ("pending",)
-        """
-        assert findings_for(src, select={"RPR006"}) == []
+        assert shared_mutable_state(Sched) == []
 
 
 # ----------------------------------------------------------------------
@@ -903,135 +878,9 @@ class TestUnusedSuppressions:
         root = write_tree(tmp_path, self.TREE)
         assert lint_paths([root], select=["RPR001", "RPR002"]).active == []
 
-    def test_cross_file_suppression_counts_as_used(self, tmp_path: Path) -> None:
-        # the directive fires in the RPR004 pass, after per-file analysis
-        root = write_tree(
-            tmp_path,
-            {
-                "schedulers/bad.py": """
-                    # repro-lint: disable=RPR004 -- fixture: identified elsewhere
-                    class BadScheduler(Scheduler):
-                        def on_arrival(self, job):
-                            pass
-                """,
-            },
-        )
-        report = lint_paths([root])
-        assert report.active == []
-        assert report.suppressed == 1
-
 
 # ----------------------------------------------------------------------
-# baseline mechanics
-# ----------------------------------------------------------------------
-class TestBaseline:
-    SRC = """\
-def stale(job, now: float) -> bool:
-    return job.expected_end == now
-"""
-
-    def write_tree(self, tmp_path: Path) -> Path:
-        pkg = tmp_path / "core"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(self.SRC, encoding="utf-8")
-        return tmp_path
-
-    def test_unjustified_baseline_entry_is_a_finding(self, tmp_path: Path) -> None:
-        root = self.write_tree(tmp_path)
-        report = lint_paths([root])
-        (finding,) = report.active
-        bl = Baseline(path=str(tmp_path / "bl.json"))
-        bl.absorb([finding])
-        bl.save()
-
-        report2 = lint_paths([root], baseline=Baseline.load(bl.path))
-        assert any(f.rule == "RPR000" for f in report2.active)
-
-    def test_justified_baseline_entry_silences(self, tmp_path: Path) -> None:
-        root = self.write_tree(tmp_path)
-        report = lint_paths([root])
-        (finding,) = report.active
-        bl = Baseline(path=str(tmp_path / "bl.json"))
-        bl.entries[finding.fingerprint()] = Baseline.entry_for(
-            finding, "fixture: reviewed, exact identity comparison"
-        )
-        bl.save()
-
-        report2 = lint_paths([root], baseline=Baseline.load(bl.path))
-        assert report2.active == []
-        assert len(report2.baselined) == 1
-        assert report2.exit_code == 0
-
-    def test_fingerprint_survives_line_drift(self, tmp_path: Path) -> None:
-        root = self.write_tree(tmp_path)
-        (finding,) = lint_paths([root]).active
-        # prepend unrelated code: the line number moves, identity does not
-        mod = root / "core" / "mod.py"
-        mod.write_text("import math\n\n\n" + self.SRC, encoding="utf-8")
-        (moved,) = lint_paths([root]).active
-        assert moved.line != finding.line
-        assert moved.fingerprint() == finding.fingerprint()
-
-    def test_stale_entries_are_reported(self, tmp_path: Path) -> None:
-        root = self.write_tree(tmp_path)
-        (finding,) = lint_paths([root]).active
-        bl = Baseline(path=str(tmp_path / "bl.json"))
-        bl.entries[finding.fingerprint()] = Baseline.entry_for(finding, "reviewed")
-        bl.save()
-        # fix the offending line; the baseline entry goes stale
-        (root / "core" / "mod.py").write_text(
-            "def stale(job, now: float) -> bool:\n"
-            "    return job.expected_end <= now\n",
-            encoding="utf-8",
-        )
-        report = lint_paths([root], baseline=Baseline.load(bl.path))
-        assert report.active == []
-        assert report.stale_baseline == [finding.fingerprint()]
-
-
-class TestPartialRuns:
-    """A run that covers some rules or some files leaves the other
-    baseline entries alone: they are neither stale nor pruned."""
-
-    def copy_baseline(self, tmp_path: Path) -> Path:
-        copy = tmp_path / "lint_baseline.json"
-        shutil.copy(SHIPPED_BASELINE, copy)
-        return copy
-
-    def test_select_run_reports_no_stale_entries(self) -> None:
-        report = lint_paths(
-            [SRC], baseline=Baseline.load(SHIPPED_BASELINE), select=["RPR001"]
-        )
-        assert report.stale_baseline == []
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            [str(SRC), "--select", "RPR001"],
-            [str(SRC / "schedulers" / "policy.py")],
-        ],
-        ids=["select", "one-file"],
-    )
-    def test_update_baseline_keeps_uncovered_entries(
-        self, tmp_path: Path, args: list[str]
-    ) -> None:
-        copy = self.copy_baseline(tmp_path)
-        assert lint_main([*args, "--update-baseline", "--baseline", str(copy)]) == 0
-        assert Baseline.load(copy).entries == Baseline.load(SHIPPED_BASELINE).entries
-
-    def test_full_update_still_prunes_stale_entries(self, tmp_path: Path) -> None:
-        root = write_tree(tmp_path / "src", {"core/mod.py": TestBaseline.SRC})
-        (finding,) = lint_paths([root]).active
-        bl = Baseline(path=str(tmp_path / "bl.json"))
-        bl.entries[finding.fingerprint()] = Baseline.entry_for(finding, "reviewed")
-        bl.save()
-        (root / "core" / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        assert lint_main([str(root), "--update-baseline", "--baseline", bl.path]) == 0
-        assert Baseline.load(bl.path).entries == {}
-
-
-# ----------------------------------------------------------------------
-# engine: discovery, occurrence numbering
+# engine: discovery, occurrence numbering, fingerprints
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_discovery_is_sorted_and_skips_caches(self, tmp_path: Path) -> None:
@@ -1058,6 +907,17 @@ class TestEngine:
         assert (a.occurrence, b.occurrence) == (0, 1)
         assert a.fingerprint() != b.fingerprint()
 
+    def test_fingerprint_survives_line_drift(self, tmp_path: Path) -> None:
+        # the SARIF partialFingerprints identity: the line number moves,
+        # the fingerprint does not
+        src = "def stale(job, now: float) -> bool:\n    return job.expected_end == now\n"
+        mod = write_tree(tmp_path, {"core/mod.py": src}) / "core" / "mod.py"
+        (finding,) = lint_paths([tmp_path]).active
+        mod.write_text("import math\n\n\n" + src, encoding="utf-8")
+        (moved,) = lint_paths([tmp_path]).active
+        assert moved.line != finding.line
+        assert moved.fingerprint() == finding.fingerprint()
+
 
 # ----------------------------------------------------------------------
 # CLI
@@ -1069,9 +929,9 @@ class TestCli:
         (bad / "m.py").write_text(
             "import time\n\ndef f():\n    return time.time()\n", encoding="utf-8"
         )
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
+        assert lint_main([str(tmp_path)]) == 1
         (bad / "m.py").write_text("def f():\n    return 0\n", encoding="utf-8")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 0
+        assert lint_main([str(tmp_path)]) == 0
 
     def test_json_output_shape(
         self, tmp_path: Path, capsys: pytest.CaptureFixture
@@ -1081,7 +941,7 @@ class TestCli:
         (core / "m.py").write_text(
             "def stale(a, now):\n    return a.expected_end == now\n", encoding="utf-8"
         )
-        code = lint_main([str(tmp_path), "--no-baseline", "--format", "json"])
+        code = lint_main([str(tmp_path), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1
         assert doc["counts"]["active"] == 1
@@ -1106,23 +966,13 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# the deliverable: the live tree is clean under the shipped baseline
+# the deliverable: the live tree is clean, every accepted finding inline
 # ----------------------------------------------------------------------
 class TestLiveTree:
-    def test_src_repro_is_clean_under_shipped_baseline(self) -> None:
-        baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-        report = lint_paths([REPO_ROOT / "src" / "repro"], baseline=baseline)
+    def test_src_repro_is_clean(self) -> None:
+        report = lint_paths([SRC])
         assert report.active == [], "\n".join(f.render() for f in report.active)
         assert report.exit_code == 0
-
-    def test_shipped_baseline_has_no_stale_entries(self) -> None:
-        baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-        report = lint_paths([REPO_ROOT / "src" / "repro"], baseline=baseline)
-        assert report.stale_baseline == []
-
-    def test_every_shipped_baseline_entry_is_justified(self) -> None:
-        baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-        assert baseline.unjustified() == []
 
 
 # ----------------------------------------------------------------------
@@ -1155,16 +1005,11 @@ class TestFileArguments:
         "rel", ["obs/counters.py", "schedulers/gang.py", "schedulers/policy.py"]
     )
     def test_live_file_linted_alone(self, rel: str) -> None:
-        # policy.py carries a baselined RPR003, gang.py a justified
-        # RPR001 directive and counters.py neither: alone, each must
-        # stay clean, with nothing stale and no directive reported unused
-        report = lint_paths([SRC / rel], baseline=Baseline.load(SHIPPED_BASELINE))
-        tree = lint_paths([SRC], baseline=Baseline.load(SHIPPED_BASELINE))
+        # policy.py and gang.py carry justified directives and counters.py
+        # none: alone, each must stay clean, no directive reported unused
+        report = lint_paths([SRC / rel])
         assert report.active == []
-        assert report.stale_baseline == []
-        assert [f.fingerprint() for f in report.baselined] == [
-            f.fingerprint() for f in tree.baselined if f.path == rel
-        ]
+        assert report.suppressed == (SRC / rel).read_text().count("# repro-lint: disable=")
 
 
 # ----------------------------------------------------------------------
@@ -1191,8 +1036,8 @@ FIXTURE_TREE = {
 }
 
 
-def lint_fixture(root: Path, **kw) -> LintReport:
-    return lint_paths([write_tree(root, FIXTURE_TREE)], **kw)
+def lint_fixture(root: Path) -> LintReport:
+    return lint_paths([write_tree(root, FIXTURE_TREE)])
 
 
 class TestSarif:
@@ -1210,18 +1055,6 @@ class TestSarif:
             assert loc["region"]["startLine"] >= 1
             assert res["partialFingerprints"]["reproLint/v1"]
 
-    def test_baselined_findings_carry_suppressions(self, tmp_path: Path) -> None:
-        raw = lint_fixture(tmp_path / "src")
-        baseline = Baseline(path=str(tmp_path / "baseline.json"))
-        baseline.absorb(raw.active)
-        for entry in baseline.entries.values():
-            entry["justification"] = "accepted for the fixture"
-        report = lint_paths([tmp_path / "src"], baseline=baseline)
-        doc = json.loads(render_sarif(report, uri_base="src"))
-        results = doc["runs"][0]["results"]
-        assert results and all(
-            r["suppressions"] == [{"kind": "external"}] for r in results
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1241,7 +1074,6 @@ class TestDeterminism:
                     sys.executable,
                     "-m",
                     "repro.lint.cli",
-                    "--no-baseline",
                     "--format",
                     fmt,
                     str(root),

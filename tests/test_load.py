@@ -52,10 +52,10 @@ def test_identity_at_one():
 
 
 def test_rejects_nonpositive_factor():
-    with pytest.raises(ValueError):
-        scale_load([make_job()], 0.0)
-    with pytest.raises(ValueError):
-        scale_load([make_job()], -1.0)
+    # NaN used to pass a `<= 0` test and fail later inside Job
+    for factor in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            scale_load([make_job()], factor)
 
 
 def test_wait_clock_anchored_at_scaled_submit():

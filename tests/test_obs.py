@@ -21,6 +21,7 @@ The contracts under test (docs/TRACING.md):
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -50,6 +51,8 @@ from repro.obs import (
     read_trace,
     summarize_trace,
 )
+from repro.obs import events as obs_events
+from repro.obs import recorder as obs_recorder
 from repro.obs.events import DECISION_ACTIONS
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.hybrids import (
@@ -67,10 +70,12 @@ from repro.schedulers.policy import (
     QueuePolicy,
     SweepPreemption,
 )
+from repro.schedulers.registry import SCHEMES
 from repro.schedulers.relaxed import RelaxedBackfillScheduler
 from repro.schedulers.speculative import SpeculativeBackfillScheduler
 from repro.sim.audit import audit_result
 from repro.sim.driver import SchedulingSimulation
+from repro.workload.estimates import InaccurateEstimates
 from repro.workload.job import Job, fresh_copies
 from repro.workload.load import scale_load
 from repro.workload.synthetic import generate_trace
@@ -459,6 +464,65 @@ def test_ns_run_emits_reservations_but_no_preemptions(trace_jobs):
     actions = {e["action"] for e in recorder.dicts() if e["type"] == "decision"}
     assert actions <= {"reservation"}
     assert summary.backfill_fills > 0
+
+
+# ----------------------------------------------------------------------
+# vocabulary and recorder protocol, on every scheme and recorder
+# ----------------------------------------------------------------------
+def traced_scheme_runs() -> dict[str, list[dict]]:
+    """One traced run per scheme id, on the input where speculative
+    backfilling speculates and kills (tests/test_kernel_equivalence.py)."""
+    jobs = generate_trace("SDSC", n_jobs=80, seed=7, estimate_model=InaccurateEstimates())
+    runs = {}
+    for scheme, build in sorted(SCHEMES.items()):
+        recorder = InMemoryRecorder()
+        SchedulingSimulation(Cluster(N_PROCS), build(), recorder=recorder).run(fresh_copies(jobs))
+        runs[scheme] = recorder.dicts()
+    return runs
+
+
+def check_trace_vocabulary(runs: dict[str, list[dict]]) -> None:
+    """Fail unless *runs* emit exactly the declared event types and
+    decision actions, and the replay accounts for every event."""
+    types = {e["type"] for events in runs.values() for e in events}
+    actions = {e["action"] for events in runs.values() for e in events if e["type"] == "decision"}
+    assert types == set(obs_events.EVENT_TYPES)
+    assert actions == set(obs_events.DECISION_ACTIONS)
+    for scheme, events in runs.items():
+        s = summarize_trace(events)
+        counted = 2 + len(s.per_job) + s.starts + s.resumes + s.suspensions + s.kills
+        assert counted + s.finished + s.decisions == s.events == len(events), scheme
+        assert s.matches_run_end, scheme
+
+
+def test_every_scheme_emits_the_declared_vocabulary():
+    check_trace_vocabulary(traced_scheme_runs())
+
+
+def check_recorder(recorder, jobs: list[Job]) -> None:
+    """Fail unless *recorder* keeps the TraceRecorder protocol and, when
+    enabled, receives a traced run's every event."""
+    assert isinstance(recorder.enabled, bool)
+    assert callable(recorder.record) and callable(recorder.close)
+    if recorder.enabled:
+        seen, record = [], recorder.record
+        recorder.record = lambda event: (seen.append(event.as_dict()), record(event))
+        simulate(jobs, EasyBackfillScheduler(), N_PROCS, recorder=recorder)
+        assert summarize_trace(seen).matches_run_end
+    recorder.close()
+
+
+def test_every_recorder_keeps_the_protocol(trace_jobs, tmp_path):
+    classes = [
+        cls
+        for cls in vars(obs_recorder).values()
+        if inspect.isclass(cls) and cls.__module__ == obs_recorder.__name__
+    ]
+    assert len(classes) == 4  # the protocol and three recorders
+    for cls in classes:
+        if cls is not obs_recorder.TraceRecorder:
+            needs_path = "path" in inspect.signature(cls).parameters
+            check_recorder(cls(tmp_path / "t.jsonl") if needs_path else cls(), trace_jobs[:60])
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import Future
+from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -438,6 +440,58 @@ def test_cache_survives_corrupt_entry(small_trace, tmp_path):
     assert schedule_signature(third.results["x"]) == schedule_signature(
         outcome.results["x"]
     )
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def check_cache_read_path(cache: ResultCache, monkeypatch: pytest.MonkeyPatch) -> None:
+    """Fail unless ``get``, ``in`` and ``len`` change nothing under the
+    cache root but moving corrupt bytes to a fresh ``.corrupt`` name.
+
+    The store holds a hit, a miss, a corrupt entry, a corrupt slot whose
+    ``.corrupt`` name an earlier quarantine took, and a corrupt entry
+    read while ``rename`` fails.
+    """
+    hit, miss, bad, again, stuck = (c * 64 for c in "abcde")
+    cache.put(hit, "result")
+    for fp, data in ((bad, b"torn"), (again, b"second corruption"), (stuck, b"torn")):
+        cache._path(fp).parent.mkdir(parents=True, exist_ok=True)
+        cache._path(fp).write_bytes(data)
+    cache._path(again).with_name(f"{again}.pkl.corrupt").write_bytes(b"first corruption")
+
+    def read(op: Callable[..., object], *args: object) -> None:
+        before = _files(cache.root)
+        op(*args)
+        after = _files(cache.root)
+        kept = before.keys() & after.keys()
+        assert {k: after[k] for k in kept} == {k: before[k] for k in kept}, "a read rewrote"
+        dropped, moved = sorted(before.keys() - after.keys()), sorted(after.keys() - before.keys())
+        assert len(dropped) <= 1 and [after[m] for m in moved] == [before[d] for d in dropped]
+        assert all(m.startswith(f"{d}.corrupt") for d, m in zip(dropped, moved)), moved
+
+    def failing_rename(self: Path, target: object) -> Path:
+        raise OSError("read-only store")
+
+    for fp in (hit, miss, bad, again):
+        read(cache.__contains__, fp)
+        read(cache.get, fp)
+    read(len, cache)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "rename", failing_rename)
+        read(cache.get, stuck)
+    assert cache.get(hit) == "result"
+
+
+def test_cache_reads_only_quarantine(tmp_path, monkeypatch):
+    """A lookup never deletes or rewrites the store: a corrupt entry
+    moves to a fresh ``.corrupt`` name, earlier evidence included."""
+    cache = ResultCache(tmp_path / "cache")
+    check_cache_read_path(cache, monkeypatch)
+    names = sorted(p.name[64:] for p in cache.root.rglob("d*.corrupt*"))
+    assert names == [".pkl.corrupt", ".pkl.corrupt.1"]
+    assert cache.corrupt == 2 and len(cache) == 2  # the stuck entry stayed
 
 
 def test_grid_policy_from_env():

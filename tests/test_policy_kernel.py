@@ -14,7 +14,8 @@ Layers:
 * every scheme constructor of the package -- each public function
   returning a :class:`PolicyKernel`, and each scheduler class outside
   the kernel -- is in the scheme table under the id it builds, takes
-  exactly its config keys, and its default instance round-trips;
+  exactly its config keys, describes itself, and its default instance's
+  config is JSON before any run and round-trips;
 * every scheme id builds from a bare ``{"scheme": id}`` config
   (constructor defaults) to pinned bytes, and round-trips;
 * integer arguments (``2`` for ``2.0``, ``1`` for ``True``) are
@@ -81,23 +82,33 @@ def _scheme_constructors() -> list[Callable[..., Scheduler]]:
     return sorted(found, key=lambda build: build.__name__)
 
 
-@pytest.mark.parametrize("build", _scheme_constructors(), ids=lambda build: build.__name__)
-def test_every_scheme_class_is_in_the_table(build: Callable[..., Scheduler]) -> None:
-    """Each scheme constructor, function or class, is the table entry
-    for the id it builds and takes exactly that scheme's config keys."""
+def check_scheme_contract(build: Callable[..., Scheduler]) -> None:
+    """Fail unless *build* is the table entry for the id it builds,
+    ``describe()`` and ``config()`` take no arguments, the config is
+    JSON before any run (no lambda, set or driver state), its keys are
+    exactly the constructor's, and it rebuilds byte for byte."""
     scheduler = build()
     assert SCHEMES.get(scheduler.scheme_id) is build, (
         f"{build.__name__} (scheme id {scheduler.scheme_id!r}) is missing from "
         "SCHEMES; parallel workers and the cache cannot rebuild it"
     )
+    assert isinstance(scheduler.describe(), str)
     config = scheduler.config()
+    encoded = _json(dict(config))
     assert set(inspect.signature(build).parameters) == set(config) - {"scheme"}, (
         f"{build.__name__}: keyword arguments and config keys differ; a knob "
         "missing from config() would go stale in the result cache"
     )
     rebuilt = scheduler_from_config(config)
     assert type(rebuilt) is type(scheduler)
-    assert _json(dict(rebuilt.config())) == _json(dict(config))
+    assert _json(dict(rebuilt.config())) == encoded
+
+
+@pytest.mark.parametrize("build", _scheme_constructors(), ids=lambda build: build.__name__)
+def test_every_scheme_class_is_in_the_table(build: Callable[..., Scheduler]) -> None:
+    """Each scheme constructor, function or class, keeps the contract
+    the registry, the result cache and the pool workers rely on."""
+    check_scheme_contract(build)
 
 
 #: ``json.dumps`` of each scheme's default ``config()``, pinned before the
@@ -281,6 +292,28 @@ def test_non_finite_knobs_are_refused_unless_documented(
         scheduler_from_config(config)
     assert repr(scheme) in str(info.value)
     assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"mode": "online", "margin": float("nan")},
+        {"mode": "calibrated", "table": {"VS|N": float("nan")}},
+        {"mode": "calibrated", "table": {"VS|N": 0.0}},
+        *({"mode": "online", "margin": m} for m in (0.0, -1.0, float("inf"), float("-inf"))),
+    ],
+    ids=["margin-nan", "table-nan", "table-zero", "margin-0", "margin--1", "margin-inf",
+         "margin--inf"],
+)
+def test_tss_limits_refuse_nan_and_bad_margins(limits: dict[str, object]) -> None:
+    """A NaN margin or table value used to build and reach ``config()``;
+    a table value of inf stays legal (never protected)."""
+    with pytest.raises(ValueError, match="'limits'"):
+        scheduler_from_config({"scheme": "tss", "limits": limits})
+    with pytest.raises(ValueError):
+        CategoryLimits.from_config(limits)
+    never = {"mode": "calibrated", "margin": 1.5, "table": {"VS|N": float("inf")}}
+    assert scheduler_from_config({"scheme": "tss", "limits": never}).config()["limits"] == never
 
 
 def test_infinite_sf_and_relaxation_run_as_documented() -> None:

@@ -5,9 +5,9 @@ Thin wrapper over :mod:`repro.lint.cli` that bootstraps ``src`` onto
 ``sys.path`` and runs from the repository root, so CI and pre-commit
 hooks can invoke it as::
 
-    python tools/run_lint.py                    # lint src/repro vs baseline
+    python tools/run_lint.py                    # lint src/repro
     python tools/run_lint.py --list-rules
-    python tools/run_lint.py --no-baseline --format json
+    python tools/run_lint.py --format json
     python tools/run_lint.py --format sarif --output repro-lint.sarif
     python tools/run_lint.py src/repro/core/tss.py   # one file, as core/tss.py
 

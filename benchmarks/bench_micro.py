@@ -44,6 +44,7 @@ from repro.obs import NULL_RECORDER
 from repro.schedulers.base import Scheduler
 from repro.schedulers.conservative import ConservativeBackfillScheduler
 from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
 from repro.schedulers.relaxed import RelaxedBackfillScheduler
 from repro.sim.driver import SchedulingSimulation, SimulationResult
@@ -207,6 +208,9 @@ def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
         "relaxed_congested700": lambda: simulate(JOBS_CONGESTED, RelaxedBackfillScheduler()),
         "tss_congested700": lambda: simulate(
             JOBS_CONGESTED, TunableSelectiveSuspensionScheduler(suspension_factor=2.0)
+        ),
+        "tss_conservative_congested700": lambda: simulate(
+            JOBS_CONGESTED, TunableSuspensionWithGuarantees(suspension_factor=2.0)
         ),
         "is_sdsc400": lambda: simulate(JOBS_SDSC, ImmediateServiceScheduler()),
         "metrics_fold_sdsc400": partial(_metrics_fold, easy_sdsc400),

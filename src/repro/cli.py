@@ -48,7 +48,8 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import Callable
+from math import inf
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
 from repro.core.overhead import DiskSwapOverheadModel
@@ -65,6 +66,9 @@ from repro.workload.job import Job
 from repro.workload.load import scale_load
 from repro.workload.swf import jobs_from_swf_records, read_swf
 from repro.workload.synthetic import generate_trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workload.pipeline import WorkloadPipeline
 
 #: experiment id -> (function, needs-trace)
 EXPERIMENTS: dict[str, tuple[Callable[..., paper.ExperimentOutput], bool]] = {
@@ -423,15 +427,27 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))
+    at_least_one: list[tuple[str, int]] = []
     if getattr(args, "trace_cmd", None) == "gantt":
-        for flag, value in (("--width", args.width), ("--max-jobs", args.max_jobs)):
-            if value < 1:
-                parser.error(f"{flag} must be at least 1, got {value}")
+        at_least_one += [("--width", args.width), ("--max-jobs", args.max_jobs)]
+    if getattr(args, "procs", None) is not None:
+        at_least_one.append(("--procs", args.procs))
+    if "batch_size" in args:
+        at_least_one.append(("--batch-size", args.batch_size))
+    for flag, value in at_least_one:
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
+    if "window" in args and not 0 < args.window < inf:  # also rejects NaN
+        parser.error(f"--window must be positive and finite, got {args.window}")
     try:  # build what the command runs now, so a bad value is a usage error
         if "sf" in args:
             args.built_scheduler = _build_scheduler(args)
         if "swf" in args:
             args.workload = _load_jobs(args)
+        if "swf_file" in args:
+            open(args.swf_file, "rb").close()  # a missing log fails here, not mid-run
+            if "load" in args:
+                args.pipeline = _workload_pipeline(args)
     except (KeyError, OSError, ValueError) as exc:
         parser.error(str(exc.args[0] if isinstance(exc, KeyError) else exc))
     try:
@@ -534,6 +550,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _workload_pipeline(args: argparse.Namespace) -> WorkloadPipeline:
+    """The ``--load`` and ``--estimates`` stages of ``workload stats``/``replay``."""
+    from repro.workload.pipeline import EstimateStage, LoadScaleStage, WorkloadPipeline
+
+    stages: list[LoadScaleStage | EstimateStage] = []
+    if args.load != 1.0:
+        stages.append(LoadScaleStage(args.load))
+    if args.estimates != "keep":
+        model = (
+            InaccurateEstimates() if args.estimates == "inaccurate" else AccurateEstimates()
+        )
+        stages.append(EstimateStage(model, seed=args.seed))
+    return WorkloadPipeline(stages)
+
+
 def _dispatch_workload(args: argparse.Namespace) -> int:
     """The ``workload`` subcommand family (validate / stats / replay).
 
@@ -544,12 +575,7 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
     (:func:`repro.experiments.parallel.replay_sharded`) -- a months-long
     archive log never has to fit in memory.  See docs/WORKLOADS.md.
     """
-    from repro.workload.pipeline import (
-        EstimateStage,
-        LoadScaleStage,
-        WorkloadPipeline,
-        open_workload,
-    )
+    from repro.workload.pipeline import open_workload
     from repro.workload.swf import format_scan_report, scan_swf
 
     if args.workload_cmd == "validate":
@@ -558,20 +584,6 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
             print(f"log: {args.swf_file}   computer: {header.computer}")
         print(format_scan_report(report))
         return 0 if report.clean else 1
-
-    # stats / replay share the pipeline construction
-    def _pipeline() -> WorkloadPipeline:
-        stages: list[LoadScaleStage | EstimateStage] = []
-        if args.load != 1.0:
-            stages.append(LoadScaleStage(args.load))
-        if args.estimates != "keep":
-            model = (
-                InaccurateEstimates()
-                if args.estimates == "inaccurate"
-                else AccurateEstimates()
-            )
-            stages.append(EstimateStage(model, seed=args.seed))
-        return WorkloadPipeline(stages)
 
     def _machine_procs() -> int:
         if args.procs is not None:
@@ -585,7 +597,7 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
         return procs
 
     on_malformed = "skip" if args.skip_malformed else "raise"
-    pipeline = _pipeline()
+    pipeline = args.pipeline
 
     if args.workload_cmd == "stats":
         from repro.workload.stats import format_streaming_stats, stream_workload_stats

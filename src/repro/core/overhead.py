@@ -23,6 +23,7 @@ reproducible and independent of visit order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -53,13 +54,18 @@ class DiskSwapOverheadModel:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.mb_per_sec_per_proc <= 0:
-            raise ValueError("transfer rate must be positive")
-        if self.restart_factor < 0:
-            raise ValueError("restart_factor must be nonnegative")
+        # plain range tests, each of which NaN fails
+        if not 0 < self.mb_per_sec_per_proc < inf:
+            raise ValueError(
+                f"transfer rate must be positive and finite, got {self.mb_per_sec_per_proc}"
+            )
+        if not 0 <= self.restart_factor < inf:
+            raise ValueError(
+                f"restart_factor must be nonnegative and finite, got {self.restart_factor}"
+            )
         lo, hi = self.default_memory_range_mb
-        if not (0 < lo <= hi):
-            raise ValueError("invalid default memory range")
+        if not 0 < lo <= hi < inf:
+            raise ValueError(f"invalid default memory range {self.default_memory_range_mb}")
 
     def memory_of(self, job: Job) -> float:
         """Job memory in MB, substituting a seeded draw when unknown."""
@@ -85,8 +91,8 @@ class FixedOverheadModel:
     seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.seconds < 0:
-            raise ValueError("overhead must be nonnegative")
+        if not 0 <= self.seconds < inf:  # also rejects NaN
+            raise ValueError(f"overhead must be nonnegative and finite, got {self.seconds}")
 
     def suspend_resume_cost(self, job: Job) -> float:
         """The constant, regardless of the job."""

@@ -43,12 +43,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import re
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -189,7 +191,8 @@ class CellFailure:
     message: str
     #: failed attempts so far (pool losses are recorded but not charged)
     attempts: int
-    #: what happened to the worker: ``"crashed"`` (raised), ``"hung"``
+    #: what happened to the worker: ``"crashed"`` (raised, or its task
+    #: could not be pickled for any worker), ``"hung"``
     #: (exceeded the cell timeout, worker culled) or ``"lost"`` (the
     #: pool died under it -- fault not attributable to this cell)
     worker_fate: str
@@ -427,6 +430,12 @@ class _GridExecution:
     # pool execution
     # ------------------------------------------------------------------
     def run_pool(self, n_workers: int) -> None:
+        try:  # every task pickles this callable: fail before any worker starts
+            pickle.dumps(_simulate_installed)
+        except Exception as exc:
+            failure = self._record_failure(self.queue[0], exc, "crashed", charged=True)
+            failure.resolution = "gave-up"
+            raise GridExecutionError(failure.key, self.outcome.failures) from exc
         # every pool, a respawned one too, gets the same table: the
         # cells still queued when the first pool starts
         table = {i: self.cells[i] for i in self.queue}
@@ -548,14 +557,22 @@ class _GridExecution:
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on its (possibly hung) workers."""
+    """Tear a pool down without waiting on its (possibly hung) workers.
+
+    The workers are killed first, so the pool's manager thread sees them
+    die and ends; it is joined, so no thread of a killed pool outlives
+    the call.
+    """
     processes = getattr(pool, "_processes", None) or {}
+    manager = getattr(pool, "_executor_manager_thread", None)
     for proc in list(processes.values()):
         try:
             proc.kill()
         except (OSError, ValueError):  # already dead / never started
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        manager.join()
 
 
 def run_grid(
@@ -758,14 +775,16 @@ def iter_time_shards(
     trace), so the split depends only on (jobs, window) -- never on
     batching or worker count.  Empty windows produce no shard.
 
-    Raises :class:`ValueError` on an out-of-order submit: sharding an
+    *window* must be positive and finite: an infinite one would start
+    the first shard at ``0 * inf``, which is NaN.  Raises
+    :class:`ValueError` on an out-of-order submit too: sharding an
     unsorted stream would silently scatter jobs across wrong windows.
     ``min_jobs`` merges trailing dribbles: a window with fewer jobs is
     folded into the *next* shard (its ``start`` stretches back), so no
     simulation cell is ever near-empty.
     """
-    if window <= 0:
-        raise ValueError(f"shard window must be positive, got {window}")
+    if not 0 < window < inf:  # also rejects NaN
+        raise ValueError(f"shard window must be positive and finite, got {window}")
     if min_jobs < 1:
         raise ValueError(f"min_jobs must be >= 1, got {min_jobs}")
     index = 0

@@ -9,11 +9,16 @@ order of increasing guaranteed start time and each job is re-anchored
 against the updated profile -- it can only move earlier (in the worst
 case it reclaims exactly its old slot).
 
-Implementation: reservations are kept as ``job_id -> anchor`` and the
-planning profile is rebuilt from live state on each pass.  Rebuilding is
-O((R + Q)^2) in running + queued jobs, which is entirely adequate at
-paper scale and immune to the incremental-update drift bugs that plague
-long-lived profile structures.
+Implementation: reservations are kept as ``job_id -> anchor``.  A
+compression rebuilds the planning profile from the running jobs and
+re-anchors every queued job.  An arrival anchors on the profile the last
+compression or arrival left behind and claims only the new job, but only
+when that profile provably equals a rebuild from live state float for
+float (nothing else happened since, no anchor lies in the past, and
+every running job's release is stored exactly); otherwise it rebuilds.
+DESIGN.md section 7 gives the argument, and a Hypothesis differential in
+``tests/test_properties.py`` compares the kept profile with a rebuild at
+every arrival that reuses it.
 """
 
 from __future__ import annotations

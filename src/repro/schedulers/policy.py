@@ -522,6 +522,14 @@ class PerJobReservations(ReservationPolicy):
     drop out of / re-enter the anchor table at the next compression --
     ``_profile_with_reservations`` already filters anchors against the
     live queue, so stale entries self-correct.
+
+    The profile a compression or an arrival leaves behind is kept, with
+    the driver's ``transitions`` count at that moment.  The next arrival
+    anchors on it and claims only the new job when
+    :meth:`_kept_profile` proves it equal to a rebuild; otherwise it
+    rebuilds (one ``find_anchor`` and one ``claim`` per queued job).  A
+    sweep's starts and suspensions move the count, so
+    ``tss-conservative`` rebuilds at the first arrival after each.
     """
 
     handles_arrival = True
@@ -531,28 +539,42 @@ class PerJobReservations(ReservationPolicy):
         super().__init__()
         #: job_id -> guaranteed start time, for every queued job
         self._anchors: dict[int, float] = {}
+        #: the last compression's or arrival's profile: every running
+        #: job's release and every anchor's claim
+        self._kept: AvailabilityProfile | None = None
+        #: the driver's ``transitions`` count when ``_kept`` was kept
+        self._kept_transitions = 0
 
     def on_begin(self) -> None:
         self._anchors.clear()
+        self._kept = None
 
     def on_arrival(self, job: Job) -> None:
         """Anchor the new job behind all existing reservations."""
         driver = self.driver
-        profile = self._profile_with_reservations(exclude=job.job_id)
-        anchor = profile.find_anchor(job.remaining_estimate(), job.procs)
-        self._anchors[job.job_id] = anchor
-        if anchor <= driver.now and driver.can_start(job):
-            del self._anchors[job.job_id]
+        now = driver.now
+        profile = self._kept_profile()
+        if profile is None:
+            profile = self._profile_with_reservations()
+        duration = job.remaining_estimate()
+        anchor = profile.find_anchor(duration, job.procs, earliest=now)
+        # a job that starts at once has anchor == now: one claim fits both
+        profile.claim(anchor, duration, job.procs)
+        if anchor <= now and driver.can_start(job):
             driver.start_job(job)
-        elif driver.tracer is not None:
-            driver.tracer.decision(
-                driver.now,
-                "reservation",
-                job.job_id,
-                anchor=anchor,
-                requested=job.procs,
-                duration=job.remaining_estimate(),
-            )
+        else:
+            self._anchors[job.job_id] = anchor
+            if driver.tracer is not None:
+                driver.tracer.decision(
+                    now,
+                    "reservation",
+                    job.job_id,
+                    anchor=anchor,
+                    requested=job.procs,
+                    duration=duration,
+                )
+        self._kept = profile
+        self._kept_transitions = driver.transitions
 
     def on_finish(self, job: Job) -> None:
         """Compress: re-anchor every queued job in guarantee order."""
@@ -590,14 +612,39 @@ class PerJobReservations(ReservationPolicy):
                         duration=duration,
                         compressed_from=old_anchors.get(queued.job_id),
                     )
+        self._kept = profile
+        self._kept_transitions = driver.transitions
 
     # ------------------------------------------------------------------
-    def _profile_with_reservations(self, exclude: int) -> AvailabilityProfile:
+    def _kept_profile(self) -> AvailabilityProfile | None:
+        """The kept profile, when it equals a rebuild on ``[now, inf)``.
+
+        Equal float for float (DESIGN.md section 7) when this arrival is
+        the only transition since it was kept, no anchor lies before
+        ``now``, and both builds store each running job's release *e* as
+        *e* itself: past the 1 s floor, and unchanged by the round trip
+        through either origin.  Otherwise ``None``: rebuild.
+        """
+        driver = self.driver
+        profile = self._kept
+        if profile is None or driver.transitions != self._kept_transitions + 1:
+            return None
+        now = driver.now
+        if min(self._anchors.values(), default=now) < now:
+            return None
+        floor = now + 1.0
+        origin = profile.origin
+        for running in driver.running_jobs():
+            end = running.expected_end
+            # repro-lint: disable=RPR003 -- the test is exactness itself: the kept release must be the very float a rebuild at now would store
+            if end < floor or origin + (end - origin) != end or now + (end - now) != end:
+                return None
+        return profile
+
+    def _profile_with_reservations(self) -> AvailabilityProfile:
         driver = self.driver
         profile = self._running_profile()
-        by_anchor = sorted(
-            (anchor, jid) for jid, anchor in self._anchors.items() if jid != exclude
-        )
+        by_anchor = sorted((anchor, jid) for jid, anchor in self._anchors.items())
         queued_by_id = {j.job_id: j for j in driver.queued_jobs()}
         for anchor, jid in by_anchor:
             queued = queued_by_id.get(jid)

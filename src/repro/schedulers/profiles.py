@@ -17,10 +17,12 @@ shifts); anchor search is one
 merged breakpoint walk carrying a sliding-window minimum (O(n) per
 anchor, down from the O(n^2) candidates-times-rescan form -- the legacy
 reference survives in ``benchmarks/bench_micro.py``, and
-``tools/bench_gate.py`` counts the calls per anchor exactly).  EASY and
-conservative backfilling rebuild a profile every scheduling pass, so
-these operations bound the whole backfill family's cost once queues
-congest.
+``tools/bench_gate.py`` counts the calls per anchor exactly).  EASY
+builds a profile every backfill pass and conservative backfilling at
+every compression; an arrival under conservative backfilling extends the
+profile the previous compression or arrival left, claiming only the new
+job, whenever that profile equals a rebuild.  These operations bound the
+whole backfill family's cost once queues congest.
 """
 
 from __future__ import annotations

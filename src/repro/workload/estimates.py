@@ -26,6 +26,7 @@ backfilling profiles never have to handle overruns).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import inf
 
 import numpy as np
 
@@ -57,8 +58,8 @@ class PerfectWithNoise(EstimateModel):
     """
 
     def __init__(self, noise: float = 0.2) -> None:
-        if noise < 0:
-            raise ValueError(f"noise must be nonnegative, got {noise}")
+        if not 0 <= noise < inf:  # also rejects NaN
+            raise ValueError(f"noise must be nonnegative and finite, got {noise}")
         self.noise = float(noise)
 
     def estimates(self, run_times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -80,7 +81,7 @@ class InaccurateEstimates(EstimateModel):
         limit, matching the aborted-job pathology the paper discusses.
     cap_seconds:
         Optional absolute cap on the estimate (a machine's maximum
-        wall-clock limit); ``None`` disables.
+        wall-clock limit), positive and finite; ``None`` disables.
     """
 
     def __init__(
@@ -89,12 +90,15 @@ class InaccurateEstimates(EstimateModel):
         max_factor: float = 50.0,
         cap_seconds: float | None = 60 * 3600.0,
     ) -> None:
+        # plain range tests, each of which NaN fails
         if not 0.0 <= badly_fraction <= 1.0:
             raise ValueError(f"badly_fraction must be in [0,1], got {badly_fraction}")
-        if max_factor <= 2.0:
-            raise ValueError(f"max_factor must exceed 2, got {max_factor}")
-        if cap_seconds is not None and cap_seconds <= 0:
-            raise ValueError(f"cap_seconds must be positive, got {cap_seconds}")
+        if not 2.0 < max_factor < inf:
+            raise ValueError(f"max_factor must exceed 2 and be finite, got {max_factor}")
+        if cap_seconds is not None and not 0 < cap_seconds < inf:
+            raise ValueError(
+                f"cap_seconds must be positive and finite (None: no cap), got {cap_seconds}"
+            )
         self.badly_fraction = float(badly_fraction)
         self.max_factor = float(max_factor)
         self.cap_seconds = cap_seconds

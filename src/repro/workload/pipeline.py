@@ -268,13 +268,15 @@ def open_workload(
     Composes :func:`repro.workload.swf.stream_swf` (constant-memory
     parse), :func:`repro.workload.swf.stream_jobs` (hygiene filters +
     rebase) and ``pipeline.jobs`` (lazy transformations).  ``max_procs``
-    defaults to the log header's machine size when the header declares
-    one.
+    (at least 1) defaults to the log header's machine size when the
+    header declares one.
     """
     from repro.workload.swf import MalformedPolicy, SWFReader, stream_jobs
 
     if on_malformed not in ("raise", "skip"):
         raise ValueError(f"on_malformed must be 'raise' or 'skip', got {on_malformed!r}")
+    if max_procs is not None and max_procs < 1:
+        raise ValueError(f"max_procs must be at least 1, got {max_procs}")
     policy: MalformedPolicy = "raise" if on_malformed == "raise" else "skip"
 
     def _stream() -> Iterator[Job]:

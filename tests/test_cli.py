@@ -306,6 +306,42 @@ def test_workload_stats_needs_procs_without_header(tmp_path):
         main(["workload", "stats", str(path)])
 
 
+@pytest.mark.parametrize(
+    "command, option, value, named",
+    [
+        ("stats", "--load", "0", "load factor"),
+        ("stats", "--load", "nan", "load factor"),
+        ("stats", "--load", "inf", "load factor"),
+        ("replay", "--load", "0", "load factor"),
+        ("replay", "--load", "nan", "load factor"),
+        ("replay", "--load", "inf", "load factor"),
+        ("replay", "--window", "0", "--window"),
+        ("replay", "--window", "-1", "--window"),
+        ("replay", "--window", "nan", "--window"),
+        ("replay", "--batch-size", "0", "--batch-size"),
+        ("stats", "--procs", "0", "--procs"),
+        ("stats", "--procs", "-4", "--procs"),
+        ("replay", "--procs", "-4", "--procs"),
+    ],
+)
+def test_invalid_workload_options_are_usage_errors(
+    swf_log, command, option, value, named, capsys
+):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["workload", command, swf_log, option, value])
+    assert excinfo.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "replay"])
+def test_missing_workload_log_is_a_usage_error(tmp_path, command, capsys):
+    missing = str(tmp_path / "missing.swf")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["workload", command, missing])
+    assert excinfo.value.code == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_workload_replay(swf_log, capsys):
     rc = main(["workload", "replay", swf_log, "--scheduler", "easy",
                "--window", "6"])

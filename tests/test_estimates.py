@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,27 @@ def test_inaccurate_cap_never_below_actual():
 def test_inaccurate_validates_params(kwargs):
     with pytest.raises(ValueError):
         InaccurateEstimates(**kwargs)
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build, zero_ok",
+    [
+        (lambda v: PerfectWithNoise(noise=v), True),
+        (lambda v: InaccurateEstimates(badly_fraction=v), True),
+        (lambda v: InaccurateEstimates(max_factor=v), False),
+        (lambda v: InaccurateEstimates(cap_seconds=v), False),
+    ],
+    ids=["noise", "badly_fraction", "max_factor", "cap_seconds"],
+)
+def test_estimate_knobs_refuse_non_finite_values(build, zero_ok, value):
+    """NaN and infinities are refused at construction; ``cap_seconds=None``
+    (no cap) is the one way to lift the cap."""
+    if value == 0.0 and zero_ok:
+        build(value)
+        return
+    with pytest.raises(ValueError):
+        build(value)
 
 
 def test_max_factor_bounds_overestimation():

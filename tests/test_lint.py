@@ -416,7 +416,7 @@ class _Configured(_Idle):
         return {"scheme": self.scheme_id, "margin": self.knob()}
 
 
-_SIMULATE_INSTALLED, _KILL_POOL = parallel._simulate_installed, parallel._kill_pool
+_SIMULATE_INSTALLED = parallel._simulate_installed
 
 
 def _pool_task(i: int) -> object:
@@ -487,22 +487,14 @@ class TestRPR005:
 
     def run_pooled(self, monkeypatch, task: object) -> None:
         monkeypatch.setattr(parallel, "_simulate_installed", task)
-        # a killed pool's manager thread ends before the test does
-        monkeypatch.setattr(
-            parallel, "_kill_pool", lambda pool: (_KILL_POOL(pool), pool.shutdown(wait=True))
-        )
         jobs = generate_trace("SDSC", n_jobs=20, seed=1)
         cells = [GridCell(key, jobs, 128, {"scheme": key}) for key in ("fcfs", "easy")]
         assert len(run_grid(cells, workers=2).results) == 2
 
-    # a pool killed after a task failed to pickle can trip CPython 3.11's
-    # executor thread (InvalidStateError in terminate_broken); harmless
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_lambda_to_pool_fires(self, monkeypatch) -> None:
         with pytest.raises(GridExecutionError, match="pickle"):
             self.run_pooled(monkeypatch, lambda i: _SIMULATE_INSTALLED(i))
 
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_nested_function_to_pool_fires(self, monkeypatch) -> None:
         def work(i: int) -> object:
             return _SIMULATE_INSTALLED(i)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf, nan
+
 import pytest
 
 from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
@@ -73,6 +75,29 @@ def test_fixed_model_constant():
 def test_fixed_model_validates():
     with pytest.raises(ValueError):
         FixedOverheadModel(-1.0)
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "build, zero_ok",
+    [
+        (lambda v: FixedOverheadModel(seconds=v), True),
+        (lambda v: DiskSwapOverheadModel(mb_per_sec_per_proc=v), False),
+        (lambda v: DiskSwapOverheadModel(restart_factor=v), True),
+        (lambda v: DiskSwapOverheadModel(default_memory_range_mb=(v, 1000.0)), False),
+        (lambda v: DiskSwapOverheadModel(default_memory_range_mb=(100.0, v)), False),
+    ],
+    ids=["seconds", "mb_per_sec_per_proc", "restart_factor", "memory_low", "memory_high"],
+)
+def test_overhead_knobs_refuse_non_finite_values(build, zero_ok, value):
+    """Construction only: an infinite charge would livelock a run and a
+    NaN one fail at its first suspension.  Zero overhead and a
+    write-only charge stay legal."""
+    if value == 0.0 and zero_ok:
+        build(value)
+        return
+    with pytest.raises(ValueError):
+        build(value)
 
 
 def test_overhead_inflates_turnaround_in_simulation(sdsc_trace_small):

@@ -225,6 +225,26 @@ class _RecordingPool:
         pass
 
 
+def test_unpicklable_pool_task_fails_before_any_pool_starts(monkeypatch):
+    """A task callable that cannot be pickled ends the grid with
+    ``GridExecutionError`` before a pool exists, so no worker or pool
+    thread is left to outlive the raise."""
+    from repro.experiments import GridExecutionError
+
+    cells = [
+        GridCell(key, generate_trace("SDSC", n_jobs=20, seed=1), N_PROCS, {"scheme": key})
+        for key in ("fcfs", "easy")
+    ]
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(parallel, "_simulate_installed", lambda i: i)
+    with pytest.raises(GridExecutionError, match="pickle") as excinfo:
+        run_grid(cells, workers=2)
+    assert _RecordingPool.made == []
+    (failure,) = excinfo.value.failures.values()
+    assert failure.resolution == "gave-up" and failure.attempts == 1
+
+
 def test_pool_tasks_carry_an_index_not_the_workload(monkeypatch):
     jobs = generate_trace("SDSC", n_jobs=2000, seed=1)
     cells = [

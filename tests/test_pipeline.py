@@ -181,6 +181,14 @@ def test_open_workload_applies_pipeline(tmp_path):
     assert [j.submit_time for j in scaled] == [j.submit_time / 2.0 for j in plain]
 
 
+@pytest.mark.parametrize("max_procs", [0, -4])
+def test_open_workload_rejects_a_machine_without_processors(tmp_path, max_procs):
+    path = tmp_path / "log.swf"
+    write_synthetic_swf(path, n_jobs=5)
+    with pytest.raises(ValueError, match="max_procs"):
+        open_workload(path, max_procs=max_procs)
+
+
 def test_open_workload_rejects_bad_policy(tmp_path):
     path = tmp_path / "log.swf"
     write_synthetic_swf(path, n_jobs=5)

@@ -701,3 +701,96 @@ def test_remembered_blockers_settle_denials_on_a_paper_trace():
         )
     assert result.total_suspensions > 0
     assert len(settled) > 100
+
+
+# ----------------------------------------------------------------------
+# conservative backfilling: the kept reservation profile
+# ----------------------------------------------------------------------
+#: like ``job_lists``, with estimates down to a quarter of the run time:
+#: a job that outlives its estimate makes the profile's 1 s floor apply
+underestimated_job_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=5000.0),  # submit
+        st.floats(min_value=1.0, max_value=5000.0),  # run
+        st.integers(min_value=1, max_value=N_PROCS),  # procs
+        st.floats(min_value=0.25, max_value=4.0),  # estimate factor
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _steps_from(profile: AvailabilityProfile, now: float) -> tuple[int, list]:
+    """``free(now)`` and the breakpoints after *now* that change it."""
+    level = start = profile.free_at(now)
+    changes = []
+    for t, free in profile.breakpoints():
+        if t > now and free != level:
+            changes.append((t, free))
+            level = free
+    return start, changes
+
+
+def test_kept_reservation_profile_equals_a_rebuild():
+    """At every arrival that anchors on the kept profile, a rebuild from
+    the running jobs and the stored anchors gives the same step function
+    on ``[now, inf)``, float for float, and leaves every anchor as it
+    is.  Across the examples the kept profile is reused, and arrivals
+    find a job past its estimate (the floor test) too."""
+    from repro.core.overhead import FixedOverheadModel
+    from repro.experiments.runner import simulate
+    from repro.schedulers.conservative import ConservativeBackfillScheduler
+    from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
+    from repro.schedulers.policy import PerJobReservations
+
+    kept_profile = PerJobReservations._kept_profile
+    seen = {"reused": 0, "floored": 0}
+
+    def checked(self):
+        profile = kept_profile(self)
+        driver = self.driver
+        now = driver.now
+        if profile is not None:
+            anchors = dict(self._anchors)
+            fresh = self._profile_with_reservations()
+            assert self._anchors == anchors
+            assert _steps_from(profile, now) == _steps_from(fresh, now)
+            seen["reused"] += 1
+        elif any(r.expected_end < now + 1.0 for r in driver.running_jobs()):
+            seen["floored"] += 1
+        return profile
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        underestimated_job_lists,
+        st.sampled_from([1.0, 10.0, 100.0]),  # arrival compression
+        st.sampled_from(["conservative", "tss-conservative"]),
+        st.booleans(),  # FixedOverheadModel
+    )
+    # the second job arrives once the first has outlived its estimate
+    @example([(0.0, 1000.0, N_PROCS, 0.25), (500.0, 10.0, 4, 1.0)], 1.0, "conservative", False)
+    # the second and third arrivals anchor on the kept profile
+    @example(
+        [(0.0, 1000.0, N_PROCS, 1.0), (10.0, 10.0, 4, 1.0), (20.0, 10.0, 4, 1.0)],
+        1.0,
+        "tss-conservative",
+        True,
+    )
+    def run(raw, compress, scheme, overhead):
+        jobs = build_jobs([(s / compress, r, p, e) for s, r, p, e in raw])
+        scheduler = (
+            ConservativeBackfillScheduler()
+            if scheme == "conservative"
+            else TunableSuspensionWithGuarantees(suspension_factor=2.0)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PerJobReservations, "_kept_profile", checked)
+            simulate(
+                jobs,
+                scheduler,
+                N_PROCS,
+                overhead_model=FixedOverheadModel(seconds=5.0) if overhead else None,
+            )
+
+    run()
+    assert seen["reused"] > 0 and seen["floored"] > 0, seen

@@ -93,6 +93,9 @@ def test_unsorted_stream_raises():
 def test_bad_parameters_raise():
     with pytest.raises(ValueError, match="window"):
         list(iter_time_shards([], window=0.0))
+    for window in (float("nan"), float("inf")):  # NaN passed `window <= 0`
+        with pytest.raises(ValueError, match="window"):
+            list(iter_time_shards([_job(1, 5000.0)], window=window))
     with pytest.raises(ValueError, match="min_jobs"):
         list(iter_time_shards([], window=10.0, min_jobs=0))
 

@@ -4,9 +4,9 @@
 Every workload of :func:`benchmarks.bench_micro.workloads` -- the event
 calendar, the availability profile, the cluster, EASY, SS and IS on the
 SDSC-400 trace (SS also with the null recorder), the per-category
-metric fold over the EASY run, SS, TSS, conservative and relaxed
-backfilling on the congested 700-job trace, and the streaming SWF
-parse and convert -- runs under
+metric fold over the EASY run, SS, TSS, conservative, relaxed and
+``tss-conservative`` backfilling on the congested 700-job trace, and
+the streaming SWF parse and convert -- runs under
 :func:`~benchmarks.bench_micro.count_calls`, which counts the
 Python-level calls it makes to each function under ``src/repro``.
 Counts do not depend on the machine, the load or the hash seed, so they
@@ -30,9 +30,12 @@ are compared exactly; no clock-measured value gates anything.
       baseline with ``--write`` in the same commit;
     * a null-recorder SS run that makes other calls than the untraced
       run (the zero-overhead-when-off contract of docs/TRACING.md);
-    * a trace fingerprint (SHA-256 of the schedule each SS workload and
-      the IS workload produce) that differs from the baseline's -- a
-      perf change that changes a schedule is rejected outright;
+    * a trace fingerprint (SHA-256 of the schedule each SS workload, the
+      IS workload and the two reservation workloads,
+      ``conservative_congested700`` and
+      ``tss_conservative_congested700``, produce) that differs from the
+      baseline's -- a perf change that changes a schedule is rejected
+      outright;
     * a streaming-ingestion peak RSS above 0.6x the eager reader's;
     * a pooled grid whose per-cell task pickles to more than a tenth of
       an inline cell, or whose pool cell table (the initializer's
@@ -309,6 +312,8 @@ def trace_fingerprints() -> dict[str, str]:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.core.immediate_service import ImmediateServiceScheduler
     from repro.core.selective_suspension import SelectiveSuspensionScheduler
+    from repro.schedulers.conservative import ConservativeBackfillScheduler
+    from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
     from repro.sim.driver import SchedulingSimulation
     from repro.cluster.machine import Cluster
     from repro.workload.load import scale_load
@@ -324,17 +329,25 @@ def trace_fingerprints() -> dict[str, str]:
         blob = json.dumps(sig, separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()
 
+    def congested() -> list[Any]:
+        return scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8)
+
     return {
         "ss_sdsc400": run_signature(
             generate_trace("SDSC", n_jobs=400, seed=3),
             SelectiveSuspensionScheduler(suspension_factor=2.0),
         ),
         "ss_congested700": run_signature(
-            scale_load(generate_trace("SDSC", n_jobs=700, seed=5), 1.8),
-            SelectiveSuspensionScheduler(suspension_factor=2.0),
+            congested(), SelectiveSuspensionScheduler(suspension_factor=2.0)
         ),
         "is_sdsc400": run_signature(
             generate_trace("SDSC", n_jobs=400, seed=3), ImmediateServiceScheduler()
+        ),
+        "conservative_congested700": run_signature(
+            congested(), ConservativeBackfillScheduler()
+        ),
+        "tss_conservative_congested700": run_signature(
+            congested(), TunableSuspensionWithGuarantees(suspension_factor=2.0)
         ),
     }
 

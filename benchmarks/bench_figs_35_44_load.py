@@ -77,8 +77,9 @@ def test_figs_35_44_load_variation(benchmark, trace):
     # saturation knee.  Beyond deep overload the backlog of a *local*
     # preemptive scheme is carried as suspended jobs pinned to specific
     # processor sets, which cannot fill holes the way NS's flexible
-    # queue can; at bench scale this opens a gap at the extreme load
-    # points (documented deviation, see EXPERIMENTS.md Figs 35-44).
+    # queue can.  Local restart opens a gap at the extreme load points,
+    # and longer traces widen it (documented deviation, see
+    # EXPERIMENTS.md Figs 35-44; ROADMAP item 6).
     from repro.workload.archive import get_preset
 
     knee = get_preset(trace).saturation_load

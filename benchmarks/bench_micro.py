@@ -234,9 +234,7 @@ class LegacyCluster:
     uses.
     """
 
-    def __init__(self, n_procs: int, policy=None) -> None:
-        from repro.cluster.allocation import LowestIdFirst
-
+    def __init__(self, n_procs: int) -> None:
         self.n_procs = int(n_procs)
         self._free: set[int] = set(range(self.n_procs))
         self._owner: dict[int, int] = {}
@@ -244,7 +242,6 @@ class LegacyCluster:
         self._ids: dict[int, frozenset[int]] = {}
         #: processor id -> its one-bit mask
         self._bit = [1 << p for p in range(self.n_procs)]
-        self.policy = policy or LowestIdFirst()
 
     @property
     def free_count(self) -> int:
@@ -291,7 +288,7 @@ class LegacyCluster:
             raise AllocationError(
                 f"job {owner}: requests {count}, only {len(self._free)} free"
             )
-        return self._claim(self.policy.select(self._free, count), owner)
+        return self._claim(frozenset(sorted(self._free)[:count]), owner)
 
     def allocate_mask(self, mask: int, owner: int) -> int:
         chosen = self.ids(mask)

@@ -10,7 +10,8 @@ Subcommands
     Run the paper's standard scheme set over one trace and print the
     comparison matrices.
 ``experiment``
-    Regenerate a paper table/figure group by id (see ``--list``).
+    Regenerate paper table/figure groups by id (see ``--list``); several
+    ids run as one grid, each distinct cell once.
 ``trace``
     Decision traces (see ``docs/TRACING.md``): ``record`` a traced run
     to JSONL, ``summarize`` a trace by independent replay, ``filter``
@@ -33,6 +34,7 @@ Examples
     repro-sched run --trace CTC --scheduler ss --sf 2 --jobs 2000
     repro-sched compare --trace SDSC --jobs 1500 --metric turnaround
     repro-sched experiment figs-7-10 --trace CTC
+    repro-sched experiment figs-7-10 figs-11-16 figs-13-18 --trace SDSC
     repro-sched experiment --list
     repro-sched trace record --out run.jsonl --trace CTC --jobs 500 --scheduler ss
     repro-sched trace summarize run.jsonl
@@ -49,12 +51,13 @@ import argparse
 import inspect
 import sys
 from math import inf
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.experiments import paper
 from repro.experiments.cache import ResultCache
+from repro.experiments.paper import EXPERIMENTS
 from repro.experiments.parallel import GridPolicy, resolve_workers
 from repro.experiments.runner import compare_schemes, simulate, standard_schemes
 from repro.obs import GridCounters, format_grid_counters
@@ -69,21 +72,6 @@ from repro.workload.synthetic import generate_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.pipeline import WorkloadPipeline
-
-#: experiment id -> (function, needs-trace)
-EXPERIMENTS: dict[str, tuple[Callable[..., paper.ExperimentOutput], bool]] = {
-    "distribution": (paper.job_distribution, True),
-    "tables-4-5": (paper.ns_baseline_slowdowns, True),
-    "figs-4-6": (paper.two_task_figures, False),
-    "figs-7-10": (paper.ss_average_metrics, True),
-    "figs-11-16": (paper.ss_worst_case, True),
-    "figs-13-18": (paper.tss_worst_case, True),
-    "figs-19-30": (paper.estimate_impact, True),
-    "figs-31-34": (paper.overhead_impact, True),
-    "figs-35-44": (paper.load_variation, True),
-    "hybrids": (paper.hybrid_comparison, True),
-}
-
 
 #: CLI spellings of scheme ids
 SCHEDULER_ALIASES = {
@@ -240,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure group")
-    exp.add_argument("exp_id", nargs="?", help="experiment id (see --list)")
+    exp.add_argument(
+        "exp_ids",
+        nargs="*",
+        metavar="exp_id",
+        help="experiment ids (see --list); several run as one grid, each distinct cell once",
+    )
     exp.add_argument("--list", action="store_true", help="list experiment ids")
     exp.add_argument("--trace", default="CTC")
     exp.add_argument("--jobs", type=int, default=paper.DEFAULT_N_JOBS)
@@ -517,34 +510,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "experiment":
-        if args.list or not args.exp_id:
+        if args.list or not args.exp_ids:
             print("available experiments:")
             for key in EXPERIMENTS:
                 print(f"  {key}")
             return 0 if args.list else 2
-        if args.exp_id not in EXPERIMENTS:
-            print(f"unknown experiment {args.exp_id!r}; try --list", file=sys.stderr)
+        unknown = [i for i in args.exp_ids if i not in EXPERIMENTS]
+        if unknown:
+            print(f"unknown experiment {unknown[0]!r}; try --list", file=sys.stderr)
             return 2
-        fn, needs_trace = EXPERIMENTS[args.exp_id]
-        if needs_trace:
-            kwargs: dict[str, object] = {
-                "trace": args.trace,
-                "n_jobs": args.jobs,
-                "seed": args.seed,
-            }
-            # grid-shaped experiments accept workers/cache; table-only
-            # ones (single simulation) do not -- pass only what fits
-            params = inspect.signature(fn).parameters
-            if "workers" in params:
-                kwargs["workers"] = args.workers
-            if "cache" in params:
-                kwargs["cache"] = _cache_from_args(args)
-            if "policy" in params:
-                kwargs["policy"] = args.policy
-            out = fn(**kwargs)
-        else:
-            out = fn()
-        print(out.report)
+        figures = [EXPERIMENTS[i](args.trace, args.jobs, args.seed) for i in args.exp_ids]
+        outputs = paper.run_figures(figures, args.workers, _cache_from_args(args), args.policy)
+        print("\n\n".join(out.report for out in outputs))
         return 0
 
     raise AssertionError("unreachable")  # pragma: no cover

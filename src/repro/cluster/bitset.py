@@ -6,9 +6,8 @@ processor ``p`` is a member.  Set algebra becomes word-parallel machine
 arithmetic (``&``, ``|``, ``~`` masked to machine width), membership is
 a shift, and cardinality is :meth:`int.bit_count` -- all
 O(n_procs / 64) instead of per-processor dict/set churn.  Processor ids
-are materialised (:func:`mask_to_ids`) only where a trace record is
-written and in the ``select()`` adapter of allocation policies that
-have no ``select_mask`` of their own.
+are materialised (:func:`mask_to_ids`) only where a trace record or
+an error message is written.
 
 Iteration order over a bitmask is *ascending processor id by
 construction*: :func:`iter_bits` repeatedly extracts the lowest set bit

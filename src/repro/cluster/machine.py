@@ -27,12 +27,7 @@ per-processor set/dict churn.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.cluster.bitset import mask_to_ids
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.cluster.allocation import AllocationPolicy
+from repro.cluster.bitset import lowest_bits, mask_to_ids
 
 
 class AllocationError(RuntimeError):
@@ -47,24 +42,21 @@ class Cluster:
     n_procs:
         Total number of processors (e.g. 430 for the CTC SP2, 128 for the
         SDSC SP2, 100 for the KTH SP2).
-    policy:
-        Allocation policy used by :meth:`allocate`; defaults to
-        lowest-id-first, which is deterministic and matches how most
-        production schedulers of the era packed nodes.
+
+    :meth:`allocate` gives a fresh job the lowest-numbered free
+    processors: deterministic, compact, and how most production
+    schedulers of the era packed nodes.
     """
 
-    def __init__(self, n_procs: int, policy: "AllocationPolicy | None" = None) -> None:
+    def __init__(self, n_procs: int) -> None:
         if n_procs <= 0:
             raise ValueError(f"cluster needs at least one processor, got {n_procs}")
-        from repro.cluster.allocation import LowestIdFirst
-
         self.n_procs = int(n_procs)
         #: all-ones mask over the machine's processor ids
         self._full_mask: int = (1 << self.n_procs) - 1
         self._free_mask: int = self._full_mask
         #: owner job id -> mask of processors it holds (never zero)
         self._owner_masks: dict[int, int] = {}
-        self.policy: "AllocationPolicy" = policy or LowestIdFirst()
 
     # ------------------------------------------------------------------
     # queries
@@ -130,9 +122,8 @@ class Cluster:
     # mutation
     # ------------------------------------------------------------------
     def allocate(self, count: int, owner: int) -> int:
-        """Allocate *count* free processors to job *owner*; returns their mask.
-
-        The concrete processors are chosen by the cluster's policy.
+        """Allocate the *count* lowest-numbered free processors to job
+        *owner*; returns their mask.
 
         Raises
         ------
@@ -151,18 +142,7 @@ class Cluster:
             raise AllocationError(
                 f"job {owner}: requests {count}, only {free} free"
             )
-        chosen = self.policy.select_mask(self._free_mask, count)
-        if chosen.bit_count() != count:
-            raise AllocationError(
-                f"policy {type(self.policy).__name__} returned {chosen.bit_count()} "
-                f"processors for a request of {count}"
-            )
-        if chosen & ~self._free_mask:
-            raise AllocationError(
-                f"policy {type(self.policy).__name__} selected processors "
-                f"outside the free pool"
-            )
-        return self._claim_mask(chosen, owner)
+        return self._claim_mask(lowest_bits(self._free_mask, count), owner)
 
     def allocate_mask(self, mask: int, owner: int) -> int:
         """Allocate exactly the processors in *mask* to job *owner*.

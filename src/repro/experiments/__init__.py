@@ -1,9 +1,9 @@
 """Experiment harness: run schemes over traces, regenerate paper results.
 
 * :mod:`repro.experiments.runner` -- :func:`simulate` (one policy, one
-  trace) and :func:`compare_schemes` (the paper's standard scheme set
-  over one trace, through :func:`run_grid`; serial unless given
-  workers).
+  trace) and :func:`run_scheme_groups` (scheme configs over workloads
+  through :func:`run_grid`, each distinct cell once; serial unless given
+  workers), with :func:`compare_schemes` its one-workload form.
 * :mod:`repro.experiments.parallel` -- :func:`run_grid`: grid cells run
   in-process or fanned out over a process pool with deterministic
   merging, incremental cache commits and crash/hang/broken-pool
@@ -17,8 +17,10 @@
 * :mod:`repro.experiments.cache` -- :class:`ResultCache`, the
   content-addressed on-disk result store keyed by (workload, machine,
   scheduler config, overhead model, migratable flag) fingerprints.
-* :mod:`repro.experiments.paper` -- one entry per paper table/figure;
-  each returns the rows/series the paper plots, as plain data.
+* :mod:`repro.experiments.paper` -- each paper table/figure declared
+  as cells plus a renderer; :func:`~repro.experiments.paper.run_figures`
+  runs any set of them as one grid and returns the rows/series the
+  paper plots, as plain data.
 """
 
 from repro.experiments.cache import (
@@ -43,9 +45,11 @@ from repro.experiments.parallel import (
     trace_files_for_keys,
 )
 from repro.experiments.runner import (
+    SchemeGroup,
     SchemeSpec,
     SuspensionOverheadModel,
     compare_schemes,
+    run_scheme_groups,
     simulate,
     standard_schemes,
     tuned_schemes,
@@ -58,6 +62,7 @@ __all__ = [
     "GridOutcome",
     "GridPolicy",
     "ResultCache",
+    "SchemeGroup",
     "SchemeSpec",
     "ShardedReplayOutcome",
     "SuspensionOverheadModel",
@@ -69,6 +74,7 @@ __all__ = [
     "outcome_fingerprint",
     "replay_sharded",
     "run_grid",
+    "run_scheme_groups",
     "shard_cell",
     "simulate",
     "simulate_cell",

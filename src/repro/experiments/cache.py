@@ -1,10 +1,12 @@
 """Content-addressed on-disk cache of simulation results.
 
-The paper's evaluation grid is hundreds of deterministic simulations,
-and most bench / CLI invocations re-run cells an earlier invocation
-already computed (every figure shares its NS baseline, every load sweep
-shares the load-1.0 points, ...).  Because the simulator is
-deterministic, a cell's outcome is a pure function of
+The paper's evaluation grid is hundreds of deterministic simulations.
+Within one invocation :func:`~repro.experiments.paper.run_figures`
+simulates each distinct cell once; across invocations, most bench and
+CLI runs re-run cells an earlier one already computed (every figure
+shares its NS cell, every load sweep shares the load-1.0 points, ...).
+Because the simulator is deterministic, a cell's outcome is a pure
+function of
 
 * the **workload** (static job fields only -- dynamic state is reset by
   ``fresh_copies`` before every run),

@@ -1,34 +1,42 @@
-"""One function per paper experiment.
+"""One entry per paper experiment.
 
-Each function simulates what the corresponding table/figure needs and
-returns an :class:`ExperimentOutput`: plain data (dicts keyed by scheme
-and category) plus a rendered ASCII report.  The benchmark harness calls
-these and prints the report, so regenerating any paper artefact is::
+Each simulating table or figure group is a :class:`Figure`: the scheme
+groups it simulates (a :class:`Workload`, an optional overhead model
+and :class:`~repro.experiments.runner.SchemeSpec` configs) plus a
+renderer from their results to an :class:`ExperimentOutput` -- plain
+data (dicts keyed by scheme and category) and an ASCII report.
+:func:`run_figures` runs several figures as one grid, each distinct cell
+once; its *workers*, *cache* and *policy* fan the cells out over a
+process pool, an on-disk result cache and a fault policy (see
+:mod:`repro.experiments.parallel`).  :data:`EXPERIMENTS` maps each
+experiment id (DESIGN.md section 4) to its declaration, and each public
+function runs one figure, so regenerating any paper artefact is::
 
     from repro.experiments import paper
     print(paper.ss_average_metrics("CTC").report)
 
-Experiment ids follow DESIGN.md section 4.  Default sizes (2500 jobs)
-keep a full figure regeneration in seconds-to-minutes on a laptop while
-leaving category populations large enough for stable averages; pass
-``n_jobs`` to scale up.
+Default sizes (2500 jobs) keep a full figure regeneration in
+seconds-to-minutes on a laptop while leaving category populations large
+enough for stable averages; pass ``n_jobs`` to scale up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 from repro.analysis.report import scheme_comparison_report
 from repro.analysis.tables import category_grid_table, series_table
 from repro.core.overhead import DiskSwapOverheadModel
 from repro.core.theory import two_task_timeline
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import GridCell, GridPolicy, run_grid
+from repro.experiments.parallel import GridPolicy
 from repro.experiments.runner import (
-    compare_schemes,
+    NS_CONFIG,
+    SchemeGroup,
+    SchemeSpec,
     hybrid_schemes,
-    simulate,
+    run_scheme_groups,
     standard_schemes,
     tuned_schemes,
 )
@@ -37,11 +45,10 @@ from repro.metrics.aggregate import (
     overall_stats,
     per_category_stats,
 )
-from repro.schedulers.easy import EasyBackfillScheduler
-from repro.sim.driver import SimulationResult
+from repro.sim.driver import SimulationResult, SuspensionOverheadModel
 from repro.workload.archive import get_preset
 from repro.workload.categories import classify_four_way
-from repro.workload.estimates import EstimateModel, InaccurateEstimates
+from repro.workload.estimates import InaccurateEstimates
 from repro.workload.job import Job
 from repro.workload.load import scale_load
 from repro.workload.synthetic import generate_trace
@@ -66,10 +73,60 @@ class ExperimentOutput:
     results: dict[str, SimulationResult] = field(default_factory=dict)
 
 
-def _trace(
-    trace: str, n_jobs: int, seed: int, estimates: EstimateModel | None = None
-) -> list[Job]:
-    return generate_trace(trace, n_jobs=n_jobs, seed=seed, estimate_model=estimates)
+@dataclass(frozen=True)
+class Workload:
+    """A synthetic trace; equal declarations share one generated job list."""
+
+    trace: str
+    n_jobs: int
+    seed: int
+    #: ``None`` for accurate estimates, else the badly estimated share
+    #: of :class:`~repro.workload.estimates.InaccurateEstimates`
+    badly_fraction: float | None = None
+    #: load factor of :func:`~repro.workload.load.scale_load`
+    load: float = 1.0
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One experiment: its scheme groups, each a (workload, overhead
+    model, specs) triple, and the renderer of their results, which
+    receives one ``label -> result`` dict per group."""
+
+    groups: Sequence[tuple[Workload, SuspensionOverheadModel | None, Sequence[SchemeSpec]]]
+    render: Callable[[list[dict[str, SimulationResult]]], ExperimentOutput]
+
+
+def run_figures(
+    figures: Sequence[Figure],
+    workers: int | None = None,
+    cache: ResultCache | None = None,
+    policy: GridPolicy | None = None,
+) -> list[ExperimentOutput]:
+    """Run the union of *figures*' cells as one grid; render each figure.
+
+    Equal :class:`Workload` declarations share one job list, so
+    :func:`~repro.experiments.runner.run_scheme_groups` simulates each
+    distinct cell once, across figures too.
+    """
+    lists: dict[Workload, list[Job]] = {}
+
+    def jobs(w: Workload) -> list[Job]:
+        if w not in lists and w.load != 1.0:
+            lists[w] = scale_load(jobs(replace(w, load=1.0)), w.load)
+        elif w not in lists:
+            bad = w.badly_fraction
+            estimates = None if bad is None else InaccurateEstimates(badly_fraction=bad)
+            lists[w] = generate_trace(w.trace, w.n_jobs, w.seed, estimate_model=estimates)
+        return lists[w]
+
+    groups = [
+        SchemeGroup(jobs(w), get_preset(w.trace).n_procs, specs, overhead)
+        for figure in figures
+        for w, overhead, specs in figure.groups
+    ]
+    results = iter(run_scheme_groups(groups, workers=workers, cache=cache, policy=policy))
+    return [figure.render([next(results) for _ in figure.groups]) for figure in figures]
 
 
 def _mean_grids(
@@ -85,6 +142,31 @@ def _mean_grids(
     return out
 
 
+def _comparison(
+    exp_id: str,
+    title: str,
+    trace: str,
+    results: dict[str, SimulationResult],
+    titles: Sequence[str],
+    statistic: str = "mean",
+    quality: str | None = None,
+) -> ExperimentOutput:
+    """Slowdown and turnaround per category and scheme, one block each;
+    ``data``: ``"slowdown"``/``"turnaround"`` -> scheme -> category."""
+    metrics = ("slowdown", "turnaround")
+    return ExperimentOutput(
+        exp_id=exp_id,
+        title=title,
+        trace=trace,
+        data={m: _mean_grids(results, m, statistic, quality) for m in metrics},
+        report="\n\n".join(
+            scheme_comparison_report(t, results, m, statistic, quality)
+            for t, m in zip(titles, metrics, strict=True)
+        ),
+        results=results,
+    )
+
+
 # ----------------------------------------------------------------------
 # Tables II / III / VII / VIII -- job distribution
 # ----------------------------------------------------------------------
@@ -95,7 +177,7 @@ def job_distribution(
 
     ``data`` keys: ``"shares16"``, ``"shares4"`` (category -> fraction).
     """
-    jobs = _trace(trace, n_jobs, seed)
+    jobs = generate_trace(trace, n_jobs=n_jobs, seed=seed)
     # shares read only static job fields, so fresh jobs classify as they are
     shares16 = category_shares(jobs)
     shares4 = category_shares(jobs, classify_four_way)
@@ -126,6 +208,33 @@ def job_distribution(
 # ----------------------------------------------------------------------
 # Tables IV / V -- NS per-category slowdowns
 # ----------------------------------------------------------------------
+def _tables_4_5(trace: str, n_jobs: int, seed: int) -> Figure:
+    def render(groups: list[dict[str, SimulationResult]]) -> ExperimentOutput:
+        result = groups[0]["No Suspension"]
+        stats = per_category_stats(result.jobs)
+        grid = {c: s.slowdown.mean for c, s in stats.items()}
+        overall = overall_stats(result.jobs).slowdown.mean
+        table = "IV" if trace == "CTC" else "V"
+        title = f"{trace}: mean bounded slowdown, NS scheme (Table {table})"
+        report = "\n".join(
+            [
+                category_grid_table(grid, title=title),
+                f"overall: {overall:.2f}   utilization: {result.utilization:.3f}",
+            ]
+        )
+        return ExperimentOutput(
+            exp_id="tables-4-5",
+            title="NS per-category average slowdown",
+            trace=trace,
+            data={"grid": grid, "overall": overall},
+            report=report,
+            results=groups[0],
+        )
+
+    ns = [SchemeSpec("No Suspension", NS_CONFIG)]
+    return Figure([(Workload(trace, n_jobs, seed), None, ns)], render)
+
+
 def ns_baseline_slowdowns(
     trace: str = "CTC", n_jobs: int = DEFAULT_N_JOBS, seed: int = DEFAULT_SEED
 ) -> ExperimentOutput:
@@ -133,32 +242,7 @@ def ns_baseline_slowdowns(
 
     ``data`` keys: ``"grid"`` (category -> mean slowdown), ``"overall"``.
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    result = simulate(jobs, EasyBackfillScheduler(), preset.n_procs)
-    stats = per_category_stats(result.jobs)
-    grid = {c: s.slowdown.mean for c, s in stats.items()}
-    overall = overall_stats(result.jobs).slowdown.mean
-    report = "\n".join(
-        [
-            category_grid_table(
-                grid,
-                title=(
-                    f"{trace}: mean bounded slowdown, NS scheme "
-                    f"(Table {'IV' if trace == 'CTC' else 'V'})"
-                ),
-            ),
-            f"overall: {overall:.2f}   utilization: {result.utilization:.3f}",
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="tables-4-5",
-        title="NS per-category average slowdown",
-        trace=trace,
-        data={"grid": grid, "overall": overall},
-        report=report,
-        results={"No Suspension": result},
-    )
+    return run_figures([_tables_4_5(trace, n_jobs, seed)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +287,20 @@ def two_task_figures(
 # ----------------------------------------------------------------------
 # Figs 7-10 -- SS average slowdown / turnaround
 # ----------------------------------------------------------------------
+def _figs_7_10(trace: str, n_jobs: int, seed: int) -> Figure:
+    figs = ("7", "8") if trace == "CTC" else ("9", "10")
+    titles = (
+        f"{trace}: average slowdown, SS scheme (Fig {figs[0]})",
+        f"{trace}: average turnaround, SS scheme (Fig {figs[1]})",
+    )
+    return Figure(
+        [(Workload(trace, n_jobs, seed), None, standard_schemes())],
+        lambda groups: _comparison(
+            "figs-7-10", "SS average metrics vs NS and IS", trace, groups[0], titles
+        ),
+    )
+
+
 def ss_average_metrics(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -214,53 +312,25 @@ def ss_average_metrics(
     """Figs 7-10: mean slowdown & turnaround per category, SS vs NS vs IS.
 
     ``data``: ``"slowdown"``/``"turnaround"`` -> scheme -> category -> mean.
-    ``workers``/``cache`` fan the scheme cells out over a process pool
-    and/or an on-disk result cache (see :mod:`repro.experiments.parallel`).
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes(
-        jobs,
-        preset.n_procs,
-        standard_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    fig_sd = "7" if trace == "CTC" else "9"
-    fig_tat = "8" if trace == "CTC" else "10"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown, SS scheme (Fig {fig_sd})",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround, SS scheme (Fig {fig_tat})",
-                results,
-                metric="turnaround",
-                statistic="mean",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-7-10",
-        title="SS average metrics vs NS and IS",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
+    return run_figures([_figs_7_10(trace, n_jobs, seed)], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Hybrid guarantee + preemption schemes (beyond the paper; DESIGN.md §12)
 # ----------------------------------------------------------------------
+def _hybrids(trace: str, n_jobs: int, seed: int) -> Figure:
+    title = "Hybrid guarantee+preemption schemes vs their parents"
+    titles = (
+        f"{trace}: average slowdown, hybrid schemes (policy kernel)",
+        f"{trace}: average turnaround, hybrid schemes (policy kernel)",
+    )
+    return Figure(
+        [(Workload(trace, n_jobs, seed), None, hybrid_schemes())],
+        lambda groups: _comparison("hybrids", title, trace, groups[0], titles),
+    )
+
+
 def hybrid_comparison(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -278,48 +348,26 @@ def hybrid_comparison(
     :func:`ss_average_metrics`: ``"slowdown"``/``"turnaround"`` ->
     scheme -> category -> mean.
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes(
-        jobs,
-        preset.n_procs,
-        hybrid_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown, hybrid schemes (policy kernel)",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround, hybrid schemes (policy kernel)",
-                results,
-                metric="turnaround",
-                statistic="mean",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="hybrids",
-        title="Hybrid guarantee+preemption schemes vs their parents",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
+    return run_figures([_hybrids(trace, n_jobs, seed)], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Figs 11/12/15/16 -- worst case under SS
 # ----------------------------------------------------------------------
+def _figs_11_16(trace: str, n_jobs: int, seed: int) -> Figure:
+    figs = "11/12" if trace == "CTC" else "15/16"
+    titles = (
+        f"{trace}: worst-case slowdown (Figs {figs})",
+        f"{trace}: worst-case turnaround (Figs {figs})",
+    )
+    return Figure(
+        [(Workload(trace, n_jobs, seed), None, standard_schemes(suspension_factors=(2.0,)))],
+        lambda groups: _comparison(
+            "figs-11-12-15-16", "SS worst-case metrics", trace, groups[0], titles, "worst"
+        ),
+    )
+
+
 def ss_worst_case(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -332,50 +380,28 @@ def ss_worst_case(
 
     Schemes: SS(SF=2), NS, IS -- as in the paper's worst-case figures.
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    results = compare_schemes(
-        jobs,
-        preset.n_procs,
-        standard_schemes(suspension_factors=(2.0,)),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
-        "turnaround": _mean_grids(results, "turnaround", statistic="worst"),
-    }
-    figs = "11/12" if trace == "CTC" else "15/16"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: worst-case slowdown (Figs {figs})",
-                results,
-                metric="slowdown",
-                statistic="worst",
-            ),
-            scheme_comparison_report(
-                f"{trace}: worst-case turnaround (Figs {figs})",
-                results,
-                metric="turnaround",
-                statistic="worst",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-11-12-15-16",
-        title="SS worst-case metrics",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
+    return run_figures([_figs_11_16(trace, n_jobs, seed)], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Figs 13/14/17/18 -- TSS worst case
 # ----------------------------------------------------------------------
+def _figs_13_18(trace: str, n_jobs: int, seed: int) -> Figure:
+    specs = standard_schemes(suspension_factors=(2.0,))
+    specs[1:1] = [s for s in tuned_schemes(suspension_factors=(2.0,)) if s.calibrated]
+    figs = "13/14" if trace == "CTC" else "17/18"
+    titles = (
+        f"{trace}: worst-case slowdown with TSS (Figs {figs})",
+        f"{trace}: worst-case turnaround with TSS (Figs {figs})",
+    )
+    return Figure(
+        [(Workload(trace, n_jobs, seed), None, specs)],
+        lambda groups: _comparison(
+            "figs-13-14-17-18", "TSS worst-case metrics", trace, groups[0], titles, "worst"
+        ),
+    )
+
+
 def tss_worst_case(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -385,49 +411,39 @@ def tss_worst_case(
     policy: GridPolicy | None = None,
 ) -> ExperimentOutput:
     """Figs 13-14 (CTC) / 17-18 (SDSC): TSS vs SS vs NS vs IS worst cases."""
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed)
-    specs = standard_schemes(suspension_factors=(2.0,))
-    specs[1:1] = [
-        s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label
-    ]
-    results = compare_schemes(
-        jobs, preset.n_procs, specs, workers=workers, cache=cache, policy=policy
-    )
-    data = {
-        "slowdown": _mean_grids(results, "slowdown", statistic="worst"),
-        "turnaround": _mean_grids(results, "turnaround", statistic="worst"),
-    }
-    figs = "13/14" if trace == "CTC" else "17/18"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: worst-case slowdown with TSS (Figs {figs})",
-                results,
-                metric="slowdown",
-                statistic="worst",
-            ),
-            scheme_comparison_report(
-                f"{trace}: worst-case turnaround with TSS (Figs {figs})",
-                results,
-                metric="turnaround",
-                statistic="worst",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-13-14-17-18",
-        title="TSS worst-case metrics",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
+    return run_figures([_figs_13_18(trace, n_jobs, seed)], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Figs 19-30 -- inaccurate estimates
 # ----------------------------------------------------------------------
+def _figs_19_30(trace: str, n_jobs: int, seed: int, badly_fraction: float = 0.4) -> Figure:
+    def render(groups: list[dict[str, SimulationResult]]) -> ExperimentOutput:
+        parts = {
+            quality or "all": _comparison(
+                "figs-19-30",
+                "Impact of user estimate inaccuracy",
+                trace,
+                groups[0],
+                [
+                    f"{trace}: average {metric}, inaccurate estimates "
+                    f"({quality or 'all'} jobs; Figs 19-30)"
+                    for metric in ("slowdown", "turnaround")
+                ],
+                quality=quality,
+            )
+            for quality in (None, "well", "badly")
+        }
+        return replace(
+            parts["all"],
+            data={q: part.data for q, part in parts.items()},
+            report="\n\n".join(part.report for part in parts.values()),
+        )
+
+    workload = Workload(trace, n_jobs, seed, badly_fraction=badly_fraction)
+    return Figure([(workload, None, tuned_schemes())], render)
+
+
 def estimate_impact(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -445,49 +461,40 @@ def estimate_impact(
     ``data``: quality (``"all"``/``"well"``/``"badly"``) -> metric ->
     scheme -> category -> mean.
     """
-    preset = get_preset(trace)
-    jobs = _trace(
-        trace, n_jobs, seed, estimates=InaccurateEstimates(badly_fraction=badly_fraction)
-    )
-    results = compare_schemes(
-        jobs,
-        preset.n_procs,
-        tuned_schemes(),
-        workers=workers,
-        cache=cache,
-        policy=policy,
-    )
-    data: dict[str, Any] = {}
-    blocks: list[str] = []
-    for quality in (None, "well", "badly"):
-        qkey = quality or "all"
-        data[qkey] = {
-            "slowdown": _mean_grids(results, "slowdown", quality=quality),
-            "turnaround": _mean_grids(results, "turnaround", quality=quality),
-        }
-        for metric in ("slowdown", "turnaround"):
-            blocks.append(
-                scheme_comparison_report(
-                    f"{trace}: average {metric}, inaccurate estimates "
-                    f"({qkey} jobs; Figs 19-30)",
-                    results,
-                    metric=metric,
-                    quality=quality,
-                )
-            )
-    return ExperimentOutput(
-        exp_id="figs-19-30",
-        title="Impact of user estimate inaccuracy",
-        trace=trace,
-        data=data,
-        report="\n\n".join(blocks),
-        results=results,
-    )
+    figure = _figs_19_30(trace, n_jobs, seed, badly_fraction)
+    return run_figures([figure], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Figs 31-34 -- suspension overhead
 # ----------------------------------------------------------------------
+def _figs_31_34(trace: str, n_jobs: int, seed: int) -> Figure:
+    def render(groups: list[dict[str, SimulationResult]]) -> ExperimentOutput:
+        free, loaded = groups
+        results = {
+            "SF = 2": free["SF = 2 Tuned"],
+            "SF = 2 OH": loaded["SF = 2 Tuned"],
+            "No Suspension": loaded["No Suspension"],
+            "IS": loaded["IS"],
+        }
+        figs = "31/32" if trace == "CTC" else "33/34"
+        titles = (
+            f"{trace}: average slowdown with suspension overhead (Figs {figs})",
+            f"{trace}: average turnaround with suspension overhead (Figs {figs})",
+        )
+        return _comparison("figs-31-34", "Suspension overhead impact", trace, results, titles)
+
+    workload = Workload(trace, n_jobs, seed, badly_fraction=0.4)
+    tuned = [s for s in tuned_schemes(suspension_factors=(2.0,)) if s.calibrated]
+    return Figure(
+        [
+            (workload, None, tuned),
+            (workload, DiskSwapOverheadModel(), [*tuned, *standard_schemes(())]),
+        ],
+        render,
+    )
+
+
 def overhead_impact(
     trace: str = "CTC",
     n_jobs: int = DEFAULT_N_JOBS,
@@ -499,63 +506,72 @@ def overhead_impact(
     """Figs 31-34: SS with modelled suspend/restart overhead.
 
     Schemes: SF=2 tuned with overhead ("SF = 2 OH") and without, NS, IS
-    (with overhead) -- ``data`` as in :func:`ss_average_metrics` plus
-    overhead presence per scheme.
+    (with overhead) -- ``data`` as in :func:`ss_average_metrics`.
     """
-    preset = get_preset(trace)
-    jobs = _trace(trace, n_jobs, seed, estimates=InaccurateEstimates())
-    overhead = DiskSwapOverheadModel()
-    tuned = [s for s in tuned_schemes(suspension_factors=(2.0,)) if "Tuned" in s.label]
-    free = compare_schemes(
-        jobs, preset.n_procs, tuned, workers=workers, cache=cache, policy=policy
-    )
-    loaded = compare_schemes(
-        jobs,
-        preset.n_procs,
-        [*tuned, *(s for s in standard_schemes(()) if s.label in ("No Suspension", "IS"))],
-        overhead_model=overhead,
-        workers=workers,
-        cache=cache,
-        policy=policy,
-    )
-    results = {
-        "SF = 2": free["SF = 2 Tuned"],
-        "SF = 2 OH": loaded["SF = 2 Tuned"],
-        "No Suspension": loaded["No Suspension"],
-        "IS": loaded["IS"],
-    }
-    data = {
-        "slowdown": _mean_grids(results, "slowdown"),
-        "turnaround": _mean_grids(results, "turnaround"),
-    }
-    figs = "31/32" if trace == "CTC" else "33/34"
-    report = "\n\n".join(
-        [
-            scheme_comparison_report(
-                f"{trace}: average slowdown with suspension overhead (Figs {figs})",
-                results,
-                metric="slowdown",
-            ),
-            scheme_comparison_report(
-                f"{trace}: average turnaround with suspension overhead (Figs {figs})",
-                results,
-                metric="turnaround",
-            ),
-        ]
-    )
-    return ExperimentOutput(
-        exp_id="figs-31-34",
-        title="Suspension overhead impact",
-        trace=trace,
-        data=data,
-        report=report,
-        results=results,
-    )
+    return run_figures([_figs_31_34(trace, n_jobs, seed)], workers, cache, policy)[0]
 
 
 # ----------------------------------------------------------------------
 # Figs 35-44 -- load variation
 # ----------------------------------------------------------------------
+def _figs_35_44(
+    trace: str,
+    n_jobs: int,
+    seed: int,
+    loads: tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
+) -> Figure:
+    specs = tuned_schemes(suspension_factors=(2.0,))
+    schemes = [s.label for s in specs]
+
+    def render(groups: list[dict[str, SimulationResult]]) -> ExperimentOutput:
+        utilization: dict[str, list[float]] = {s: [] for s in schemes}
+        sd: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
+        tat: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
+        for results in groups:
+            for label in schemes:
+                r = results[label]
+                utilization[label].append(r.steady_utilization)
+                stats = per_category_stats(r.jobs, classifier=classify_four_way)
+                for cat, s in stats.items():
+                    sd[label].setdefault(cat, []).append(s.slowdown.mean)
+                    tat[label].setdefault(cat, []).append(s.turnaround.mean)
+        figs = "35-37, 41-42" if trace == "CTC" else "38-40, 43-44"
+        blocks = [
+            series_table(
+                "load",
+                list(loads),
+                {s: [100 * u for u in utilization[s]] for s in schemes},
+                title=f"{trace}: overall utilisation %% vs load (Figs {figs})",
+                precision=1,
+            )
+        ]
+        for cat in (("S", "N"), ("S", "W"), ("L", "N"), ("L", "W")):
+            blocks.append(
+                series_table(
+                    "load",
+                    list(loads),
+                    {s: sd[s].get(cat, [float('nan')] * len(loads)) for s in schemes},
+                    title=f"{trace}: mean slowdown vs load, category {cat[0]} {cat[1]}",
+                )
+            )
+        return ExperimentOutput(
+            exp_id="figs-35-44",
+            title="Load variation study",
+            trace=trace,
+            data={
+                "loads": list(loads),
+                "utilization": utilization,
+                "slowdown": sd,
+                "turnaround": tat,
+            },
+            report="\n\n".join(blocks),
+        )
+
+    return Figure(
+        [(Workload(trace, n_jobs, seed, load=load), None, specs) for load in loads], render
+    )
+
+
 def load_variation(
     trace: str = "CTC",
     loads: tuple[float, ...] = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
@@ -577,88 +593,28 @@ def load_variation(
     * the utilisation-vs-metric pairing (Figs 41-44) falls out of the
       same data (each load point contributes one (util, metric) pair).
 
-    This is the widest grid in the module -- ``len(loads) x 3`` cells
-    plus one NS calibration run per load -- so it fans the whole thing
-    through :func:`~repro.experiments.parallel.run_grid` in two phases:
-    the per-load NS baselines first (the tuned spec's limits depend on
-    them), then every (scheme, load) cell at once.  With a *cache* the
-    NS scheme cells hit the just-stored baseline fingerprints for free.
-    Every cell of one load shares that load's scaled job list, so a
-    pool's cell table carries each scaled list once.
+    One scheme group per load, ``len(loads) x 3`` cells in one grid; each
+    load's NS cell also calibrates that load's tuned spec.
 
     ``data``: ``"loads"``, ``"utilization"`` (scheme -> [..]),
     ``"slowdown"``/``"turnaround"`` (scheme -> category -> [..]).
     """
-    preset = get_preset(trace)
-    base = _trace(trace, n_jobs, seed)
-    schemes = ["SF = 2 Tuned", "No Suspension", "IS"]
-    specs = [s for s in tuned_schemes(suspension_factors=(2.0,)) if s.label in schemes]
+    figure = _figs_35_44(trace, n_jobs, seed, loads)
+    return run_figures([figure], workers, cache, policy)[0]
 
-    scaled = {load: scale_load(base, load) for load in loads}
 
-    def _cell(key: str, load: float, scheduler_config: Mapping[str, object]) -> GridCell:
-        return GridCell(
-            key=key,
-            jobs=scaled[load],
-            n_procs=preset.n_procs,
-            scheduler_config=scheduler_config,
-        )
-
-    # Phase 1: the NS baseline for each load (calibrates the tuned spec).
-    baseline_cells = [
-        _cell(f"NS@{load:g}", load, EasyBackfillScheduler().config()) for load in loads
-    ]
-    baselines = run_grid(
-        baseline_cells, workers=workers, cache=cache, policy=policy
-    ).results
-
-    # Phase 2: every (scheme, load) cell in one fan-out.
-    cells: list[GridCell] = []
-    for load in loads:
-        for spec in specs:
-            scheduler = spec.build(baselines[f"NS@{load:g}"])
-            cells.append(_cell(f"{spec.label}@{load:g}", load, scheduler.config()))
-    grid = run_grid(cells, workers=workers, cache=cache, policy=policy).results
-
-    utilization: dict[str, list[float]] = {s: [] for s in schemes}
-    sd: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
-    tat: dict[str, dict[tuple[str, str], list[float]]] = {s: {} for s in schemes}
-    for load in loads:
-        for label in schemes:
-            r = grid[f"{label}@{load:g}"]
-            utilization[label].append(r.steady_utilization)
-            stats = per_category_stats(r.jobs, classifier=classify_four_way)
-            for cat, s in stats.items():
-                sd[label].setdefault(cat, []).append(s.slowdown.mean)
-                tat[label].setdefault(cat, []).append(s.turnaround.mean)
-    figs = "35-37, 41-42" if trace == "CTC" else "38-40, 43-44"
-    blocks = [
-        series_table(
-            "load",
-            list(loads),
-            {s: [100 * u for u in utilization[s]] for s in schemes},
-            title=f"{trace}: overall utilisation %% vs load (Figs {figs})",
-            precision=1,
-        )
-    ]
-    for cat in (("S", "N"), ("S", "W"), ("L", "N"), ("L", "W")):
-        blocks.append(
-            series_table(
-                "load",
-                list(loads),
-                {s: sd[s].get(cat, [float('nan')] * len(loads)) for s in schemes},
-                title=f"{trace}: mean slowdown vs load, category {cat[0]} {cat[1]}",
-            )
-        )
-    return ExperimentOutput(
-        exp_id="figs-35-44",
-        title="Load variation study",
-        trace=trace,
-        data={
-            "loads": list(loads),
-            "utilization": utilization,
-            "slowdown": sd,
-            "turnaround": tat,
-        },
-        report="\n\n".join(blocks),
-    )
+#: experiment id -> its cells and renderer, declared for (trace, n_jobs, seed)
+EXPERIMENTS: dict[str, Callable[[str, int, int], Figure]] = {
+    "distribution": lambda trace, n_jobs, seed: Figure(
+        [], lambda _: job_distribution(trace, n_jobs, seed)
+    ),
+    "tables-4-5": _tables_4_5,
+    "figs-4-6": lambda *_: Figure([], lambda _: two_task_figures()),
+    "figs-7-10": _figs_7_10,
+    "figs-11-16": _figs_11_16,
+    "figs-13-18": _figs_13_18,
+    "figs-19-30": _figs_19_30,
+    "figs-31-34": _figs_31_34,
+    "figs-35-44": _figs_35_44,
+    "hybrids": _hybrids,
+}

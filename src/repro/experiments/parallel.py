@@ -8,9 +8,9 @@ pools, and merges the results deterministically:
 
 * every cell is a :class:`GridCell` -- pristine jobs plus a
   **JSON-stable scheduler config** (:meth:`Scheduler.config`), because
-  scheduler *instances* are stateful, single-use and unpicklable
-  (factories close over arbitrary state); the worker rebuilds a fresh
-  instance via :func:`repro.schedulers.registry.scheduler_from_config`;
+  scheduler *instances* hold run state and do not pickle; the worker
+  rebuilds a fresh instance via
+  :func:`repro.schedulers.registry.scheduler_from_config`;
 * a process pool receives the grid's pending cells **once**, through
   its initializer, and each task names a cell by index -- under
   ``fork`` the workers inherit the table, under ``spawn`` each worker
@@ -32,7 +32,7 @@ pools, and merges the results deterministically:
   cells whose fingerprint was computed by any earlier run -- including a
   run that crashed partway through, because commits are incremental.
 
-:func:`~repro.experiments.runner.compare_schemes` runs the paper's
+:func:`~repro.experiments.runner.run_scheme_groups` runs the paper's
 scheme comparisons through :func:`run_grid`; a pooled run is verified
 byte-identical to the in-process one by ``tests/test_parallel.py``; the
 recovery paths are proven by ``tests/test_fault_tolerance.py`` against

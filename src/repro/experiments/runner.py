@@ -1,20 +1,19 @@
 """Running policies over workloads.
 
 :func:`simulate` is the one-call public entry point: fresh cluster,
-fresh job copies, one scheduler, one result.  :func:`compare_schemes`
-reproduces the paper's standard comparison -- NS (EASY backfilling), IS,
-and SS at several suspension factors, or TSS variants -- over a single
-trace, reusing a calibration run where TSS needs one.  It runs through
-the grid executor (:func:`repro.experiments.parallel.run_grid`):
-serially in-process by default, or over a process pool, a result cache
-and per-scheme decision traces on request.
+fresh job copies, one scheduler, one result.  :func:`run_scheme_groups`
+runs labelled scheme configs (:class:`SchemeSpec`) over workloads
+through :func:`repro.experiments.parallel.run_grid`, each distinct cell
+once; :func:`compare_schemes` is its one-workload form, e.g. the
+paper's NS vs IS vs SS comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.cluster.machine import Cluster
 from repro.core.immediate_service import ImmediateServiceScheduler
@@ -23,8 +22,10 @@ from repro.core.tss import (
     TunableSelectiveSuspensionScheduler,
     limits_from_result,
 )
+from repro.experiments.cache import overhead_config
 from repro.schedulers.base import Scheduler
 from repro.schedulers.easy import EasyBackfillScheduler
+from repro.schedulers.hybrids import SuspensionWithHeadGuarantee, TunableSuspensionWithGuarantees
 from repro.sim.driver import (
     SchedulingSimulation,
     SimulationResult,
@@ -39,10 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import TraceRecorder
 
 __all__ = [
+    "NS_CONFIG",
+    "SchemeGroup",
     "SchemeSpec",
     "SuspensionOverheadModel",
     "compare_schemes",
     "hybrid_schemes",
+    "run_scheme_groups",
     "simulate",
     "standard_schemes",
     "tuned_schemes",
@@ -65,8 +69,8 @@ def simulate(
     jobs:
         The workload.  Copied by default so the list stays reusable.
     scheduler:
-        Any :class:`~repro.schedulers.base.Scheduler`; a given scheduler
-        instance must not be reused across runs (it carries bindings).
+        Any :class:`~repro.schedulers.base.Scheduler`.  Each run binds
+        it afresh, so one instance may drive several runs in turn.
     n_procs:
         Machine size; every job must fit (``procs <= n_procs``).
     overhead_model:
@@ -104,44 +108,43 @@ def simulate(
     return driver.run(work)
 
 
+#: the NS scheme (EASY backfilling), whose run calibrates TSS limits
+NS_CONFIG: Mapping[str, object] = EasyBackfillScheduler().config()
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A named scheduler factory for comparison runs.
+    """A labelled :meth:`Scheduler.config` for comparison runs.
 
-    Factories (not instances) because scheduler objects are single-use.
+    A *calibrated* spec (the paper's tuned TSS, section V) runs with its
+    ``limits`` replaced by ``limits_from_result(ns).to_config()``, where
+    ``ns`` is the NS run over the same workload, machine and overhead.
     """
 
     label: str
-    factory: Callable[[], Scheduler]
-    #: factory variant receiving the NS baseline result (calibrated TSS)
-    factory_with_baseline: Callable[[SimulationResult], Scheduler] | None = None
+    config: Mapping[str, object]
+    calibrated: bool = False
+
+    def __post_init__(self) -> None:
+        # perfbench/workloads.py passes scheduler factories here; drop
+        # this adapter at the next benchmark change (ROADMAP item 8)
+        if callable(self.config):
+            object.__setattr__(self, "config", self.config().config())
 
     @property
     def needs_baseline(self) -> bool:
-        """Whether :meth:`build` needs the NS baseline run."""
-        return self.factory_with_baseline is not None
-
-    def build(self, baseline: SimulationResult | None = None) -> Scheduler:
-        """A fresh scheduler; calibrated specs draw their limits from
-        *baseline*, the NS (EASY) run over the same trace."""
-        if self.factory_with_baseline is None:
-            return self.factory()
-        if baseline is None:
-            raise ValueError(f"scheme {self.label!r} needs an NS baseline run")
-        return self.factory_with_baseline(baseline)
+        """``calibrated``, as perfbench reads it; goes with the adapter."""
+        return self.calibrated
 
 
 def standard_schemes(suspension_factors: tuple[float, ...] = (1.5, 2.0, 5.0)) -> list[SchemeSpec]:
     """The paper's section IV comparison set: SS at each SF, NS, IS."""
     specs = [
-        SchemeSpec(
-            label=f"SF = {sf:g}",
-            factory=(lambda sf=sf: SelectiveSuspensionScheduler(suspension_factor=sf)),
-        )
+        SchemeSpec(f"SF = {sf:g}", SelectiveSuspensionScheduler(suspension_factor=sf).config())
         for sf in suspension_factors
     ]
-    specs.append(SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler))
-    specs.append(SchemeSpec(label="IS", factory=ImmediateServiceScheduler))
+    specs.append(SchemeSpec("No Suspension", NS_CONFIG))
+    specs.append(SchemeSpec("IS", ImmediateServiceScheduler().config()))
     return specs
 
 
@@ -151,19 +154,13 @@ def tuned_schemes(
     """The section V comparison set: TSS (calibrated) at each SF, NS, IS."""
     specs = [
         SchemeSpec(
-            label=f"SF = {sf:g} Tuned",
-            factory=(lambda sf=sf: TunableSelectiveSuspensionScheduler(suspension_factor=sf)),
-            factory_with_baseline=(
-                lambda baseline, sf=sf: TunableSelectiveSuspensionScheduler(
-                    suspension_factor=sf, limits=limits_from_result(baseline)
-                )
-            ),
+            f"SF = {sf:g} Tuned",
+            TunableSelectiveSuspensionScheduler(suspension_factor=sf).config(),
+            calibrated=True,
         )
         for sf in suspension_factors
     ]
-    specs.append(SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler))
-    specs.append(SchemeSpec(label="IS", factory=ImmediateServiceScheduler))
-    return specs
+    return specs + standard_schemes(())
 
 
 def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
@@ -174,31 +171,96 @@ def hybrid_schemes(suspension_factor: float = 2.0) -> list[SchemeSpec]:
     layer costs and what the preemption layer buys (see DESIGN.md
     section 12).
     """
-    from repro.schedulers.hybrids import (
-        SuspensionWithHeadGuarantee,
-        TunableSuspensionWithGuarantees,
-    )
-
     sf = suspension_factor
     return [
-        SchemeSpec(
-            label=f"SS (SF = {sf:g})",
-            factory=(lambda: SelectiveSuspensionScheduler(suspension_factor=sf)),
-        ),
-        SchemeSpec(
-            label=f"SS+EASY (SF = {sf:g})",
-            factory=(lambda: SuspensionWithHeadGuarantee(suspension_factor=sf)),
-        ),
-        SchemeSpec(
-            label=f"TSS+CONS (SF = {sf:g})",
-            factory=(lambda: TunableSuspensionWithGuarantees(suspension_factor=sf)),
-        ),
-        SchemeSpec(label="No Suspension", factory=EasyBackfillScheduler),
+        SchemeSpec(f"SS (SF = {sf:g})", SelectiveSuspensionScheduler(sf).config()),
+        SchemeSpec(f"SS+EASY (SF = {sf:g})", SuspensionWithHeadGuarantee(sf).config()),
+        SchemeSpec(f"TSS+CONS (SF = {sf:g})", TunableSuspensionWithGuarantees(sf).config()),
+        SchemeSpec("No Suspension", NS_CONFIG),
     ]
 
 
-#: grid key of the shared NS calibration run of calibrated-TSS specs
-BASELINE_KEY = "__ns_baseline__"
+@dataclass(frozen=True)
+class SchemeGroup:
+    """Schemes to run over one workload on one machine."""
+
+    jobs: list[Job]
+    n_procs: int
+    specs: Sequence[SchemeSpec]
+    overhead_model: SuspensionOverheadModel | None = None
+    #: scheme label -> JSONL decision-trace path (see docs/TRACING.md)
+    trace_paths: Mapping[str, str] = field(default_factory=dict)
+
+
+def run_scheme_groups(
+    groups: Sequence[SchemeGroup],
+    *,
+    workers: int | None = None,
+    cache: ResultCache | None = None,
+    policy: GridPolicy | None = None,
+    counters: GridCounters | None = None,
+) -> list[dict[str, SimulationResult]]:
+    """Run every group's schemes, simulating each distinct cell once.
+
+    Two :func:`~repro.experiments.parallel.run_grid` calls: every
+    uncalibrated cell, plus an untraced NS cell for each group with a
+    calibrated spec; then the calibrated cells, limited by their group's
+    NS result.  Untraced cells with the same job list (by identity, so
+    no workload is hashed here), machine, overhead model and config run
+    once and share the result; traced cells never do, as they never
+    come from the cache.  Returns one ``label -> result`` dict per
+    group, in spec order.  The keyword-only arguments are the grid
+    executor's; none of them changes a result.
+    """
+    # imported here: the grid executor imports this module for simulate()
+    from repro.experiments.parallel import GridCell, run_grid
+
+    results: dict[str, SimulationResult] = {}
+    phase: list[GridCell] = []
+    shared: dict[tuple[int, str], str] = {}
+
+    def cell(group: SchemeGroup, config: Mapping[str, object], trace_path: str | None) -> str:
+        machine = [group.n_procs, config, overhead_config(group.overhead_model)]
+        ident = (id(group.jobs), json.dumps(machine, sort_keys=True, default=str))
+        if trace_path is None and ident in shared:
+            return shared[ident]
+        key = str(len(results) + len(phase))
+        phase.append(
+            GridCell(
+                key, group.jobs, group.n_procs, config, group.overhead_model, trace_path=trace_path
+            )
+        )
+        if trace_path is None:
+            shared[ident] = key
+        return key
+
+    def run_phase() -> None:
+        outcome = run_grid(phase, workers=workers, cache=cache, policy=policy, counters=counters)
+        results.update(outcome.results)
+        phase.clear()
+
+    plans: list[tuple[SchemeGroup, dict[str, str], str | None]] = []
+    for group in groups:
+        labels = [s.label for s in group.specs]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate scheme labels in one group: {labels}")
+        keys = {
+            s.label: cell(group, s.config, group.trace_paths.get(s.label))
+            for s in group.specs
+            if not s.calibrated
+        }
+        ns = cell(group, NS_CONFIG, None) if len(keys) < len(labels) else None
+        plans.append((group, keys, ns))
+    run_phase()
+    for group, keys, ns in plans:
+        if ns is not None:
+            limits = limits_from_result(results[ns]).to_config()
+            for s in group.specs:
+                if s.calibrated:
+                    config = {**s.config, "limits": limits}
+                    keys[s.label] = cell(group, config, group.trace_paths.get(s.label))
+    run_phase()
+    return [{s.label: results[keys[s.label]] for s in group.specs} for group, keys, _ in plans]
 
 
 def compare_schemes(
@@ -215,51 +277,21 @@ def compare_schemes(
 ) -> dict[str, SimulationResult]:
     """Run every scheme over (fresh copies of) the same workload.
 
-    Specs that need a baseline (calibrated TSS) receive limits
-    calibrated from one shared NS (EASY) run over the same trace.  The
-    baseline runs first (it is a dependency, and itself cacheable); the
-    scheme cells then run through
-    :func:`~repro.experiments.parallel.run_grid`.  Output is keyed by
-    scheme label, in scheme order.
-
-    By default every cell runs serially in-process.  The keyword-only
-    arguments are the grid executor's (see ``run_grid``): *workers*
-    fans the scheme cells out over a process pool, *cache* serves and
-    stores results, *policy* sets timeouts and retries, and *counters*
-    collects recovery tallies.  None of them changes a result.
-
-    With *trace_dir*, every scheme cell also streams its JSONL decision
-    trace to a per-label file under that directory (see
-    :func:`~repro.experiments.parallel.trace_files_for_keys`).  Traced
-    cells bypass the result cache: a cache hit would leave no trace.
+    :func:`run_scheme_groups` with one group; output is keyed by scheme
+    label, in scheme order.  By default every cell runs serially
+    in-process: *workers* fans the cells out over a process pool, *cache*
+    serves and stores results, *policy* sets timeouts and retries, and
+    *counters* collects recovery tallies.  With *trace_dir*, every scheme
+    cell also streams its JSONL decision trace to a per-label file under
+    that directory (see
+    :func:`~repro.experiments.parallel.trace_files_for_keys`); traced
+    cells bypass the result cache.
     """
-    # imported here: the grid executor imports this module for simulate()
-    from repro.experiments.parallel import GridCell, run_grid, trace_files_for_keys
+    from repro.experiments.parallel import trace_files_for_keys
 
-    def cell(key: str, scheduler: Scheduler, trace_path: str | None = None) -> GridCell:
-        return GridCell(
-            key=key,
-            jobs=jobs,
-            n_procs=n_procs,
-            scheduler_config=scheduler.config(),
-            overhead_model=overhead_model,
-            trace_path=trace_path,
-        )
-
-    baseline: SimulationResult | None = None
-    if any(s.needs_baseline for s in schemes):
-        baseline = run_grid(
-            [cell(BASELINE_KEY, EasyBackfillScheduler())],
-            cache=cache,
-            policy=policy,
-            counters=counters,
-        ).results[BASELINE_KEY]
-    trace_paths = (
-        trace_files_for_keys(trace_dir, [s.label for s in schemes])
-        if trace_dir is not None
-        else {}
-    )
-    cells = [cell(s.label, s.build(baseline), trace_paths.get(s.label)) for s in schemes]
-    return run_grid(
-        cells, workers=workers, cache=cache, policy=policy, counters=counters
-    ).results
+    labels = [s.label for s in schemes]
+    paths = {} if trace_dir is None else trace_files_for_keys(trace_dir, labels)
+    group = SchemeGroup(jobs, n_procs, schemes, overhead_model, paths)
+    return run_scheme_groups(
+        [group], workers=workers, cache=cache, policy=policy, counters=counters
+    )[0]

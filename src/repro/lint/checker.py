@@ -25,7 +25,7 @@ from repro.lint.findings import Finding
 
 #: matches decision-path directories at any depth of the relpath, so the
 #: same rule scoping works for ``src/repro`` roots and test fixtures.
-#: ``cluster/`` joined the patrol in PR 4: allocation policy choices are
+#: ``cluster/`` joined the patrol in PR 4: allocation choices are
 #: schedule-steering, and the bitmask kernel's mask-iteration helpers
 #: (``iter_bits``/``mask_to_ids``, ascending-by-construction) are the
 #: sanctioned way to walk processor sets there.

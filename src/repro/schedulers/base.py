@@ -133,8 +133,8 @@ class Scheduler(ABC):
         * the grid executor (:mod:`repro.experiments.parallel`) ships
           it to whichever process runs the cell, where
           :func:`repro.schedulers.registry.scheduler_from_config`
-          rebuilds a fresh single-use instance (scheduler objects
-          themselves are stateful and non-portable).
+          rebuilds a fresh instance (scheduler objects hold run state
+          and do not pickle).
         """
         return {"scheme": self.scheme_id}
 

@@ -760,8 +760,8 @@ class SpeculativeBackfill(BackfillPolicy):
             raise ValueError(
                 f"'speculation_window' must be positive and finite, got {speculation_window!r}"
             )
-        if not 0 <= max_kills < inf:
-            raise ValueError(f"'max_kills' must be finite and >= 0, got {max_kills!r}")
+        if not 0 <= max_kills < inf or max_kills % 1:  # also rejects NaN
+            raise ValueError(f"'max_kills' must be a whole number >= 0, got {max_kills!r}")
         self.speculation_window = float(speculation_window)
         self.max_kills = int(max_kills)
 

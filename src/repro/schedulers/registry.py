@@ -1,9 +1,10 @@
 """The scheme table: every scheme id and the constructor that builds it.
 
-Scheduler objects are stateful and single-use, so they cannot travel to
-worker processes or live in a cache key.  Their :meth:`Scheduler.config`
-mapping can: it is JSON-stable, fully determines behaviour, and
-:func:`scheduler_from_config` turns it back into a fresh instance.
+A scheduler object holds run state and does not pickle, so it travels
+to no worker process and lives in no cache key.  Its
+:meth:`Scheduler.config` mapping can: it is JSON-stable, fully
+determines behaviour, and :func:`scheduler_from_config` turns it back
+into a fresh instance.
 
 Each constructor in :data:`SCHEMES` takes exactly its scheme's
 ``config()`` keys as keyword arguments, so one generic rebuild serves

@@ -266,7 +266,7 @@ class SchedulingSimulation:
         preemption).  For fresh starts, the mask *procs* lets the
         scheduler place the job explicitly (the SS pseudocode schedules a
         preemptor on its victims' processors so they unpin when it
-        finishes); otherwise the cluster's allocation policy chooses.
+        finishes); otherwise the cluster takes the lowest free ids.
         The job records the mask as :attr:`Job.allocated_mask`.  Raises
         on any precondition violation -- a scheduler asking to start an
         unstartable job is a policy bug worth crashing on.

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.allocation import ContiguousBestFit, LowestIdFirst, RandomAllocation
 from repro.cluster.machine import AllocationError, Cluster
 
 
@@ -211,83 +210,25 @@ def test_allocation_fills_released_holes():
 
 
 # ----------------------------------------------------------------------
-# allocation policies
+# lowest-id-first allocation
 # ----------------------------------------------------------------------
+def _cluster_with_free(n_procs: int, free: set[int]) -> Cluster:
+    c = Cluster(n_procs)
+    c.allocate_mask(((1 << n_procs) - 1) & ~sum(1 << p for p in free), owner=99)
+    return c
+
+
 def test_lowest_id_policy_deterministic():
-    p = LowestIdFirst()
-    assert p.select({5, 1, 3, 2}, 2) == frozenset({1, 2})
-
-
-def test_random_policy_seeded_reproducible():
-    sel1 = RandomAllocation(seed=3).select(set(range(100)), 10)
-    sel2 = RandomAllocation(seed=3).select(set(range(100)), 10)
-    assert sel1 == sel2
-    assert len(sel1) == 10
-
-
-def test_random_policy_different_seeds_differ():
-    sel1 = RandomAllocation(seed=1).select(set(range(100)), 10)
-    sel2 = RandomAllocation(seed=2).select(set(range(100)), 10)
-    assert sel1 != sel2  # overwhelmingly likely
-
-
-def test_contiguous_best_fit_prefers_smallest_fitting_run():
-    # free runs: [0..1] (len 2), [5..9] (len 5); request 2 -> [0,1]
-    free = {0, 1, 5, 6, 7, 8, 9}
-    sel = ContiguousBestFit().select(free, 2)
-    assert sel == frozenset({0, 1})
-
-
-def test_contiguous_best_fit_skips_too_small_runs():
-    free = {0, 1, 5, 6, 7}
-    sel = ContiguousBestFit().select(free, 3)
-    assert sel == frozenset({5, 6, 7})
-
-
-def test_contiguous_best_fit_falls_back_when_fragmented():
-    free = {0, 2, 4, 6}
-    sel = ContiguousBestFit().select(free, 3)
-    assert sel == frozenset({0, 2, 4})
-
-
-def test_cluster_with_custom_policy():
-    c = Cluster(10, policy=ContiguousBestFit())
-    c.allocate_mask(0b111, owner=1)
-    got = c.allocate(2, owner=2)
-    assert got == 0b11000
-
-
-def test_contiguous_best_fit_fallback_through_cluster():
-    """The fragment fallback exercised end-to-end on the mask path:
-    with no contiguous run large enough, the job spans fragments,
-    lowest ids first."""
-    c = Cluster(8, policy=ContiguousBestFit())
-    c.allocate_mask(0b10101010, owner=1)  # free = {0,2,4,6}
-    got = c.allocate(3, owner=2)
-    assert got == 0b10101
-    c.check_invariants()
-
-
-def test_random_policy_mask_path_seeded_reproducible():
-    """Seeded RandomAllocation is deterministic through the cluster's
-    mask-level entry point, and identical to the legacy set path."""
-    a = Cluster(64, policy=RandomAllocation(seed=11))
-    b = Cluster(64, policy=RandomAllocation(seed=11))
-    for owner in range(5):
-        assert a.allocate(7, owner=owner) == b.allocate(7, owner=owner)
-    # select_mask defers to select over the ascending id tuple, so the
-    # two entry points draw the same sample from the same rng state
-    mask = (1 << 40) - 1
-    got_mask = RandomAllocation(seed=4).select_mask(mask, 6)
-    got_set = RandomAllocation(seed=4).select(tuple(range(40)), 6)
-    assert got_mask == sum(1 << p for p in got_set)
+    c = _cluster_with_free(8, {5, 1, 3, 2})
+    assert c.allocate(2, owner=1) == 0b110  # processors 1 and 2
 
 
 def test_lowest_id_select_mask_matches_select():
-    free = {5, 1, 3, 2, 30, 31}
-    mask = sum(1 << p for p in free)
-    p = LowestIdFirst()
-    assert p.select_mask(mask, 3) == sum(1 << q for q in p.select(free, 3))
+    """The mask pick equals the sorted-id reference, across words."""
+    free = {5, 1, 3, 2, 30, 31, 64, 65}
+    c = _cluster_with_free(70, free)
+    assert c.allocate(6, owner=1) == sum(1 << q for q in sorted(free)[:6])
+    c.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -321,26 +262,3 @@ def test_owners_in_mask_dedupes_by_first_held_processor():
     assert c.owners_in_mask(query) == (10, 20)
     assert c.owners_in_mask(1 << 9) == ()
     assert c.owners_in_mask(sum(1 << p for p in (2, 5))) == (20, 10)
-
-
-def test_misbehaving_policy_wrong_count_rejected():
-    class ShortPolicy(LowestIdFirst):
-        def select_mask(self, free_mask: int, count: int) -> int:
-            return super().select_mask(free_mask, max(0, count - 1))
-
-    c = Cluster(8, policy=ShortPolicy())
-    with pytest.raises(AllocationError, match="returned 2 processors"):
-        c.allocate(3, owner=1)
-    c.check_invariants()
-
-
-def test_misbehaving_policy_busy_processor_rejected():
-    class StompPolicy(LowestIdFirst):
-        def select_mask(self, free_mask: int, count: int) -> int:
-            return (1 << count) - 1  # always the lowest ids, free or not
-
-    c = Cluster(8, policy=StompPolicy())
-    c.allocate_mask(0b1, owner=1)
-    with pytest.raises(AllocationError, match="outside the free pool"):
-        c.allocate(2, owner=2)
-    c.check_invariants()

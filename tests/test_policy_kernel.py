@@ -36,7 +36,7 @@ import pkgutil
 from typing import Callable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.cluster.machine import Cluster
@@ -314,6 +314,62 @@ def test_tss_limits_refuse_nan_and_bad_margins(limits: dict[str, object]) -> Non
         CategoryLimits.from_config(limits)
     never = {"mode": "calibrated", "margin": 1.5, "table": {"VS|N": float("inf")}}
     assert scheduler_from_config({"scheme": "tss", "limits": never}).config()["limits"] == never
+
+
+def _numeric_knobs() -> list[tuple[str, tuple[str, ...], bool]]:
+    """(scheme, key path, integral) for every number in every scheme's
+    default config, nested ones (TSS ``limits.margin``) included."""
+    knobs = []
+    for scheme, build in SCHEMES.items():
+        for key, value in build().config().items():
+            nested = value.items() if isinstance(value, dict) else [((), value)]
+            for sub, v in nested:
+                if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    knobs.append((scheme, (key, *((sub,) if sub else ())), isinstance(v, int)))
+    return knobs
+
+
+#: key -> the out-of-range values documented as legal
+_LEGAL_EDGES = {
+    "suspension_factor": {float("inf")},
+    "relaxation": {0, float("inf")},
+    "max_kills": {0},
+}
+
+
+@pytest.mark.parametrize(
+    ("scheme", "path", "integral"),
+    _numeric_knobs(),
+    ids=lambda knob: ".".join(knob) if isinstance(knob, tuple) else str(knob),
+)
+@given(
+    value=st.floats(max_value=0.0)
+    | st.floats(min_value=0.0, max_value=1e6).filter(lambda v: v % 1 != 0)
+)
+@example(value=float("nan"))
+@example(value=float("inf"))
+@example(value=float("-inf"))
+@example(value=0)
+@example(value=-1)
+@example(value=1.5)
+@settings(deadline=None)
+def test_every_numeric_knob_refuses_out_of_range_values(
+    scheme: str, path: tuple[str, ...], integral: bool, value: float
+) -> None:
+    """NaN, +-inf, zero and negatives, and fractions for a count, raise
+    from ``scheduler_from_config`` for every scheme's every numeric key,
+    except the documented legal edges, which build and read back."""
+    if not integral and 0 < value < float("inf"):
+        return  # a positive fraction is an ordinary float setting
+    config = json.loads(json.dumps(SCHEMES[scheme]().config()))
+    *outer, key = path
+    (config[outer[0]] if outer else config)[key] = value
+    if value in _LEGAL_EDGES.get(key, set()):
+        built = scheduler_from_config(config).config()
+        assert built[key] == value
+        return
+    with pytest.raises(ValueError):
+        scheduler_from_config(config)
 
 
 def test_infinite_sf_and_relaxation_run_as_documented() -> None:

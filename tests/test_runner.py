@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tss import limits_from_result
 from repro.experiments.runner import (
+    NS_CONFIG,
+    SchemeGroup,
     SchemeSpec,
     compare_schemes,
+    run_scheme_groups,
     simulate,
     standard_schemes,
     tuned_schemes,
@@ -14,6 +18,7 @@ from repro.experiments.runner import (
 from repro.experiments.parallel import outcome_fingerprint
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
+from repro.schedulers.registry import scheduler_from_config
 from repro.workload.job import JobState
 from repro.workload.synthetic import generate_trace
 from tests.conftest import make_job
@@ -51,8 +56,8 @@ def test_tuned_schemes_need_baseline():
     specs = tuned_schemes(suspension_factors=(2.0,))
     tuned = [s for s in specs if "Tuned" in s.label]
     assert len(tuned) == 1
-    assert tuned[0].needs_baseline
-    assert tuned[0].factory_with_baseline is not None
+    assert tuned[0].calibrated and tuned[0].needs_baseline
+    assert [s.label for s in specs if not s.calibrated] == ["No Suspension", "IS"]
 
 
 def test_compare_schemes_runs_everything():
@@ -76,38 +81,56 @@ def test_compare_schemes_matches_direct_simulation():
     jobs = generate_trace("SDSC", n_jobs=120, seed=5)
     specs = tuned_schemes(suspension_factors=(2.0,))
     results = compare_schemes(jobs, 128, specs)
-    baseline = simulate(jobs, EasyBackfillScheduler(), 128)
+    limits = limits_from_result(simulate(jobs, EasyBackfillScheduler(), 128)).to_config()
     assert list(results) == [s.label for s in specs]
     for spec in specs:
-        direct = simulate(jobs, spec.build(baseline), 128)
+        config = {**spec.config, "limits": limits} if spec.calibrated else spec.config
+        direct = simulate(jobs, scheduler_from_config(config), 128)
         assert outcome_fingerprint(results[spec.label].jobs) == outcome_fingerprint(
             direct.jobs
         ), spec.label
 
 
 def test_calibrated_spec_needs_a_baseline():
-    tuned = next(s for s in tuned_schemes(suspension_factors=(2.0,)) if s.needs_baseline)
-    with pytest.raises(ValueError, match="baseline"):
-        tuned.build()
+    """A group with a calibrated spec but no NS spec gets one more cell:
+    the NS run its limits come from."""
+    tuned = next(s for s in tuned_schemes(suspension_factors=(2.0,)) if s.calibrated)
+    outcome = run_scheme_groups([SchemeGroup(small_jobs(), 4, [tuned])])
+    assert list(outcome[0]) == [tuned.label]
+    assert outcome[0][tuned.label].scheduler.endswith("calibrated)")
 
 
 def test_baseline_factory_makes_a_calibrated_spec():
-    """A spec with a ``factory_with_baseline`` is a calibrated spec: it
-    needs the NS baseline and builds from it, not from its plain
-    factory (which would give online TSS)."""
-    from repro.core.tss import TunableSelectiveSuspensionScheduler, limits_from_result
+    """A scheduler factory in ``config`` (how perfbench builds specs)
+    keeps the factory's ``config()``; with ``calibrated`` the spec draws
+    its limits from the NS run, not the factory's online limits."""
+    from repro.core.tss import TunableSelectiveSuspensionScheduler
 
-    spec = SchemeSpec(
-        "t",
-        TunableSelectiveSuspensionScheduler,
-        factory_with_baseline=lambda b: TunableSelectiveSuspensionScheduler(
-            limits=limits_from_result(b)
-        ),
-    )
+    spec = SchemeSpec("t", TunableSelectiveSuspensionScheduler, calibrated=True)
+    assert spec.config == TunableSelectiveSuspensionScheduler().config()
     assert spec.needs_baseline
-    baseline = simulate(small_jobs(), EasyBackfillScheduler(), 4)
-    assert spec.build(baseline).config()["limits"]["mode"] == "calibrated"
     assert not SchemeSpec("ns", EasyBackfillScheduler).needs_baseline
+    result = compare_schemes(small_jobs(), 4, [spec])["t"]
+    assert result.scheduler.endswith("calibrated)")
+
+
+def test_equal_cells_share_one_simulation():
+    """Equal configs over one job list run once; another list of equal
+    jobs is another cell (cells are matched by list identity)."""
+    jobs = small_jobs()
+    groups = [
+        SchemeGroup(jobs, 4, [SchemeSpec("a", NS_CONFIG), SchemeSpec("b", NS_CONFIG)]),
+        SchemeGroup(jobs, 4, [SchemeSpec("c", NS_CONFIG)]),
+        SchemeGroup(small_jobs(), 4, [SchemeSpec("d", NS_CONFIG)]),
+    ]
+    first, second, third = run_scheme_groups(groups)
+    assert first["a"] is first["b"] is second["c"]
+    assert third["d"] is not first["a"]
+
+
+def test_duplicate_labels_in_a_group_are_refused():
+    with pytest.raises(ValueError, match="duplicate scheme labels"):
+        compare_schemes(small_jobs(), 4, [SchemeSpec("a", NS_CONFIG)] * 2)
 
 
 def test_compare_schemes_isolated_workload_copies():

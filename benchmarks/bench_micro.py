@@ -48,7 +48,6 @@ from repro.schedulers.hybrids import TunableSuspensionWithGuarantees
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
 from repro.schedulers.relaxed import RelaxedBackfillScheduler
 from repro.sim.driver import SchedulingSimulation, SimulationResult
-from repro.sim.events import EventKind, EventQueue
 from repro.workload.categories import classify_four_way
 from repro.workload.job import Job, fresh_copies
 from repro.workload.load import scale_load
@@ -130,23 +129,6 @@ def simulate(
     return driver.run(fresh_copies(jobs))
 
 
-def _event_queue_push_pop() -> None:
-    q = EventQueue()
-    for i in range(2000):
-        q.schedule(float(i % 97), EventKind.GENERIC, i)
-    while q:
-        q.pop()
-
-
-def _event_queue_with_cancellation() -> None:
-    q = EventQueue()
-    events = [q.schedule(float(i % 53), EventKind.GENERIC, i) for i in range(2000)]
-    for ev in events[::2]:
-        q.cancel(ev)
-    while q:
-        q.pop()
-
-
 def _profile_workload(profile_cls: type[AvailabilityProfile]) -> AvailabilityProfile:
     p = profile_cls(430, origin=0.0)
     for i in range(300):
@@ -194,8 +176,6 @@ def workloads(swf_log: Path) -> dict[str, Callable[[], object]]:
     its count holds the metrics alone."""
     easy_sdsc400 = simulate(JOBS_SDSC, EasyBackfillScheduler())
     return {
-        "event_queue_push_pop": _event_queue_push_pop,
-        "event_queue_with_cancellation": _event_queue_with_cancellation,
         "profile_claim_and_anchor": partial(_profile_workload, AvailabilityProfile),
         "cluster_allocate_release": partial(_cluster_workload, Cluster),
         "easy_sdsc400": lambda: simulate(JOBS_SDSC, EasyBackfillScheduler()),

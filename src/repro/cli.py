@@ -433,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     if "window" in args and not 0 < args.window < inf:  # also rejects NaN
         parser.error(f"--window must be positive and finite, got {args.window}")
     try:  # build what the command runs now, so a bad value is a usage error
+        if args.command == "experiment":
+            get_preset(args.trace)
+            if args.jobs < 1:
+                raise ValueError(f"n_jobs must be positive, got {args.jobs}")
         if "sf" in args:
             args.built_scheduler = _build_scheduler(args)
         if "swf" in args:

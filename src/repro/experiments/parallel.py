@@ -21,7 +21,7 @@ pools, and merges the results deterministically:
   moment it exists -- a killed run loses zero finished cells) but merged
   in **input order**, so a parallel run is indistinguishable from a
   serial one (the simulator itself is deterministic -- see
-  :mod:`repro.sim.events`);
+  :mod:`repro.sim.driver`);
 * a :class:`GridPolicy` bounds each cell with a timeout and a retry
   budget (exponential backoff), respawns a broken pool, and degrades to
   in-process execution when the pool cannot be trusted; what happened is
@@ -76,6 +76,9 @@ class GridCell:
     key: str
     jobs: list[Job]
     n_procs: int = 0
+    #: stored as the built scheduler's own :meth:`~repro.schedulers.base.Scheduler.config`,
+    #: so equal schedulers share one fingerprint however the caller
+    #: spelt the config, and a malformed config fails here
     scheduler_config: Mapping[str, object] = field(default_factory=dict)
     overhead_model: SuspensionOverheadModel | None = None
     migratable: bool = False
@@ -97,6 +100,8 @@ class GridCell:
             raise ValueError(f"cell {self.key!r}: n_procs must be >= 1")
         if not self.scheduler_config:
             raise ValueError(f"cell {self.key!r}: scheduler_config is required")
+        config = scheduler_from_config(self.scheduler_config).config()
+        object.__setattr__(self, "scheduler_config", config)
 
     def jobs_fingerprint(self) -> str:
         """Workload hash feeding the cache key."""

@@ -206,7 +206,8 @@ def run_scheme_groups(
     uncalibrated cell, plus an untraced NS cell for each group with a
     calibrated spec; then the calibrated cells, limited by their group's
     NS result.  Untraced cells with the same job list (by identity, so
-    no workload is hashed here), machine, overhead model and config run
+    no workload is hashed here), machine, overhead model and scheduler
+    (the built scheduler's ``config()``, however the spec spelt it) run
     once and share the result; traced cells never do, as they never
     come from the cache.  Returns one ``label -> result`` dict per
     group, in spec order.  The keyword-only arguments are the grid
@@ -220,18 +221,17 @@ def run_scheme_groups(
     shared: dict[tuple[int, str], str] = {}
 
     def cell(group: SchemeGroup, config: Mapping[str, object], trace_path: str | None) -> str:
-        machine = [group.n_procs, config, overhead_config(group.overhead_model)]
-        ident = (id(group.jobs), json.dumps(machine, sort_keys=True, default=str))
-        if trace_path is None and ident in shared:
-            return shared[ident]
         key = str(len(results) + len(phase))
-        phase.append(
-            GridCell(
-                key, group.jobs, group.n_procs, config, group.overhead_model, trace_path=trace_path
-            )
+        built = GridCell(
+            key, group.jobs, group.n_procs, config, group.overhead_model, trace_path=trace_path
         )
         if trace_path is None:
+            machine = [group.n_procs, built.scheduler_config, overhead_config(group.overhead_model)]
+            ident = (id(group.jobs), json.dumps(machine, sort_keys=True, default=str))
+            if ident in shared:
+                return shared[ident]
             shared[ident] = key
+        phase.append(built)
         return key
 
     def run_phase() -> None:

@@ -70,9 +70,6 @@ class Scheduler(ABC):
     def on_begin(self) -> None:
         """Hook called once at simulation start (after binding)."""
 
-    def on_end(self) -> None:
-        """Hook called once when the event calendar drains."""
-
     # ------------------------------------------------------------------
     # event hooks
     # ------------------------------------------------------------------

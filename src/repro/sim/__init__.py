@@ -1,31 +1,25 @@
 """Discrete-event simulation substrate.
 
 The paper evaluates its scheduling schemes with a "locally developed
-simulator"; this subpackage is that substrate.  It provides:
+simulator"; this subpackage is that simulator.  It provides:
 
-* :mod:`repro.sim.events` -- typed simulation events and a cancellable,
-  deterministically ordered event calendar.
-* :mod:`repro.sim.engine` -- the single-threaded event loop
-  (:class:`~repro.sim.engine.EventLoop`).
-* :mod:`repro.sim.driver` -- the job-scheduling driver
-  (:class:`~repro.sim.driver.SchedulingSimulation`) that binds a cluster,
-  a scheduler and a workload together and records per-job outcomes.
+* :mod:`repro.sim.driver` -- :class:`~repro.sim.driver.SchedulingSimulation`,
+  which binds a cluster, a scheduler and a workload together, owns the
+  event calendar, the clock and the dispatch loop, and records per-job
+  outcomes;
+* :mod:`repro.sim.audit` -- post-hoc consistency checks of a finished
+  run from its per-job records alone.
 
-The engine is deliberately independent of job scheduling: events are
-opaque payloads with a dispatch key, so the same loop could drive other
-models.  Determinism is a hard requirement for reproduction work, so
-simultaneous events are totally ordered by ``(time, priority, sequence)``.
+Determinism is a hard requirement for reproduction work, so
+simultaneous events are totally ordered by ``(time, kind, sequence)``
+(:class:`~repro.sim.driver.EventKind`).
 """
 
-from repro.sim.engine import EventLoop
-from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.driver import SchedulingSimulation, SimulationResult
+from repro.sim.driver import EventKind, SchedulingSimulation, SimulationError, SimulationResult
 
 __all__ = [
-    "Event",
     "EventKind",
-    "EventQueue",
-    "EventLoop",
     "SchedulingSimulation",
+    "SimulationError",
     "SimulationResult",
 ]

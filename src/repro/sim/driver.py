@@ -3,7 +3,8 @@
 :class:`SchedulingSimulation` binds together a cluster, a scheduler
 policy and a workload, and owns every piece of *mechanism*:
 
-* arrival / finish / timer event handling;
+* the event calendar, the clock and the dispatch loop;
+* arrival / finish / timer / kill event handling;
 * job state transitions and the wait/run clock bookkeeping;
 * processor allocation and release (through the cluster);
 * suspension-overhead charging (pay-on-resume model, see below);
@@ -12,6 +13,30 @@ policy and a workload, and owns every piece of *mechanism*:
 Schedulers (policy) interact with the driver exclusively through
 :meth:`start_job` and :meth:`suspend_job` -- see
 :mod:`repro.schedulers.base` for the contract.
+
+Event calendar
+--------------
+
+A run needs four kinds of event (:class:`EventKind`): arrivals,
+finishes, the scheduler's periodic tick (the paper's once-a-minute
+preemption routine, section IV-B) and speculative kills.  The calendar
+is one binary heap of ``(time, kind, seq, event)`` entries, so events
+dispatch in a fixed, documented order:
+
+* ``time`` -- simulation time in seconds;
+* ``kind`` -- at equal times finishes dispatch before arrivals, which
+  dispatch before ticks, which dispatch before kills.  Processors freed
+  at *t* are visible when the arrival at *t* is handled, a sweep at *t*
+  sees the post-arrival queue, and a job finishing exactly at its
+  speculation deadline is not killed;
+* ``seq`` -- an insertion counter: FIFO among the remaining ties.
+
+:meth:`SchedulingSimulation._post` is the one way in; it refuses NaN
+and times before the clock.  Cancellation is lazy: suspending a job
+sets its pending finish event's ``cancelled`` flag, and the loop drops
+the entry when it reaches the top.  Per-job *epochs* are a second guard,
+so a stale finish or kill never acts on a job that was suspended and
+resumed since the event was posted.
 
 Overhead model
 --------------
@@ -34,25 +59,67 @@ progress.  Consequences, all intentional:
 Determinism
 -----------
 
-All event ordering is deterministic (see :mod:`repro.sim.events`); the
-driver adds no randomness.  Two runs over the same workload and policy
-produce identical schedules.
+The calendar orders every pair of events, and the driver adds no
+randomness.  Two runs over the same workload and policy produce
+identical schedules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from enum import IntEnum
+from heapq import heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.cluster.machine import Cluster
 from repro.obs.events import Tracer
-from repro.sim.engine import EventLoop, SimulationError
-from repro.sim.events import Event, EventKind
 from repro.workload.job import Job, JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.recorder import TraceRecorder
     from repro.schedulers.base import Scheduler
+
+#: events one run may dispatch, skipped timer ticks included; passing
+#: it means a logic error (a timer storm or a livelocked scheduler)
+MAX_EVENTS = 50_000_000
+
+
+class SimulationError(RuntimeError):
+    """Raised when the simulation violates one of its own invariants."""
+
+
+class EventKind(IntEnum):
+    """The kinds of calendar event; the value is the dispatch order of
+    events at equal times (smaller first)."""
+
+    #: A running job completed its work (or its overhead-inflated work).
+    JOB_FINISH = 0
+    #: A job entered the system and joined the wait queue.
+    JOB_ARRIVAL = 1
+    #: The scheduler's periodic tick (e.g. the 60 s preemption sweep).
+    TIMER = 2
+    #: Deadline of a speculative run (kill-and-requeue); last, so a
+    #: finish at the same instant wins (the job made it).
+    JOB_KILL = 3
+
+
+@dataclass(slots=True, eq=False)
+class Event:
+    """A posted event: its time, the job it concerns (``None`` for a
+    tick), the job's epoch when posted, and the lazy-cancellation flag."""
+
+    time: float
+    payload: Any = None
+    epoch: int = 0
+    cancelled: bool = False
+
+
+def _budget_exhausted() -> SimulationError:
+    return SimulationError(
+        f"event budget exhausted ({MAX_EVENTS} events); "
+        "likely a timer storm or a livelocked scheduler"
+    )
 
 
 class SuspensionOverheadModel(Protocol):
@@ -194,14 +261,16 @@ class SchedulingSimulation:
         #: this switch exists to quantify that constraint's cost in the
         #: ablation benches.
         self.migratable = migratable
-        self.loop = EventLoop()
-        #: current simulation time, ``loop.now`` as a plain attribute:
-        #: each handler first copies its event's time here
-        self.now = self.loop.now
-        self.loop.on(EventKind.JOB_ARRIVAL, self._handle_arrival)
-        self.loop.on(EventKind.JOB_FINISH, self._handle_finish)
-        self.loop.on(EventKind.TIMER, self._handle_timer)
-        self.loop.on(EventKind.JOB_KILL, self._handle_kill)
+        #: current simulation time: the time of the event being
+        #: dispatched, or of the last one.  Only :meth:`run`'s loop sets
+        #: it, so reading the clock costs no call.
+        self.now = 0.0
+        #: events dispatched so far, the timer ticks an untraced run
+        #: skipped included
+        self.dispatched = 0
+        # the event calendar: a heap of (time, kind, seq, event)
+        self._calendar: list[tuple[float, int, int, Event]] = []
+        self._seq = count()
 
         self._queued: dict[int, Job] = {}
         # keyed by job_id, insertion-ordered by dispatch time: iteration
@@ -301,8 +370,8 @@ class SchedulingSimulation:
         job.last_dispatch_time = now
         job.expected_end = now + job.remaining_estimate()
         occupancy = max(job.remaining_useful + job.pending_overhead, 0.0)
-        self._finish_events[job.job_id] = self.loop.at(
-            now + occupancy, EventKind.JOB_FINISH, job, epoch=job.epoch
+        self._finish_events[job.job_id] = self._post(
+            now + occupancy, EventKind.JOB_FINISH, job, job.epoch
         )
         del self._queued[job.job_id]
         self._running[job.job_id] = job
@@ -338,9 +407,9 @@ class SchedulingSimulation:
             overhead_added = self.overhead_model.suspend_resume_cost(job)
             job.pending_overhead += overhead_added
 
-        ev = self._finish_events.pop(job.job_id, None)
-        if ev is not None:
-            self.loop.cancel(ev)
+        finish = self._finish_events.pop(job.job_id, None)
+        if finish is not None:
+            finish.cancelled = True
         self._account_busy()
         released = job.allocated_mask
         self.cluster.release(released, job.job_id)
@@ -369,25 +438,47 @@ class SchedulingSimulation:
                 f"start_speculative: job {job.job_id} holds a suspension "
                 "checkpoint and cannot be run speculatively"
             )
-        if deadline <= self.now:
+        if not deadline > self.now:  # also refuses NaN
             raise SimulationError("start_speculative: deadline not in the future")
         got = self.start_job(job, procs=procs, via="speculative")
-        self.loop.at(deadline, EventKind.JOB_KILL, job, epoch=job.epoch)
+        self._post(deadline, EventKind.JOB_KILL, job, job.epoch)
         return got
 
     # ------------------------------------------------------------------
-    # event handlers
+    # the event calendar
+    # ------------------------------------------------------------------
+    def _post(
+        self, time: float, kind: EventKind, payload: Any = None, epoch: int = 0
+    ) -> Event:
+        """Put an event for *payload* in the calendar at *time* and return
+        it; setting its ``cancelled`` flag withdraws it."""
+        if not time >= self.now:  # also refuses NaN
+            raise SimulationError(f"cannot post an event at t={time}: now is {self.now}")
+        event = Event(time, payload, epoch)
+        heappush(self._calendar, (time, kind, next(self._seq), event))
+        return event
+
+    def _head(self) -> Event | None:
+        """The next live event, or ``None``; drops cancelled entries off
+        the top of the calendar on the way."""
+        calendar = self._calendar
+        while calendar and calendar[0][3].cancelled:
+            heappop(calendar)
+        return calendar[0][3] if calendar else None
+
+    # ------------------------------------------------------------------
+    # event handlers (the loop in :meth:`run` has set :attr:`now`)
     # ------------------------------------------------------------------
     def _handle_kill(self, event: Event) -> None:
-        now = self.now = event.time
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # the speculation won (finished) or was re-dispatched: nothing
             # changed, so the pending tick stays where it is
             return
-        ev = self._finish_events.pop(job.job_id, None)
-        if ev is not None:
-            self.loop.cancel(ev)
+        finish = self._finish_events.pop(job.job_id, None)
+        if finish is not None:
+            finish.cancelled = True
+        now = self.now
         self._account_busy()
         released = job.allocated_mask
         wasted = max(now - job.last_dispatch_time, 0.0)
@@ -403,7 +494,7 @@ class SchedulingSimulation:
         self._replace_tick()
 
     def _handle_arrival(self, event: Event) -> None:
-        now = self.now = event.time
+        now = self.now
         job: Job = event.payload
         self._arrivals_pending -= 1
         if self._arrivals_pending == 0:
@@ -422,10 +513,9 @@ class SchedulingSimulation:
         self._replace_tick()
 
     def _handle_finish(self, event: Event) -> None:
-        now = self.now = event.time
         job: Job = event.payload
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
-            # stale: the job was suspended after this was scheduled
+            # stale: the job was suspended after this was posted
             return
         self._finish_events.pop(job.job_id, None)
         job.total_overhead += job.pending_overhead
@@ -433,17 +523,16 @@ class SchedulingSimulation:
         job.remaining_useful = 0.0
         self._account_busy()
         self.cluster.release(job.allocated_mask, job.job_id)
-        job.mark_finished(now)
+        job.mark_finished(self.now)
         del self._running[job.job_id]
         self._finished.append(job)
         self.transitions += 1
         if self.tracer is not None:
-            self.tracer.finish(now, job)
+            self.tracer.finish(self.now, job)
         self.scheduler.on_finish(job)
         self._replace_tick()
 
     def _handle_timer(self, event: Event) -> None:
-        self.now = event.time
         self._tick = None
         if self._work_remains():
             self.scheduler.on_timer()
@@ -464,11 +553,11 @@ class SchedulingSimulation:
         interval = self.scheduler.timer_interval
         if tick is None or interval is None or self.tracer is not None:
             return
-        if self.loop.queue.peek() is not tick or not self._work_remains():
+        if self._head() is not tick or not self._work_remains():
             return
         bound = self.scheduler.quiet_until() - interval
         if bound > tick.time:
-            self.loop.cancel(tick)
+            tick.cancelled = True
             self._place_tick(tick.time, interval, bound)
 
     def _place_tick(
@@ -481,24 +570,26 @@ class SchedulingSimulation:
         both *bound* (``scheduler.quiet_until() - interval``, asked here
         unless given) and the next calendar event: handlers run only at
         events, so each tick before both would be a pass the scheduler's
-        bound proves idle.  The jumped ticks are charged to
-        :attr:`EventLoop.dispatched`.  Keeping the last tick before the
-        bound absorbs float error in it.  Tick times advance by repeated
-        addition, so every tick placed is the float the every-tick chain
-        would reach.
+        bound proves idle.  The jumped ticks count in :attr:`dispatched`,
+        under the same :data:`MAX_EVENTS` budget.  Keeping the last tick
+        before the bound absorbs float error in it.  Tick times advance
+        by repeated addition, so every tick placed is the float the
+        every-tick chain would reach.
         """
         if self.tracer is None:
-            next_event = self.loop.queue.peek_time()
-            if next_event is not None and tick < next_event:
+            head = self._head()
+            if head is not None and tick < head.time:
                 if bound is None:
                     bound = self.scheduler.quiet_until() - interval
-                horizon = min(bound, next_event)
+                horizon = min(bound, head.time)
                 skipped = 0
                 while tick < horizon:
                     tick += interval
                     skipped += 1
-                self.loop.charge(skipped)
-        self._tick = self.loop.at(tick, EventKind.TIMER)
+                self.dispatched += skipped
+                if self.dispatched > MAX_EVENTS:
+                    raise _budget_exhausted()
+        self._tick = self._post(tick, EventKind.TIMER)
 
     def _work_remains(self) -> bool:
         return bool(self._queued or self._running or self._arrivals_pending > 0)
@@ -511,16 +602,17 @@ class SchedulingSimulation:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self, jobs: list[Job], require_drain: bool = True) -> SimulationResult:
+    def run(self, jobs: list[Job]) -> SimulationResult:
         """Simulate *jobs* to completion and return the result record.
 
-        Parameters
-        ----------
-        jobs:
-            Fresh (unsimulated) jobs; scheduled as arrival events.
-        require_drain:
-            If true (default), raise :class:`SimulationError` when any
-            job fails to finish -- starvation or a scheduler deadlock.
+        *jobs* must be fresh (unsimulated); each becomes an arrival
+        event.  Raises :class:`SimulationError` when any job fails to
+        finish -- starvation or a scheduler deadlock.
+
+        The loop here is the one dispatch path: it pops the calendar,
+        skips cancelled entries, sets :attr:`now`, counts the event
+        against :data:`MAX_EVENTS` and calls the handler for its kind.
+        No other Python call is made per event.
         """
         if not jobs:
             raise ValueError("empty workload")
@@ -542,16 +634,32 @@ class SchedulingSimulation:
         self.scheduler.on_begin()
         self._arrivals_pending = len(jobs)
         for job in jobs:
-            self.loop.at(job.submit_time, EventKind.JOB_ARRIVAL, job)
+            self._post(job.submit_time, EventKind.JOB_ARRIVAL, job)
         interval = self.scheduler.timer_interval
         if interval:
             self._place_tick(min(j.submit_time for j in jobs) + interval, interval)
 
-        self.loop.run()
-        self.scheduler.on_end()
+        calendar = self._calendar
+        # indexed by EventKind
+        handlers = (
+            self._handle_finish,
+            self._handle_arrival,
+            self._handle_timer,
+            self._handle_kill,
+        )
+        budget = MAX_EVENTS
+        while calendar:
+            time, kind, _, event = heappop(calendar)
+            if event.cancelled:
+                continue
+            self.now = time
+            self.dispatched += 1
+            if self.dispatched > budget:
+                raise _budget_exhausted()
+            handlers[kind](event)
         self._account_busy()
 
-        if require_drain and len(self._finished) != len(jobs):
+        if len(self._finished) != len(jobs):
             unfinished = sorted(
                 {j.job_id for j in jobs} - {j.job_id for j in self._finished}
             )
@@ -569,7 +677,7 @@ class SchedulingSimulation:
                 total_kills=self.total_kills,
                 busy_proc_seconds=self._busy_seconds,
                 makespan=makespan,
-                events_dispatched=self.loop.dispatched,
+                events_dispatched=self.dispatched,
             )
         return SimulationResult(
             jobs=list(self._finished),
@@ -578,7 +686,7 @@ class SchedulingSimulation:
             busy_proc_seconds=self._busy_seconds,
             makespan=makespan,
             total_suspensions=self.total_suspensions,
-            events_dispatched=self.loop.dispatched,
+            events_dispatched=self.dispatched,
             total_kills=self.total_kills,
             last_arrival=self._window_end,
             busy_in_arrival_window=self._window_busy,

@@ -82,6 +82,17 @@ def test_invalid_run_options_are_usage_errors(option, value, named, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [("--trace", "NOPE", "'NOPE'"), ("--jobs", "0", "n_jobs"), ("--jobs", "-5", "n_jobs")],
+)
+def test_invalid_experiment_options_are_usage_errors(option, value, named, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "tables-4-5", "--jobs", "20", option, value])
+    assert excinfo.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_compare_command(capsys):
     rc = main(["compare", "--trace", "SDSC", "--jobs", "100"])
     assert rc == 0

@@ -13,8 +13,7 @@ from repro.core.overhead import FixedOverheadModel
 from repro.experiments.parallel import outcome_fingerprint
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import known_schemes, scheduler_from_config
-from repro.sim.driver import SchedulingSimulation
-from repro.sim.engine import SimulationError
+from repro.sim.driver import SchedulingSimulation, SimulationError
 from repro.workload.job import JobState, fresh_copies
 from repro.workload.synthetic import generate_trace
 from tests.conftest import make_job
@@ -338,21 +337,6 @@ def test_starving_scheduler_detected():
         drive([make_job()], NeverStarts())
 
 
-def test_require_drain_false_returns_partial():
-    class NeverStarts(Scheduler):
-        name = "never"
-
-        def on_arrival(self, job):
-            pass
-
-        def on_finish(self, job):
-            pass
-
-    sim = SchedulingSimulation(Cluster(4), NeverStarts())
-    result = sim.run([make_job()], require_drain=False)
-    assert result.jobs == []
-
-
 # ----------------------------------------------------------------------
 # timer behaviour
 # ----------------------------------------------------------------------
@@ -360,7 +344,7 @@ def test_timer_stops_after_drain():
     sched = SuspendAtTimer()
     jobs = [make_job(submit=0.0, run=60.0, procs=1)]
     sim, result = drive(jobs, sched)
-    # no unbounded timer storm: events are bounded well below max_events
+    # no unbounded timer storm: events are bounded well below MAX_EVENTS
     assert result.events_dispatched < 50
 
 

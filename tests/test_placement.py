@@ -85,7 +85,7 @@ def test_explicit_start_placement_via_driver():
 
 
 def test_explicit_start_wrong_count_rejected():
-    from repro.sim.engine import SimulationError
+    from repro.sim.driver import SimulationError
 
     _, sim = bound_scheduler()
     job = make_job(job_id=9, submit=0.0, run=10.0, procs=2)
@@ -96,7 +96,7 @@ def test_explicit_start_wrong_count_rejected():
 
 
 def test_resume_placement_must_match_original():
-    from repro.sim.engine import SimulationError
+    from repro.sim.driver import SimulationError
 
     _, sim = bound_scheduler()
     job = make_job(job_id=9, submit=0.0, run=100.0, procs=2)

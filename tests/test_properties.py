@@ -13,9 +13,9 @@ from repro.metrics.utilization import busy_area_from_jobs
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.profiles import AvailabilityProfile, ProfileError
-from repro.sim.events import EventKind, EventQueue
+from repro.sim.driver import SchedulingSimulation
 from repro.workload.job import Job, JobState
-from tests.conftest import run_sim
+from tests.conftest import RecordingScheduler, run_sim
 
 # ----------------------------------------------------------------------
 # strategies
@@ -48,36 +48,68 @@ def build_jobs(raw) -> list[Job]:
 
 
 # ----------------------------------------------------------------------
-# event queue ordering
+# event calendar ordering, through the driver
 # ----------------------------------------------------------------------
-@given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=200))
-def test_event_queue_pops_sorted(times):
-    q = EventQueue()
-    for t in times:
-        q.schedule(t, EventKind.GENERIC, t)
-    popped = [q.pop().time for _ in range(len(times))]
-    assert popped == sorted(times)
-
-
-@given(
-    st.lists(st.floats(min_value=0, max_value=1e6), min_size=2, max_size=100),
-    st.data(),
+#: jobs on a 10 s grid, the recording scheduler's tick: submit times,
+#: finishes, ticks and speculative deadlines keep coinciding
+grid_jobs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),  # submit, in ticks
+        st.integers(min_value=1, max_value=4),  # run, in ticks
+        st.integers(min_value=1, max_value=4),  # procs
+    ),
+    min_size=1,
+    max_size=20,
 )
-def test_event_queue_cancellation_preserves_rest(times, data):
-    q = EventQueue()
-    events = [q.schedule(t, EventKind.GENERIC, i) for i, t in enumerate(times)]
-    kill = data.draw(
-        st.sets(st.integers(min_value=0, max_value=len(times) - 1), max_size=len(times) - 1)
-    )
-    for i in kill:
-        q.cancel(events[i])
-    expected = sorted(
-        (t, i) for i, t in enumerate(times) if i not in kill
-    )
-    popped = [(e.time, e.payload) for e in q.drain()]
-    assert [p[1] for p in popped] == [e[1] for e in expected] or [
-        p[0] for p in popped
-    ] == [e[0] for e in expected]
+#: at t = 10: job 1 finishes, job 2 arrives, the tick fires and job 0's
+#: speculation is killed; the tick at t = 20 suspends job 2
+ALL_KINDS_AT_ONCE = [(0, 2, 2), (0, 1, 2), (1, 3, 2)]
+
+
+def build_grid_jobs(raw) -> list[Job]:
+    return [
+        Job(job_id=i, submit_time=10.0 * s, run_time=10.0 * r, estimate=10.0 * r, procs=p)
+        for i, (s, r, p) in enumerate(raw)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_jobs)
+@example(ALL_KINDS_AT_ONCE)
+def test_event_queue_pops_sorted(raw):
+    """The loop dispatches by time, then finish < arrival < tick < kill,
+    then FIFO within a kind, so the recording scheduler's log of
+    ``(now, rank, post order)`` comes out sorted."""
+    sched = RecordingScheduler()
+    run_sim(build_grid_jobs(raw), sched, n_procs=4)
+    assert sched.log == sorted(sched.log)
+    if raw == ALL_KINDS_AT_ONCE:
+        assert [rank for t, rank, _ in sched.log if t == 10.0] == [0, 1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_jobs)
+@example(ALL_KINDS_AT_ONCE)
+def test_event_queue_cancellation_preserves_rest(raw):
+    """Suspensions and kills cancel pending finishes: none of those is
+    dispatched, and every job's live finish still is, exactly once."""
+    jobs = build_grid_jobs(raw)
+    sched = RecordingScheduler()
+    sim = SchedulingSimulation(Cluster(4), sched)
+    finishes = []
+    handle = sim._handle_finish
+
+    def spy(event):
+        finishes.append(event)
+        handle(event)
+
+    sim._handle_finish = spy  # run() reads its handlers off the instance
+    result = sim.run(jobs)
+    assert not any(event.cancelled for event in finishes)
+    assert sorted(event.payload.job_id for event in finishes) == [j.job_id for j in jobs]
+    assert result.total_suspensions == sched.suspensions
+    if raw == ALL_KINDS_AT_ONCE:
+        assert result.total_suspensions == result.total_kills == 1
 
 
 # ----------------------------------------------------------------------

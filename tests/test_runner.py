@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import limits_from_result
 from repro.experiments.runner import (
     NS_CONFIG,
@@ -15,7 +16,7 @@ from repro.experiments.runner import (
     standard_schemes,
     tuned_schemes,
 )
-from repro.experiments.parallel import outcome_fingerprint
+from repro.experiments.parallel import GridCell, outcome_fingerprint
 from repro.schedulers.easy import EasyBackfillScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.registry import scheduler_from_config
@@ -126,6 +127,28 @@ def test_equal_cells_share_one_simulation():
     first, second, third = run_scheme_groups(groups)
     assert first["a"] is first["b"] is second["c"]
     assert third["d"] is not first["a"]
+
+
+def test_config_spellings_of_one_scheduler_share_one_cell():
+    """A cell is keyed on the scheduler its config builds: a short and a
+    full spelling of one scheduler, or ``2.0`` for an integer knob, give
+    one fingerprint and one simulation."""
+    jobs = small_jobs()
+    short = {"scheme": "ss", "suspension_factor": 2}
+    full = SelectiveSuspensionScheduler(2.0).config()
+    assert short != full
+    assert GridCell("s", jobs, 4, short).fingerprint() == GridCell("f", jobs, 4, full).fingerprint()
+    kills = [{"scheme": "speculative", "max_kills": k} for k in (2.0, 2)]
+    specs = [SchemeSpec("short", short), SchemeSpec("full", full)]
+    specs += [SchemeSpec(f"kills {i}", k) for i, k in enumerate(kills)]
+    results = compare_schemes(jobs, 4, specs)
+    assert results["short"] is results["full"]
+    assert results["kills 0"] is results["kills 1"]
+
+
+def test_malformed_config_fails_when_the_cell_is_built():
+    with pytest.raises(ValueError, match="suspension_factor"):
+        GridCell("bad", small_jobs(), 4, {"scheme": "ss", "suspension_factor": 0.5})
 
 
 def test_duplicate_labels_in_a_group_are_refused():

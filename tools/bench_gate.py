@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Perf-regression gate: exact call counts over ``benchmarks/bench_micro.py``.
 
-Every workload of :func:`benchmarks.bench_micro.workloads` -- the event
-calendar, the availability profile, the cluster, EASY, SS and IS on the
-SDSC-400 trace (SS also with the null recorder), the per-category
-metric fold over the EASY run, SS, TSS, conservative, relaxed and
+Every workload of :func:`benchmarks.bench_micro.workloads` -- the
+availability profile, the cluster, EASY, SS and IS on the SDSC-400
+trace (SS also with the null recorder), the per-category metric fold
+over the EASY run, SS, TSS, conservative, relaxed and
 ``tss-conservative`` backfilling on the congested 700-job trace, and
 the streaming SWF parse and convert -- runs under
 :func:`~benchmarks.bench_micro.count_calls`, which counts the

@@ -36,7 +36,7 @@ from repro.analysis.report import scheme_comparison_report
 from repro.cluster.bitset import iter_bits, mask_from_ids, mask_to_ids
 from repro.cluster.machine import AllocationError, Cluster
 from repro.core.immediate_service import ImmediateServiceScheduler
-from repro.core.priorities import PreemptionCriteria, suspension_priority
+from repro.core.priorities import PreemptionCriteria
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import TunableSelectiveSuspensionScheduler
 from repro.metrics.aggregate import overall_stats, per_category_stats
@@ -376,7 +376,7 @@ class LegacyAvailabilityProfile(AvailabilityProfile):
 class _RecomputingPriorities(dict):
     """job_id -> xfactor mapping that recomputes on *every* access.
 
-    Stores the Job objects and calls :func:`suspension_priority` in
+    Stores the Job objects and calls :meth:`Job.xfactor` in
     ``__getitem__``, reproducing the pre-optimisation sweep's cost
     profile (priority evaluated inside sort keys and per-victim
     filters, O(queue x running) calls per sweep) while flowing through
@@ -388,7 +388,7 @@ class _RecomputingPriorities(dict):
         self._now = now
 
     def __getitem__(self, job_id):  # type: ignore[override]
-        return suspension_priority(super().__getitem__(job_id), self._now)
+        return super().__getitem__(job_id).xfactor(self._now)
 
 
 class LegacySweepScheduler(Scheduler):

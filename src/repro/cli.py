@@ -51,6 +51,7 @@ import argparse
 import inspect
 import sys
 from math import inf
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.analysis.report import experiment_report, scheme_comparison_report
@@ -67,7 +68,13 @@ from repro.workload.archive import get_preset
 from repro.workload.estimates import AccurateEstimates, InaccurateEstimates
 from repro.workload.job import Job
 from repro.workload.load import scale_load
-from repro.workload.swf import jobs_from_swf_records, read_swf
+from repro.workload.swf import (
+    MalformedPolicy,
+    SWFHeader,
+    jobs_from_swf_records,
+    read_swf,
+    read_swf_header,
+)
 from repro.workload.synthetic import generate_trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,40 +106,64 @@ def _build_scheduler(args: argparse.Namespace) -> Scheduler:
     return scheduler_from_config(config)
 
 
-def _load_jobs(args: argparse.Namespace) -> tuple[list[Job], int]:
-    """Returns (jobs, n_procs) from either --swf or the preset generator."""
-    if getattr(args, "swf", None):
-        preset = get_preset(args.trace)
-        records = read_swf(args.swf)
-        jobs = jobs_from_swf_records(records, max_procs=preset.n_procs)
+def _load_jobs(args: argparse.Namespace) -> tuple[list[Job], int, str]:
+    """(jobs, n_procs, title) from either --swf or the preset generator.
+
+    With --swf the machine size and width cap come from the log header
+    unless --trace names a preset; --estimates and --seed only steer the
+    generator, so an explicit one next to --swf is refused.
+    """
+    if args.swf:
+        for flag, value in (("--estimates", args.estimates), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} does not apply to --swf, which keeps the log's estimates; "
+                    "model them with 'workload stats/replay --estimates'"
+                )
+        if args.trace is None:
+            n_procs = SWFHeader(read_swf_header(args.swf)).machine_procs()
+            if n_procs is None:
+                raise ValueError(
+                    f"{args.swf}: no MaxProcs/MaxNodes in the header; "
+                    "pass --trace to run on a preset's machine"
+                )
+            title = Path(args.swf).name
+        else:
+            n_procs, title = get_preset(args.trace).n_procs, args.trace
+        jobs = jobs_from_swf_records(read_swf(args.swf), max_procs=n_procs)
         if args.jobs and args.jobs < len(jobs):
             jobs = jobs[: args.jobs]
-        n_procs = preset.n_procs
     else:
+        trace = args.trace or "CTC"
         estimates = (
             InaccurateEstimates() if args.estimates == "inaccurate" else AccurateEstimates()
         )
-        jobs = generate_trace(
-            args.trace, n_jobs=args.jobs, seed=args.seed, estimate_model=estimates
-        )
-        n_procs = get_preset(args.trace).n_procs
+        seed = 7 if args.seed is None else args.seed
+        jobs = generate_trace(trace, n_jobs=args.jobs, seed=seed, estimate_model=estimates)
+        n_procs, title = get_preset(trace).n_procs, trace
     if args.load != 1.0:
         jobs = scale_load(jobs, args.load)
-    return jobs, n_procs
+    return jobs, n_procs, title
 
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", default="CTC", help="preset: CTC, SDSC or KTH")
+    p.add_argument(
+        "--trace",
+        help="preset: CTC, SDSC or KTH (default: CTC; with --swf, the log "
+        "header's machine size)",
+    )
     p.add_argument("--jobs", type=int, default=2000, help="number of jobs")
-    p.add_argument("--seed", type=int, default=7, help="workload seed")
+    p.add_argument("--seed", type=int, help="workload seed (default: 7)")
     p.add_argument("--load", type=float, default=1.0, help="load factor (section VI)")
     p.add_argument(
         "--estimates",
         choices=("accurate", "inaccurate"),
-        default="accurate",
-        help="user estimate model (section V)",
+        help="user estimate model (section V; default: accurate)",
     )
-    p.add_argument("--swf", help="path to a real SWF log (overrides the generator)")
+    p.add_argument(
+        "--swf",
+        help="path to a real SWF log (overrides the generator, keeps the log's estimates)",
+    )
     p.add_argument(
         "--overhead",
         action="store_true",
@@ -463,14 +494,10 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "run":
-        jobs, n_procs = args.workload
+        jobs, n_procs, title = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
         result = simulate(jobs, args.built_scheduler, n_procs, overhead)
-        print(
-            experiment_report(
-                f"{args.trace}: {result.scheduler}", result, metric=args.metric
-            )
-        )
+        print(experiment_report(f"{title}: {result.scheduler}", result, metric=args.metric))
         return 0
 
     if args.command == "trace":
@@ -480,7 +507,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _dispatch_workload(args)
 
     if args.command == "compare":
-        jobs, n_procs = args.workload
+        jobs, n_procs, title = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
         counters = GridCounters()
         results = compare_schemes(
@@ -498,7 +525,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(format_grid_counters(counters), file=sys.stderr)
         print(
             scheme_comparison_report(
-                f"{args.trace}: scheme comparison",
+                f"{title}: scheme comparison",
                 results,
                 metric=args.metric,
                 statistic=args.statistic,
@@ -509,7 +536,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "inspect":
         from repro.workload.stats import format_stats, workload_stats
 
-        jobs, n_procs = args.workload
+        jobs, n_procs, _ = args.workload
         print(format_stats(workload_stats(jobs), n_procs=n_procs))
         return 0
 
@@ -569,15 +596,14 @@ def _dispatch_workload(args: argparse.Namespace) -> int:
     def _machine_procs() -> int:
         if args.procs is not None:
             return int(args.procs)
-        header, _ = scan_swf(args.swf_file)
-        procs = header.machine_procs()
+        procs = SWFHeader(read_swf_header(args.swf_file)).machine_procs()
         if procs is None:
             raise SystemExit(
                 f"{args.swf_file}: no MaxProcs/MaxNodes in the header; pass --procs"
             )
         return procs
 
-    on_malformed = "skip" if args.skip_malformed else "raise"
+    on_malformed: MalformedPolicy = "skip" if args.skip_malformed else "raise"
     pipeline = args.pipeline
 
     if args.workload_cmd == "stats":
@@ -655,7 +681,7 @@ def _dispatch_trace(args: argparse.Namespace) -> int:
     from repro.obs import JsonlRecorder, format_summary, read_trace, summarize_trace
 
     if args.trace_cmd == "record":
-        jobs, n_procs = args.workload
+        jobs, n_procs, _ = args.workload
         overhead = DiskSwapOverheadModel() if args.overhead else None
         with JsonlRecorder(args.out) as rec:
             simulate(jobs, args.built_scheduler, n_procs, overhead, recorder=rec)

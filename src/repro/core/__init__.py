@@ -1,8 +1,8 @@
 """The paper's contribution: selective preemption schemes.
 
-* :mod:`repro.core.priorities` -- suspension-priority functions (the
-  xfactor of eq. 2, the IS scheme's instantaneous xfactor) and the
-  :class:`~repro.core.priorities.PreemptionCriteria` threshold logic.
+* :mod:`repro.core.priorities` -- the
+  :class:`~repro.core.priorities.PreemptionCriteria` threshold logic
+  over the xfactor of eq. 2 (:meth:`~repro.workload.job.Job.xfactor`).
 * :mod:`repro.core.selective_suspension` -- the **SS** scheduler
   (section IV): SF-thresholded preemption, half-width rule, local
   (same-processors) resume, backfilling without reservations, periodic
@@ -16,7 +16,7 @@
   (section V-A).
 """
 
-from repro.core.priorities import PreemptionCriteria, suspension_priority
+from repro.core.priorities import PreemptionCriteria
 from repro.core.overhead import DiskSwapOverheadModel, FixedOverheadModel
 from repro.core.selective_suspension import SelectiveSuspensionScheduler
 from repro.core.tss import (
@@ -35,5 +35,4 @@ __all__ = [
     "SelectiveSuspensionScheduler",
     "TunableSelectiveSuspensionScheduler",
     "limits_from_result",
-    "suspension_priority",
 ]

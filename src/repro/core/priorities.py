@@ -1,6 +1,7 @@
 """Suspension priorities and preemption thresholds.
 
-The SS scheme's suspension priority is the **xfactor** (eq. 2)::
+The SS scheme's suspension priority is the **xfactor** (eq. 2),
+:meth:`~repro.workload.job.Job.xfactor`::
 
     xfactor = (wait time + estimated run time) / estimated run time
 
@@ -29,29 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from repro.workload.job import Job
-
 #: The golden ratio: the SF below which two equal jobs suspend each other
 #: more than once (section IV-A).
 GOLDEN_RATIO = (1.0 + 5.0**0.5) / 2.0
-
-
-def suspension_priority(job: Job, now: float) -> float:
-    """The SS suspension priority of *job* at *now* -- its xfactor."""
-    return job.xfactor(now)
-
-
-def instantaneous_priority(job: Job, now: float) -> float:
-    """The IS scheme's instantaneous xfactor (infinite before first run)."""
-    return job.instantaneous_xfactor(now)
 
 
 def max_suspensions_threshold(n: int) -> float:
     """The minimal SF limiting two equal simultaneous jobs to <= n suspensions.
 
     Under the paper's *formal* priority definition (wait accrues only
-    while not running, frozen while running -- exactly what this module
-    implements), the two-task recurrence of section IV-A closes to
+    while not running, frozen while running -- exactly what
+    :meth:`~repro.workload.job.Job.xfactor` implements), the two-task recurrence of section IV-A closes to
 
         s_n = 2 ** (1 / (n + 1))
 
@@ -110,15 +99,3 @@ class PreemptionCriteria:
         if reentry or not self.width_rule:
             return True
         return victim_procs <= 2 * idle_procs
-
-    def allows(
-        self,
-        idle: Job,
-        victim: Job,
-        now: float,
-        reentry: bool,
-    ) -> bool:
-        """Full predicate: may *idle* suspend *victim* at *now*?"""
-        return self.priority_allows(
-            suspension_priority(idle, now), suspension_priority(victim, now)
-        ) and self.width_allows(idle.procs, victim.procs, reentry)

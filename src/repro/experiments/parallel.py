@@ -769,9 +769,7 @@ class WorkloadShard:
         return f"shard{self.index:05d}@[{self.start:g},{self.end:g})"
 
 
-def iter_time_shards(
-    jobs: Iterable[Job], window: float, min_jobs: int = 1
-) -> Iterator[WorkloadShard]:
+def iter_time_shards(jobs: Iterable[Job], window: float) -> Iterator[WorkloadShard]:
     """Split a submit-sorted job stream into ``window``-second shards.
 
     Streaming: holds one shard's jobs at a time, so a months-long log
@@ -784,14 +782,9 @@ def iter_time_shards(
     the first shard at ``0 * inf``, which is NaN.  Raises
     :class:`ValueError` on an out-of-order submit too: sharding an
     unsorted stream would silently scatter jobs across wrong windows.
-    ``min_jobs`` merges trailing dribbles: a window with fewer jobs is
-    folded into the *next* shard (its ``start`` stretches back), so no
-    simulation cell is ever near-empty.
     """
     if not 0 < window < inf:  # also rejects NaN
         raise ValueError(f"shard window must be positive and finite, got {window}")
-    if min_jobs < 1:
-        raise ValueError(f"min_jobs must be >= 1, got {min_jobs}")
     index = 0
     bucket: list[Job] = []
     bucket_start: float | None = None
@@ -810,17 +803,12 @@ def iter_time_shards(
             bucket_start = k * window
             window_end = (k + 1) * window
         while job.submit_time >= window_end:
-            if len(bucket) >= min_jobs:
+            if bucket:
                 assert bucket_start is not None
                 yield WorkloadShard(index, bucket_start, window_end, tuple(bucket))
                 index += 1
                 bucket = []
-                bucket_start = window_end
-            elif not bucket:
-                # empty window: no shard, and the next shard must not
-                # stretch back over it -- its window starts here
-                bucket_start = window_end
-            # else: keep the dribble, stretch this shard into the next window
+            bucket_start = window_end
             window_end += window
         bucket.append(job)
     if bucket:
@@ -915,7 +903,6 @@ def replay_sharded(
     window: float,
     overhead_model: SuspensionOverheadModel | None = None,
     migratable: bool = False,
-    min_jobs: int = 1,
     batch_size: int = 32,
     workers: int | None = None,
     cache: ResultCache | None = None,
@@ -940,8 +927,8 @@ def replay_sharded(
     :func:`repro.workload.pipeline.open_workload` to replay an archive
     log end to end without materialising it.
 
-    Determinism: shard boundaries depend only on (jobs, window,
-    min_jobs); each shard simulates independently on an empty machine;
+    Determinism: shard boundaries depend only on (jobs, window); each
+    shard simulates independently on an empty machine;
     results merge in shard order.  The outcome is therefore identical
     for any ``batch_size``/``workers``/``cache`` combination -- the
     equivalence test in ``tests/test_workload_shards.py`` asserts
@@ -976,7 +963,7 @@ def replay_sharded(
         outcome.failures.update(grid.failures)
 
     batch: list[GridCell] = []
-    for shard in iter_time_shards(jobs, window, min_jobs=min_jobs):
+    for shard in iter_time_shards(jobs, window):
         outcome.shards += 1
         batch.append(
             shard_cell(

@@ -47,11 +47,7 @@ from math import inf, sqrt
 from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.cluster.bitset import take_lowest
-from repro.core.priorities import (
-    PreemptionCriteria,
-    instantaneous_priority,
-    suspension_priority,
-)
+from repro.core.priorities import PreemptionCriteria
 from repro.obs.events import victim_verdict
 from repro.schedulers.base import Scheduler
 from repro.schedulers.profiles import AvailabilityProfile
@@ -396,7 +392,7 @@ class SuspensionPriorityOrder(QueuePolicy):
     """Descending xfactor -- the SS/TSS suspension priority (section IV)."""
 
     def priority(self, job: Job, now: float) -> float:
-        return suspension_priority(job, now)
+        return job.xfactor(now)
 
     def crossing_time(
         self, waiter: Job, runner: Job, factor: float, now: float
@@ -412,7 +408,7 @@ class InstantaneousPriorityOrder(QueuePolicy):
     """Descending instantaneous xfactor -- the IS victim/service order."""
 
     def priority(self, job: Job, now: float) -> float:
-        return instantaneous_priority(job, now)
+        return job.instantaneous_xfactor(now)
 
     def crossing_time(
         self, waiter: Job, runner: Job, factor: float, now: float

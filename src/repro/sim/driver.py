@@ -366,10 +366,7 @@ class SchedulingSimulation:
             procs = self.cluster.allocate_mask(procs, job.job_id)
         else:
             procs = self.cluster.allocate(job.procs, job.job_id)
-        job.mark_started(now, procs)
-        job.last_dispatch_time = now
-        job.expected_end = now + job.remaining_estimate()
-        occupancy = max(job.remaining_useful + job.pending_overhead, 0.0)
+        occupancy = job.mark_started(now, procs)
         self._finish_events[job.job_id] = self._post(
             now + occupancy, EventKind.JOB_FINISH, job, job.epoch
         )
@@ -393,33 +390,15 @@ class SchedulingSimulation:
         """
         if job.job_id not in self._running:
             raise SimulationError(f"suspend_job: job {job.job_id} is not running")
-        now = self.now
-        ran = now - job.last_dispatch_time
-        if ran < -1e-9:
-            raise SimulationError(f"job {job.job_id}: negative run period {ran}")
-        paid = min(max(ran, 0.0), job.pending_overhead)
-        useful = max(ran, 0.0) - paid
-        job.total_overhead += paid
-        job.pending_overhead -= paid
-        job.remaining_useful = max(job.remaining_useful - useful, 0.0)
-        overhead_added = 0.0
+        overhead = 0.0
         if self.overhead_model is not None:
-            overhead_added = self.overhead_model.suspend_resume_cost(job)
-            job.pending_overhead += overhead_added
-
-        finish = self._finish_events.pop(job.job_id, None)
-        if finish is not None:
-            finish.cancelled = True
-        self._account_busy()
-        released = job.allocated_mask
-        self.cluster.release(released, job.job_id)
-        job.mark_suspended(now, pinned=not self.migratable)
-        del self._running[job.job_id]
+            overhead = self.overhead_model.suspend_resume_cost(job)
+        released = self._release(job)
+        job.mark_suspended(self.now, overhead, pinned=not self.migratable)
         self._queued[job.job_id] = job
-        self.transitions += 1
         self.total_suspensions += 1
         if self.tracer is not None:
-            self.tracer.suspend(now, job, released, preemptor, overhead_added)
+            self.tracer.suspend(self.now, job, released, preemptor, overhead)
 
     def start_speculative(
         self, job: Job, deadline: float, procs: int | None = None
@@ -475,21 +454,12 @@ class SchedulingSimulation:
             # the speculation won (finished) or was re-dispatched: nothing
             # changed, so the pending tick stays where it is
             return
-        finish = self._finish_events.pop(job.job_id, None)
-        if finish is not None:
-            finish.cancelled = True
-        now = self.now
-        self._account_busy()
-        released = job.allocated_mask
-        wasted = max(now - job.last_dispatch_time, 0.0)
-        self.cluster.release(released, job.job_id)
-        job.mark_killed(now)
-        del self._running[job.job_id]
+        released = self._release(job)
+        wasted = job.mark_killed(self.now)
         self._queued[job.job_id] = job
-        self.transitions += 1
         self.total_kills += 1
         if self.tracer is not None:
-            self.tracer.kill(now, job, released, wasted)
+            self.tracer.kill(self.now, job, released, wasted)
         self.scheduler.on_kill(job)
         self._replace_tick()
 
@@ -517,16 +487,10 @@ class SchedulingSimulation:
         if event.epoch != job.epoch or job.state is not JobState.RUNNING:
             # stale: the job was suspended after this was posted
             return
-        self._finish_events.pop(job.job_id, None)
-        job.total_overhead += job.pending_overhead
-        job.pending_overhead = 0.0
-        job.remaining_useful = 0.0
-        self._account_busy()
-        self.cluster.release(job.allocated_mask, job.job_id)
+        del self._finish_events[job.job_id]  # dispatched, so not cancelled
+        self._release(job)
         job.mark_finished(self.now)
-        del self._running[job.job_id]
         self._finished.append(job)
-        self.transitions += 1
         if self.tracer is not None:
             self.tracer.finish(self.now, job)
         self.scheduler.on_finish(job)
@@ -594,6 +558,22 @@ class SchedulingSimulation:
     def _work_remains(self) -> bool:
         return bool(self._queued or self._running or self._arrivals_pending > 0)
 
+    def _release(self, job: Job) -> int:
+        """Take a running job off the machine, for a suspension, kill or
+        finish: withdraw its pending finish event, close the busy
+        interval at the old level and free its processors.  Returns the
+        freed mask.
+        """
+        finish = self._finish_events.pop(job.job_id, None)
+        if finish is not None:
+            finish.cancelled = True
+        self._account_busy()
+        mask = job.allocated_mask
+        self.cluster.release(mask, job.job_id)
+        del self._running[job.job_id]
+        self.transitions += 1
+        return mask
+
     def _account_busy(self) -> None:
         now = self.now
         self._busy_seconds += self.cluster.busy_count * (now - self._busy_mark)
@@ -605,9 +585,9 @@ class SchedulingSimulation:
     def run(self, jobs: list[Job]) -> SimulationResult:
         """Simulate *jobs* to completion and return the result record.
 
-        *jobs* must be fresh (unsimulated); each becomes an arrival
-        event.  Raises :class:`SimulationError` when any job fails to
-        finish -- starvation or a scheduler deadlock.
+        *jobs* must be fresh (unsimulated), each job id listed once; each
+        becomes an arrival event.  Raises :class:`SimulationError` when
+        any job fails to finish -- starvation or a scheduler deadlock.
 
         The loop here is the one dispatch path: it pops the calendar,
         skips cancelled entries, sets :attr:`now`, counts the event
@@ -616,12 +596,18 @@ class SchedulingSimulation:
         """
         if not jobs:
             raise ValueError("empty workload")
+        listed: set[int] = set()
         for job in jobs:
             if job.state is not JobState.PENDING:
                 raise ValueError(
                     f"job {job.job_id} is {job.state.value}, need a fresh copy "
                     "(use repro.workload.job.fresh_copies)"
                 )
+            # the books are keyed by job id: a second arrival of an id
+            # would submit a job that is already in the system
+            if job.job_id in listed:
+                raise ValueError(f"job {job.job_id} is listed twice")
+            listed.add(job.job_id)
         self.scheduler.bind(self)
         if self.tracer is not None:
             self.tracer.run_begin(

@@ -7,8 +7,8 @@
   real Parallel Workloads Archive logs (CTC, SDSC, KTH, ...) drop in;
   eager helpers plus a constant-memory streaming reader and validator.
 * :mod:`repro.workload.pipeline` -- lazy transformation stages over job
-  streams (load scaling, estimate models, category filtering) with a
-  cache-keying config fingerprint (see docs/WORKLOADS.md).
+  streams (load scaling, estimate models) with a cache-keying config
+  fingerprint (see docs/WORKLOADS.md).
 * :mod:`repro.workload.categories` -- the paper's 16-way (Table I) and
   4-way (Table VI) job classification grids.
 * :mod:`repro.workload.synthetic` -- calibrated synthetic trace
@@ -34,7 +34,7 @@ from repro.workload.categories import (
     SIXTEEN_WAY_CATEGORIES,
 )
 from repro.workload.archive import TracePreset, CTC, SDSC, KTH, PRESETS
-from repro.workload.synthetic import SyntheticTraceGenerator, generate_trace
+from repro.workload.synthetic import generate_trace
 from repro.workload.estimates import (
     AccurateEstimates,
     EstimateModel,
@@ -43,7 +43,6 @@ from repro.workload.estimates import (
 )
 from repro.workload.load import scale_load
 from repro.workload.pipeline import (
-    CategoryFilterStage,
     EstimateStage,
     LoadScaleStage,
     PipelineStage,
@@ -52,10 +51,10 @@ from repro.workload.pipeline import (
 )
 from repro.workload.swf import (
     SWFHeader,
-    SWFReader,
     SWFRecord,
     jobs_from_swf_records,
     read_swf,
+    read_swf_header,
     scan_swf,
     stream_jobs,
     stream_swf,
@@ -65,7 +64,6 @@ from repro.workload.swf import (
 __all__ = [
     "AccurateEstimates",
     "CTC",
-    "CategoryFilterStage",
     "EstimateModel",
     "EstimateStage",
     "FOUR_WAY_CATEGORIES",
@@ -82,10 +80,8 @@ __all__ = [
     "SDSC",
     "SIXTEEN_WAY_CATEGORIES",
     "SWFHeader",
-    "SWFReader",
     "SWFRecord",
     "SixteenWayCategory",
-    "SyntheticTraceGenerator",
     "TracePreset",
     "WidthClass",
     "WorkloadPipeline",
@@ -96,6 +92,7 @@ __all__ = [
     "length_class",
     "open_workload",
     "read_swf",
+    "read_swf_header",
     "scale_load",
     "scan_swf",
     "stream_jobs",

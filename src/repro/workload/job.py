@@ -59,9 +59,10 @@ class JobState(Enum):
 class Job:
     """One rigid parallel job.
 
-    Static fields come from the trace; dynamic fields are owned by the
-    simulation driver.  User code should treat a finished job as
-    immutable and read results through :mod:`repro.metrics`.
+    Static fields come from the trace; dynamic fields change only in the
+    ``mark_*`` moves the simulation driver makes.  User code should
+    treat a finished job as immutable and read results through
+    :mod:`repro.metrics`.
 
     Parameters
     ----------
@@ -92,7 +93,7 @@ class Job:
     user: int = -1
 
     # ------------------------------------------------------------------
-    # dynamic state -- owned by the simulation driver
+    # dynamic state -- set by the ``mark_*`` moves
     # ------------------------------------------------------------------
     state: JobState = field(default=JobState.PENDING, repr=False)
     #: first time the job ever started running (None until then)
@@ -124,16 +125,16 @@ class Job:
     pending_overhead: float = field(default=0.0, repr=False)
     #: total overhead seconds actually paid over the job's lifetime
     total_overhead: float = field(default=0.0, repr=False)
-    #: useful work still to do, seconds; driver-managed (initialised to
-    #: ``run_time``, decremented by useful running time only)
+    #: useful work still to do, seconds (initialised to ``run_time``,
+    #: decremented by useful running time only)
     remaining_useful: float = field(default=-1.0, repr=False)
     #: guard for lazily cancelled finish events; bumped on every
     #: suspend/resume so stale events can be recognised
     epoch: int = field(default=0, repr=False)
-    #: when the current run period began (driver-managed)
+    #: when the current run period began
     last_dispatch_time: float = field(default=-1.0, repr=False)
     #: estimate-based completion time of the current run period, used by
-    #: backfilling profiles (driver-managed; meaningless unless RUNNING)
+    #: backfilling profiles (meaningless unless RUNNING)
     expected_end: float = field(default=float("inf"), repr=False)
 
     # lazy clock integrals
@@ -164,14 +165,9 @@ class Job:
     # clocks
     # ------------------------------------------------------------------
     def _advance_clocks(self, now: float) -> None:
-        """Fold the interval since the last state change into the clocks."""
+        """Fold the interval since the last state change into the clocks
+        (the driver's clock never moves backwards)."""
         dt = now - self._clock_mark
-        if dt < -1e-9:
-            raise ValueError(
-                f"job {self.job_id}: clock moved backwards "
-                f"({self._clock_mark} -> {now})"
-            )
-        dt = max(dt, 0.0)
         if self.state is JobState.QUEUED:
             self._wait_accrued += dt
         elif self.state is JobState.RUNNING:
@@ -222,41 +218,47 @@ class Job:
 
     # ------------------------------------------------------------------
     # state transitions (driver-only API)
+    #
+    # Each move books every field it changes.  The driver checks each
+    # precondition (state, width, resume set) once, before calling, so
+    # the moves do not check again.
     # ------------------------------------------------------------------
     def mark_submitted(self, now: float) -> None:
-        """PENDING -> QUEUED at arrival."""
-        self._require_state(JobState.PENDING, "submit")
-        self._advance_clocks(now)
+        """PENDING -> QUEUED at arrival (a pending job accrues nothing)."""
+        self._clock_mark = now
         self.state = JobState.QUEUED
 
-    def mark_started(self, now: float, mask: int) -> None:
-        """QUEUED -> RUNNING on the processors in bitmask *mask*."""
-        self._require_state(JobState.QUEUED, "start")
-        width = mask.bit_count()
-        if width != self.procs:
-            raise ValueError(
-                f"job {self.job_id}: started on {width} processors, "
-                f"requested {self.procs}"
-            )
-        if self.suspended_mask and mask != self.suspended_mask:
-            raise ValueError(
-                f"job {self.job_id}: resume on a different processor set "
-                "(local preemption requires the original processors)"
-            )
+    def mark_started(self, now: float, mask: int) -> float:
+        """QUEUED -> RUNNING on the processors in bitmask *mask*.
+
+        Returns the run's occupancy: the useful work left plus the
+        overhead still to pay, which is when the run finishes.
+        """
         self._advance_clocks(now)
         self.state = JobState.RUNNING
         self.allocated_mask = mask
         self.suspended_mask = 0
         if self.first_start_time is None:
             self.first_start_time = now
+        self.last_dispatch_time = now
+        self.expected_end = now + self.remaining_estimate()
+        return max(self.remaining_useful + self.pending_overhead, 0.0)
 
-    def mark_suspended(self, now: float, pinned: bool = True) -> None:
+    def mark_suspended(self, now: float, overhead: float, pinned: bool = True) -> None:
         """RUNNING -> QUEUED, remembering the processor set for resume.
 
-        With ``pinned=False`` (a migratable machine) the job may restart
-        anywhere, so it keeps no processor set.
+        The run period pays pending overhead first; the rest of it is
+        useful work.  *overhead* (the suspend plus resume cost) is added
+        to the overhead the next run pays.  With ``pinned=False`` (a
+        migratable machine) the job may restart anywhere, so it keeps no
+        processor set.
         """
-        self._require_state(JobState.RUNNING, "suspend")
+        ran = now - self.last_dispatch_time
+        paid = min(ran, self.pending_overhead)
+        self.total_overhead += paid
+        self.pending_overhead -= paid
+        self.remaining_useful = max(self.remaining_useful - (ran - paid), 0.0)
+        self.pending_overhead += overhead
         self._advance_clocks(now)
         self.state = JobState.QUEUED
         if pinned:
@@ -265,8 +267,9 @@ class Job:
         self.suspension_count += 1
         self.epoch += 1
 
-    def mark_killed(self, now: float) -> None:
-        """RUNNING -> QUEUED with all progress discarded.
+    def mark_killed(self, now: float) -> float:
+        """RUNNING -> QUEUED with all progress discarded; returns the
+        run period's occupancy, now wasted.
 
         Models *speculative* execution (Perkovic & Keleher): a job run
         in a hole shorter than its estimate is killed when the hole
@@ -276,10 +279,9 @@ class Job:
         time.  The wasted occupancy stays in the run clock (the machine
         really was busy), so the xfactor still treats it as service.
         """
-        self._require_state(JobState.RUNNING, "kill")
+        wasted = now - self.last_dispatch_time
         self._advance_clocks(now)
-        if self.last_dispatch_time >= 0:
-            self.wasted_time += max(now - self.last_dispatch_time, 0.0)
+        self.wasted_time += wasted
         self.state = JobState.QUEUED
         self.allocated_mask = 0
         self.suspended_mask = 0
@@ -287,21 +289,18 @@ class Job:
         self.pending_overhead = 0.0
         self.kill_count += 1
         self.epoch += 1
+        return wasted
 
     def mark_finished(self, now: float) -> None:
-        """RUNNING -> FINISHED; terminal."""
-        self._require_state(JobState.RUNNING, "finish")
+        """RUNNING -> FINISHED, with all work and overhead paid; terminal."""
+        self.total_overhead += self.pending_overhead
+        self.pending_overhead = 0.0
+        self.remaining_useful = 0.0
         self._advance_clocks(now)
         self.state = JobState.FINISHED
         self.allocated_mask = 0
         self.finish_time = now
         self.epoch += 1
-
-    def _require_state(self, expected: JobState, action: str) -> None:
-        if self.state is not expected:
-            raise ValueError(
-                f"job {self.job_id}: cannot {action} from state {self.state.value}"
-            )
 
     # ------------------------------------------------------------------
     # derived quantities

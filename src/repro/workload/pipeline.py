@@ -33,14 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 from abc import ABC, abstractmethod
-from collections.abc import Collection
 from math import inf
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.workload.categories import classify_sixteen_way
 from repro.workload.estimates import (
     AccurateEstimates,
     EstimateModel,
@@ -48,6 +46,13 @@ from repro.workload.estimates import (
     PerfectWithNoise,
 )
 from repro.workload.job import Job
+from repro.workload.swf import (
+    MalformedPolicy,
+    SWFHeader,
+    read_swf_header,
+    stream_jobs,
+    stream_swf,
+)
 
 PIPELINE_SCHEMA = "repro.pipeline/v1"
 
@@ -185,28 +190,6 @@ class EstimateStage(PipelineStage):
         }
 
 
-class CategoryFilterStage(PipelineStage):
-    """Keep only jobs in the given Table-I categories.
-
-    Categories are the paper's 16-way ``(length, width)`` labels, e.g.
-    ``("VS", "VW")`` -- see :mod:`repro.workload.categories`.  Jobs pass
-    through untouched (no copy: filtering does not mutate).
-    """
-
-    def __init__(self, keep: Collection[tuple[str, str]]) -> None:
-        if not keep:
-            raise ValueError("CategoryFilterStage with an empty keep-set drops everything")
-        self.keep = frozenset((str(a), str(b)) for a, b in keep)
-
-    def apply(self, jobs: Iterator[Job]) -> Iterator[Job]:
-        for job in jobs:
-            if classify_sixteen_way(job) in self.keep:
-                yield job
-
-    def config(self) -> dict[str, object]:
-        return {"stage": "category_filter", "keep": sorted(map(list, self.keep))}
-
-
 class WorkloadPipeline:
     """An ordered composition of lazy stages with a stable fingerprint.
 
@@ -259,39 +242,24 @@ def open_workload(
     path: str | Path,
     pipeline: WorkloadPipeline | None = None,
     max_procs: int | None = None,
-    on_malformed: str = "raise",
-    drop_interactive: bool = False,
-    require_sorted: bool = True,
+    on_malformed: MalformedPolicy = "raise",
 ) -> Iterator[Job]:
     """Stream an SWF log through a pipeline: the one-call archive entry point.
 
     Composes :func:`repro.workload.swf.stream_swf` (constant-memory
-    parse), :func:`repro.workload.swf.stream_jobs` (hygiene filters +
-    rebase) and ``pipeline.jobs`` (lazy transformations).  ``max_procs``
-    (at least 1) defaults to the log header's machine size when the
-    header declares one.
+    parse), :func:`repro.workload.swf.stream_jobs` (the conversion rules
+    and rebase) and ``pipeline.jobs`` (lazy transformations).
+    ``max_procs`` (at least 1) defaults to the log header's machine
+    size when the header declares one; only then is the header read
+    here, and the data lines are parsed once, as the stream is consumed.
     """
-    from repro.workload.swf import MalformedPolicy, SWFReader, stream_jobs
-
     if on_malformed not in ("raise", "skip"):
         raise ValueError(f"on_malformed must be 'raise' or 'skip', got {on_malformed!r}")
     if max_procs is not None and max_procs < 1:
         raise ValueError(f"max_procs must be at least 1, got {max_procs}")
-    policy: MalformedPolicy = "raise" if on_malformed == "raise" else "skip"
-
-    def _stream() -> Iterator[Job]:
-        with SWFReader(path, on_malformed=policy) as reader:
-            width_cap = max_procs
-            if width_cap is None:
-                width_cap = reader.header.machine_procs()
-            yield from stream_jobs(
-                iter(reader),
-                max_procs=width_cap,
-                drop_interactive=drop_interactive,
-                require_sorted=require_sorted,
-            )
-
-    stream: Iterator[Job] = _stream()
+    if max_procs is None:
+        max_procs = SWFHeader(read_swf_header(path)).machine_procs()
+    stream = stream_jobs(stream_swf(path, on_malformed), max_procs=max_procs)
     if pipeline is not None:
         stream = pipeline.jobs(stream)
     return stream

@@ -1,21 +1,19 @@
-"""Standard Workload Format (SWF) I/O: eager and streaming.
+"""Standard Workload Format (SWF) I/O.
 
 The Parallel Workloads Archive distributes logs in SWF: one line per job,
 18 whitespace-separated fields, ``;`` comment lines carrying header
 metadata.  This module parses the full record (so real CTC/SDSC/KTH logs
 can replace the synthetic generators) and converts records into
-:class:`~repro.workload.job.Job` objects with the usual hygiene filters.
+:class:`~repro.workload.job.Job` objects by the fixed rules of :func:`stream_jobs`.
 
-Two reading modes:
-
-* the original **eager** helpers (:func:`read_swf`,
-  :func:`jobs_from_swf_records`) materialise the whole log -- fine for
-  synthetic seeds and tests;
-* the **streaming** layer (:class:`SWFReader`, :func:`stream_swf`,
-  :func:`stream_jobs`, :func:`scan_swf`) holds O(1) records in memory,
-  parses header directives into a typed :class:`SWFHeader`, validates
-  each record as it passes, and powers the archive-scale pipeline in
-  :mod:`repro.workload.pipeline` (see ``docs/WORKLOADS.md``).
+Every reader here is a plain function over one line reader:
+:func:`read_swf_header` reads the ``;`` preamble and stops at the first
+data line, :func:`stream_swf` yields one :class:`SWFRecord` per data
+line with constant memory, and :func:`scan_swf` validates a log in one
+pass.  :func:`stream_jobs` converts records to jobs as they stream;
+:func:`read_swf` and :func:`jobs_from_swf_records` are the eager forms.
+The archive-scale pipeline in :mod:`repro.workload.pipeline` builds on
+them (see ``docs/WORKLOADS.md``).
 
 SWF fields (1-based, as documented by the archive)::
 
@@ -36,22 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import TracebackType
-from typing import IO, Iterable, Iterator, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from repro.workload.job import Job
 
 #: Number of data fields in an SWF record.
 SWF_FIELD_COUNT = 18
 
-#: SWF ``status`` field values (archive definition).  Partial-execution
-#: checkpoints (2-4) appear only in a handful of logs.
-STATUS_FAILED = 0
-STATUS_COMPLETED = 1
-STATUS_PARTIAL_TO_BE_CONTINUED = 2
-STATUS_PARTIAL_LAST = 3
-STATUS_PARTIAL_FAILED = 4
-STATUS_CANCELLED = 5
+#: Floor, in seconds, on a converted job's run time and estimate:
+#: schedulers need a positive planning horizon.
+MIN_SECONDS = 1.0
 
 #: Queue number the archive suggests for interactive jobs ("it is
 #: suggested to use queue 0 for interactive jobs").
@@ -120,17 +112,9 @@ class SWFRecord:
 
     @property
     def is_interactive(self) -> bool:
-        """Archive convention: queue 0 is the interactive queue.
-
-        ``False`` for batch jobs *and* for logs that do not record a
-        queue (queue = -1); callers that care about the distinction
-        should check ``queue >= 0`` first.
-        """
+        """Archive convention: queue 0 is the interactive queue (a log
+        that records no queue has -1 there)."""
         return self.queue == INTERACTIVE_QUEUE
-
-    def status_label(self) -> str:
-        """Human-readable status (``"completed"``, ``"failed"``, ...)."""
-        return _STATUS_LABELS.get(self.status, f"unknown({self.status})")
 
     def to_line(self) -> str:
         """Serialise back to a canonical SWF data line."""
@@ -161,13 +145,15 @@ class SWFRecord:
         return " ".join(num(v) for v in fields)
 
 
+#: SWF ``status`` field values (archive definition) and their labels.
+#: Partial-execution checkpoints (2-4) appear only in a handful of logs.
 _STATUS_LABELS = {
-    STATUS_FAILED: "failed",
-    STATUS_COMPLETED: "completed",
-    STATUS_PARTIAL_TO_BE_CONTINUED: "partial (continued)",
-    STATUS_PARTIAL_LAST: "partial (last)",
-    STATUS_PARTIAL_FAILED: "partial (failed)",
-    STATUS_CANCELLED: "cancelled",
+    0: "failed",
+    1: "completed",
+    2: "partial (continued)",
+    3: "partial (last)",
+    4: "partial (failed)",
+    5: "cancelled",
     -1: "unknown",
 }
 
@@ -225,16 +211,6 @@ class SWFHeader:
         """``MaxProcs``: number of processors in the machine."""
         return self._int("MaxProcs")
 
-    @property
-    def max_jobs(self) -> int | None:
-        """``MaxJobs``: number of data lines the header promises."""
-        return self._int("MaxJobs")
-
-    @property
-    def unix_start_time(self) -> int | None:
-        """``UnixStartTime``: epoch seconds of the log's t=0."""
-        return self._int("UnixStartTime")
-
     def machine_procs(self) -> int | None:
         """Best-effort machine size: ``MaxProcs``, else ``MaxNodes``.
 
@@ -245,166 +221,46 @@ class SWFHeader:
 
 
 #: What a malformed data line does to a streaming read: ``"raise"``
-#: stops with :class:`ValueError` (the default -- a corrupt archive log
-#: should be looked at), ``"skip"`` drops the line and counts it.
+#: stops with :class:`ValueError` naming the line (the default -- a
+#: corrupt archive log should be looked at), ``"skip"`` drops the line.
 MalformedPolicy = Literal["raise", "skip"]
 
 
-class SWFReader:
-    """Constant-memory streaming reader for one SWF log.
+def _swf_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of *path*, stripped, with its 1-based number.
 
-    Opens the file lazily, parses the ``;`` preamble into a typed
-    :class:`SWFHeader`, then yields :class:`SWFRecord` objects one line
-    at a time -- peak memory is one record regardless of log length
-    (the bench gate asserts this on a 100k-job log).  Usable as a
-    context manager and as an iterator::
-
-        with SWFReader("CTC-SP2.swf") as reader:
-            print(reader.header.machine_procs())
-            for record in reader:
-                ...
-
-    Parameters
-    ----------
-    source:
-        Path to an SWF file, or an already-open text stream (the caller
-        keeps ownership of a passed-in stream; paths are closed by
-        :meth:`close` / the context manager).
-    on_malformed:
-        ``"raise"`` (default) propagates a :class:`ValueError` naming
-        the line number; ``"skip"`` drops bad lines and counts them in
-        :attr:`malformed_lines`.
+    The one line reader under :func:`read_swf_header`, :func:`stream_swf`
+    and :func:`scan_swf`; the file closes when the iteration ends or is
+    abandoned.
     """
-
-    def __init__(
-        self,
-        source: str | Path | IO[str],
-        on_malformed: MalformedPolicy = "raise",
-    ) -> None:
-        if on_malformed not in ("raise", "skip"):
-            raise ValueError(f"on_malformed must be 'raise' or 'skip', got {on_malformed!r}")
-        self._path: Path | None
-        self._stream: IO[str] | None
-        if isinstance(source, (str, Path)):
-            self._path = Path(source)
-            self._stream = None
-            self._owns_stream = True
-        else:
-            self._path = None
-            self._stream = source
-            self._owns_stream = False
-        self.on_malformed: MalformedPolicy = on_malformed
-        self._header: SWFHeader | None = None
-        #: first data line seen while scanning the preamble (replayed
-        #: by the record iterator), with its line number
-        self._pending: tuple[int, str] | None = None
-        self._lineno = 0
-        self._iterating = False
-        #: data lines parsed so far
-        self.records_read = 0
-        #: malformed data lines dropped so far (``on_malformed="skip"``)
-        self.malformed_lines = 0
-
-    # -- lifecycle -----------------------------------------------------
-    def _ensure_open(self) -> IO[str]:
-        if self._stream is None:
-            assert self._path is not None
-            self._stream = open(self._path, "r", encoding="utf-8", errors="replace")
-        return self._stream
-
-    def close(self) -> None:
-        """Close the underlying file if this reader opened it."""
-        if self._stream is not None and self._owns_stream:
-            self._stream.close()
-        self._stream = None if self._owns_stream else self._stream
-
-    def __enter__(self) -> "SWFReader":
-        self._ensure_open()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
-    # -- header --------------------------------------------------------
-    @property
-    def header(self) -> SWFHeader:
-        """The preamble's directives, parsed on first access.
-
-        Reads forward only as far as the first data line (which is
-        buffered, not lost).  Directives appearing *after* data lines
-        are plain comments per the SWF spec and are ignored.
-        """
-        if self._header is None:
-            self._scan_preamble()
-            assert self._header is not None
-        return self._header
-
-    def _scan_preamble(self) -> None:
-        stream = self._ensure_open()
-        directives: dict[str, str] = {}
-        for raw in stream:
-            self._lineno += 1
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(";"):
-                parsed = parse_header_directive(line)
-                if parsed is not None and parsed[0] not in directives:
-                    directives[parsed[0]] = parsed[1]
-                continue
-            self._pending = (self._lineno, line)
-            break
-        self._header = SWFHeader(directives)
-
-    # -- records -------------------------------------------------------
-    def __iter__(self) -> Iterator[SWFRecord]:
-        if self._iterating:
-            raise RuntimeError("SWFReader is single-pass; create a new reader to re-read")
-        self._iterating = True
-        return self._records()
-
-    def _parse(self, lineno: int, line: str) -> SWFRecord | None:
-        try:
-            record = SWFRecord.from_line(line)
-        except ValueError as exc:
-            if self.on_malformed == "raise":
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            self.malformed_lines += 1
-            return None
-        self.records_read += 1
-        return record
-
-    def _records(self) -> Iterator[SWFRecord]:
-        if self._header is None:
-            self._scan_preamble()
-        if self._pending is not None:
-            lineno, line = self._pending
-            self._pending = None
-            record = self._parse(lineno, line)
-            if record is not None:
-                yield record
-        stream = self._ensure_open()
-        for raw in stream:
-            self._lineno += 1
-            line = raw.strip()
-            if not line or line.startswith(";"):
-                continue
-            record = self._parse(self._lineno, line)
-            if record is not None:
-                yield record
+            if line:
+                yield lineno, line
 
 
 def stream_swf(
     path: str | Path, on_malformed: MalformedPolicy = "raise"
 ) -> Iterator[SWFRecord]:
-    """Stream records from *path* with constant memory; closes the file when done."""
-    with SWFReader(path, on_malformed=on_malformed) as reader:
-        yield from reader
+    """Yield the records of *path* one data line at a time (constant memory).
+
+    Blank and ``;`` lines are skipped wherever they appear.  A data line
+    that does not parse raises :class:`ValueError` naming its line
+    number, or is dropped with ``on_malformed="skip"``.
+    """
+    if on_malformed not in ("raise", "skip"):
+        raise ValueError(f"on_malformed must be 'raise' or 'skip', got {on_malformed!r}")
+    for lineno, line in _swf_lines(path):
+        if line.startswith(";"):
+            continue
+        try:
+            record = SWFRecord.from_line(line)
+        except ValueError as exc:
+            if on_malformed == "raise":
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            continue
+        yield record
 
 
 def read_swf(path: str | Path) -> list[SWFRecord]:
@@ -413,13 +269,20 @@ def read_swf(path: str | Path) -> list[SWFRecord]:
 
 
 def read_swf_header(path: str | Path) -> dict[str, str]:
-    """Extract ``; Key: value`` header metadata from an SWF file.
+    """The ``; Key: value`` directives of *path*'s preamble.
 
-    Thin eager wrapper over :attr:`SWFReader.header`; prefer the reader
-    when you also need the records (one pass instead of two).
+    Reads only up to the first data line: directives after it are plain
+    comments per the SWF spec.  A key given twice keeps its first value.
+    Wrap the result in :class:`SWFHeader` for the typed fields.
     """
-    with SWFReader(path) as reader:
-        return dict(reader.header.directives)
+    directives: dict[str, str] = {}
+    for _, line in _swf_lines(path):
+        if not line.startswith(";"):
+            break
+        parsed = parse_header_directive(line)
+        if parsed is not None:
+            directives.setdefault(*parsed)
+    return directives
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +367,7 @@ class SWFScanReport:
         elif record.run_time > 0 and record.requested_time < record.run_time:
             self.underestimates += 1
             self._note("underestimates", record.job_number)
-        if record.queue >= 0 and record.is_interactive:
+        if record.is_interactive:
             self.interactive += 1
 
 
@@ -526,18 +389,21 @@ def scan_swf(
     Malformed lines are counted, never fatal -- validation exists to
     describe a log, not to fall over on it.
     """
-    with SWFReader(path, on_malformed="skip") as reader:
-        header = reader.header
-        report = SWFScanReport(
-            machine_procs=(
-                machine_procs if machine_procs is not None else header.machine_procs()
-            )
-        )
-        prev_submit: float | None = None
-        for record in reader:
-            report.observe(record, prev_submit)
-            prev_submit = record.submit_time
-        report.malformed_lines = reader.malformed_lines
+    header = SWFHeader(read_swf_header(path))
+    report = SWFScanReport(
+        machine_procs=machine_procs if machine_procs is not None else header.machine_procs()
+    )
+    prev_submit: float | None = None
+    for _, line in _swf_lines(path):
+        if line.startswith(";"):
+            continue
+        try:
+            record = SWFRecord.from_line(line)
+        except ValueError:
+            report.malformed_lines += 1
+            continue
+        report.observe(record, prev_submit)
+        prev_submit = record.submit_time
     return header, report
 
 
@@ -579,33 +445,32 @@ def format_scan_report(report: SWFScanReport) -> str:
 def stream_jobs(
     records: Iterable[SWFRecord],
     max_procs: int | None = None,
-    min_run_time: float = 1.0,
-    use_requested_procs: bool = True,
-    rebase_time: bool = True,
-    keep_statuses: frozenset[int] | None = None,
-    drop_interactive: bool = False,
     require_sorted: bool = True,
 ) -> Iterator[Job]:
     """Convert SWF records to jobs one at a time, with O(1) memory.
 
-    Applies the hygiene filters listed at :func:`jobs_from_swf_records`,
-    which is this conversion over the sorted records.  The one
-    semantic difference from the eager path: a stream cannot be sorted,
-    so the input must already be in nondecreasing submit order (true of
-    archive logs; verify with :func:`scan_swf`).  With
-    ``require_sorted=True`` (default) an out-of-order submit raises;
-    ``False`` passes records through in file order, which changes
-    arrival tie-breaking versus the eager path -- only disable it for
-    logs you have deliberately left unsorted.
+    The conversion rules, the ones scheduling studies use:
 
-    Additional stream-only filters:
+    * width: the requested processors, else the allocated ones; a job
+      with neither positive, or wider than *max_procs* (it could never
+      run), is dropped;
+    * run time: a job with a nonpositive run time (cancelled before
+      start, or corrupt) is dropped; shorter ones are raised to
+      :data:`MIN_SECONDS`;
+    * estimate: the requested time where present, else the run time,
+      and at least :data:`MIN_SECONDS`.  Real logs have estimates below
+      the run time (killed at the limit, logged longer); that is kept,
+      and schedulers must tolerate it;
+    * submit times: negative ones count as 0, and the trace is rebased
+      so its first job arrives at t = 0;
+    * memory: SWF requested memory is KB per node; it becomes MB per
+      processor for the overhead model when present.
 
-    keep_statuses:
-        Keep only records whose ``status`` is in the set (``None`` =
-        keep all, matching the eager path).  Records with status ``-1``
-        (unrecorded) are always kept.
-    drop_interactive:
-        Drop records in the archive's interactive queue (queue 0).
+    A stream cannot be sorted, so the input must already be in
+    nondecreasing submit order (true of archive logs; check with
+    :func:`scan_swf`): with ``require_sorted=True`` an out-of-order
+    submit raises.  :func:`jobs_from_swf_records` sorts first and passes
+    ``False``.
     """
     prev_submit: float | None = None
     t0: float | None = None
@@ -617,31 +482,21 @@ def stream_jobs(
                 "submit-sorted log (see docs/WORKLOADS.md)"
             )
         prev_submit = rec.submit_time
-        if keep_statuses is not None and rec.status >= 0 and rec.status not in keep_statuses:
-            continue
-        if drop_interactive and rec.queue >= 0 and rec.is_interactive:
-            continue
-        procs = rec.requested_procs if use_requested_procs else rec.allocated_procs
-        if procs <= 0:
-            procs = max(rec.allocated_procs, rec.requested_procs)
-        if procs <= 0:
-            continue
-        if rec.run_time <= 0:
+        procs = rec.requested_procs if rec.requested_procs > 0 else rec.allocated_procs
+        if procs <= 0 or rec.run_time <= 0:
             continue
         if max_procs is not None and procs > max_procs:
             continue
-        run_time = max(rec.run_time, min_run_time)
+        run_time = max(rec.run_time, MIN_SECONDS)
         estimate = rec.requested_time if rec.requested_time > 0 else run_time
-        estimate = max(estimate, 1.0)
+        estimate = max(estimate, MIN_SECONDS)
         memory_mb = rec.requested_memory_kb / 1024.0 if rec.requested_memory_kb > 0 else 0.0
         submit = max(rec.submit_time, 0.0)
-        if rebase_time:
-            if t0 is None:
-                t0 = submit
-            submit -= t0
+        if t0 is None:
+            t0 = submit
         yield Job(
             job_id=rec.job_number,
-            submit_time=submit,
+            submit_time=submit - t0,
             run_time=run_time,
             estimate=estimate,
             procs=procs,
@@ -667,44 +522,16 @@ def write_swf(
 
 
 def jobs_from_swf_records(
-    records: Iterable[SWFRecord],
-    max_procs: int | None = None,
-    min_run_time: float = 1.0,
-    use_requested_procs: bool = True,
-    rebase_time: bool = True,
+    records: Iterable[SWFRecord], max_procs: int | None = None
 ) -> list[Job]:
     """Convert SWF records to simulate-ready :class:`Job` objects.
 
     Sorts the records by ``(submit time, job number)`` -- negative
     submit times count as 0 -- and converts them with
-    :func:`stream_jobs`, which applies the standard hygiene filters used
-    in scheduling studies:
-
-    * drop jobs with nonpositive run time or processor count (cancelled
-      before start, or corrupt records);
-    * clamp run times below *min_run_time* up to it;
-    * estimates: use the requested time where present, else fall back to
-      the run time (accurate); always at least the run time's floor of 1 s
-      (schedulers need a positive planning horizon) -- note real logs can
-      have estimate < run time (killed at the limit, logged longer); we
-      preserve that, schedulers must tolerate it;
-    * optionally drop jobs wider than *max_procs* (they could never run);
-    * rebase submit times so the trace starts at t=0.
-
-    Memory: SWF requested memory is KB per node; converted to MB per
-    processor for the overhead model when present.
+    :func:`stream_jobs`, whose docstring lists the rules.
     """
     ordered = sorted(records, key=lambda r: (max(r.submit_time, 0.0), r.job_number))
-    return list(
-        stream_jobs(
-            ordered,
-            max_procs=max_procs,
-            min_run_time=min_run_time,
-            use_requested_procs=use_requested_procs,
-            rebase_time=rebase_time,
-            require_sorted=False,
-        )
-    )
+    return list(stream_jobs(ordered, max_procs=max_procs, require_sorted=False))
 
 
 def jobs_to_swf_records(jobs: Iterable[Job]) -> list[SWFRecord]:

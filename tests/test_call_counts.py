@@ -5,7 +5,7 @@ and fails on any difference, so a count must depend on the code alone:
 not on the run, the process or the hash seed, and not on whether the
 null recorder is attached.  And it must see the work the kernel's
 optimisations removed: the legacy sweep, which recomputes priorities
-per access, makes more ``suspension_priority`` calls on the same trace.
+per access, makes more ``Job.xfactor`` calls on the same trace.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.workload.synthetic import generate_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 JOBS = generate_trace("SDSC", n_jobs=120, seed=3)
-PRIORITY = "core/priorities.py:suspension_priority"
+PRIORITY = "workload/job.py:Job.xfactor"
 
 #: prints the counts of one SS run on JOBS as JSON
 CHILD = """

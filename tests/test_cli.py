@@ -145,6 +145,59 @@ def test_run_from_swf_file(tmp_path, capsys):
     assert "EASY" in capsys.readouterr().out
 
 
+def _header_log(tmp_path, header="; MaxProcs: 128\n"):
+    """Three jobs: 16, 200 and 4 processors wide."""
+    path = tmp_path / "hdr.swf"
+    path.write_text(
+        header
+        + "1 0 -1 3600 16 -1 -1 16 7200 -1 1 5 2 -1 1 -1 -1 -1\n"
+        + "2 10 -1 3600 200 -1 -1 200 7200 -1 1 5 2 -1 1 -1 -1 -1\n"
+        + "3 20 -1 60 4 -1 -1 4 70 -1 1 5 2 -1 1 -1 -1 -1\n"
+    )
+    return str(path)
+
+
+def test_swf_machine_size_comes_from_the_header(tmp_path, capsys):
+    """``MaxProcs: 128`` sets the machine and the width cap; the report
+    is titled by the log, not by a preset the log never ran on."""
+    log = _header_log(tmp_path)
+    assert main(["inspect", "--swf", log]) == 0
+    out = capsys.readouterr().out
+    assert "jobs: 2 " in out  # the 200-wide job cannot run on 128
+    assert "% of 128" in out
+    assert main(["run", "--swf", log, "--scheduler", "easy"]) == 0
+    assert "hdr.swf: EASY" in capsys.readouterr().out
+
+
+def test_swf_explicit_trace_overrides_the_header(tmp_path, capsys):
+    log = _header_log(tmp_path)
+    assert main(["inspect", "--swf", log, "--trace", "CTC"]) == 0
+    out = capsys.readouterr().out
+    assert "jobs: 3 " in out
+    assert "% of 430" in out
+
+
+def test_swf_without_header_size_or_trace_is_a_usage_error(tmp_path, capsys):
+    log = _header_log(tmp_path, header="; Computer: unknown\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--swf", log])
+    assert excinfo.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--estimates", "inaccurate"), ("--estimates", "accurate"), ("--seed", "9")]
+)
+def test_generator_options_with_swf_are_usage_errors(tmp_path, option, value, capsys):
+    """The log keeps its own estimates, so these options would be ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--swf", _header_log(tmp_path), "--scheduler", "easy", option, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err
+    assert "workload stats/replay --estimates" in err
+
+
 @pytest.mark.parametrize("name", sorted({*known_schemes(), *SCHEDULER_ALIASES}))
 def test_run_all_scheduler_names(name, capsys):
     args = build_parser().parse_args(["run", "--scheduler", name])
@@ -315,6 +368,18 @@ def test_workload_stats_needs_procs_without_header(tmp_path):
     path.write_text("1 0 -1 3600 16 -1 -1 16 7200 -1 1 5 2 -1 1 -1 -1 -1\n")
     with pytest.raises(SystemExit, match="--procs"):
         main(["workload", "stats", str(path)])
+
+
+@pytest.mark.parametrize("command", ["stats", "replay"])
+def test_workload_commands_parse_each_line_once(swf_log, command, monkeypatch, capsys):
+    """Without --procs the machine size comes from the header alone."""
+    from repro.workload.swf import SWFRecord
+
+    parsed = []
+    parse = SWFRecord.from_line
+    monkeypatch.setattr(SWFRecord, "from_line", lambda line: parsed.append(line) or parse(line))
+    assert main(["workload", command, swf_log]) == 0
+    assert len(parsed) == 200
 
 
 @pytest.mark.parametrize(

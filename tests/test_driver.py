@@ -128,6 +128,28 @@ def test_suspend_job_requires_running():
         drive([make_job()], BadScheduler())
 
 
+def test_start_on_wrong_number_of_processors_is_refused():
+    class Bad(GreedyScheduler):
+        def on_arrival(self, job):
+            self.driver.start_job(job, procs=0b1)  # one processor for a two-wide job
+
+    with pytest.raises(SimulationError, match="given 1 processors, requests 2"):
+        drive([make_job(procs=2)], Bad())
+
+
+def test_resume_on_another_processor_set_is_refused():
+    class Bad(GreedyScheduler):
+        timer_interval = 10.0
+
+        def on_timer(self):
+            job = self.driver.running_jobs()[0]
+            self.driver.suspend_job(job)  # suspended on processors 0 and 1
+            self.driver.start_job(job, procs=0b1100)
+
+    with pytest.raises(SimulationError, match="original processors"):
+        drive([make_job(procs=2, run=100.0)], Bad())
+
+
 def test_release_checks_the_job_record():
     """The driver releases ``job.allocated_mask`` and the cluster takes
     back only an owner's whole holding, so a job record that drifted

@@ -11,7 +11,6 @@ from repro.workload.estimates import (
 )
 from repro.workload.load import scale_load
 from repro.workload.pipeline import (
-    CategoryFilterStage,
     EstimateStage,
     LoadScaleStage,
     WorkloadPipeline,
@@ -87,22 +86,6 @@ def test_estimate_stage_estimates_clamped_positive(base_jobs):
     assert all(j.estimate >= 1.0 for j in out)
 
 
-def test_category_filter_keeps_only_requested(base_jobs):
-    from repro.workload.categories import classify_sixteen_way
-
-    keep = {("VS", "VW"), ("L", "W")}
-    out = list(CategoryFilterStage(keep).apply(iter(base_jobs)))
-    assert out  # the SDSC shape populates these cells
-    assert all(classify_sixteen_way(j) in keep for j in out)
-    # filtering passes the original objects through (no copy needed)
-    assert all(any(o is b for b in base_jobs) for o in out[:5])
-
-
-def test_category_filter_rejects_empty_keep():
-    with pytest.raises(ValueError, match="empty"):
-        CategoryFilterStage([])
-
-
 # ----------------------------------------------------------------------
 # pipeline composition
 # ----------------------------------------------------------------------
@@ -151,11 +134,7 @@ def test_config_is_json_stable():
     import json
 
     pipe = WorkloadPipeline(
-        [
-            LoadScaleStage(1.3),
-            EstimateStage(InaccurateEstimates(), seed=5),
-            CategoryFilterStage({("VS", "VW")}),
-        ]
+        [LoadScaleStage(1.3), EstimateStage(InaccurateEstimates(), seed=5)]
     )
     payload = json.dumps(pipe.config(), sort_keys=True)
     assert json.loads(payload) == pipe.config()

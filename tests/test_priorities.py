@@ -1,4 +1,4 @@
-"""Suspension priorities and the preemption criteria."""
+"""Suspension priorities (the ``Job`` xfactors) and the preemption criteria."""
 
 from __future__ import annotations
 
@@ -7,24 +7,24 @@ import pytest
 from repro.core.priorities import (
     GOLDEN_RATIO,
     PreemptionCriteria,
-    instantaneous_priority,
     max_suspensions_threshold,
-    suspension_priority,
 )
 from tests.conftest import make_job
 
 
 def test_suspension_priority_is_xfactor():
+    """Eq. 2: (wait + estimate) / estimate."""
     j = make_job(run=100.0, estimate=100.0)
     j.mark_submitted(0.0)
-    assert suspension_priority(j, 50.0) == pytest.approx(1.5)
+    assert j.xfactor(50.0) == pytest.approx(1.5)
 
 
 def test_instantaneous_priority_matches_definition():
+    """IS: (wait + accrued run) / accrued run."""
     j = make_job(run=1000.0)
     j.mark_submitted(0.0)
     j.mark_started(100.0, 0b1)
-    assert instantaneous_priority(j, 300.0) == pytest.approx((100 + 200) / 200)
+    assert j.instantaneous_xfactor(300.0) == pytest.approx((100 + 200) / 200)
 
 
 def test_threshold_closed_form():
@@ -84,26 +84,3 @@ def test_width_rule_waived_on_reentry():
 def test_width_rule_can_be_disabled():
     c = PreemptionCriteria(width_rule=False)
     assert c.width_allows(idle_procs=1, victim_procs=300, reentry=False)
-
-
-def test_allows_combines_both_conditions():
-    c = PreemptionCriteria(suspension_factor=2.0, width_rule=True)
-    idle = make_job(job_id=1, run=60.0, procs=4)
-    victim = make_job(job_id=2, run=3600.0, procs=6)
-    idle.mark_submitted(0.0)
-    victim.mark_submitted(0.0)
-    victim.mark_started(0.0, (1 << 6) - 1)
-    # victim priority frozen at 1; idle needs xfactor >= 2: wait 60s
-    assert not c.allows(idle, victim, now=30.0, reentry=False)
-    assert c.allows(idle, victim, now=120.0, reentry=False)
-
-
-def test_allows_respects_width_rule():
-    c = PreemptionCriteria(suspension_factor=1.0, width_rule=True)
-    idle = make_job(job_id=1, run=60.0, procs=1)
-    victim = make_job(job_id=2, run=3600.0, procs=10)
-    idle.mark_submitted(0.0)
-    victim.mark_submitted(0.0)
-    victim.mark_started(0.0, (1 << 10) - 1)
-    assert not c.allows(idle, victim, now=10_000.0, reentry=False)
-    assert c.allows(idle, victim, now=10_000.0, reentry=True)

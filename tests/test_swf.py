@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workload.swf import (
-    SWFReader,
+    SWFHeader,
     SWFRecord,
     format_scan_report,
     jobs_from_swf_records,
@@ -48,19 +46,18 @@ def test_parse_rejects_nonnumeric():
         SWFRecord.from_line(bad)
 
 
-def test_iter_swf_skips_comments_and_blanks():
-    """Iterating SWF text (an :class:`SWFReader` over an open stream)
-    skips blank and ``;`` lines, before and after the first record."""
-    stream = io.StringIO(f"; UnixStartTime: 0\n\n{GOOD_LINE}\n;\n{GOOD_LINE}\n")
-    records = list(SWFReader(stream))
-    assert len(records) == 2
-    assert not stream.closed  # the caller keeps a stream it passed in
+def test_iter_swf_skips_comments_and_blanks(tmp_path):
+    """Blank and ``;`` lines are skipped before and after the first record."""
+    path = tmp_path / "log.swf"
+    path.write_text(f"; UnixStartTime: 0\n\n{GOOD_LINE}\n;\n  \n{GOOD_LINE}\n")
+    assert list(stream_swf(path)) == [SWFRecord.from_line(GOOD_LINE)] * 2
 
 
-def test_iter_swf_reports_line_numbers():
-    stream = io.StringIO(f"{GOOD_LINE}\nbroken line here\n")
-    with pytest.raises(ValueError, match="line 2"):
-        list(SWFReader(stream))
+def test_iter_swf_reports_line_numbers(tmp_path):
+    path = tmp_path / "log.swf"
+    path.write_text(f"; MaxProcs: 8\n\n{GOOD_LINE}\nbroken line here\n")
+    with pytest.raises(ValueError, match="line 4"):
+        list(stream_swf(path))
 
 
 def test_round_trip_through_file(tmp_path):
@@ -148,8 +145,10 @@ def test_jobs_missing_estimate_falls_back_to_runtime():
 
 
 def test_jobs_clamp_tiny_runtime():
-    jobs = jobs_from_swf_records([_rec(run=0.4)], min_run_time=1.0)
+    """Run time and estimate both get the 1 s floor."""
+    jobs = jobs_from_swf_records([_rec(run=0.4, req_time=0.5)])
     assert jobs[0].run_time == 1.0
+    assert jobs[0].estimate == 1.0
 
 
 def test_jobs_preserve_underestimates():
@@ -163,11 +162,6 @@ def test_jobs_rebase_to_zero():
     jobs = jobs_from_swf_records([_rec(submit=1000.0), _rec(job=2, submit=1500.0)])
     assert jobs[0].submit_time == 0.0
     assert jobs[1].submit_time == 500.0
-
-
-def test_jobs_rebase_optional():
-    jobs = jobs_from_swf_records([_rec(submit=1000.0)], rebase_time=False)
-    assert jobs[0].submit_time == 1000.0
 
 
 def test_jobs_sorted_by_submit():
@@ -208,57 +202,62 @@ def test_reader_header_and_records(tmp_path):
         [GOOD_LINE],
         header={"Computer": "IBM SP2", "MaxProcs": "128", "UnixStartTime": "840000000"},
     )
-    with SWFReader(path) as reader:
-        assert reader.header.computer == "IBM SP2"
-        assert reader.header.max_procs == 128
-        assert reader.header.unix_start_time == 840000000
-        assert reader.header.machine_procs() == 128
-        records = list(reader)
-    assert len(records) == 1
-    assert records[0] == SWFRecord.from_line(GOOD_LINE)
+    directives = read_swf_header(path)
+    assert directives == {
+        "Computer": "IBM SP2", "MaxProcs": "128", "UnixStartTime": "840000000"
+    }
+    header = SWFHeader(directives)
+    assert header.computer == "IBM SP2"
+    assert header.max_procs == 128
+    assert header.machine_procs() == 128
+    assert list(stream_swf(path)) == [SWFRecord.from_line(GOOD_LINE)]
+
+
+def test_header_keeps_first_directive_and_stops_at_data(tmp_path):
+    """A repeated key keeps its first value; a directive after the first
+    data line is a plain comment."""
+    path = tmp_path / "log.swf"
+    path.write_text(
+        "; MaxProcs: 64\n; just a comment\n\n; MaxProcs: 32\n"
+        f"{GOOD_LINE}\n; MaxNodes: 16\n{GOOD_LINE}\n"
+    )
+    assert read_swf_header(path) == {"MaxProcs": "64"}
+    assert len(list(stream_swf(path))) == 2
 
 
 def test_reader_machine_procs_falls_back_to_max_nodes(tmp_path):
     path = _swf_file(tmp_path, [GOOD_LINE], header={"MaxNodes": "64"})
-    with SWFReader(path) as reader:
-        assert reader.header.max_procs is None
-        assert reader.header.machine_procs() == 64
+    header = SWFHeader(read_swf_header(path))
+    assert header.max_procs is None
+    assert header.machine_procs() == 64
 
 
 def test_reader_header_tolerates_garbage_values(tmp_path):
     path = _swf_file(tmp_path, [GOOD_LINE], header={"MaxProcs": "lots"})
-    with SWFReader(path) as reader:
-        assert reader.header.max_procs is None
-        assert reader.header.directives["MaxProcs"] == "lots"
-
-
-def test_reader_is_single_pass(tmp_path):
-    path = _swf_file(tmp_path, [GOOD_LINE])
-    with SWFReader(path) as reader:
-        assert len(list(reader)) == 1
-        with pytest.raises(RuntimeError, match="single-pass"):
-            list(reader)
+    header = SWFHeader(read_swf_header(path))
+    assert header.max_procs is None
+    assert header.machine_procs() is None
+    assert header.directives["MaxProcs"] == "lots"
 
 
 def test_reader_malformed_raise_names_line(tmp_path):
     path = _swf_file(tmp_path, [GOOD_LINE, "this is not swf"])
-    with SWFReader(path) as reader:
-        with pytest.raises(ValueError, match="line 2"):
-            list(reader)
+    with pytest.raises(ValueError, match="line 2"):
+        list(stream_swf(path))
 
 
 def test_reader_malformed_skip_counts(tmp_path):
+    """Skip mode drops a bad line; the scan counts it."""
     path = _swf_file(tmp_path, [GOOD_LINE, "broken", GOOD_LINE])
-    with SWFReader(path, on_malformed="skip") as reader:
-        records = list(reader)
-    assert len(records) == 2
-    assert reader.malformed_lines == 1
-    assert reader.records_read == 2
+    assert len(list(stream_swf(path, on_malformed="skip"))) == 2
+    _, report = scan_swf(path)
+    assert (report.records, report.malformed_lines) == (2, 1)
 
 
 def test_reader_rejects_bad_policy(tmp_path):
+    path = _swf_file(tmp_path, [GOOD_LINE])
     with pytest.raises(ValueError, match="on_malformed"):
-        SWFReader("whatever.swf", on_malformed="explode")
+        list(stream_swf(path, on_malformed="explode"))
 
 
 def test_stream_swf_matches_read_swf(tmp_path):
@@ -351,33 +350,11 @@ def test_stream_jobs_matches_eager():
 
 
 def test_stream_jobs_requires_sorted():
-    records = [_rec(job=1, submit=100.0), _rec(job=2, submit=50.0)]
+    records = [_rec(job=1), _rec(job=2, submit=100.0), _rec(job=3, submit=50.0)]
     with pytest.raises(ValueError, match="submit-sorted"):
         list(stream_jobs(iter(records)))
-    unsorted = list(
-        stream_jobs(iter(records), require_sorted=False, rebase_time=False)
-    )
-    assert [j.job_id for j in unsorted] == [1, 2]
-
-
-def test_stream_jobs_drop_interactive():
-    records = [_rec(job=1), _rec(job=2)]
-    interactive = SWFRecord(**{**records[1].__dict__, "queue": 0})
-    kept = list(stream_jobs(iter([records[0], interactive]), drop_interactive=True))
-    assert [j.job_id for j in kept] == [1]
-
-
-def test_stream_jobs_status_filter():
-    completed = _rec(job=1)
-    cancelled = SWFRecord(**{**_rec(job=2, submit=1.0).__dict__, "status": 5})
-    unrecorded = SWFRecord(**{**_rec(job=3, submit=2.0).__dict__, "status": -1})
-    kept = list(
-        stream_jobs(
-            iter([completed, cancelled, unrecorded]),
-            keep_statuses=frozenset({1}),
-        )
-    )
-    assert [j.job_id for j in kept] == [1, 3]  # -1 (unrecorded) always kept
+    unsorted = list(stream_jobs(iter(records), require_sorted=False))
+    assert [(j.job_id, j.submit_time) for j in unsorted] == [(1, 0.0), (2, 100.0), (3, 50.0)]
 
 
 def test_write_synthetic_swf_streams_cleanly(tmp_path):

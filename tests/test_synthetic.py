@@ -98,16 +98,6 @@ def test_estimate_model_applied():
     assert 0.3 < badly / len(jobs) < 0.5
 
 
-def test_diurnal_changes_arrivals_only():
-    plain = generate_trace("CTC", n_jobs=300, seed=4)
-    wavy = generate_trace("CTC", n_jobs=300, seed=4, diurnal=True)
-    # same job bodies (sorted by id), different arrival spacing
-    plain_by_id = sorted(plain, key=lambda j: j.job_id)
-    wavy_by_id = sorted(wavy, key=lambda j: j.job_id)
-    assert [j.submit_time for j in plain_by_id] != [j.submit_time for j in wavy_by_id]
-    assert sorted(j.run_time for j in plain) == sorted(j.run_time for j in wavy)
-
-
 def test_generate_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         generate_trace("CTC", n_jobs=0)

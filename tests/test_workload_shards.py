@@ -69,19 +69,13 @@ def test_shard_split_is_independent_of_batching(trace):
     assert a == b
 
 
-def test_min_jobs_folds_dribble_forward():
-    jobs = [_job(1, 100.0), _job(2, 7300.0), _job(3, 7350.0)]
-    shards = list(iter_time_shards(jobs, window=3600.0, min_jobs=2))
-    assert len(shards) == 1
-    assert shards[0].start == 0.0      # stretched back over the dribble
-    assert len(shards[0].jobs) == 3
-
-
 def test_trailing_dribble_still_emitted():
-    jobs = [_job(1, 100.0)]
-    shards = list(iter_time_shards(jobs, window=3600.0, min_jobs=5))
-    assert len(shards) == 1
-    assert shards[0].jobs == (jobs[0],)
+    """The last window's jobs become a shard when the stream ends."""
+    jobs = [_job(1, 100.0), _job(2, 7300.0)]
+    shards = list(iter_time_shards(jobs, window=3600.0))
+    assert [(s.start, s.end, s.jobs) for s in shards] == [
+        (0.0, 3600.0, (jobs[0],)), (7200.0, 10800.0, (jobs[1],))
+    ]
 
 
 def test_unsorted_stream_raises():
@@ -96,8 +90,6 @@ def test_bad_parameters_raise():
     for window in (float("nan"), float("inf")):  # NaN passed `window <= 0`
         with pytest.raises(ValueError, match="window"):
             list(iter_time_shards([_job(1, 5000.0)], window=window))
-    with pytest.raises(ValueError, match="min_jobs"):
-        list(iter_time_shards([], window=10.0, min_jobs=0))
 
 
 def test_replay_rejects_malformed_config_before_any_shard(trace):
